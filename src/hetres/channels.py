@@ -19,9 +19,9 @@ from .qcore import (
     as_complex,
     check_hermitian,
     embed_operator,
+    kron_all,
     mat_from_json,
     mat_to_json,
-    maximally_mixed,
     partial_trace_mat,
     permutation_matrix,
     single_party,
@@ -329,10 +329,8 @@ def _marginal_choi(channel, target, frozen_inputs, d_t):
         for j in range(d_t):
             unit = np.zeros((d_t, d_t), dtype=complex)
             unit[i, j] = 1.0
-            full = np.array([[1.0 + 0j]])
-            for lbl, _ in ins.parties:
-                block = unit if lbl == target else frozen_inputs[lbl].mat
-                full = np.kron(full, block)
+            full = kron_all(unit if lbl == target else frozen_inputs[lbl].mat
+                            for lbl, _ in ins.parties)
             img = channel.apply_mat(full)
             effective[(i, j)] = partial_trace_mat(img, channel.out_structure.dims, out_keep)
     d_out = effective[(0, 0)].shape[0]
@@ -341,16 +339,6 @@ def _marginal_choi(channel, target, frozen_inputs, d_t):
         for j in range(d_t):
             choi[i * d_out : (i + 1) * d_out, j * d_out : (j + 1) * d_out] = effective[(i, j)]
     return choi
-
-
-def marginal_channel_choi(channel: KrausChannel, target: str) -> KrausChannel:
-    """Diagnostic variant: freeze every other input at maximally mixed."""
-    frozen = {
-        lbl: maximally_mixed(TensorStructure([(lbl, d)]))
-        for lbl, d in channel.in_structure.parties
-        if lbl != target
-    }
-    return marginal_channel(channel, target, frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +533,11 @@ def effective_povm(
         return pulled
     frozen = dict(frozen or {})
     other = [lbl for lbl in ins.labels if lbl != measured_party]
-    weights = np.array([[1.0 + 0j]])
-    for lbl, dim in ins.parties:
-        if lbl == measured_party:
-            w = frozen[lbl].mat if lbl in frozen else np.eye(dim) / dim
-        else:
-            w = np.eye(dim, dtype=complex)
-        weights = np.kron(weights, w)
+    weights = kron_all(
+        (frozen[lbl].mat if lbl in frozen else np.eye(dim) / dim) if lbl == measured_party
+        else np.eye(dim, dtype=complex)
+        for lbl, dim in ins.parties
+    )
     keep = [ins.index(lbl) for lbl in other]
     return partial_trace_mat(weights @ pulled, ins.dims, keep)
 

@@ -478,12 +478,14 @@ def _clip_povm(p: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
 
 
-def _restrict(p: np.ndarray, restrict: str | None) -> np.ndarray:
+def _cone(x: np.ndarray, restrict: str | None) -> np.ndarray:
+    """Projection onto the tests allowed by ``restrict``: Hermitian, or (as
+    real arrays) real symmetric or diagonal."""
     if restrict == "diagonal":
-        return np.diag(np.diag(p))
+        return np.diag(np.real(np.diag(x)))
     if restrict == "real":
-        return np.real(p).astype(complex)
-    return p
+        return 0.5 * (np.real(x) + np.real(x).T)
+    return 0.5 * (x + x.conj().T)
 
 
 def _alpha(p: np.ndarray, free_set: FreeStateSet, rng) -> tuple[float, np.ndarray]:
@@ -503,13 +505,19 @@ def hypothesis_testing(
     """D_H^eps(rho||S): -log2 of the least type-II error beta subject to the
     worst-case type-I error alpha over the free set staying within epsilon.
 
-    Projected subgradient on the POVM element with a Dykstra-style projection
-    alternating eigenvalue clipping into [0,1] against the currently worst
-    free state's linear constraint.  A pool of analytic candidates (the
-    trivial eps*identity test, the scaled support projector, and the exact
-    threshold test when only one free state constrains alpha) backstops the
-    iterate; the best strictly feasible candidate is reported.  beta below
-    1e-12 is reported as +inf (exact annihilation, e.g. pure-state tests).
+    A set that lists finitely many extreme points mu_1..mu_k (incoherent,
+    singleton, finite) is solved exactly through the k-variable dual
+    min_{y >= 0} eps*sum(y) + Tr(rho - sum_i y_i mu_i)_+ (Wang & Renner,
+    PRL 108, 200501; see ``_extreme_point_dual``): the lower bound is the
+    exponent of the recovered test, rescaled so that alpha, exact over the
+    mu_i, is within epsilon; the upper bound is the dual value at the y >= 0
+    kept in ``extras["dual_y"]``.  Every other set runs projected subgradient
+    on the POVM element, alternating eigenvalue clipping into [0,1] against
+    the worst free state's constraint; its upper bound is the same dual over
+    a few probe states of the set, valid but possibly loose.  Both keep the
+    eps*identity test and the scaled support projector as backstops.
+    ``converged`` means upper - lower <= tol; beta below 1e-12 is reported
+    as +inf (exact annihilation, e.g. pure-state tests).
 
     ``restrict`` confines the test to "diagonal" or "real" POVM elements.
     """
@@ -525,7 +533,7 @@ def hypothesis_testing(
         return 1.0 - float(np.real(np.trace(m @ p)))
 
     def feasible_version(p):
-        p = _restrict(_clip_povm(_restrict(p, restrict)), restrict)
+        p = _cone(_clip_povm(_cone(p, restrict)), restrict)
         a, _ = _alpha(p, free_set, rng)
         if a > epsilon and a > 0:
             p = p * (epsilon / a)
@@ -534,8 +542,7 @@ def hypothesis_testing(
     candidates: list[tuple[np.ndarray, str]] = [(epsilon * np.eye(d, dtype=complex), "floor")]
 
     w, v = np.linalg.eigh(m)
-    support = (v[:, w > EIG_FLOOR] @ v[:, w > EIG_FLOOR].conj().T)
-    support = _restrict(support, restrict)
+    support = _cone(v[:, w > EIG_FLOOR] @ v[:, w > EIG_FLOOR].conj().T, restrict)
     if trace_norm(support @ m @ support - m) <= 1e-10:
         a_supp, _ = _alpha(support, free_set, rng)
         if a_supp <= epsilon + 1e-12:
@@ -546,148 +553,222 @@ def hypothesis_testing(
             )
         candidates.append((support, "support"))
 
-    if isinstance(free_set, Singleton) and restrict is None:
-        candidates.append((_np_threshold_test(m, free_set.gamma, epsilon), "neyman-pearson"))
-        iters = min(iters, 60)
-    if restrict == "diagonal" and isinstance(free_set, (Incoherent, Singleton)):
-        candidates.append((_diagonal_lp(m, free_set, epsilon), "diagonal-lp"))
-        iters = min(iters, 40)
-
-    p = epsilon * np.eye(d, dtype=complex)
-    step0 = 0.5
-    best_p, best_beta = None, np.inf
-    for t in range(1, iters + 1):
-        p = p + (step0 / math.sqrt(t)) * m
-        for _ in range(40):
-            p = _restrict(_clip_povm(_restrict(p, restrict)), restrict)
-            a, sigma = _alpha(p, free_set, rng)
-            if a <= epsilon + 1e-10:
-                break
-            nrm = float(np.real(np.trace(sigma @ sigma)))
-            p = p - ((a - epsilon) / max(nrm, 1e-14)) * sigma
-        cand = feasible_version(p)
-        b = beta_of(cand)
-        if b < best_beta:
-            best_beta, best_p = b, cand
-    candidates.append((best_p, "subgradient"))
-
-    best_beta, best_p, how = np.inf, None, ""
-    for cand, name in candidates:
-        if cand is None:
-            continue
-        cand = feasible_version(cand)
-        b = beta_of(cand)
-        if b < best_beta:
-            best_beta, best_p, how = b, cand, name
-    alpha_star, _ = _alpha(best_p, free_set, rng)
+    extras: dict = {}
+    points = free_set.extreme_points()
+    if points is not None:
+        y, dual_value, p, iters = _extreme_point_dual(m, points, epsilon, restrict)
+        candidates.insert(0, (p, "exact-dual"))
+        extras["dual_y"] = [float(t) for t in y]
+    else:
+        p = epsilon * np.eye(d, dtype=complex)
+        best_p, best_beta = None, np.inf
+        for t in range(1, iters + 1):
+            p = p + (0.5 / math.sqrt(t)) * m
+            for _ in range(40):
+                p = _cone(_clip_povm(_cone(p, restrict)), restrict)
+                a, sigma = _alpha(p, free_set, rng)
+                if a <= epsilon + 1e-10:
+                    break
+                nrm = float(np.real(np.trace(sigma @ sigma)))
+                p = p - ((a - epsilon) / max(nrm, 1e-14)) * sigma
+            cand = feasible_version(p)
+            b = beta_of(cand)
+            if b < best_beta:
+                best_beta, best_p = b, cand
+        candidates.append((best_p, "subgradient"))
+        # keeping only the probes' constraints relaxes the problem, so the
+        # exact dual over them still bounds max Tr(rho P) from above
+        probes = [free_set.lmo(-m, rng), free_set.full_rank_state()]
+        if free_set.has_closed_form_closest:
+            probes.append(free_set.closest_free_state(m)[0])
+        probes = [q for q in probes if q is not None]
+        dual_value = _extreme_point_dual(m, probes, epsilon, restrict)[1]
+    best_p, how = min(((feasible_version(c), name) for c, name in candidates if c is not None),
+                      key=lambda pair: beta_of(pair[0]))
+    best_beta = beta_of(best_p)
+    extras.update(method=how, alpha=_alpha(best_p, free_set, rng)[0], beta=max(best_beta, 0.0),
+                  epsilon=epsilon, restrict=restrict)
 
     if best_beta <= 1e-12:
         return DivergenceResult(
-            float("inf"), float("inf"), float("inf"), iters, True, best_p,
-            {"method": how, "alpha": alpha_star, "beta": max(best_beta, 0.0),
-             "epsilon": epsilon},
-        )
+            float("inf"), float("inf"), float("inf"), iters, True, best_p, extras)
     value = -math.log2(best_beta)
-    upper = _dual_upper_bound(m, free_set, epsilon, rng, restrict)
-    upper = max(upper, value)
-    return DivergenceResult(
-        value,
-        value,
-        upper,
-        iters,
-        converged=(upper - value) <= tol,
-        optimizer=best_p,
-        extras={"method": how, "alpha": alpha_star, "beta": best_beta,
-                "epsilon": epsilon, "restrict": restrict},
-    )
+    upper = max(value, float("inf") if dual_value >= 1.0 - 1e-12 else -math.log2(1.0 - dual_value))
+    return DivergenceResult(value, value, upper, iters, (upper - value) <= tol, best_p, extras)
 
 
-def _np_threshold_test(m: np.ndarray, gamma: np.ndarray, epsilon: float) -> np.ndarray:
-    """Exact optimal test against a single alternative state."""
+# The exact dual over finitely many constraint states mu_1..mu_k:
+#   max Tr(rho P) s.t. 0 <= P <= I, Tr(mu_i P) <= eps
+#   = min_{y >= 0} f(y),  f(y) = eps*sum(y) + Tr(X(y))_+,  X(y) = rho - sum_i y_i mu_i.
+# A restricted test sees only the projections of rho and mu_i onto its cone,
+# where X(y) and its positive part stay.
 
-    def parts(t):
-        w, v = np.linalg.eigh(m - t * gamma)
-        pos = (v[:, w > 1e-12] @ v[:, w > 1e-12].conj().T)
-        bnd = (v[:, np.abs(w) <= 1e-12] @ v[:, np.abs(w) <= 1e-12].conj().T)
-        return pos, bnd
-
-    lo, hi = 0.0, 1.0
-    while True:
-        pos, _ = parts(hi)
-        if float(np.real(np.trace(gamma @ pos))) <= epsilon or hi > 1e9:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        pos, _ = parts(mid)
-        if float(np.real(np.trace(gamma @ pos))) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    pos, bnd = parts(hi)
-    slack = epsilon - float(np.real(np.trace(gamma @ pos)))
-    denom = float(np.real(np.trace(gamma @ bnd)))
-    x = min(1.0, slack / denom) if denom > 1e-14 else 0.0
-    return pos + x * bnd
+DUAL_TEMPERATURES = tuple(10.0 ** (-e / 2) for e in range(2, 21))  # 1e-1 .. 1e-10
 
 
-def _diagonal_lp(m: np.ndarray, free_set, epsilon: float) -> np.ndarray:
-    """Exact diagonal-restricted test: a fractional-knapsack linear program."""
-    r = np.real(np.diag(m)).copy()
-    d = len(r)
-    if isinstance(free_set, Incoherent):
-        return np.diag(np.full(d, epsilon)).astype(complex)
-    g = np.real(np.diag(free_set.gamma)).copy()
-    order = np.argsort(-(r / np.where(g > 1e-15, g, 1e-15)))
-    p = np.zeros(d)
-    budget = epsilon
-    for i in order:
-        if g[i] <= 1e-15:
-            p[i] = 1.0
-            continue
-        take = min(1.0, budget / g[i])
-        p[i] = take
-        budget -= take * g[i]
-        if budget <= 1e-15:
-            break
-    return np.diag(p).astype(complex)
+def _cone_basis(n: int, restrict: str | None) -> np.ndarray:
+    """Frobenius-orthonormal basis of the n x n matrices in the cone."""
+    out = []
+    for a in range(n):
+        for b in range(a, a + 1 if restrict == "diagonal" else n):
+            e = np.zeros((n, n), dtype=float if restrict else complex)
+            e[a, b] = e[b, a] = 1.0 if a == b else math.sqrt(0.5)
+            out.append(e)
+            if restrict is None and a != b:
+                out.append(1j * (np.triu(e) - np.tril(e)))
+    return np.stack(out) if out else np.zeros((0, n, n))
 
 
-def _dual_upper_bound(m, free_set, epsilon, rng, restrict) -> float:
-    """Weak-duality bound: beta* >= 1 - t*eps - Tr[(rho - t sigma)_+] for any
-    t >= 0 and sigma in S, hence an upper bound on -log2 beta*.
+def _extreme_point_dual(m, points, epsilon, restrict):
+    """min_{y >= 0} f(y) with a test recovered from the optimum.
 
-    Under a measurement restriction the positive part is taken inside the
-    restricted operator cone (diagonal entries, or the real part), which
-    tightens the bound since Tr(rho P) only sees that component of rho.
+    The dual is followed along its softplus smoothing
+    eps*sum(y) + tau*Tr log(1 + exp(X/tau)) - tau*sum(log y) as tau falls
+    through ``DUAL_TEMPERATURES`` (the barrier keeps the Newton systems
+    regular when the mu_i are many or linearly dependent); each smoothed
+    optimum gives the test sigmoid(X/tau): the projector onto the positive
+    part of X plus a fractional fill of its near-null eigenvectors.  From
+    tau = 1e-3 on, ``_polish_face`` solves the optimality system of the face
+    found so far (eigenvalues within 100*tau of zero; active constraints
+    y_i > sqrt(tau), as an inactive one sits at y_i = tau/slack), which
+    closes the gap to rounding once the face is right.
+
+    Returns (y, f(y), P, Newton steps) for the lowest dual value and the
+    test with the highest value after rescaling (the caller rescales P).
     """
-    probes = [free_set.lmo(-m, rng)]
-    if free_set.has_closed_form_closest:
-        probes.append(free_set.closest_free_state(m)[0])
-    fr = free_set.full_rank_state()
-    if fr is not None:
-        probes.append(fr)
+    rho = _cone(m, restrict)
+    mus = np.stack([_cone(p, restrict) for p in points])
 
-    def positive_part_trace(x):
-        if restrict == "diagonal":
-            return float(np.sum(np.clip(np.real(np.diag(x)), 0.0, None)))
-        if restrict == "real":
-            r = np.real(x)
-            w = np.linalg.eigvalsh(0.5 * (r + r.T))
-            return float(np.sum(np.clip(w, 0.0, None)))
-        w = np.linalg.eigvalsh(x)
-        return float(np.sum(np.clip(w, 0.0, None)))
+    def spectrum(y):
+        x = rho - np.tensordot(y, mus, 1)
+        return (np.diag(x).copy(), np.eye(len(x))) if restrict == "diagonal" else np.linalg.eigh(x)
 
-    best_beta_lb = 0.0
-    for sigma in probes:
-        def neg_bound(t):
-            return -(1.0 - t * epsilon - positive_part_trace(m - t * sigma))
+    def dual_value(y):
+        lam = spectrum(y)[0]
+        return epsilon * float(np.sum(y)) + float(np.sum(lam[lam > 0.0]))
 
-        t_star = _golden_section(neg_bound, 0.0, 64.0, tol=1e-9)
-        best_beta_lb = max(best_beta_lb, -neg_bound(t_star))
-    if best_beta_lb <= 1e-12:
-        return float("inf")
-    return -math.log2(min(best_beta_lb, 1.0))
+    def primal_value(p):
+        alpha = float(np.max(np.real(np.einsum("kab,ba->k", mus, p))))
+        return float(np.real(np.trace(rho @ p))) * min(1.0, epsilon / max(alpha, 1e-300))
+
+    y, origin = np.full(len(mus), 1.0 / len(mus)), np.zeros(len(mus))
+    best_y, best_f, best_p, best_t = origin, dual_value(origin), np.zeros_like(rho), 0.0
+    steps = 0
+    for tau in DUAL_TEMPERATURES:
+        y, lam, v, n = _smoothed_dual_newton(y, tau, mus, epsilon, spectrum)
+        steps += n
+        s = 0.5 * (1.0 + np.tanh(0.5 * lam / tau))
+        found = [(y, (v * s) @ v.conj().T)]
+        active = np.where(y > math.sqrt(tau), y, 0.0)
+        if tau <= 1e-3 and np.any(active > 0.0):
+            n_null = int(np.sum(np.abs(lam) <= 100.0 * tau))
+            found.append(_polish_face(active, lam, v, n_null, found[0][1], mus, epsilon, restrict, spectrum))
+        for cand_y, cand_p in found:
+            f, t = dual_value(cand_y), primal_value(cand_p)
+            if f < best_f:
+                best_y, best_f = cand_y, f
+            if t > best_t:
+                best_p, best_t = cand_p, t
+        if best_f - best_t <= 1e-12 * (1.0 - best_t):
+            break
+    return best_y, best_f, best_p.astype(complex), steps
+
+
+def _smoothed_dual_newton(y, tau, mus, epsilon, spectrum):
+    """Damped Newton on y > 0 for the smoothed, barrier-regularized dual at
+    tau, until its gradient vanishes, the decrease falls below rounding, or
+    40 steps."""
+    k = len(mus)
+
+    def smoothed(y):
+        lam, v = spectrum(y)
+        val = epsilon * float(np.sum(y)) + tau * float(np.sum(np.logaddexp(0.0, lam / tau)))
+        return val - tau * float(np.sum(np.log(y))), lam, v
+
+    val, lam, v = smoothed(y)
+    accepted = 0.0
+    for step in range(1, 41):
+        s = 0.5 * (1.0 + np.tanh(0.5 * lam / tau))
+        mv = v.conj().T @ mus @ v
+        grad = epsilon - np.real(np.einsum("kaa,a->k", mv, s)) - tau / y
+        if float(np.max(np.abs(grad))) <= 1e-13:
+            break
+        # Hessian through the divided differences of the sigmoid (Daleckii-Krein)
+        dl = lam[:, None] - lam[None, :]
+        slope = s * (1.0 - s) / tau
+        close = np.abs(dl) <= 1e-9 * tau
+        gamma = np.where(close, 0.5 * (slope[:, None] + slope[None, :]),
+                         (s[:, None] - s[None, :]) / np.where(close, 1.0, dl))
+        flat = mv.reshape(k, -1)
+        hess = np.real((flat.conj() * gamma.ravel()) @ flat.T) + np.diag(tau / y**2)
+        # a plain Newton step first, then Levenberg-Marquardt damping from a
+        # tenth of the last accepted one up, until the step (cut back to stay
+        # inside y > 0) decreases the objective enough
+        damping = 0.0
+        for _ in range(40):
+            direction = np.linalg.solve(hess + damping * np.eye(k), -grad)
+            dec = -float(grad @ direction)
+            shrink = direction < 0.0
+            t = min(1.0, 0.99 * float(np.min(-y[shrink] / direction[shrink]))) if shrink.any() else 1.0
+            trial = smoothed(y + t * direction)
+            if trial[0] <= val - 1e-4 * t * dec:
+                break
+            damping = max(10.0 * damping, 0.1 * accepted, 1e-9 * float(np.trace(hess)) / k)
+        else:
+            break
+        if dec <= 1e-17 * max(1.0, abs(val)):
+            break
+        y, (val, lam, v), accepted = y + t * direction, trial, damping
+    return y, lam, v, step
+
+
+def _polish_face(y, lam, v, n_null, p, mus, epsilon, restrict, spectrum):
+    """Newton steps on the optimality system of one face of the dual.
+
+    The face is the n_null eigenvalues of X nearest zero (eigenvectors N)
+    with the active constraints y_i > 0; the test on it is P = Q + N Z N^H,
+    Q the projector onto the rest of the positive part.  The unknowns (active
+    y_i, fill Z) solve N^H X N = 0 and Tr(mu_i P) = eps for active i; the
+    eigenvectors move by first-order perturbation theory.  Four steps reach
+    rounding when the face is right.  Returns (y, P) with Z clipped into
+    [0, I].
+    """
+    act = np.flatnonzero(y > 0.0)
+    y, basis = y.copy(), _cone_basis(n_null, restrict)
+    null_vecs = v[:, np.argsort(np.abs(lam))[:n_null]]
+    fill = null_vecs.conj().T @ p @ null_vecs
+    for r in range(5):
+        lam, v = spectrum(y)
+        order = np.argsort(np.abs(lam))
+        null, rest = order[:n_null], order[n_null:]
+        overlap = v[:, null].conj().T @ null_vecs
+        fill, null_vecs = overlap @ fill @ overlap.conj().T, v[:, null]
+        pos, neg = rest[lam[rest] > 0.0], rest[lam[rest] <= 0.0]
+        mv = v.conj().T @ mus[act] @ v
+        a_nn = mv[:, null][:, :, null]
+        residual = np.concatenate([
+            lam[null] @ np.real(np.einsum("paa->pa", basis)).T,
+            np.real(np.einsum("kaa->k", mv[:, pos][:, :, pos])
+                    + np.einsum("kab,ba->k", a_nn, fill)) - epsilon,
+        ])
+        if r == 4 or float(np.max(np.abs(residual))) <= 1e-15:
+            break
+        coords = np.real(np.einsum("pab,jba->pj", basis, a_nn))
+        # -d Tr(mu_i P) / d y_j: positive/negative pairs, then rest/null pairs
+        cross = 2.0 * np.real(np.einsum(
+            "iba,jab,ab->ij", mv[:, neg][:, :, pos], mv[:, pos][:, :, neg],
+            1.0 / (lam[pos][:, None] - lam[neg][None, :])))
+        c_rn = mv[:, rest][:, :, null]
+        e_rn = (lam[rest] > 0.0)[None, :, None] * c_rn - c_rn @ fill
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross += 2.0 * np.real(np.einsum("jac,ica,a->ij", e_rn, mv[:, null][:, :, rest], 1.0 / lam[rest]))
+        jac = np.block([[-coords, np.zeros((len(basis), len(basis)))], [-cross, coords.T]])
+        if not np.all(np.isfinite(jac)):
+            break  # a zero eigenvalue outside the face: the face is wrong
+        delta, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
+        y[act] = np.clip(y[act] + delta[:len(act)], 0.0, None)
+        fill = fill + np.tensordot(delta[len(act):], basis, 1)
+    return y, v[:, pos] @ v[:, pos].conj().T + null_vecs @ _clip_povm(fill) @ null_vecs.conj().T
 
 
 # ---------------------------------------------------------------------------

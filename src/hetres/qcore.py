@@ -9,7 +9,7 @@ bits (log base 2).
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -154,13 +154,6 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator(np.kron(a.mat, b.mat), a.structure.concat(b.structure))
 
 
-def tensor_all(states: Sequence[DensityOperator]) -> DensityOperator:
-    out = states[0]
-    for s in states[1:]:
-        out = tensor(out, s)
-    return out
-
-
 def _as_tensor(mat: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     n = len(dims)
     return mat.reshape(tuple(dims) * 2)
@@ -235,10 +228,12 @@ def embed_operator(op: np.ndarray, structure: TensorStructure, party: str) -> np
     dims = structure.dims
     if op.shape != (dims[i], dims[i]):
         raise ValueError(f"operator shape {op.shape} does not match party dim {dims[i]}")
-    full = np.array([[1.0 + 0j]])
-    for j, d in enumerate(dims):
-        full = np.kron(full, op if j == i else np.eye(d))
-    return full
+    return kron_all(op if j == i else np.eye(d) for j, d in enumerate(dims))
+
+
+def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
+    """Kronecker product in order; the 1x1 identity for no factors."""
+    return functools.reduce(np.kron, mats, np.array([[1.0 + 0j]]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +315,6 @@ def trace_norm_distance(a, b) -> float:
     if ma.shape != mb.shape:
         raise ValueError("dimension mismatch")
     return trace_norm(ma - mb)
-
-
-def fidelity_with_pure(rho: DensityOperator, vec: np.ndarray) -> float:
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    v = v / np.linalg.norm(v)
-    return float(np.real(v.conj() @ rho.mat @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +399,3 @@ def mat_from_json(obj: dict) -> np.ndarray:
     im = np.asarray(obj["im"], dtype=float).reshape(rows, cols)
     return re + 1j * im
 
-
-def mat_to_json_str(mat: np.ndarray) -> str:
-    return json.dumps(mat_to_json(mat))

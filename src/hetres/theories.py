@@ -24,6 +24,7 @@ from .qcore import (
     TensorStructure,
     as_complex,
     check_hermitian,
+    kron_all,
     partial_trace_mat,
     partial_transpose_mat,
     random_density_mat,
@@ -49,8 +50,6 @@ class FreeStateSet:
     kind = "abstract"
     has_closed_form_closest = False
     has_extreme_point_oracle = False
-    has_linear_membership = False
-    is_convex = True
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -69,6 +68,10 @@ class FreeStateSet:
         raise NotImplementedError
 
     def full_rank_state(self) -> np.ndarray | None:
+        return None
+
+    def extreme_points(self) -> list[np.ndarray] | None:
+        """The set's extreme points when there are finitely many, else None."""
         return None
 
     def verification_states(self, rng: np.random.Generator, n: int) -> tuple[list[np.ndarray], str]:
@@ -94,7 +97,6 @@ class Incoherent(FreeStateSet):
     kind = "incoherent"
     has_closed_form_closest = True
     has_extreme_point_oracle = True
-    has_linear_membership = True
 
     def __init__(self, dim: int, basis: np.ndarray | None = None):
         super().__init__(dim)
@@ -160,7 +162,6 @@ class RealStates(FreeStateSet):
     kind = "real"
     has_closed_form_closest = True
     has_extreme_point_oracle = True
-    has_linear_membership = True
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         m = _mat(rho)
@@ -208,7 +209,6 @@ class Singleton(FreeStateSet):
     kind = "singleton"
     has_closed_form_closest = True
     has_extreme_point_oracle = True
-    has_linear_membership = True
 
     def __init__(self, gamma):
         g = _mat(gamma)
@@ -256,7 +256,6 @@ class AllStates(FreeStateSet):
     kind = "all"
     has_closed_form_closest = True
     has_extreme_point_oracle = True
-    has_linear_membership = True
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         self._check_dim(_mat(rho))
@@ -295,8 +294,6 @@ class FiniteSet(FreeStateSet):
     kind = "finite"
     has_closed_form_closest = True
     has_extreme_point_oracle = True
-    has_linear_membership = True
-    is_convex = False
 
     def __init__(self, states: Sequence):
         mats = [_mat(s) for s in states]
@@ -340,7 +337,6 @@ class SeparableTwoQubit(FreeStateSet):
 
     kind = "separable"
     has_extreme_point_oracle = True
-    has_linear_membership = True
 
     def __init__(self, cut: tuple[int, int] = (2, 2)):
         if tuple(sorted(cut)) not in {(2, 2), (2, 3)}:
@@ -436,11 +432,8 @@ def _product_seesaw(grad, dims, rng, restarts, sweeps: int = 30, tol: float = 1e
 # composite extremal sets
 
 
-class MinComposite(FreeStateSet):
-    """Convex hull of tensor products of locally free states."""
-
-    kind = "min-composite"
-    has_extreme_point_oracle = True
+class _Composite(FreeStateSet):
+    """A global set over labelled local parties, each with its own set."""
 
     def __init__(self, locals_: Sequence[FreeStateSet], labels: Sequence[str] | None = None):
         if len(locals_) < 2:
@@ -449,11 +442,26 @@ class MinComposite(FreeStateSet):
         labels = list(labels) if labels else [str(i + 1) for i in range(len(locals_))]
         self.structure = TensorStructure(zip(labels, [s.dim for s in locals_]))
         super().__init__(self.structure.dim)
-        self.seesaw_restarts = SEESAW_RESTARTS
 
     @property
     def local_dims(self) -> tuple[int, ...]:
         return self.structure.dims
+
+    def full_rank_state(self):
+        parts = [s.full_rank_state() for s in self.locals]
+        return None if any(p is None for p in parts) else kron_all(parts)
+
+    def to_json(self):
+        return {"kind": self.kind, "dim": self.dim, "labels": list(self.structure.labels),
+                "locals": [s.to_json() for s in self.locals]}
+
+
+class MinComposite(_Composite):
+    """Convex hull of tensor products of locally free states."""
+
+    kind = "min-composite"
+    has_extreme_point_oracle = True
+    seesaw_restarts = SEESAW_RESTARTS
 
     def lmo(self, grad, rng=None, restarts: int | None = None):
         return self._seesaw(grad, rng, restarts)[0]
@@ -461,12 +469,13 @@ class MinComposite(FreeStateSet):
     def lmo_with_parts(self, grad, rng=None, restarts: int | None = None, warm=None):
         return self._seesaw(grad, rng, restarts, warm)
 
-    def _enumerable_side(self) -> int | None:
+    def _enumerable_side(self) -> tuple[int, list[np.ndarray]] | None:
         if len(self.locals) != 2:
             return None
         for side in (0, 1):
-            if hasattr(self.locals[side], "extreme_points"):
-                return side
+            points = self.locals[side].extreme_points()
+            if points is not None:
+                return side, points
         return None
 
     def _seesaw(self, grad, rng, restarts, warm=None):
@@ -474,14 +483,15 @@ class MinComposite(FreeStateSet):
         restarts = self.seesaw_restarts if restarts is None else restarts
         g = as_complex(grad)
         dims = self.local_dims
-        side = self._enumerable_side()
-        if side is not None:
+        enumerable = self._enumerable_side()
+        if enumerable is not None:
             # one party has finitely many extreme points: enumerate them and
             # solve the other party's subproblem exactly or by its own oracle
+            side, points = enumerable
             other_idx = 1 - side
             other = self.locals[other_idx]
             best_val, best_pair, new_warm = np.inf, None, []
-            for point in self.locals[side].extreme_points():
+            for point in points:
                 parts = [None, None]
                 parts[side] = point
                 h = _effective_local_operator(g, dims, parts, other_idx)
@@ -585,9 +595,7 @@ class MinComposite(FreeStateSet):
                 return False
         else:
             i, marg = 0, partial_trace_mat(m, dims, [0])
-        recon = np.array([[1.0 + 0j]])
-        for j, s in enumerate(self.locals):
-            recon = np.kron(recon, marg if j == i else s.gamma)
+        recon = kron_all(marg if j == i else s.gamma for j, s in enumerate(self.locals))
         return trace_norm(m - recon) <= max(tol, 10 * MEMBERSHIP_TOL)
 
     def _marginal_product_atom(self, m: np.ndarray) -> np.ndarray | None:
@@ -683,38 +691,15 @@ class MinComposite(FreeStateSet):
         w = rng.dirichlet(np.ones(k))
         m = np.zeros((self.dim, self.dim), dtype=complex)
         for i in range(k):
-            prod = np.array([[1.0 + 0j]])
-            for s in self.locals:
-                prod = np.kron(prod, s.random_state(rng))
-            m += w[i] * prod
+            m += w[i] * kron_all(s.random_state(rng) for s in self.locals)
         return m
-
-    def full_rank_state(self):
-        parts = [s.full_rank_state() for s in self.locals]
-        if any(p is None for p in parts):
-            return None
-        out = np.array([[1.0 + 0j]])
-        for p in parts:
-            out = np.kron(out, p)
-        return out
 
     def verification_states(self, rng, n):
         out = []
         for _ in range(n):
-            prod = np.array([[1.0 + 0j]])
-            for s in self.locals:
-                pool, _ = s.verification_states(rng, 4)
-                prod = np.kron(prod, pool[int(rng.integers(len(pool)))])
-            out.append(prod)
+            pools = (s.verification_states(rng, 4)[0] for s in self.locals)
+            out.append(kron_all(pool[int(rng.integers(len(pool)))] for pool in pools))
         return out, "sampled"
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "labels": list(self.structure.labels),
-            "locals": [s.to_json() for s in self.locals],
-        }
 
 
 def _local_lmo(local, h, rng):
@@ -756,14 +741,8 @@ def _project_into_set(local: FreeStateSet, marg: np.ndarray) -> np.ndarray | Non
     if isinstance(local, SeparableTwoQubit):
         x = marg.copy()
         for _ in range(60):
-            w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
-            x = (v * np.clip(w, 0.0, None)) @ v.conj().T
-            x = x / max(float(np.real(np.trace(x))), 1e-12)
-            x = local.marginal_projection(x)
-        x = 0.5 * (x + x.conj().T)
-        w, v = np.linalg.eigh(x)
-        x = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        x = x / max(float(np.real(np.trace(x))), 1e-12)
+            x = local.marginal_projection(_psd_state(x))
+        x = _psd_state(x)
         return x if local.contains(x, 1e-9) else None
     return None
 
@@ -815,23 +794,10 @@ def _simplex_nnls(a_mat: np.ndarray, target: np.ndarray, penalty: float = 4.0) -
     return w / total
 
 
-class MaxComposite(FreeStateSet):
+class MaxComposite(_Composite):
     """States whose every single-party marginal is locally free."""
 
     kind = "max-composite"
-    has_linear_membership = True
-
-    def __init__(self, locals_: Sequence[FreeStateSet], labels: Sequence[str] | None = None):
-        if len(locals_) < 2:
-            raise ValueError("a composite needs at least two parties")
-        self.locals = list(locals_)
-        labels = list(labels) if labels else [str(i + 1) for i in range(len(locals_))]
-        self.structure = TensorStructure(zip(labels, [s.dim for s in locals_]))
-        super().__init__(self.structure.dim)
-
-    @property
-    def local_dims(self) -> tuple[int, ...]:
-        return self.structure.dims
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         m = _mat(rho)
@@ -844,12 +810,19 @@ class MaxComposite(FreeStateSet):
 
     def _marginal_projector(self, i: int):
         dims = self.local_dims
-        d_rest = self.dim // dims[i]
+        d = dims[i]
+        left, right = int(np.prod(dims[:i])), int(np.prod(dims[i + 1:]))
+        d_rest = left * right
 
         def proj(y):
-            marg = partial_trace_mat(y, dims, [i])
+            # (left, d, right) on both indices: the marginal sums the
+            # diagonal of the left and right factors, and the correction
+            # delta (x) I / d_rest is added on that same diagonal
+            out = y.copy().reshape(left, d, right, left, d, right)
+            marg = np.einsum("iajibj->ab", out)
             fixed = self.locals[i].marginal_projection(marg)
-            return y + _lift_marginal_correction(fixed - marg, dims, i) / d_rest
+            np.einsum("iajibj->ijab", out)[...] += (fixed - marg) / d_rest
+            return out.reshape(y.shape)
 
         return proj
 
@@ -907,9 +880,7 @@ class MaxComposite(FreeStateSet):
             if fr is not None:
                 p = 0.5 * (p + fr)
             parts.append(p)
-        base = np.array([[1.0 + 0j]])
-        for p in parts:
-            base = np.kron(base, p)
+        base = kron_all(parts)
         corr = np.zeros_like(base)
         for _ in range(3):
             term = np.array([[1.0 + 0j]])
@@ -933,33 +904,8 @@ class MaxComposite(FreeStateSet):
         t = lo * rng.uniform()
         return base + t * corr
 
-    def full_rank_state(self):
-        parts = [s.full_rank_state() for s in self.locals]
-        if any(p is None for p in parts):
-            return None
-        out = np.array([[1.0 + 0j]])
-        for p in parts:
-            out = np.kron(out, p)
-        return out
-
     def verification_states(self, rng, n):
         return [self.random_state(rng) for _ in range(n)], "sampled"
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "labels": list(self.structure.labels),
-            "locals": [s.to_json() for s in self.locals],
-        }
-
-
-def _lift_marginal_correction(delta, dims, i):
-    """Lift a marginal-space correction to the full space: delta (x) I / 1."""
-    out = np.array([[1.0 + 0j]])
-    for j, d in enumerate(dims):
-        out = np.kron(out, delta if j == i else np.eye(d, dtype=complex))
-    return out
 
 
 # ---------------------------------------------------------------------------

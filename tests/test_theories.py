@@ -275,6 +275,23 @@ class TestComposites:
         )
         assert float(np.real(np.trace(g @ mu))) <= float(np.real(np.trace(g @ probe))) + 1e-4
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2)])
+    def test_marginal_projector_matches_kron_lift(self, dims):
+        # reference: add (fixed - marginal) (x) identity / d_rest built by kron
+        locals_ = [th.RealStates(d) if i % 2 else th.Incoherent(d) for i, d in enumerate(dims)]
+        xc = th.MaxComposite(locals_)
+        rng = np.random.default_rng(sum(dims))
+        y = rng.normal(size=(xc.dim, xc.dim)) + 1j * rng.normal(size=(xc.dim, xc.dim))
+        for i, local in enumerate(locals_):
+            marg = partial_trace_mat(y, dims, [i])
+            delta = (local.marginal_projection(marg) - marg) * dims[i] / xc.dim
+            lift = np.array([[1.0 + 0j]])
+            for j, d in enumerate(dims):
+                lift = np.kron(lift, delta if j == i else np.eye(d))
+            out = xc._marginal_projector(i)(y)
+            assert np.max(np.abs(out - (y + lift))) <= 1e-13
+            assert np.max(np.abs(partial_trace_mat(out, dims, [i]) - local.marginal_projection(marg))) <= 1e-12
+
 
 def test_theory_descriptor_roundtrip():
     sets = [
