@@ -8,7 +8,6 @@ Reports go to stdout or ``--out`` as JSON (default) or CSV.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -107,18 +106,7 @@ def cmd_suite(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
 
-    reports = [None] * len(scenarios)
-    if args.jobs > 1 and len(scenarios) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(run_scenario, obj, args.seed, args.gap): i
-                for i, (_, obj) in enumerate(scenarios)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                reports[futures[fut]] = fut.result()
-    else:
-        for i, (_, obj) in enumerate(scenarios):
-            reports[i] = run_scenario(obj, args.seed, args.gap)
+    reports = [run_scenario(obj, args.seed, args.gap) for _, obj in scenarios]
 
     summary = {
         "n_scenarios": len(reports),
@@ -183,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite_p = sub.add_parser("suite", help="run every scenario file in a directory")
     suite_p.add_argument("directory")
-    suite_p.add_argument("--jobs", type=int, default=1, help="scenario-level parallelism")
     suite_p.add_argument("--seed", type=int, default=None)
     suite_p.add_argument("--gap", type=float, default=None)
     suite_p.add_argument("--format", choices=("json", "csv"), default="json")

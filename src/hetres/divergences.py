@@ -23,16 +23,7 @@ from .qcore import (
     mat_to_json,
     trace_norm,
 )
-from .theories import (
-    FreeStateSet,
-    Incoherent,
-    MaxComposite,
-    MinComposite,
-    RealStates,
-    SeparableTwoQubit,
-    Singleton,
-    AllStates,
-)
+from .theories import SEESAW_RESTARTS, FreeStateSet, MaxComposite, MinComposite
 
 LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
@@ -166,8 +157,6 @@ def rel_entropy_of_resource(
         return _exact(0.0, m, method="member")
     if isinstance(free_set, MaxComposite):
         return _pg_rel_entropy_marginal_set(m, free_set, gap, max_iters)
-    if not free_set.has_extreme_point_oracle:
-        raise ValueError(f"no engine for set kind {free_set.kind!r}")
     return _fw_rel_entropy(m, free_set, gap, max_iters, seed)
 
 
@@ -230,7 +219,7 @@ def _fw_rel_entropy(m, free_set, gap, max_iters, seed) -> DivergenceResult:
     lb = min(lb, value)
     extras = {"method": "frank-wolfe", "lmo": free_set.kind, "requested_gap": gap}
     if has_warm:
-        extras["lmo_restarts"] = {"iterate": 4, "certificate": getattr(free_set, "seesaw_restarts", 20)}
+        extras["lmo_restarts"] = {"iterate": 4, "certificate": SEESAW_RESTARTS}
     return DivergenceResult(
         value,
         lb,
@@ -345,8 +334,9 @@ def dmax(
         raise ValueError("dimension mismatch")
     rng = np.random.default_rng(seed)
 
-    if isinstance(free_set, Singleton):
-        return _dmax_singleton(m, free_set)
+    points = free_set.extreme_points()
+    if points is not None and len(points) == 1:
+        return _dmax_singleton(m, points[0])
 
     candidates = [free_set.lmo(-m, rng)]
     fr = free_set.full_rank_state()
@@ -366,8 +356,6 @@ def dmax(
         pocs_sigma = _pocs_scaling_witness(m, free_set, t, start=best_sigma)
         if pocs_sigma is not None:
             return True, pocs_sigma
-        from .theories import _local_lmo
-
         sigma = best_sigma.copy()
         for k in range(1, inner_iters + 1):
             w, v = np.linalg.eigh(t * sigma - m)
@@ -375,7 +363,11 @@ def dmax(
                 return True, sigma
             vec = v[:, 0]
             supergrad = np.outer(vec, vec.conj())
-            s = _local_lmo(free_set, -supergrad, rng)
+            if hasattr(free_set, "lmo_with_parts"):
+                # an inner see-saw step runs a small restart budget
+                s = free_set.lmo_with_parts(-supergrad, rng, restarts=3)[0]
+            else:
+                s = free_set.lmo(-supergrad, rng)
             gamma = _golden_section(
                 lambda g: -float(np.linalg.eigvalsh(t * (sigma + g * (s - sigma)) - m)[0]),
                 0.0,
@@ -422,13 +414,6 @@ def dmax(
 def _pocs_scaling_witness(m, free_set, t, start=None, iters=140):
     """Search {sigma in S : t sigma >= rho} by alternating projections;
     returns a certified witness (min-eig checked nonnegative) or None."""
-    from .theories import MaxComposite as _MaxC, _project_into_set
-
-    def into_set(x):
-        if isinstance(free_set, _MaxC):
-            return free_set.project_feasible(x, iters=120)
-        return _project_into_set(free_set, x)
-
     def certified(x):
         if x is None:
             return None
@@ -441,7 +426,7 @@ def _pocs_scaling_witness(m, free_set, t, start=None, iters=140):
         return x if float(np.linalg.eigvalsh(t * x - m)[0]) >= 0.0 else None
 
     sigma = start if start is not None else np.eye(m.shape[0], dtype=complex) / m.shape[0]
-    probe = into_set(sigma)
+    probe = free_set.project_into(sigma)
     if probe is None:
         return None
     sigma = probe
@@ -451,14 +436,13 @@ def _pocs_scaling_witness(m, free_set, t, start=None, iters=140):
         if w[0] >= -1e-15:
             return certified(sigma)
         dominating = m + (v * np.clip(w, 0.0, None)) @ v.conj().T
-        sigma = into_set(dominating / t)
+        sigma = free_set.project_into(dominating / t)
         if sigma is None:
             return None
     return certified(sigma)
 
 
-def _dmax_singleton(m: np.ndarray, free_set: Singleton) -> DivergenceResult:
-    g = free_set.gamma
+def _dmax_singleton(m: np.ndarray, g: np.ndarray) -> DivergenceResult:
     w, v = np.linalg.eigh(g)
     support = w > EIG_FLOOR
     kernel = v[:, ~support]
@@ -811,7 +795,7 @@ def regularized_rel_entropy(
     power = m
     for _ in range(n - 1):
         power = np.kron(power, m)
-    big_set = _tensor_power_set(free_set, n)
+    big_set = free_set if n == 1 else free_set.tensor_power(n)
     res = rel_entropy_of_resource(power, big_set, gap=gap, seed=seed)
     per_copy = res.value / n
     return DivergenceResult(
@@ -823,25 +807,3 @@ def regularized_rel_entropy(
         optimizer=res.optimizer,
         extras={"regularization": f"evaluate-{n}", "note": "upper-bound estimate, not certified"},
     )
-
-
-def _tensor_power_set(free_set: FreeStateSet, n: int) -> FreeStateSet:
-    if n == 1:
-        return free_set
-    if isinstance(free_set, Incoherent) and free_set.basis is None:
-        return Incoherent(free_set.dim**n)
-    if isinstance(free_set, Singleton):
-        g = free_set.gamma
-        out = g
-        for _ in range(n - 1):
-            out = np.kron(out, g)
-        return Singleton(out)
-    if isinstance(free_set, RealStates):
-        return RealStates(free_set.dim**n)
-    if isinstance(free_set, AllStates):
-        return AllStates(free_set.dim**n)
-    if isinstance(free_set, SeparableTwoQubit):
-        # copies must be supplied in the cut ordering (all A factors first)
-        da, db = free_set.cut
-        return MinComposite([AllStates(da**n), AllStates(db**n)], labels=["A", "B"])
-    raise ValueError(f"no multi-copy construction for kind {free_set.kind!r}")

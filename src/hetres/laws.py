@@ -32,12 +32,7 @@ from .qcore import (
     partial_trace_mat,
     trace_norm,
 )
-from .theories import (
-    AllStates,
-    FreeStateSet,
-    Rng,
-    SeparableTwoQubit,
-)
+from .theories import AllStates, FreeStateSet, Rng
 
 FORBIDDEN = "FORBIDDEN"
 NOT_EXCLUDED = "NOT-EXCLUDED"
@@ -319,7 +314,7 @@ def witness_channel(
     m = rho.mat if isinstance(rho, DensityOperator) else as_complex(rho)
     if set1.contains(m, 1e-8):
         raise ValueError("state is free for set1; nothing to witness")
-    sigma0, tau0 = _boundary_pair(set2)
+    sigma0, tau0 = set2.boundary_pair()
     rng = np.random.default_rng(seed)
 
     d = m.shape[0]
@@ -368,24 +363,8 @@ def witness_channel(
     return WitnessChannelResult(channel, w_final, p_star, sigma_out, tau_out, separation)
 
 
-def _boundary_pair(set2: FreeStateSet) -> tuple[np.ndarray, np.ndarray]:
-    """A known non-member and an interior point for a full-dimensional set."""
-    if isinstance(set2, SeparableTwoQubit):
-        v = bell_phi_plus_vec(2)
-        return np.outer(v, v.conj()), np.eye(4, dtype=complex) / 4.0
-    raise ValueError(
-        f"set kind {set2.kind!r} is not supported as a target: the construction "
-        "needs a full-dimensional set with a known non-member and interior point"
-    )
-
-
 def _structure_for(free_set: FreeStateSet) -> TensorStructure:
-    structure = getattr(free_set, "structure", None)
-    if structure is not None:
-        return structure
-    if isinstance(free_set, SeparableTwoQubit):
-        return TensorStructure([("A", free_set.cut[0]), ("B", free_set.cut[1])])
-    return TensorStructure([("out", free_set.dim)])
+    return getattr(free_set, "structure", None) or TensorStructure([("out", free_set.dim)])
 
 
 def _membership_bisection(

@@ -25,8 +25,9 @@ LN2 = np.log(2.0)
 
 
 def as_complex(mat) -> np.ndarray:
+    """A square matrix, or a stack (..., d, d) of them, as a complex array."""
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -34,7 +35,7 @@ def as_complex(mat) -> np.ndarray:
 def check_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Return ``mat`` as a complex array after checking M = M^dag within tol."""
     m = as_complex(mat)
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    dev = float(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
     return m

@@ -44,12 +44,17 @@ def _mat(x) -> np.ndarray:
     return x.mat if isinstance(x, DensityOperator) else as_complex(x)
 
 
+def _psd_state(x: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
+    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return out / max(float(np.real(np.trace(out))), 1e-12)
+
+
 class FreeStateSet:
     """Base descriptor; concrete kinds override the capability methods."""
 
     kind = "abstract"
     has_closed_form_closest = False
-    has_extreme_point_oracle = False
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -58,7 +63,9 @@ class FreeStateSet:
         raise NotImplementedError
 
     def lmo(self, grad: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """A state mu in the set minimizing Tr(grad mu), within oracle tolerance."""
+        """A state mu in the set minimizing Tr(grad mu), within oracle tolerance.
+
+        A stack of gradients (..., d, d) gives the stack of minimizers."""
         raise NotImplementedError(f"{self.kind} has no extreme-point oracle")
 
     def closest_free_state(self, rho) -> tuple[np.ndarray, float]:
@@ -83,6 +90,22 @@ class FreeStateSet:
         or cone part (PSD and trace handled globally by the caller)."""
         raise NotImplementedError(f"{self.kind} cannot be used as a marginal constraint")
 
+    def project_into(self, x: np.ndarray) -> np.ndarray | None:
+        """A state inside the set near ``x``, or None where no cheap
+        projection exists."""
+        return _psd_state(self.marginal_projection(x))
+
+    def tensor_power(self, n: int) -> FreeStateSet:
+        """The free set of ``n`` copies, where the kind has a known one."""
+        raise ValueError(f"no multi-copy construction for kind {self.kind!r}")
+
+    def boundary_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """A known non-member and an interior point of a full-dimensional set."""
+        raise ValueError(
+            f"set kind {self.kind!r} is not supported as a target: the construction "
+            "needs a full-dimensional set with a known non-member and interior point"
+        )
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
 
@@ -96,7 +119,6 @@ class Incoherent(FreeStateSet):
 
     kind = "incoherent"
     has_closed_form_closest = True
-    has_extreme_point_oracle = True
 
     def __init__(self, dim: int, basis: np.ndarray | None = None):
         super().__init__(dim)
@@ -116,10 +138,8 @@ class Incoherent(FreeStateSet):
 
     def lmo(self, grad, rng=None):
         g = self._to_frame(as_complex(grad))
-        i = int(np.argmin(np.real(np.diag(g))))
-        proj = np.zeros((self.dim, self.dim), dtype=complex)
-        proj[i, i] = 1.0
-        return self._from_frame(proj)
+        e = np.eye(self.dim, dtype=complex)[np.argmin(np.real(np.diagonal(g, 0, -2, -1)), axis=-1)]
+        return self._from_frame(e[..., :, None] * e[..., None, :])
 
     def closest_free_state(self, rho):
         m = _mat(rho)
@@ -147,6 +167,9 @@ class Incoherent(FreeStateSet):
         f = self._to_frame(m)
         return self._from_frame(np.diag(np.diag(f)))
 
+    def tensor_power(self, n):
+        return Incoherent(self.dim**n, None if self.basis is None else kron_all([self.basis] * n))
+
     def to_json(self):
         out = {"kind": self.kind, "dim": self.dim}
         if self.basis is not None:
@@ -161,7 +184,6 @@ class RealStates(FreeStateSet):
 
     kind = "real"
     has_closed_form_closest = True
-    has_extreme_point_oracle = True
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         m = _mat(rho)
@@ -171,11 +193,9 @@ class RealStates(FreeStateSet):
     def lmo(self, grad, rng=None):
         # Tr(G mu) for a real symmetric mu only sees the real part of G.
         r = np.real(as_complex(grad))
-        r = 0.5 * (r + r.T)
-        w, v = np.linalg.eigh(r)
-        vec = np.real(v[:, 0])
-        vec = vec / np.linalg.norm(vec)
-        return np.outer(vec, vec).astype(complex)
+        _, v = np.linalg.eigh(0.5 * (r + np.swapaxes(r, -1, -2)))
+        vec = v[..., :, 0] / np.linalg.norm(v[..., :, 0], axis=-1, keepdims=True)
+        return (vec[..., :, None] * vec[..., None, :]).astype(complex)
 
     def closest_free_state(self, rho):
         m = _mat(rho)
@@ -202,13 +222,15 @@ class RealStates(FreeStateSet):
     def marginal_projection(self, m):
         return np.real(m).astype(complex)
 
+    def tensor_power(self, n):
+        return RealStates(self.dim**n)
+
 
 class Singleton(FreeStateSet):
     """A single free state (Gibbs-preserving style theories)."""
 
     kind = "singleton"
     has_closed_form_closest = True
-    has_extreme_point_oracle = True
 
     def __init__(self, gamma):
         g = _mat(gamma)
@@ -221,7 +243,7 @@ class Singleton(FreeStateSet):
         return trace_norm(m - self.gamma) <= tol
 
     def lmo(self, grad, rng=None):
-        return self.gamma
+        return np.broadcast_to(self.gamma, np.shape(grad))
 
     def closest_free_state(self, rho):
         m = _mat(rho)
@@ -244,6 +266,12 @@ class Singleton(FreeStateSet):
     def marginal_projection(self, m):
         return self.gamma
 
+    def project_into(self, x):
+        return self.gamma
+
+    def tensor_power(self, n):
+        return Singleton(kron_all([self.gamma] * n))
+
     def to_json(self):
         from .qcore import mat_to_json
 
@@ -255,7 +283,6 @@ class AllStates(FreeStateSet):
 
     kind = "all"
     has_closed_form_closest = True
-    has_extreme_point_oracle = True
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         self._check_dim(_mat(rho))
@@ -263,8 +290,8 @@ class AllStates(FreeStateSet):
 
     def lmo(self, grad, rng=None):
         w, v = np.linalg.eigh(check_hermitian(grad, tol=1e-8))
-        vec = v[:, 0]
-        return np.outer(vec, vec.conj())
+        vec = v[..., :, 0]
+        return vec[..., :, None] * vec.conj()[..., None, :]
 
     def closest_free_state(self, rho):
         m = _mat(rho)
@@ -282,6 +309,9 @@ class AllStates(FreeStateSet):
     def marginal_projection(self, m):
         return m
 
+    def tensor_power(self, n):
+        return AllStates(self.dim**n)
+
 
 class FiniteSet(FreeStateSet):
     """An explicit finite list of states.
@@ -293,7 +323,6 @@ class FiniteSet(FreeStateSet):
 
     kind = "finite"
     has_closed_form_closest = True
-    has_extreme_point_oracle = True
 
     def __init__(self, states: Sequence):
         mats = [_mat(s) for s in states]
@@ -308,8 +337,9 @@ class FiniteSet(FreeStateSet):
         return min(trace_norm(m - s) for s in self.states) <= tol
 
     def lmo(self, grad, rng=None):
-        vals = [float(np.real(np.trace(as_complex(grad) @ s))) for s in self.states]
-        return self.states[int(np.argmin(vals))]
+        states = np.stack(self.states)
+        vals = np.real(np.einsum("...ab,kba->...k", as_complex(grad), states))
+        return states[np.argmin(vals, axis=-1)]
 
     def closest_free_state(self, rho):
         m = _mat(rho)
@@ -325,107 +355,14 @@ class FiniteSet(FreeStateSet):
     def extreme_points(self) -> list[np.ndarray]:
         return list(self.states)
 
+    def project_into(self, x):
+        return min(self.states, key=lambda s: float(np.linalg.norm(s - x)))
+
     def to_json(self):
         from .qcore import mat_to_json
 
         return {"kind": self.kind, "dim": self.dim,
                 "states": [mat_to_json(s) for s in self.states]}
-
-
-class SeparableTwoQubit(FreeStateSet):
-    """Separable states across a 2x2 (or 2x3) cut, where PPT is exact."""
-
-    kind = "separable"
-    has_extreme_point_oracle = True
-
-    def __init__(self, cut: tuple[int, int] = (2, 2)):
-        if tuple(sorted(cut)) not in {(2, 2), (2, 3)}:
-            raise ValueError("PPT is an exact separability test only for 2x2 and 2x3 cuts")
-        super().__init__(cut[0] * cut[1])
-        self.cut = (int(cut[0]), int(cut[1]))
-
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = _mat(rho)
-        self._check_dim(m)
-        pt = partial_transpose_mat(m, self.cut, 1)
-        return float(np.linalg.eigvalsh(pt)[0]) >= -tol
-
-    def lmo(self, grad, rng=None, restarts: int = SEESAW_RESTARTS):
-        return _product_seesaw(as_complex(grad), self.cut, rng, restarts)
-
-    def lmo_with_parts(self, grad, rng=None, restarts: int | None = None, warm=None):
-        restarts = SEESAW_RESTARTS if restarts is None else restarts
-        return _product_seesaw(
-            as_complex(grad), self.cut, rng, restarts, warm=warm, return_parts=True
-        )
-
-    def random_state(self, rng):
-        d1, d2 = self.cut
-        k = int(rng.integers(1, 9))
-        w = rng.dirichlet(np.ones(k))
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(k):
-            a = random_pure_vec(rng, d1)
-            b = random_pure_vec(rng, d2)
-            v = np.kron(a, b)
-            m += w[i] * np.outer(v, v.conj())
-        return m
-
-    def full_rank_state(self):
-        return np.eye(self.dim, dtype=complex) / self.dim
-
-    def verification_states(self, rng, n):
-        out = []
-        d1, d2 = self.cut
-        for _ in range(n):
-            a = random_pure_vec(rng, d1)
-            b = random_pure_vec(rng, d2)
-            v = np.kron(a, b)
-            out.append(np.outer(v, v.conj()))
-        return out, "sampled"
-
-    def marginal_projection(self, m):
-        pt = partial_transpose_mat(m, self.cut, 1)
-        w, v = np.linalg.eigh(check_hermitian(pt, tol=1e-8))
-        clipped = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        return partial_transpose_mat(clipped, self.cut, 1)
-
-    def to_json(self):
-        return {"kind": self.kind, "dim": self.dim, "cut": list(self.cut)}
-
-
-def _product_seesaw(grad, dims, rng, restarts, sweeps: int = 30, tol: float = 1e-12,
-                    warm: list | None = None, return_parts: bool = False):
-    """Minimize <a (x) b| G |a (x) b> by alternating eigenvector updates.
-
-    ``warm`` optionally supplies (a, b) vector pairs used as extra starts."""
-    rng = rng or np.random.default_rng(0)
-    d1, d2 = dims
-    g4 = grad.reshape(d1, d2, d1, d2)
-    starts = list(warm or [])
-    for _ in range(max(1, restarts)):
-        starts.append((random_pure_vec(rng, d1), random_pure_vec(rng, d2)))
-    best_val, best_ab = np.inf, None
-    for a, b in starts:
-        prev = np.inf
-        val = np.inf
-        for _ in range(sweeps):
-            ga = np.einsum("ikjl,k,l->ij", g4, b.conj(), b)
-            _, va = np.linalg.eigh(0.5 * (ga + ga.conj().T))
-            a = va[:, 0]
-            gb = np.einsum("ikjl,i,j->kl", g4, a.conj(), a)
-            _, vb = np.linalg.eigh(0.5 * (gb + gb.conj().T))
-            b = vb[:, 0]
-            val = float(np.real(np.einsum("ikjl,i,k,j,l", g4, a.conj(), b.conj(), a, b)))
-            if prev - val < tol:
-                break
-            prev = val
-        if val < best_val:
-            best_val, best_ab = val, (a, b)
-    a, b = best_ab
-    v = np.kron(a, b)
-    state = np.outer(v, v.conj())
-    return (state, [best_ab]) if return_parts else state
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +397,12 @@ class MinComposite(_Composite):
     """Convex hull of tensor products of locally free states."""
 
     kind = "min-composite"
-    has_extreme_point_oracle = True
-    seesaw_restarts = SEESAW_RESTARTS
 
     def lmo(self, grad, rng=None, restarts: int | None = None):
-        return self._seesaw(grad, rng, restarts)[0]
+        g = as_complex(grad)
+        if g.ndim > 2:
+            return np.stack([self.lmo(x, rng, restarts) for x in g])
+        return self._seesaw(g, rng, restarts)[0]
 
     def lmo_with_parts(self, grad, rng=None, restarts: int | None = None, warm=None):
         return self._seesaw(grad, rng, restarts, warm)
@@ -480,7 +418,7 @@ class MinComposite(_Composite):
 
     def _seesaw(self, grad, rng, restarts, warm=None):
         rng = rng or np.random.default_rng(0)
-        restarts = self.seesaw_restarts if restarts is None else restarts
+        restarts = SEESAW_RESTARTS if restarts is None else restarts
         g = as_complex(grad)
         dims = self.local_dims
         enumerable = self._enumerable_side()
@@ -507,28 +445,28 @@ class MinComposite(_Composite):
             parts[side], parts[other_idx] = best_pair
             full = np.kron(parts[0], parts[1])
             return full, (new_warm or warm or [])
-        n = len(dims)
+        # every restart advances at once: party i's effective operators and
+        # local minimizers are stacks over the restarts
         starts = [list(parts) for parts in (warm or [])]
         for _ in range(max(1, restarts)):
             starts.append([s.random_state(rng) for s in self.locals])
-        best_val, best, best_parts = np.inf, None, None
-        for parts in starts:
-            prev = np.inf
-            val = np.inf
-            for _ in range(30):
-                for i in range(n):
-                    h = _effective_local_operator(g, dims, parts, i)
-                    parts[i] = _local_lmo(self.locals[i], h, rng)
-                full = parts[0]
-                for p in parts[1:]:
-                    full = np.kron(full, p)
-                val = float(np.real(np.trace(g @ full)))
-                if prev - val < 1e-12:
-                    break
-                prev = val
-            if val < best_val:
-                best_val, best, best_parts = val, full, parts
-        return best, [best_parts]
+        parts = [np.stack([start[i] for start in starts]) for i in range(len(dims))]
+        prev = np.inf
+        for _ in range(30):
+            for i, local in enumerate(self.locals):
+                h = _effective_local_operator(g, dims, parts, i)
+                if hasattr(local, "lmo_with_parts"):
+                    # a nested see-saw gets a small restart budget; the
+                    # outer restarts diversify
+                    parts[i] = np.stack([local.lmo_with_parts(x, rng, restarts=3)[0] for x in h])
+                else:
+                    parts[i] = local.lmo(h, rng)
+            val = np.real(np.einsum("rab,rba->r", h, parts[-1]))
+            if np.all(prev - val < 1e-12):
+                break
+            prev = val
+        best = [p[int(np.argmin(val))] for p in parts]
+        return kron_all(best), [best]
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         m = _mat(rho)
@@ -626,7 +564,7 @@ class MinComposite(_Composite):
             ok = True
             for i, local in enumerate(self.locals):
                 marg = partial_trace_mat(pure, dims, [i])
-                proj = _project_into_set(local, marg)
+                proj = local.project_into(marg)
                 if proj is None:
                     ok = False
                     break
@@ -701,50 +639,61 @@ class MinComposite(_Composite):
             out.append(kron_all(pool[int(rng.integers(len(pool)))] for pool in pools))
         return out, "sampled"
 
+    def project_into(self, x):
+        return None
 
-def _local_lmo(local, h, rng):
-    # inner subproblems run with a small restart budget; the outer see-saw
-    # restarts diversify
-    if isinstance(local, SeparableTwoQubit):
-        return local.lmo(h, rng, restarts=3)
-    return local.lmo(h, rng)
+
+class SeparableTwoQubit(MinComposite):
+    """Separable states across a 2x2 (or 2x3) cut: the hull of products of
+    two unrestricted local states, where the PPT test is exact."""
+
+    kind = "separable"
+
+    def __init__(self, cut: tuple[int, int] = (2, 2)):
+        if tuple(sorted(cut)) not in {(2, 2), (2, 3)}:
+            raise ValueError("PPT is an exact separability test only for 2x2 and 2x3 cuts")
+        self.cut = (int(cut[0]), int(cut[1]))
+        super().__init__([AllStates(d) for d in self.cut], labels=["A", "B"])
+
+    def marginal_projection(self, m):
+        pt = partial_transpose_mat(m, self.cut, 1)
+        w, v = np.linalg.eigh(check_hermitian(pt, tol=1e-8))
+        clipped = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        return partial_transpose_mat(clipped, self.cut, 1)
+
+    def project_into(self, x):
+        # alternating projections onto the states and the PPT cone
+        for _ in range(60):
+            x = self.marginal_projection(_psd_state(x))
+        x = _psd_state(x)
+        return x if self.contains(x, 1e-9) else None
+
+    def boundary_pair(self):
+        # a maximally entangled qubit pair, embedded in the cut if it is 2x3
+        vec = np.zeros(self.dim, dtype=complex)
+        vec[0] = vec[self.cut[1] + 1] = 1.0 / np.sqrt(2.0)
+        return np.outer(vec, vec.conj()), np.eye(self.dim, dtype=complex) / self.dim
+
+    def tensor_power(self, n):
+        # copies must be supplied in the cut ordering (all A factors first)
+        return MinComposite([AllStates(d**n) for d in self.cut], labels=["A", "B"])
+
+    def to_json(self):
+        return {"kind": self.kind, "dim": self.dim, "cut": list(self.cut)}
 
 
 def _effective_local_operator(g, dims, parts, i):
-    """H with Tr[G (.. parts .. X at slot i ..)] = Tr[X H]."""
-    full = np.array([[1.0 + 0j]])
-    for j, d in enumerate(dims):
-        full = np.kron(full, np.eye(d, dtype=complex) if j == i else parts[j])
-    h = partial_trace_mat(g @ full, dims, [i])
-    return 0.5 * (h + h.conj().T)
+    """H with Tr[G (.. parts .. X at slot i ..)] = Tr[X H].
 
-
-def _psd_state(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
-    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return out / max(float(np.real(np.trace(out))), 1e-12)
-
-
-def _project_into_set(local: FreeStateSet, marg: np.ndarray) -> np.ndarray | None:
-    """A state inside the local set near ``marg``, or None if unavailable."""
-    if isinstance(local, Incoherent):
-        d = local.marginal_projection(marg)
-        return local._from_frame(_psd_state(local._to_frame(d)))
-    if isinstance(local, RealStates):
-        return _psd_state(np.real(marg).astype(complex))
-    if isinstance(local, Singleton):
-        return local.gamma
-    if isinstance(local, AllStates):
-        return _psd_state(marg)
-    if isinstance(local, FiniteSet):
-        return min(local.states, key=lambda s: float(np.linalg.norm(s - marg)))
-    if isinstance(local, SeparableTwoQubit):
-        x = marg.copy()
-        for _ in range(60):
-            x = local.marginal_projection(_psd_state(x))
-        x = _psd_state(x)
-        return x if local.contains(x, 1e-9) else None
-    return None
+    Parts may carry leading stack axes, which H then carries too; parts[i]
+    is not read."""
+    n = len(dims)
+    rows, cols = "abcdefghijkl"[:n], "mnopqrstuvwx"[:n]
+    others = [j for j in range(n) if j != i]
+    subs = ",".join([rows + cols] + ["..." + cols[j] + rows[j] for j in others])
+    h = np.einsum(f"{subs}->...{rows[i]}{cols[i]}", g.reshape(tuple(dims) * 2),
+                  *(parts[j] for j in others))
+    return 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
 
 
 def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int = 400) -> np.ndarray:
@@ -856,9 +805,14 @@ class MaxComposite(_Composite):
                 break
         return cur
 
+    def project_into(self, x):
+        return self.project_feasible(x, iters=120)
+
     def lmo(self, grad, rng=None, iters: int = 250):
         """Linear minimization by projected subgradient over the feasible set."""
         g = as_complex(grad)
+        if g.ndim > 2:
+            return np.stack([self.lmo(x, rng, iters) for x in g])
         g = 0.5 * (g + g.conj().T)
         x = self.full_rank_state()
         if x is None:
@@ -1003,12 +957,11 @@ class RealOps(FreeOpClass):
         return float(np.max(np.abs(np.imag(np.asarray(k))))) <= tol
 
     def sample_channel(self, rng, dim):
+        # the row blocks of a real isometry sum to K^T K = I to rounding,
+        # however ill-conditioned the Gaussian draw
         n = int(rng.integers(1, 4))
-        gs = [rng.normal(size=(dim, dim)) for _ in range(n)]
-        t = sum(g.T @ g for g in gs)
-        w, v = np.linalg.eigh(t)
-        t_inv_half = (v * (1.0 / np.sqrt(np.clip(w, 1e-14, None)))) @ v.T
-        ops = tuple((g @ t_inv_half).astype(complex) for g in gs)
+        q, _ = np.linalg.qr(rng.normal(size=(n * dim, dim)))
+        ops = tuple(q[m * dim:(m + 1) * dim].astype(complex) for m in range(n))
         return ch.KrausChannel(ops, single_party(dim), single_party(dim))
 
 

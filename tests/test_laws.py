@@ -218,6 +218,15 @@ class TestWitnessChannel:
             mu = INC2.random_state(rng)
             assert SEP.contains(res.channel.apply_mat(mu), 1e-7)
 
+    def test_construction_for_qubit_qutrit_target(self):
+        # the boundary pair is a qubit Bell state embedded in the 2x3 cut and
+        # I/6, whose PPT boundary sits at mixing parameter 3/4
+        sep23 = th.SeparableTwoQubit((2, 3))
+        res = laws.witness_channel(pure_state(KET_PLUS), INC2, sep23, n_postcheck=100)
+        assert abs(res.p_star - 0.75) < 1e-6
+        assert res.channel.out_structure.dims == (2, 3)
+        assert not sep23.contains(res.channel.apply_mat(PLUS), 1e-9)
+
     def test_free_input_rejected(self):
         with pytest.raises(ValueError, match="free"):
             laws.witness_channel(density(np.eye(2) / 2), INC2, SEP)
