@@ -252,7 +252,8 @@ def _marginal_lower_bound(m: np.ndarray, free_set: FreeStateSet) -> float:
 def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap, max_iters) -> DivergenceResult:
     """Projected gradient over {all marginals locally free} with a Dykstra
     feasibility projection; the certificate combines a one-shot oracle gap
-    with the partial-trace lower bound."""
+    with the partial-trace lower bound. The oracle gap uses the LMO's dual
+    bound when it closed, else its heuristic minimiser (``oracle_limited``)."""
     s_rho = _neg_plogp(m)
     start = free_set.full_rank_state()
     if start is None:
@@ -294,8 +295,12 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap, max_iters) -> D
 
     w, v = np.linalg.eigh(sigma)
     grad = _log_gradient(m, w, v)
-    mu = free_set.lmo(grad, iters=220)
-    oracle_gap = float(np.real(np.trace(grad @ (sigma - mu))))
+    mu, lower, lmo_steps = free_set.lmo_with_bound(grad, iters=220)
+    oracle_limited = lower == -np.inf
+    if oracle_limited:
+        oracle_gap = float(np.real(np.trace(grad @ (sigma - mu))))
+    else:
+        oracle_gap = float(np.real(np.trace(grad @ sigma))) - lower
     lb = max(f - max(oracle_gap, 0.0), _marginal_lower_bound(m, free_set))
     lb = min(lb, f)
     return DivergenceResult(
@@ -305,7 +310,8 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap, max_iters) -> D
         iters,
         converged=(f - lb) <= gap,
         optimizer=sigma,
-        extras={"method": "projected-gradient", "requested_gap": gap},
+        extras={"method": "projected-gradient", "requested_gap": gap,
+                "lmo_steps": lmo_steps, "oracle_limited": oracle_limited},
     )
 
 

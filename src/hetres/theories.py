@@ -86,9 +86,17 @@ class FreeStateSet:
         raise NotImplementedError
 
     def marginal_projection(self, m: np.ndarray) -> np.ndarray:
-        """Frobenius projection of a candidate marginal onto the set's linear
-        or cone part (PSD and trace handled globally by the caller)."""
+        """Frobenius projection of a candidate marginal onto the closed convex
+        cone its marginals must lie in (PSD and trace handled globally by the
+        caller); a singleton projects onto its one state instead."""
         raise NotImplementedError(f"{self.kind} cannot be used as a marginal constraint")
+
+    def marginal_dual(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """(w', offset) with Tr(w' tau) >= offset for every tau in the set.
+
+        The default projects ``w`` onto the dual of the marginal cone
+        (Moreau: w + P_K(-w)), whose overlap with any member is >= 0."""
+        return w + self.marginal_projection(-w), 0.0
 
     def project_into(self, x: np.ndarray) -> np.ndarray | None:
         """A state inside the set near ``x``, or None where no cheap
@@ -265,6 +273,9 @@ class Singleton(FreeStateSet):
 
     def marginal_projection(self, m):
         return self.gamma
+
+    def marginal_dual(self, w):
+        return w, float(np.real(np.trace(w @ self.gamma)))
 
     def project_into(self, x):
         return self.gamma
@@ -757,10 +768,13 @@ class MaxComposite(_Composite):
                 return False
         return True
 
-    def _marginal_projector(self, i: int):
+    def _split(self, i: int) -> tuple[int, int, int]:
+        """Dimensions (left, d_i, right) around party i."""
         dims = self.local_dims
-        d = dims[i]
-        left, right = int(np.prod(dims[:i])), int(np.prod(dims[i + 1:]))
+        return int(np.prod(dims[:i])), dims[i], int(np.prod(dims[i + 1:]))
+
+    def _marginal_projector(self, i: int):
+        left, d, right = self._split(i)
         d_rest = left * right
 
         def proj(y):
@@ -789,8 +803,10 @@ class MaxComposite(_Composite):
 
         return [psd, unit_trace] + [self._marginal_projector(i) for i in range(len(self.locals))]
 
-    def project_feasible(self, x: np.ndarray, iters: int = 400, tol: float = 1e-11) -> np.ndarray:
-        """Dykstra projection onto {PSD, trace 1, all marginals locally free}."""
+    def _dykstra(self, x: np.ndarray, iters: int, tol: float = 1e-11):
+        """Dykstra's projection of ``x`` onto the feasible set, and each
+        constraint's increment. The increments sum to x minus the result and
+        are the projection's KKT multipliers (Boyle & Dykstra 1986)."""
         projections = self._projections()
         incs = [np.zeros_like(x) for _ in projections]
         cur = x.copy()
@@ -803,16 +819,46 @@ class MaxComposite(_Composite):
                 cur = proj
             if float(np.max(np.abs(cur - prev))) < tol:
                 break
-        return cur
+        return cur, incs
+
+    def project_feasible(self, x: np.ndarray, iters: int = 400, tol: float = 1e-11) -> np.ndarray:
+        """Dykstra projection onto {PSD, trace 1, all marginals locally free}."""
+        return self._dykstra(x, iters, tol)[0]
 
     def project_into(self, x):
         return self.project_feasible(x, iters=120)
 
+    def _dual_bound(self, g: np.ndarray, incs: list[np.ndarray], eta: float) -> float:
+        """Lagrange dual of min Tr(g X): Tr(g X) >= lambda_min(g - sum_i w_i (x) I)
+        + sum_i offset_i over the set, for (w_i, offset_i) from party i's
+        ``marginal_dual``. Here w_i comes from the marginal increment
+        N_i (x) I of the projection of x - eta g, as marginal_dual(-N_i / eta)."""
+        h, offset = g, 0.0
+        for i, (local, inc) in enumerate(zip(self.locals, incs[2:])):
+            left, d, right = self._split(i)
+            n = np.einsum("iajibj->ab", inc.reshape(left, d, right, left, d, right))
+            w, off = local.marginal_dual(-n / (left * right * eta))
+            h = h - kron_all([np.eye(left), w, np.eye(right)])
+            offset += off
+        return float(np.linalg.eigvalsh(h)[0]) + offset
+
     def lmo(self, grad, rng=None, iters: int = 250):
-        """Linear minimization by projected subgradient over the feasible set."""
+        """Linear minimization by projected subgradient over the feasible set,
+        stopped early once ``lmo_with_bound`` proves its minimum."""
         g = as_complex(grad)
         if g.ndim > 2:
             return np.stack([self.lmo(x, rng, iters) for x in g])
+        return self.lmo_with_bound(g, iters)[0]
+
+    def lmo_with_bound(self, grad, iters: int = 250) -> tuple[np.ndarray, float, int]:
+        """(mu, lower, steps): the projected-subgradient minimiser, a certified
+        lower bound on Tr(grad X) over the set, and the steps taken.
+
+        At steps 1, 2, 4, 8, ... the dual bound is read off that step's
+        Dykstra multipliers; the run stops once the fully projected best
+        iterate is within 1e-9 max|grad| of it. ``lower`` is -inf when that
+        never happens, and mu then rests on the heuristic minimiser alone."""
+        g = as_complex(grad)
         g = 0.5 * (g + g.conj().T)
         x = self.full_rank_state()
         if x is None:
@@ -820,11 +866,19 @@ class MaxComposite(_Composite):
         best, best_val = None, np.inf
         scale = max(float(np.max(np.abs(g))), 1e-12)
         for t in range(1, iters + 1):
-            x = self.project_feasible(x - (0.9 / (scale * np.sqrt(t))) * g, iters=160)
+            eta = 0.9 / (scale * np.sqrt(t))
+            x, incs = self._dykstra(x - eta * g, iters=160)
             val = float(np.real(np.trace(g @ x)))
             if val < best_val:
                 best_val, best = val, x
-        return self.project_feasible(best, iters=800)
+            if t & (t - 1) == 0:
+                # a best value far below the bound is an infeasible iterate
+                lower = self._dual_bound(g, incs, eta)
+                if abs(best_val - lower) <= 1e-9 * scale:
+                    mu = self.project_feasible(best, iters=800)
+                    if float(np.real(np.trace(g @ mu))) - lower <= 1e-9 * scale:
+                        return mu, lower, t
+        return self.project_feasible(best, iters=800), -np.inf, iters
 
     def random_state(self, rng):
         parts = []

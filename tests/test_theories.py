@@ -20,6 +20,7 @@ from hetres.qcore import (
 PHI = np.outer(bell_phi_plus_vec(2), bell_phi_plus_vec(2).conj())
 PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
 PLUS_Y = np.outer(KET_PLUS_Y, KET_PLUS_Y.conj())
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 class TestMembership:
@@ -65,18 +66,15 @@ class TestLinearMinimization:
         assert np.allclose(th.Singleton(gamma).lmo(np.eye(2)), gamma)
 
     def test_separable_overlap_with_bell_is_half(self):
-        # independent oracle: dense grid over product Bloch angles
-        best_grid = 0.0
+        # independent oracle: dense grid over product Bloch angles, every
+        # (a, b) pair of the 625 grid vectors per party in one contraction
         angles = np.linspace(0, np.pi, 25)
         phases = np.linspace(0, 2 * np.pi, 25)
-        for ta in angles:
-            for pa in phases:
-                a = np.array([np.cos(ta / 2), np.exp(1j * pa) * np.sin(ta / 2)])
-                for tb in angles:
-                    for pb in phases:
-                        b = np.array([np.cos(tb / 2), np.exp(1j * pb) * np.sin(tb / 2)])
-                        v = np.kron(a, b)
-                        best_grid = max(best_grid, float(np.real(v.conj() @ PHI @ v)))
+        ta, pa = np.meshgrid(angles, phases, indexing="ij")
+        vecs = np.stack([np.cos(ta / 2), np.exp(1j * pa) * np.sin(ta / 2)], axis=-1).reshape(-1, 2)
+        overlaps = np.einsum("ni,mj,ijkl,nk,ml->nm", vecs.conj(), vecs.conj(),
+                             PHI.reshape(2, 2, 2, 2), vecs, vecs)
+        best_grid = max(0.0, float(np.max(np.real(overlaps))))
         assert best_grid <= 0.5 + 1e-9
         rng = np.random.default_rng(0)
         mu = th.SeparableTwoQubit().lmo(-PHI, rng)
@@ -347,6 +345,82 @@ class TestComposites:
             out = xc._marginal_projector(i)(y)
             assert np.max(np.abs(out - (y + lift))) <= 1e-13
             assert np.max(np.abs(partial_trace_mat(out, dims, [i]) - local.marginal_projection(marg))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "locals_",
+        [
+            [th.Incoherent(2), th.RealStates(2)],
+            [th.Incoherent(2, basis=HADAMARD), th.Singleton(np.diag([0.7, 0.3]))],
+            [th.RealStates(2), th.AllStates(3)],
+            [th.Incoherent(2), th.SeparableTwoQubit()],
+            [th.Incoherent(2), th.RealStates(2), th.Singleton(np.eye(2) / 2)],
+            [th.Incoherent(2, basis=HADAMARD), th.AllStates(2), th.SeparableTwoQubit()],
+        ],
+        ids=["inc-real", "inc-rotated-singleton", "real-all", "inc-sep",
+             "inc-real-singleton", "inc-rotated-all-sep"],
+    )
+    def test_dual_bound_is_below_every_member(self, locals_):
+        # the bound from any step's Dykstra increments is valid: it never
+        # exceeds the objective at sampled members or at the minimiser
+        xc = th.MaxComposite(locals_)
+        rng = np.random.default_rng(xc.dim + len(locals_))
+        members = np.stack([xc.random_state(rng) for _ in range(50)])
+        for _ in range(2):
+            g = random_hermitian(rng, xc.dim)
+            tol = 1e-9 * float(np.max(np.abs(g)))
+            mu, lower, _ = xc.lmo_with_bound(g, iters=8)
+            val = float(np.real(np.trace(g @ mu)))
+            member_vals = np.real(np.einsum("ij,nji->n", g, members))
+            assert lower <= min(val + tol, float(np.min(member_vals)) + 1e-12)
+            assert np.isinf(lower) or val - lower <= tol
+            x = xc.full_rank_state()
+            for t in range(1, 5):
+                eta = 0.9 / (float(np.max(np.abs(g))) * np.sqrt(t))
+                x, incs = xc._dykstra(x - eta * g, iters=160)
+                bound = xc._dual_bound(g, incs, eta)
+                assert bound <= float(np.min(member_vals)) + 1e-12
+                assert bound <= val + tol
+
+    @pytest.mark.parametrize(
+        "local",
+        [th.Incoherent(3), th.Incoherent(2, basis=HADAMARD), th.RealStates(3),
+         th.Singleton(np.diag([0.7, 0.3])), th.AllStates(2), th.SeparableTwoQubit()],
+        ids=["incoherent", "incoherent-rotated", "real", "singleton", "all", "separable"],
+    )
+    def test_marginal_dual_is_bounded_below_on_the_set(self, local):
+        # Tr(w' tau) >= offset on the local minimiser of w' and on samples
+        rng = np.random.default_rng(local.dim)
+        taus = np.stack([local.random_state(rng) for _ in range(20)])
+        for _ in range(10):
+            w, offset = local.marginal_dual(random_hermitian(rng, local.dim))
+            assert np.max(np.abs(w - w.conj().T)) <= 1e-12
+            assert float(np.real(np.trace(w @ local.lmo(w, rng)))) >= offset - 1e-9
+            assert float(np.min(np.real(np.einsum("ij,nji->n", w, taus)))) >= offset - 1e-12
+
+    def test_suite_marginal_set_gradient_certifies_early(self):
+        # the gradient at the optimum of D(|0><0| (x) Phi+ || smax(Inc2, Sep)),
+        # the marginal-set side of the built-in single-shot scenarios
+        from hetres import divergences as dv
+
+        target = np.kron(np.diag([1.0, 0.0]), PHI).astype(complex)
+        xc = th.MaxComposite([th.Incoherent(2), th.SeparableTwoQubit()])
+        res = dv.rel_entropy_of_resource(target, xc, gap=2e-3)
+        g = dv._log_gradient(target, *np.linalg.eigh(res.optimizer))
+        g = 0.5 * (g + g.conj().T)
+        mu, lower, steps = xc.lmo_with_bound(g, iters=220)
+        val = float(np.real(np.trace(g @ mu)))
+        assert steps <= 4
+        assert abs(val - lower) <= 1e-9 * float(np.max(np.abs(g)))
+        assert xc.contains(mu, 1e-9)
+
+    def test_uncertified_lmo_keeps_its_minimum(self):
+        # no certificate closes on this gradient, so all 220 steps run and
+        # the minimum is the one the uncertified oracle has always returned
+        xc = th.MaxComposite([th.Incoherent(2), th.RealStates(2)])
+        g = random_hermitian(np.random.default_rng(0), 4)
+        mu, lower, steps = xc.lmo_with_bound(g, iters=220)
+        assert (lower, steps) == (-np.inf, 220)
+        assert abs(float(np.real(np.trace(g @ mu))) - (-1.8333749484987731)) <= 1e-12
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2)])
     def test_effective_operator_matches_kron_reference(self, dims):
