@@ -28,6 +28,7 @@ from .theories import SEESAW_RESTARTS, FreeStateSet, MaxComposite, MinComposite
 LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
 ITER_CAP = 50_000
+DH_ROUNDS = 32  # cutting-plane rounds of hypothesis_testing
 
 
 def _mat(x) -> np.ndarray:
@@ -488,26 +489,25 @@ def hypothesis_testing(
     free_set: FreeStateSet,
     epsilon: float,
     tol: float = 1e-6,
-    iters: int = 1200,
     seed: int = 0,
     restrict: str | None = None,
 ) -> DivergenceResult:
     """D_H^eps(rho||S): -log2 of the least type-II error beta subject to the
     worst-case type-I error alpha over the free set staying within epsilon.
 
-    A set that lists finitely many extreme points mu_1..mu_k (incoherent,
-    singleton, finite) is solved exactly through the k-variable dual
-    min_{y >= 0} eps*sum(y) + Tr(rho - sum_i y_i mu_i)_+ (Wang & Renner,
-    PRL 108, 200501; see ``_extreme_point_dual``): the lower bound is the
-    exponent of the recovered test, rescaled so that alpha, exact over the
-    mu_i, is within epsilon; the upper bound is the dual value at the y >= 0
-    kept in ``extras["dual_y"]``.  Every other set runs projected subgradient
-    on the POVM element, alternating eigenvalue clipping into [0,1] against
-    the worst free state's constraint; its upper bound is the same dual over
-    a few probe states of the set, valid but possibly loose.  Both keep the
-    eps*identity test and the scaled support projector as backstops.
-    ``converged`` means upper - lower <= tol; beta below 1e-12 is reported
-    as +inf (exact annihilation, e.g. pure-state tests).
+    One engine, the dual min_{y >= 0} eps*sum(y) + Tr(rho - sum_i y_i mu_i)_+
+    over constraint states mu_i (Wang & Renner, PRL 108, 200501; see
+    ``_extreme_point_dual``).  A set listing its extreme points (incoherent,
+    singleton, finite) gives them all: one round is exact.  Any other set
+    starts from probe states and adds cutting planes (Kelley, J. SIAM 8, 703):
+    each round repairs the dual's test by up to 40 steps against the worst
+    free state its LMO finds and adds the first four states visited, until
+    ``extras["stop"]`` is "gap" (upper - lower <= tol), "no-violation" or
+    "round-cap".  Fewer constraints relax the problem, so the least dual value
+    (at ``extras["dual_y"]``) bounds from above; the lower bound is the best
+    test's exponent after rescaling to alpha <= eps, alpha being only as exact
+    as the LMO (heuristic on hull and marginal sets).  The eps*identity test
+    and the support projector are backstops; beta below 1e-12 is +inf.
 
     ``restrict`` confines the test to "diagonal" or "real" POVM elements.
     """
@@ -517,7 +517,6 @@ def hypothesis_testing(
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
     rng = np.random.default_rng(seed)
-    d = m.shape[0]
 
     def beta_of(p):
         return 1.0 - float(np.real(np.trace(m @ p)))
@@ -529,62 +528,59 @@ def hypothesis_testing(
             p = p * (epsilon / a)
         return p
 
-    candidates: list[tuple[np.ndarray, str]] = [(epsilon * np.eye(d, dtype=complex), "floor")]
+    candidates: list[tuple[np.ndarray, str]] = [(epsilon * np.eye(len(m), dtype=complex), "floor")]
 
     w, v = np.linalg.eigh(m)
     support = _cone(v[:, w > EIG_FLOOR] @ v[:, w > EIG_FLOOR].conj().T, restrict)
     if trace_norm(support @ m @ support - m) <= 1e-10:
         a_supp, _ = _alpha(support, free_set, rng)
         if a_supp <= epsilon + 1e-12:
-            return DivergenceResult(
-                float("inf"), float("inf"), float("inf"), 0, True, support,
-                {"method": "support-projector", "alpha": a_supp, "beta": 0.0,
-                 "epsilon": epsilon},
-            )
+            return _exact(float("inf"), support, method="support-projector", alpha=a_supp,
+                          beta=0.0, epsilon=epsilon)
         candidates.append((support, "support"))
 
     extras: dict = {}
     points = free_set.extreme_points()
-    if points is not None:
-        y, dual_value, p, iters = _extreme_point_dual(m, points, epsilon, restrict)
-        candidates.insert(0, (p, "exact-dual"))
-        extras["dual_y"] = [float(t) for t in y]
-    else:
-        p = epsilon * np.eye(d, dtype=complex)
-        best_p, best_beta = None, np.inf
-        for t in range(1, iters + 1):
-            p = p + (0.5 / math.sqrt(t)) * m
-            for _ in range(40):
-                p = _cone(_clip_povm(_cone(p, restrict)), restrict)
-                a, sigma = _alpha(p, free_set, rng)
-                if a <= epsilon + 1e-10:
-                    break
-                nrm = float(np.real(np.trace(sigma @ sigma)))
-                p = p - ((a - epsilon) / max(nrm, 1e-14)) * sigma
-            cand = feasible_version(p)
-            b = beta_of(cand)
-            if b < best_beta:
-                best_beta, best_p = b, cand
-        candidates.append((best_p, "subgradient"))
-        # keeping only the probes' constraints relaxes the problem, so the
-        # exact dual over them still bounds max Tr(rho P) from above
-        probes = [free_set.lmo(-m, rng), free_set.full_rank_state()]
+    exact = points is not None
+    if not exact:
+        points = [q for q in (free_set.lmo(-m, rng), free_set.full_rank_state()) if q is not None]
         if free_set.has_closed_form_closest:
-            probes.append(free_set.closest_free_state(m)[0])
-        probes = [q for q in probes if q is not None]
-        dual_value = _extreme_point_dual(m, probes, epsilon, restrict)[1]
+            points.append(free_set.closest_free_state(m)[0])
+    n_start, dual_value, steps, cut_p, cut_beta = len(points), np.inf, 0, None, np.inf
+    for _ in range(DH_ROUNDS):
+        y, f, p, n = _extreme_point_dual(m, points, epsilon, restrict)
+        steps += n
+        if f < dual_value:
+            dual_value, extras["dual_y"] = f, [float(t) for t in y]
+        cuts = []
+        for _ in range(0 if exact else 40):  # the dual over all extreme points needs no repair
+            p = _cone(_clip_povm(_cone(p, restrict)), restrict)
+            a, sigma = _alpha(p, free_set, rng)
+            if a <= epsilon + 1e-10:
+                break
+            cuts.append(sigma)
+            p = p - ((a - epsilon) / max(float(np.real(np.trace(sigma @ sigma))), 1e-14)) * sigma
+        b = beta_of(feasible_version(p))
+        if b < cut_beta:
+            cut_p, cut_beta = p, b
+        stop = ("gap" if cut_beta <= max(1e-12, (1.0 - dual_value) * 2.0**tol)
+                else "no-violation" if not cuts else "round-cap")
+        if stop != "round-cap":
+            break
+        points += cuts[:4]
+    candidates.insert(0, (cut_p, "exact-dual" if exact else "cutting-plane"))
     best_p, how = min(((feasible_version(c), name) for c, name in candidates if c is not None),
                       key=lambda pair: beta_of(pair[0]))
     best_beta = beta_of(best_p)
     extras.update(method=how, alpha=_alpha(best_p, free_set, rng)[0], beta=max(best_beta, 0.0),
-                  epsilon=epsilon, restrict=restrict)
+                  epsilon=epsilon, restrict=restrict, cuts=len(points) - n_start, stop=stop)
 
     if best_beta <= 1e-12:
         return DivergenceResult(
-            float("inf"), float("inf"), float("inf"), iters, True, best_p, extras)
+            float("inf"), float("inf"), float("inf"), steps, True, best_p, extras)
     value = -math.log2(best_beta)
     upper = max(value, float("inf") if dual_value >= 1.0 - 1e-12 else -math.log2(1.0 - dual_value))
-    return DivergenceResult(value, value, upper, iters, (upper - value) <= tol, best_p, extras)
+    return DivergenceResult(value, value, upper, steps, (upper - value) <= tol, best_p, extras)
 
 
 # The exact dual over finitely many constraint states mu_1..mu_k:
@@ -614,9 +610,9 @@ def _extreme_point_dual(m, points, epsilon, restrict):
 
     The dual is followed along its softplus smoothing
     eps*sum(y) + tau*Tr log(1 + exp(X/tau)) - tau*sum(log y) as tau falls
-    through ``DUAL_TEMPERATURES`` (the barrier keeps the Newton systems
-    regular when the mu_i are many or linearly dependent); each smoothed
-    optimum gives the test sigmoid(X/tau): the projector onto the positive
+    through ``DUAL_TEMPERATURES`` (damping takes over where linearly dependent
+    mu_i make a Newton system singular at small tau); each smoothed optimum
+    gives the test sigmoid(X/tau): the projector onto the positive
     part of X plus a fractional fill of its near-null eigenvectors.  From
     tau = 1e-3 on, ``_polish_face`` solves the optimality system of the face
     found so far (eigenvalues within 100*tau of zero; active constraints
@@ -693,16 +689,21 @@ def _smoothed_dual_newton(y, tau, mus, epsilon, spectrum):
         hess = np.real((flat.conj() * gamma.ravel()) @ flat.T) + np.diag(tau / y**2)
         # a plain Newton step first, then Levenberg-Marquardt damping from a
         # tenth of the last accepted one up, until the step (cut back to stay
-        # inside y > 0) decreases the objective enough
+        # inside y > 0) decreases the objective enough; a singular system
+        # (linearly dependent mu_i once tau is tiny) counts as a rejected step
         damping = 0.0
         for _ in range(40):
-            direction = np.linalg.solve(hess + damping * np.eye(k), -grad)
-            dec = -float(grad @ direction)
-            shrink = direction < 0.0
-            t = min(1.0, 0.99 * float(np.min(-y[shrink] / direction[shrink]))) if shrink.any() else 1.0
-            trial = smoothed(y + t * direction)
-            if trial[0] <= val - 1e-4 * t * dec:
-                break
+            try:
+                direction = np.linalg.solve(hess + damping * np.eye(k), -grad)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                dec = -float(grad @ direction)
+                shrink = direction < 0.0
+                t = min(1.0, 0.99 * float(np.min(-y[shrink] / direction[shrink]))) if shrink.any() else 1.0
+                trial = smoothed(y + t * direction)
+                if trial[0] <= val - 1e-4 * t * dec:
+                    break
             damping = max(10.0 * damping, 0.1 * accepted, 1e-9 * float(np.trace(hess)) / k)
         else:
             break

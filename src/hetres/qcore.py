@@ -242,11 +242,8 @@ def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def eig_hermitian(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition M = V diag(w) V^dag of a Hermitian matrix.
-
-    Backed by LAPACK through numpy; the reconstruction residual is checked
-    to stay below 1e-9 at the dimensions this package handles.
-    """
+    """Eigendecomposition M = V diag(w) V^dag of a Hermitian matrix, backed by
+    LAPACK through numpy."""
     m = check_hermitian(mat)
     w, v = np.linalg.eigh(m)
     return w, v

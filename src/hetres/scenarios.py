@@ -378,8 +378,9 @@ def _run_certification(inputs, params):
             prot = th.random_lfocc_protocol(
                 rng, structure, classes, int(rng.integers(1, 4)), order=["A", "B", "A"]
             )
-            element = np.diag(rng.uniform(0.0, 1.0, structure.local_dim("B"))).astype(complex)
-            u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            b_dim = structure.local_dim("B")
+            element = np.diag(rng.uniform(0.0, 1.0, b_dim)).astype(complex)
+            u = np.linalg.qr(rng.normal(size=(b_dim, b_dim)) + 1j * rng.normal(size=(b_dim, b_dim)))[0]
             element = u @ element @ u.conj().T
             rep = ct.lfocc_ceiling(state, theory, prot, element, eps, seed=seed)
             worst_off = max(worst_off, rep.extras["effective_offdiag"])

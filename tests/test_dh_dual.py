@@ -1,11 +1,14 @@
-"""The exact dual engine for D_H over sets with finitely many extreme points.
+"""The dual engine for D_H: exact over sets with finitely many extreme
+points, grown by cutting planes over every other set.
 
 A seeded random corpus over incoherent (computational and random basis),
 singleton and finite sets, every measurement restriction and three type-I
 budgets.  Each result is checked against its own certificate: the returned
 test is feasible and attains the lower bound, alpha is exact over the
 extreme points, the upper bound is the weak-duality value at the recorded
-dual point, and no feasible test beats it.
+dual point, and no feasible test beats it.  A second corpus over real,
+unrestricted and hull sets checks alpha over the whole set through the
+set's exact LMO.
 """
 
 import math
@@ -15,6 +18,7 @@ import pytest
 
 from hetres import divergences as dv
 from hetres import theories as th
+from hetres.composite import smin
 from hetres.qcore import random_density_mat, random_unitary
 
 EPSILONS = (0.1, 0.25, 0.5)
@@ -162,9 +166,71 @@ def test_qubit_incoherent_certificates_close():
         assert res.converged and res.gap <= 1e-6
 
 
-def test_sets_without_extreme_points_keep_the_loop():
+def test_linearly_dependent_constraints_do_not_break_newton():
+    # a cut that is nearly a combination of the others made the undamped
+    # Newton system singular at tau ~ 3e-10 ("Singular matrix")
+    rho = random_density_mat(np.random.default_rng(4), 3, 1)
+    real3 = th.RealStates(3)
+    points = [real3.lmo(-rho), np.eye(3) / 3, np.real(rho).astype(complex)]
+    p = dv._extreme_point_dual(rho, points, 0.1, None)[2]
+    points.append(real3.lmo(-dv._clip_povm(p)))
+    free_set = th.FiniteSet(points)
+    res = dv.hypothesis_testing(rho, free_set, 0.1, tol=TOL)
+    _check_result(res, rho, free_set, 0.1, None, np.random.default_rng(4))
+
+
+def _set_alphas(free_set, tests):
+    """max over the whole set of Tr(sigma P), through the set's exact LMO."""
+    return np.real(np.einsum("nab,nba->n", free_set.lmo(-tests), tests))
+
+
+def _check_cut_result(res, rho, free_set, epsilon, restrict, rng):
+    p = res.optimizer
+    assert res.converged and res.gap <= TOL, (res.value, res.gap, res.extras["stop"])
+    assert res.lower_bound <= res.value <= res.upper_bound
+    assert np.max(np.abs(p - _cone(p, restrict))) <= 1e-12
+    w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
+    assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+    assert _set_alphas(free_set, p[None])[0] <= epsilon + 1e-12
+    if math.isinf(res.value):
+        return
+    assert abs(_exponent(rho, p) - res.lower_bound) <= 1e-12
+    tests = _random_tests(rng, rho.shape[0], restrict, 200)
+    alphas = _set_alphas(free_set, tests)
+    for cand in tests * np.minimum(1.0, epsilon / np.maximum(alphas, 1e-300))[:, None, None]:
+        assert _exponent(rho, cand) <= res.upper_bound + 1e-12
+
+
+@pytest.mark.parametrize("restrict", [None, "real", "diagonal"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_real_states_cutting_planes_close(dim, restrict):
+    seed = 5000 + 10 * dim + [None, "real", "diagonal"].index(restrict)
+    rng = np.random.default_rng(seed)
+    free_set = th.RealStates(dim)
+    assert free_set.extreme_points() is None
+    for epsilon in (0.1, 0.5):
+        for rank in (1, dim):
+            rho = random_density_mat(rng, dim, rank)
+            res = dv.hypothesis_testing(rho, free_set, epsilon, tol=TOL, seed=seed, restrict=restrict)
+            assert res.extras["stop"] in {"gap", "no-violation"}
+            _check_cut_result(res, rho, free_set, epsilon, restrict, rng)
+
+
+@pytest.mark.parametrize("make", [lambda: th.AllStates(2), lambda: th.AllStates(3),
+                                  lambda: smin([th.Incoherent(2), th.RealStates(2)])],
+                         ids=["all2", "all3", "min-inc2-real2"])
+def test_other_sets_cutting_planes_close(make):
+    free_set = make()
+    rng = np.random.default_rng(6000 + free_set.dim)
+    for epsilon in (0.1, 0.5):
+        for rank in (1, free_set.dim):
+            rho = random_density_mat(rng, free_set.dim, rank)
+            res = dv.hypothesis_testing(rho, free_set, epsilon, tol=TOL)
+            _check_cut_result(res, rho, free_set, epsilon, None, rng)
+
+
+def test_real_states_value_matches_the_subgradient_solver():
+    # computed with the 1200-step projected-subgradient loop this engine replaced
     rho = random_density_mat(np.random.default_rng(5), 2)
-    assert th.RealStates(2).extreme_points() is None
-    res = dv.hypothesis_testing(rho, th.RealStates(2), 0.2, iters=40)
-    assert res.extras["method"] in {"subgradient", "floor", "support"}
-    assert res.lower_bound <= res.upper_bound
+    res = dv.hypothesis_testing(rho, th.RealStates(2), 0.2)
+    assert abs(res.value - 0.6026586284765482) <= 1e-9

@@ -26,6 +26,13 @@ class TestScenarioRunner:
         assert rep["passed"], rep["expected_checks"]
         assert rep["converged"]
 
+    @pytest.mark.parametrize("b_dim", [3, 4])
+    def test_lfocc_ceiling_other_b_dims(self, b_dim):
+        obj = json.loads(json.dumps(sc.builtin_scenarios()["lfocc_certification_ceiling"]))
+        obj["inputs"].update(b_dim=b_dim, n_protocols=4)
+        rep = sc.run_scenario(obj)
+        assert rep["passed"], rep["expected_checks"]
+
     def test_deterministic_replay(self):
         obj = sc.builtin_scenarios()["hypothesis_floor"]
         first = sc.run_scenario(obj)
