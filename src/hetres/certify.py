@@ -19,9 +19,9 @@ import numpy as np
 from . import channels as ch
 from .divergences import DivergenceResult, hypothesis_testing
 from .qcore import (
-    DensityOperator,
     TensorStructure,
     as_complex,
+    as_matrix,
     mat_to_json,
     partial_trace_mat,
 )
@@ -117,7 +117,7 @@ def remote_certification(
         raise ValueError("preprocessing family must be nonempty")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    m = rho_a.mat if isinstance(rho_a, DensityOperator) else as_complex(rho_a)
+    m = as_matrix(rho_a)
     restrict = _restrict_name(b_measurements)
     rng = np.random.default_rng(seed)
     ceiling = hypothesis_testing(m, set_a, epsilon, tol=tol, seed=seed)
@@ -184,7 +184,7 @@ def lfocc_ceiling(
             f"effective element is not diagonal (off-diagonal {off_norm:.3e})"
         )
 
-    m = rho_a.mat if isinstance(rho_a, DensityOperator) else as_complex(rho_a)
+    m = as_matrix(rho_a)
     rng = np.random.default_rng(seed)
     worst = set_a.lmo(-effective, rng)
     alpha = float(np.real(np.trace(worst @ effective)))
@@ -264,8 +264,8 @@ def rng_optimal_protocol(
     """
     if set_a.dim != set_b.dim:
         raise ValueError("the construction identifies the two local spaces; dims must match")
-    m = rho_a.mat if isinstance(rho_a, DensityOperator) else as_complex(rho_a)
-    mu = mu_a.mat if isinstance(mu_a, DensityOperator) else as_complex(mu_a)
+    m = as_matrix(rho_a)
+    mu = as_matrix(mu_a)
     rng = np.random.default_rng(seed)
     probes, _ = set_a.verification_states(rng, n_inclusion_samples)
     for s in probes:

@@ -16,23 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (
-    DensityOperator,
-    EIG_FLOOR,
-    as_complex,
-    mat_to_json,
-    trace_norm,
-)
+from .qcore import EIG_FLOOR, as_matrix, mat_to_json, trace_norm
 from .theories import SEESAW_RESTARTS, FreeStateSet, MaxComposite, MinComposite
 
 LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
 ITER_CAP = 50_000
-DH_ROUNDS = 32  # cutting-plane rounds of hypothesis_testing
-
-
-def _mat(x) -> np.ndarray:
-    return x.mat if isinstance(x, DensityOperator) else as_complex(x)
+DH_ROUNDS = 32  # cutting-plane rounds of hypothesis_testing and dmax
 
 
 @dataclass
@@ -148,7 +138,7 @@ def rel_entropy_of_resource(
     certificate is only as good as the oracle, which the extras record.
     ``force_engine`` skips an available closed form (cross-validation).
     """
-    m = _mat(rho)
+    m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
     if free_set.has_closed_form_closest and not force_engine:
@@ -320,133 +310,79 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap, max_iters) -> D
 # max-relative entropy
 
 
-def dmax(
-    rho,
-    free_set: FreeStateSet,
-    tol: float = 1e-4,
-    seed: int = 0,
-    inner_iters: int = 90,
-) -> DivergenceResult:
-    """D_max(rho||S) = inf { log2 t : rho <= t sigma, sigma in S }.
+def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> DivergenceResult:
+    """D_max(rho||S) = inf { log2 t : rho <= t sigma, sigma in S }, the log
+    generalized robustness.
 
-    Outer bisection on log2 t; the inner feasibility problem maximizes
-    min-eig(t sigma - rho) over S by Frank-Wolfe on the concave smallest
-    eigenvalue, whose supergradient is the outer product of the minimal
-    eigenvector.  Feasible t values carry an explicit witness sigma, so the
-    reported value is a certified upper bound; the lower end of the bracket
-    is heuristic.
+    A set with one extreme point has the closed form ``_dmax_singleton``.
+    Any other set solves 2^D_max = max { Tr rho Y : Y >= 0, Tr sigma Y <= 1
+    on S } as the D_H test program with P = eps*Y, through the constraint
+    states, repair and cutting planes of ``hypothesis_testing`` (one round
+    over listed extreme points, else up to ``DH_ROUNDS``).  Here eps =
+    lambda_min(sigma_bar)/2 for sigma_bar the set's full-rank state, else the
+    mean of the constraint states, grown by LMO calls until no free state
+    leaves its support: Tr sigma_bar P <= eps keeps lambda_max(P) <= 1/2, so
+    the cap P <= I never binds.  A rho outside sigma_bar's support is +inf.
+
+    The value is the upper bound, attained by the witness returned as the
+    optimizer: rho <= sum_i y_i mu_i + delta*sigma_bar/lambda_min(sigma_bar)
+    at the dual point y, delta = lambda_max(rho - sum_i y_i mu_i)+.  It is a
+    free state whatever the oracle (a mixture of states the LMO returned).
+    The lower bound, log2(Tr rho P / max_S Tr sigma P) over the tests the
+    repair visits, is only as exact as the LMO's maximum (heuristic on hull
+    and marginal sets), as is +inf over a grown sigma_bar.
     """
-    m = _mat(rho)
+    m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
     rng = np.random.default_rng(seed)
-
-    points = free_set.extreme_points()
-    if points is not None and len(points) == 1:
+    points, exact = _constraint_states(m, free_set, rng)
+    if exact and len(points) == 1:
         return _dmax_singleton(m, points[0])
 
-    candidates = [free_set.lmo(-m, rng)]
-    fr = free_set.full_rank_state()
-    if fr is not None:
-        candidates.append(fr)
-
-    def feasible(t):
-        best_m, best_sigma = -np.inf, None
-        for sig in candidates:
-            val = float(np.linalg.eigvalsh(t * sig - m)[0])
-            if val > best_m:
-                best_m, best_sigma = val, sig
-        if best_m >= 0.0:
-            return True, best_sigma
-        # alternating projections between {Y >= rho} and the scaled set find
-        # a certified witness quickly when one exists
-        pocs_sigma = _pocs_scaling_witness(m, free_set, t, start=best_sigma)
-        if pocs_sigma is not None:
-            return True, pocs_sigma
-        sigma = best_sigma.copy()
-        for k in range(1, inner_iters + 1):
-            w, v = np.linalg.eigh(t * sigma - m)
-            if w[0] >= 0.0:
-                return True, sigma
-            vec = v[:, 0]
-            supergrad = np.outer(vec, vec.conj())
-            if hasattr(free_set, "lmo_with_parts"):
-                # an inner see-saw step runs a small restart budget
-                s = free_set.lmo_with_parts(-supergrad, rng, restarts=3)[0]
-            else:
-                s = free_set.lmo(-supergrad, rng)
-            gamma = _golden_section(
-                lambda g: -float(np.linalg.eigvalsh(t * (sigma + g * (s - sigma)) - m)[0]),
-                0.0,
-                1.0,
-                tol=1e-8,
-                max_iter=40,
-            )
-            sigma = sigma + gamma * (s - sigma)
-        return float(np.linalg.eigvalsh(t * sigma - m)[0]) >= 0.0, sigma
-
-    hi = None
-    witness = None
-    for probe in [1.0, 2.0, 4.0, float(2 * m.shape[0]), float(m.shape[0] ** 2), 2.0**16]:
-        ok, sig = feasible(probe)
-        if ok:
-            hi, witness = math.log2(probe), sig
-            break
-    if hi is None:
-        return DivergenceResult(
-            float("inf"), float("inf"), float("inf"), 0, True, None,
-            {"method": "bisection", "note": "no feasible scaling found up to 2^16"},
-        )
-    lo = 0.0
-    iters = 0
-    while hi - lo > tol and iters < 80:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        ok, sig = feasible(2.0**mid)
-        if ok:
-            hi, witness = mid, sig
+    sigma_bar = free_set.full_rank_state()
+    while sigma_bar is None:
+        mean = sum(points) / len(points)
+        w, v = np.linalg.eigh(mean)
+        outside = v[:, w <= EIG_FLOOR] @ v[:, w <= EIG_FLOOR].conj().T
+        cut = None if exact or not outside.any() else free_set.lmo(-outside, rng)
+        if cut is None or float(np.real(np.trace(cut @ outside))) <= 1e-10:
+            sigma_bar = mean
         else:
-            lo = mid
+            points.append(cut)
+    w, v = np.linalg.eigh(sigma_bar)
+    kernel = v[:, w <= EIG_FLOOR]
+    if kernel.shape[1] and float(np.real(np.trace(kernel.conj().T @ m @ kernel))) > 1e-10:
+        return _exact(float("inf"), None, method="support")
+    lam_min = float(w[w > EIG_FLOOR][0])
+    epsilon = 0.5 * lam_min
+
+    # 2^D_max is bracketed by [lower, upper]; t >= 1 for any witness
+    n_start, steps, lower, upper, witness = len(points), 0, 1.0, np.inf, None
+    for _ in range(DH_ROUNDS):
+        y, _, p, n = _extreme_point_dual(m, points, epsilon, None)
+        steps += n
+        cover = np.tensordot(y, np.stack(points), 1)
+        delta = max(float(np.linalg.eigvalsh(m - cover)[-1]), 0.0) / lam_min
+        t = float(np.sum(y)) + delta
+        if t < upper:
+            upper, witness = t, (cover + delta * sigma_bar) / t
+        _, visited, cuts = _repair(p, free_set, epsilon, rng, None, 1 if exact else 40)
+        for q, alpha in visited:
+            if alpha > 0.0:
+                lower = max(lower, float(np.real(np.trace(m @ q))) / alpha)
+        lower = min(lower, upper)
+        stop = ("gap" if math.log2(upper) - math.log2(lower) <= tol
+                else "no-violation" if exact or not cuts else "round-cap")
+        if stop != "round-cap":
+            break
+        points += cuts[:4]
+    lo, hi = math.log2(lower), math.log2(upper)
     return DivergenceResult(
-        float(hi),
-        float(lo),
-        float(hi),
-        iters,
-        converged=(hi - lo) <= tol,
-        optimizer=witness,
-        extras={"method": "bisection+fw", "requested_gap": tol},
+        hi, lo, hi, steps, converged=hi - lo <= tol, optimizer=witness,
+        extras={"method": "exact-dual" if exact else "cutting-plane", "requested_gap": tol,
+                "stop": stop, "cuts": len(points) - n_start},
     )
-
-
-def _pocs_scaling_witness(m, free_set, t, start=None, iters=140):
-    """Search {sigma in S : t sigma >= rho} by alternating projections;
-    returns a certified witness (min-eig checked nonnegative) or None."""
-    def certified(x):
-        if x is None:
-            return None
-        if abs(float(np.real(np.trace(x))) - 1.0) > 1e-8:
-            return None
-        if float(np.linalg.eigvalsh(x)[0]) < -1e-9:
-            return None
-        if not free_set.contains(x, 1e-7):
-            return None
-        return x if float(np.linalg.eigvalsh(t * x - m)[0]) >= 0.0 else None
-
-    sigma = start if start is not None else np.eye(m.shape[0], dtype=complex) / m.shape[0]
-    probe = free_set.project_into(sigma)
-    if probe is None:
-        return None
-    sigma = probe
-    for _ in range(iters):
-        diff = t * sigma - m
-        w, v = np.linalg.eigh(0.5 * (diff + diff.conj().T))
-        if w[0] >= -1e-15:
-            return certified(sigma)
-        dominating = m + (v * np.clip(w, 0.0, None)) @ v.conj().T
-        sigma = free_set.project_into(dominating / t)
-        if sigma is None:
-            return None
-    return certified(sigma)
 
 
 def _dmax_singleton(m: np.ndarray, g: np.ndarray) -> DivergenceResult:
@@ -484,6 +420,37 @@ def _alpha(p: np.ndarray, free_set: FreeStateSet, rng) -> tuple[float, np.ndarra
     return float(np.real(np.trace(sigma @ p))), sigma
 
 
+def _repair(p, free_set, epsilon, rng, restrict, steps):
+    """Up to ``steps`` repairs of the test p against the worst free states
+    the LMO finds: clip p into [0, I], stop once alpha = max_S Tr(sigma p) <=
+    eps + 1e-10, else keep sigma as a cut and subtract the multiple of it that
+    meets its constraint.  Returns the last p, the (clipped p, alpha) pairs
+    seen and the cuts."""
+    visited, cuts = [], []
+    for _ in range(steps):
+        p = _cone(_clip_povm(_cone(p, restrict)), restrict)
+        a, sigma = _alpha(p, free_set, rng)
+        visited.append((p, a))
+        if a <= epsilon + 1e-10:
+            break
+        cuts.append(sigma)
+        p = p - ((a - epsilon) / max(float(np.real(np.trace(sigma @ sigma))), 1e-14)) * sigma
+    return p, visited, cuts
+
+
+def _constraint_states(m: np.ndarray, free_set: FreeStateSet, rng) -> tuple[list[np.ndarray], bool]:
+    """The starting constraint states of the dual engine and whether they
+    are all of the set's extreme points; otherwise they are probes: the
+    LMO at -rho, the full-rank state and the closed-form closest state."""
+    points = free_set.extreme_points()
+    if points is not None:
+        return list(points), True
+    points = [q for q in (free_set.lmo(-m, rng), free_set.full_rank_state()) if q is not None]
+    if free_set.has_closed_form_closest:
+        points.append(free_set.closest_free_state(m)[0])
+    return points, False
+
+
 def hypothesis_testing(
     rho,
     free_set: FreeStateSet,
@@ -513,7 +480,7 @@ def hypothesis_testing(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    m = _mat(rho)
+    m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
     rng = np.random.default_rng(seed)
@@ -540,26 +507,15 @@ def hypothesis_testing(
         candidates.append((support, "support"))
 
     extras: dict = {}
-    points = free_set.extreme_points()
-    exact = points is not None
-    if not exact:
-        points = [q for q in (free_set.lmo(-m, rng), free_set.full_rank_state()) if q is not None]
-        if free_set.has_closed_form_closest:
-            points.append(free_set.closest_free_state(m)[0])
+    points, exact = _constraint_states(m, free_set, rng)
     n_start, dual_value, steps, cut_p, cut_beta = len(points), np.inf, 0, None, np.inf
     for _ in range(DH_ROUNDS):
         y, f, p, n = _extreme_point_dual(m, points, epsilon, restrict)
         steps += n
         if f < dual_value:
             dual_value, extras["dual_y"] = f, [float(t) for t in y]
-        cuts = []
-        for _ in range(0 if exact else 40):  # the dual over all extreme points needs no repair
-            p = _cone(_clip_povm(_cone(p, restrict)), restrict)
-            a, sigma = _alpha(p, free_set, rng)
-            if a <= epsilon + 1e-10:
-                break
-            cuts.append(sigma)
-            p = p - ((a - epsilon) / max(float(np.real(np.trace(sigma @ sigma))), 1e-14)) * sigma
+        # the dual over all extreme points needs no repair
+        p, _, cuts = _repair(p, free_set, epsilon, rng, restrict, 0 if exact else 40)
         b = beta_of(feasible_version(p))
         if b < cut_beta:
             cut_p, cut_beta = p, b
@@ -609,15 +565,17 @@ def _extreme_point_dual(m, points, epsilon, restrict):
     """min_{y >= 0} f(y) with a test recovered from the optimum.
 
     The dual is followed along its softplus smoothing
-    eps*sum(y) + tau*Tr log(1 + exp(X/tau)) - tau*sum(log y) as tau falls
+    eps*sum(y) + tau*Tr log(1 + exp(X/tau)) - eps*tau*sum(log y) as tau falls
     through ``DUAL_TEMPERATURES`` (damping takes over where linearly dependent
     mu_i make a Newton system singular at small tau); each smoothed optimum
     gives the test sigmoid(X/tau): the projector onto the positive
     part of X plus a fractional fill of its near-null eigenvectors.  From
     tau = 1e-3 on, ``_polish_face`` solves the optimality system of the face
     found so far (eigenvalues within 100*tau of zero; active constraints
-    y_i > sqrt(tau), as an inactive one sits at y_i = tau/slack), which
-    closes the gap to rounding once the face is right.
+    y_i > sqrt(tau), as an inactive one sits at y_i = eps*tau/slack <= tau),
+    which closes the gap to rounding once the face is right.  The barrier
+    and Newton's stopping thresholds scale with eps, so the same holds at
+    small budgets, where the tests and the dual value are of order eps.
 
     Returns (y, f(y), P, Newton steps) for the lowest dual value and the
     test with the highest value after rescaling (the caller rescales P).
@@ -669,15 +627,15 @@ def _smoothed_dual_newton(y, tau, mus, epsilon, spectrum):
     def smoothed(y):
         lam, v = spectrum(y)
         val = epsilon * float(np.sum(y)) + tau * float(np.sum(np.logaddexp(0.0, lam / tau)))
-        return val - tau * float(np.sum(np.log(y))), lam, v
+        return val - epsilon * tau * float(np.sum(np.log(y))), lam, v
 
     val, lam, v = smoothed(y)
     accepted = 0.0
     for step in range(1, 41):
         s = 0.5 * (1.0 + np.tanh(0.5 * lam / tau))
         mv = v.conj().T @ mus @ v
-        grad = epsilon - np.real(np.einsum("kaa,a->k", mv, s)) - tau / y
-        if float(np.max(np.abs(grad))) <= 1e-13:
+        grad = epsilon - np.real(np.einsum("kaa,a->k", mv, s)) - epsilon * tau / y
+        if float(np.max(np.abs(grad))) <= 1e-12 * epsilon:
             break
         # Hessian through the divided differences of the sigmoid (Daleckii-Krein)
         dl = lam[:, None] - lam[None, :]
@@ -686,7 +644,7 @@ def _smoothed_dual_newton(y, tau, mus, epsilon, spectrum):
         gamma = np.where(close, 0.5 * (slope[:, None] + slope[None, :]),
                          (s[:, None] - s[None, :]) / np.where(close, 1.0, dl))
         flat = mv.reshape(k, -1)
-        hess = np.real((flat.conj() * gamma.ravel()) @ flat.T) + np.diag(tau / y**2)
+        hess = np.real((flat.conj() * gamma.ravel()) @ flat.T) + np.diag(epsilon * tau / y**2)
         # a plain Newton step first, then Levenberg-Marquardt damping from a
         # tenth of the last accepted one up, until the step (cut back to stay
         # inside y > 0) decreases the objective enough; a singular system
@@ -707,7 +665,7 @@ def _smoothed_dual_newton(y, tau, mus, epsilon, spectrum):
             damping = max(10.0 * damping, 0.1 * accepted, 1e-9 * float(np.trace(hess)) / k)
         else:
             break
-        if dec <= 1e-17 * max(1.0, abs(val)):
+        if dec <= 1e-17 * max(epsilon, abs(val)):
             break
         y, (val, lam, v), accepted = y + t * direction, trial, damping
     return y, lam, v, step
@@ -798,7 +756,7 @@ def regularized_rel_entropy(
         raise ValueError("mode must be 'declared-additive' or 'evaluate-n'")
     if n > 2:
         raise ValueError("evaluate-n supports n <= 2 only")
-    m = _mat(rho)
+    m = as_matrix(rho)
     power = m
     for _ in range(n - 1):
         power = np.kron(power, m)

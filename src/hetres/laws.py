@@ -27,7 +27,7 @@ from .qcore import (
     KET_PLUS_Y,
     DensityOperator,
     TensorStructure,
-    as_complex,
+    as_matrix,
     bell_phi_plus_vec,
     partial_trace_mat,
     trace_norm,
@@ -253,7 +253,7 @@ def induced_monotone(
             if not verdict.ok:
                 raise ValueError(f"family member fails the free-operation check: {verdict.describe()}")
     rng = np.random.default_rng(seed)
-    m1 = rho1.mat if isinstance(rho1, DensityOperator) else as_complex(rho1)
+    m1 = as_matrix(rho1)
     best = 0.0
     for lam in channel_family:
         d1 = lam.in_structure.dims[0]
@@ -311,7 +311,7 @@ def witness_channel(
     mixing parameter 1/2.  Both postconditions are verified on samples and
     the constructor fails loudly if either breaks.
     """
-    m = rho.mat if isinstance(rho, DensityOperator) else as_complex(rho)
+    m = as_matrix(rho)
     if set1.contains(m, 1e-8):
         raise ValueError("state is free for set1; nothing to witness")
     sigma0, tau0 = set2.boundary_pair()

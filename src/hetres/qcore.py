@@ -81,10 +81,6 @@ class TensorStructure:
     def local_dim(self, label: str) -> int:
         return self.parties[self.index(label)][1]
 
-    def subset(self, labels: Sequence[str]) -> "TensorStructure":
-        keep = set(labels)
-        return TensorStructure([p for p in self.parties if p[0] in keep])
-
     def concat(self, other: "TensorStructure") -> "TensorStructure":
         return TensorStructure(self.parties + other.parties)
 
@@ -126,6 +122,11 @@ class DensityOperator:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.mat)
+
+
+def as_matrix(x) -> np.ndarray:
+    """The matrix of a :class:`DensityOperator`, or an array as by :func:`as_complex`."""
+    return x.mat if isinstance(x, DensityOperator) else as_complex(x)
 
 
 def density(mat, structure: TensorStructure | None = None) -> DensityOperator:
@@ -257,18 +258,14 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
     return float(-np.sum(lam * np.log2(lam))) if lam.size else 0.0
 
 
-def _matrix(x) -> np.ndarray:
-    return x.mat if isinstance(x, DensityOperator) else as_complex(x)
-
-
 def relative_entropy(rho, sigma) -> float:
     """Quantum relative entropy D(rho || sigma) = Tr rho (log2 rho - log2 sigma).
 
     Returns +inf iff the support of rho leaks outside the support of sigma
     (kernel overlap beyond 1e-10).
     """
-    a = _matrix(rho)
-    b = _matrix(sigma)
+    a = as_matrix(rho)
+    b = as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     wa, _ = eig_hermitian(a)
@@ -309,7 +306,7 @@ def trace_norm(mat: np.ndarray) -> float:
 
 def trace_norm_distance(a, b) -> float:
     """||a - b||_1 via an eigensolve of the difference; lies in [0, 2] for states."""
-    ma, mb = _matrix(a), _matrix(b)
+    ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError("dimension mismatch")
     return trace_norm(ma - mb)

@@ -23,6 +23,7 @@ from .qcore import (
     DensityOperator,
     TensorStructure,
     as_complex,
+    as_matrix,
     check_hermitian,
     kron_all,
     partial_trace_mat,
@@ -38,10 +39,6 @@ from .qcore import (
 
 MEMBERSHIP_TOL = 1e-6
 SEESAW_RESTARTS = 20
-
-
-def _mat(x) -> np.ndarray:
-    return x.mat if isinstance(x, DensityOperator) else as_complex(x)
 
 
 def _psd_state(x: np.ndarray) -> np.ndarray:
@@ -139,7 +136,7 @@ class Incoherent(FreeStateSet):
         return m if self.basis is None else self.basis @ m @ self.basis.conj().T
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = self._to_frame(_mat(rho))
+        m = self._to_frame(as_matrix(rho))
         self._check_dim(m)
         off = m - np.diag(np.diag(m))
         return float(np.max(np.abs(off))) <= tol
@@ -150,7 +147,7 @@ class Incoherent(FreeStateSet):
         return self._from_frame(e[..., :, None] * e[..., None, :])
 
     def closest_free_state(self, rho):
-        m = _mat(rho)
+        m = as_matrix(rho)
         self._check_dim(m)
         deph = self._from_frame(np.diag(np.diag(self._to_frame(m))))
         return deph, von_neumann_entropy(deph) - von_neumann_entropy(m)
@@ -194,7 +191,7 @@ class RealStates(FreeStateSet):
     has_closed_form_closest = True
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = _mat(rho)
+        m = as_matrix(rho)
         self._check_dim(m)
         return float(np.max(np.abs(np.imag(m)))) <= tol
 
@@ -206,7 +203,7 @@ class RealStates(FreeStateSet):
         return (vec[..., :, None] * vec[..., None, :]).astype(complex)
 
     def closest_free_state(self, rho):
-        m = _mat(rho)
+        m = as_matrix(rho)
         self._check_dim(m)
         re = np.real(m).astype(complex)
         return re, von_neumann_entropy(re) - von_neumann_entropy(m)
@@ -241,12 +238,12 @@ class Singleton(FreeStateSet):
     has_closed_form_closest = True
 
     def __init__(self, gamma):
-        g = _mat(gamma)
+        g = as_matrix(gamma)
         super().__init__(g.shape[0])
         self.gamma = g
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = _mat(rho)
+        m = as_matrix(rho)
         self._check_dim(m)
         return trace_norm(m - self.gamma) <= tol
 
@@ -254,7 +251,7 @@ class Singleton(FreeStateSet):
         return np.broadcast_to(self.gamma, np.shape(grad))
 
     def closest_free_state(self, rho):
-        m = _mat(rho)
+        m = as_matrix(rho)
         self._check_dim(m)
         return self.gamma, relative_entropy(m, self.gamma)
 
@@ -296,7 +293,7 @@ class AllStates(FreeStateSet):
     has_closed_form_closest = True
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        self._check_dim(_mat(rho))
+        self._check_dim(as_matrix(rho))
         return True
 
     def lmo(self, grad, rng=None):
@@ -305,7 +302,7 @@ class AllStates(FreeStateSet):
         return vec[..., :, None] * vec.conj()[..., None, :]
 
     def closest_free_state(self, rho):
-        m = _mat(rho)
+        m = as_matrix(rho)
         return m, 0.0
 
     def random_state(self, rng):
@@ -336,14 +333,14 @@ class FiniteSet(FreeStateSet):
     has_closed_form_closest = True
 
     def __init__(self, states: Sequence):
-        mats = [_mat(s) for s in states]
+        mats = [as_matrix(s) for s in states]
         if not mats:
             raise ValueError("finite set needs at least one state")
         super().__init__(mats[0].shape[0])
         self.states = mats
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = _mat(rho)
+        m = as_matrix(rho)
         self._check_dim(m)
         return min(trace_norm(m - s) for s in self.states) <= tol
 
@@ -353,7 +350,7 @@ class FiniteSet(FreeStateSet):
         return states[np.argmin(vals, axis=-1)]
 
     def closest_free_state(self, rho):
-        m = _mat(rho)
+        m = as_matrix(rho)
         best = min(self.states, key=lambda s: relative_entropy(m, s))
         return best, relative_entropy(m, best)
 
@@ -480,7 +477,7 @@ class MinComposite(_Composite):
         return kron_all(best), [best]
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = _mat(rho)
+        m = as_matrix(rho)
         self._check_dim(m)
         fast = self._singleton_fast_path(m, tol)
         if fast is None:
@@ -760,7 +757,7 @@ class MaxComposite(_Composite):
     kind = "max-composite"
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = _mat(rho)
+        m = as_matrix(rho)
         self._check_dim(m)
         dims = self.local_dims
         for i, s in enumerate(self.locals):

@@ -166,6 +166,15 @@ def test_qubit_incoherent_certificates_close():
         assert res.converged and res.gap <= 1e-6
 
 
+def test_small_budget_closes():
+    # with an unscaled barrier the dual stalled at eps = 1e-6 and the
+    # eps*identity floor was returned with a gap as large as the value
+    rho = random_density_mat(np.random.default_rng(1), 3)
+    res = dv.hypothesis_testing(rho, th.Incoherent(3), 1e-6)
+    assert res.extras["method"] == "exact-dual"
+    assert res.converged and res.gap <= 1e-12
+
+
 def test_linearly_dependent_constraints_do_not_break_newton():
     # a cut that is nearly a combination of the others made the undamped
     # Newton system singular at tau ~ 3e-10 ("Singular matrix")

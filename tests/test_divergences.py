@@ -5,6 +5,7 @@ import pytest
 
 from hetres import divergences as dv
 from hetres import theories as th
+from hetres.composite import smin
 from hetres.qcore import (
     KET_PLUS,
     KET_PLUS_Y,
@@ -173,6 +174,80 @@ class TestDmax:
         assert th.SeparableTwoQubit().contains(res.optimizer, 1e-7)
         scale = 2.0 ** res.value
         assert np.linalg.eigvalsh(scale * res.optimizer - PHI)[0] > -1e-9
+
+
+DMAX_TOL = 1e-6
+
+
+def _pure(vec):
+    return np.outer(vec, vec.conj())
+
+
+def _imaginarity_robustness(rho):
+    # log2(1 + ||rho - rho^T||_1 / 2) (Hickey & Gour, J. Phys. A 51, 414009)
+    return math.log2(1.0 + 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - rho.T)))))
+
+
+def _phi_plus_entries():
+    phi = np.zeros((4, 4))
+    phi[[0, 0, 3, 3], [0, 3, 0, 3]] = 0.5
+    return phi
+
+
+DMAX_REFERENCES = (
+    # pure states: the robustness of coherence 2 log2 ||psi||_1 (Piani et al.,
+    # PRA 93, 042107)
+    [pytest.param(_pure(random_pure_vec(np.random.default_rng(d), d)), th.Incoherent(d),
+                  2.0 * math.log2(np.sum(np.abs(random_pure_vec(np.random.default_rng(d), d)))),
+                  id=f"incoherent-pure-{d}") for d in (2, 3, 4, 9, 16)]
+    + [pytest.param(rho, th.RealStates(d), _imaginarity_robustness(rho), id=f"real-{d}-{i}")
+       for d, i in ((3, 0), (4, 0), (4, 1), (9, 0))
+       for rho in [random_density_mat(np.random.default_rng([d, i]), d, rank=d)]]
+    + [pytest.param(PHI, th.SeparableTwoQubit(), 1.0, id="phi-plus-vector"),
+       pytest.param(_phi_plus_entries(), th.SeparableTwoQubit(), 1.0, id="phi-plus-entries")]
+)
+
+
+def _check_dmax_witness(res, rho, free_set):
+    sigma = res.optimizer
+    assert abs(float(np.real(np.trace(sigma))) - 1.0) <= 1e-9
+    assert np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))[0] >= -1e-12
+    assert free_set.contains(sigma, 1e-7)
+    assert np.linalg.eigvalsh(2.0 ** res.upper_bound * sigma - rho)[0] >= -1e-9
+
+
+class TestDmaxReferenceCorpus:
+    """D_max against closed-form references; the bisection it replaced gave
+    false certificates on the real-state and entry-built Bell inputs."""
+
+    @pytest.mark.parametrize("rho, free_set, reference", DMAX_REFERENCES)
+    def test_brackets_reference(self, rho, free_set, reference):
+        res = dv.dmax(rho, free_set, tol=DMAX_TOL)
+        assert res.lower_bound <= reference + 1e-12
+        assert reference <= res.upper_bound + 1e-12
+        assert res.converged and res.gap <= DMAX_TOL
+        _check_dmax_witness(res, rho, free_set)
+
+    def test_hull_of_incoherent_and_real_qubits(self):
+        # the bisection certified [0.6567383, 0.6567993] here, above a witness
+        # found independently at 0.6567295
+        rng = np.random.default_rng([2, 0])
+        free_set = smin([th.Incoherent(2), th.RealStates(2)])
+        rho = random_density_mat(rng, 4, 4)
+        res = dv.dmax(rho, free_set, tol=DMAX_TOL)
+        assert res.converged and res.gap <= DMAX_TOL
+        assert res.upper_bound <= 0.6567296
+        _check_dmax_witness(res, rho, free_set)
+
+    def test_rank_deficient_set_grows_its_support(self):
+        # no full-rank free state and no listed extreme points: the support of
+        # the reference state grows by LMO calls to |0><0| (x) everything
+        zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        free_set = th.MinComposite([th.Singleton(zero), INC2])
+        res = dv.dmax(np.kron(zero, PLUS), free_set, tol=DMAX_TOL)
+        assert res.converged and abs(res.value - 1.0) <= DMAX_TOL
+        _check_dmax_witness(res, np.kron(zero, PLUS), free_set)
+        assert math.isinf(dv.dmax(np.kron(one, np.eye(2) / 2), free_set).value)
 
 
 class TestHypothesisTesting:

@@ -98,12 +98,13 @@ class TestCli:
         assert main(["run", str(bad)]) == 2
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
+        # an evaluated regularization is an estimate that never reports converged
         scen = {
-            "name": "impossible-gap",
+            "name": "never-certified",
             "kind": "divergence",
             "inputs": {"state": "plus", "theory": {"kind": "incoherent", "dim": 2},
-                       "which": "dmax"},
-            "params": {"seed": 0, "tol": 1e-30},
+                       "which": "regularized"},
+            "params": {"seed": 0, "mode": "evaluate-n", "n": 2},
             "expected": [],
         }
         path = tmp_path / "scen.json"
