@@ -41,12 +41,6 @@ MEMBERSHIP_TOL = 1e-6
 SEESAW_RESTARTS = 20
 
 
-def _psd_state(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
-    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return out / max(float(np.real(np.trace(out))), 1e-12)
-
-
 class FreeStateSet:
     """Base descriptor; concrete kinds override the capability methods."""
 
@@ -94,11 +88,6 @@ class FreeStateSet:
         The default projects ``w`` onto the dual of the marginal cone
         (Moreau: w + P_K(-w)), whose overlap with any member is >= 0."""
         return w + self.marginal_projection(-w), 0.0
-
-    def project_into(self, x: np.ndarray) -> np.ndarray | None:
-        """A state inside the set near ``x``, or None where no cheap
-        projection exists."""
-        return _psd_state(self.marginal_projection(x))
 
     def tensor_power(self, n: int) -> FreeStateSet:
         """The free set of ``n`` copies, where the kind has a known one."""
@@ -274,9 +263,6 @@ class Singleton(FreeStateSet):
     def marginal_dual(self, w):
         return w, float(np.real(np.trace(w @ self.gamma)))
 
-    def project_into(self, x):
-        return self.gamma
-
     def tensor_power(self, n):
         return Singleton(kron_all([self.gamma] * n))
 
@@ -362,9 +348,6 @@ class FiniteSet(FreeStateSet):
 
     def extreme_points(self) -> list[np.ndarray]:
         return list(self.states)
-
-    def project_into(self, x):
-        return min(self.states, key=lambda s: float(np.linalg.norm(s - x)))
 
     def to_json(self):
         from .qcore import mat_to_json
@@ -477,15 +460,34 @@ class MinComposite(_Composite):
         return kron_all(best), [best]
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
+        """Hull membership at trace-norm resolution ``tol``.
+
+        After the closed characterizations of ``_structured_fast_path``:
+        a member's marginals are locally free (the hull sits inside the
+        marginal set), and a product of free marginals is a member.  With at
+        most one non-singleton factor conv(A (x) {gamma}) = conv(A) (x)
+        {gamma}, so every member is such a product.  Otherwise D_max(rho||S)
+        <= b = log2(1 + tol/2) comes with a free witness sigma, rho <= 2^b
+        sigma, hence ||rho - sigma||_1 <= 2(2^b - 1) = tol; a rejection is
+        only as exact as the see-saw oracle inside ``dmax``.
+        """
         m = as_matrix(rho)
         self._check_dim(m)
-        fast = self._singleton_fast_path(m, tol)
-        if fast is None:
-            fast = self._structured_fast_path(m, tol)
+        fast = self._structured_fast_path(m, tol)
         if fast is not None:
             return fast
-        dist, _ = self.hull_distance(m, tol=0.5 * tol)
-        return dist <= tol
+        dims = self.local_dims
+        margs = [partial_trace_mat(m, dims, [i]) for i in range(len(dims))]
+        if not all(s.contains(marg, tol) for s, marg in zip(self.locals, margs)):
+            return False
+        if trace_norm(m - kron_all(margs)) <= tol:
+            return True
+        if sum(s.kind != "singleton" for s in self.locals) <= 1:
+            return False
+        from .divergences import dmax  # divergences imports this module
+
+        b = np.log2(1.0 + 0.5 * tol)
+        return dmax(m, self, tol=b).upper_bound <= b
 
     def _structured_fast_path(self, m, tol):
         """Exact membership where the hull has a closed characterization.
@@ -527,111 +529,6 @@ class MinComposite(_Composite):
             return True
         return None
 
-    def _singleton_fast_path(self, m, tol):
-        # conv{A (x) {gamma}} = conv{A} (x) {gamma}: with at most one
-        # non-singleton factor, membership reduces to a marginal check.
-        non_single = [i for i, s in enumerate(self.locals) if s.kind != "singleton"]
-        if len(non_single) > 1:
-            return None
-        dims = self.local_dims
-        if non_single:
-            i = non_single[0]
-            marg = partial_trace_mat(m, dims, [i])
-            if not self.locals[i].contains(marg, tol):
-                return False
-        else:
-            i, marg = 0, partial_trace_mat(m, dims, [0])
-        recon = kron_all(marg if j == i else s.gamma for j, s in enumerate(self.locals))
-        return trace_norm(m - recon) <= max(tol, 10 * MEMBERSHIP_TOL)
-
-    def _marginal_product_atom(self, m: np.ndarray) -> np.ndarray | None:
-        # marginals of hull members are locally free, so their product is a
-        # valid hull point (and an exact fit for product inputs); for a
-        # non-member the marginals can leave the local sets, so validate
-        dims = self.local_dims
-        out = np.array([[1.0 + 0j]])
-        for i, local in enumerate(self.locals):
-            marg = partial_trace_mat(m, dims, [i])
-            if not local.contains(marg, 1e-9):
-                return None
-            out = np.kron(out, marg)
-        return out
-
-    def _residual_atoms(self, residual: np.ndarray) -> list[np.ndarray]:
-        # harvest hull points aligned with the positive eigendirections of
-        # the residual: local projections of each eigenvector's marginals
-        dims = self.local_dims
-        w, v = np.linalg.eigh(0.5 * (residual + residual.conj().T))
-        atoms = []
-        for idx in np.argsort(w)[-2:]:
-            if w[idx] <= 1e-12:
-                continue
-            vec = v[:, idx]
-            pure = np.outer(vec, vec.conj())
-            atom = np.array([[1.0 + 0j]])
-            ok = True
-            for i, local in enumerate(self.locals):
-                marg = partial_trace_mat(pure, dims, [i])
-                proj = local.project_into(marg)
-                if proj is None:
-                    ok = False
-                    break
-                atom = np.kron(atom, proj)
-            if ok:
-                atoms.append(atom)
-        return atoms
-
-    def hull_distance(self, m: np.ndarray, max_atoms: int = 250, tol: float = 1e-9):
-        """Fully corrective Frank-Wolfe distance (Frobenius) to the hull.
-
-        Returns (distance, nearest point).  Distance below ``tol`` certifies
-        membership at that resolution; outside points converge to the true
-        distance with the oracle-gap stopping rule (reliable up to the
-        see-saw heuristic inside the oracle).
-        """
-        rng = np.random.default_rng(7)
-        warm = None
-        atoms = [self._seesaw(-m, rng, 3, warm)[0]]
-        seed_atom = self._marginal_product_atom(m)
-        if seed_atom is not None:
-            atoms.append(seed_atom)
-        target = m.reshape(-1)
-        dist, sigma = np.inf, atoms[0]
-        prev_dist = np.inf
-        stall_count = 0
-        restarts = 8
-        for _ in range(max_atoms):
-            a_mat = np.stack([a.reshape(-1) for a in atoms], axis=1)
-            weights = _simplex_nnls(a_mat, target)
-            sigma = (a_mat @ weights).reshape(m.shape)
-            grad = sigma - m
-            dist = float(np.linalg.norm(grad))
-            if dist <= tol:
-                return dist, sigma
-            # keep only the support: the active-set solve zeroes unused atoms
-            keep = weights > 1e-14
-            if keep.sum() >= 1 and not keep.all():
-                atoms = [a for a, k in zip(atoms, keep) if k]
-            stalled = dist > 0.97 * prev_dist
-            flat = dist > 0.9995 * prev_dist
-            stall_count = stall_count + 1 if flat else 0
-            prev_dist = dist
-            restarts = min(restarts + 4, 24) if stalled else 8
-            new_atom, warm = self._seesaw(grad, rng, restarts, warm)
-            gap = float(np.real(np.trace(grad @ (sigma - new_atom))))
-            if gap <= 0.25 * tol * tol and stall_count >= 2:
-                return dist, sigma
-            if stall_count >= 10 and dist > 4.0 * tol:
-                # ten escalated-restart rounds with a flat distance: report
-                # the plateau value (an upper bound on the true distance)
-                return dist, sigma
-            if any(float(np.max(np.abs(new_atom - a))) < 1e-10 for a in atoms):
-                new_atom, warm = self._seesaw(grad, rng, 24, None)
-            atoms.append(new_atom)
-            if stalled:
-                atoms.extend(self._residual_atoms(m - sigma))
-        return dist, sigma
-
     def random_state(self, rng):
         k = int(rng.integers(1, 9))
         w = rng.dirichlet(np.ones(k))
@@ -646,10 +543,6 @@ class MinComposite(_Composite):
             pools = (s.verification_states(rng, 4)[0] for s in self.locals)
             out.append(kron_all(pool[int(rng.integers(len(pool)))] for pool in pools))
         return out, "sampled"
-
-    def project_into(self, x):
-        return None
-
 
 class SeparableTwoQubit(MinComposite):
     """Separable states across a 2x2 (or 2x3) cut: the hull of products of
@@ -668,13 +561,6 @@ class SeparableTwoQubit(MinComposite):
         w, v = np.linalg.eigh(check_hermitian(pt, tol=1e-8))
         clipped = (v * np.clip(w, 0.0, None)) @ v.conj().T
         return partial_transpose_mat(clipped, self.cut, 1)
-
-    def project_into(self, x):
-        # alternating projections onto the states and the PPT cone
-        for _ in range(60):
-            x = self.marginal_projection(_psd_state(x))
-        x = _psd_state(x)
-        return x if self.contains(x, 1e-9) else None
 
     def boundary_pair(self):
         # a maximally entangled qubit pair, embedded in the cut if it is 2x3
@@ -702,53 +588,6 @@ def _effective_local_operator(g, dims, parts, i):
     h = np.einsum(f"{subs}->...{rows[i]}{cols[i]}", g.reshape(tuple(dims) * 2),
                   *(parts[j] for j in others))
     return 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
-
-
-def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int = 400) -> np.ndarray:
-    """Lawson-Hanson non-negative least squares."""
-    n = a.shape[1]
-    active = np.zeros(n, dtype=bool)
-    x = np.zeros(n)
-    resid = b - a @ x
-    w = a.T @ resid
-    tol = 1e-12 * max(float(np.max(np.abs(a))), 1.0) * max(float(np.max(np.abs(b))), 1.0)
-    for _ in range(max_iter):
-        if active.all() or float(np.max(w[~active], initial=-np.inf)) <= tol:
-            break
-        j = int(np.flatnonzero(~active)[np.argmax(w[~active])])
-        active[j] = True
-        while True:
-            s = np.zeros(n)
-            sol, *_ = np.linalg.lstsq(a[:, active], b, rcond=None)
-            s[active] = sol
-            if float(np.min(s[active], initial=1.0)) > 0.0:
-                break
-            mask = active & (s <= 0.0)
-            denom = x[mask] - s[mask]
-            alpha = float(np.min(x[mask] / np.where(denom > 0, denom, np.inf)))
-            x = x + alpha * (s - x)
-            active[x <= 1e-14] = False
-            x[~active] = 0.0
-        x = s
-        w = a.T @ (b - a @ x)
-    return x
-
-
-def _simplex_nnls(a_mat: np.ndarray, target: np.ndarray, penalty: float = 4.0) -> np.ndarray:
-    """min ||A w - t|| over the probability simplex: non-negative least
-    squares with the unit-sum constraint as a heavily weighted extra row."""
-    k = a_mat.shape[1]
-    design = np.vstack([
-        np.real(a_mat),
-        np.imag(a_mat),
-        penalty * np.ones((1, k)),
-    ])
-    rhs = np.concatenate([np.real(target), np.imag(target), [penalty]])
-    w = _nnls(design, rhs)
-    total = float(np.sum(w))
-    if total <= 1e-12:
-        return np.full(k, 1.0 / k)
-    return w / total
 
 
 class MaxComposite(_Composite):
@@ -821,9 +660,6 @@ class MaxComposite(_Composite):
     def project_feasible(self, x: np.ndarray, iters: int = 400, tol: float = 1e-11) -> np.ndarray:
         """Dykstra projection onto {PSD, trace 1, all marginals locally free}."""
         return self._dykstra(x, iters, tol)[0]
-
-    def project_into(self, x):
-        return self.project_feasible(x, iters=120)
 
     def _dual_bound(self, g: np.ndarray, incs: list[np.ndarray], eta: float) -> float:
         """Lagrange dual of min Tr(g X): Tr(g X) >= lambda_min(g - sum_i w_i (x) I)
@@ -1112,7 +948,13 @@ def op_in_class(channel: ch.KrausChannel, cls: FreeOpClass, tol: float = 1e-9) -
 
 
 def random_free_state(free_set: FreeStateSet, seed: int) -> DensityOperator:
-    """Seeded sample; always passes the set's own membership test."""
+    """Seeded sample of the set.
+
+    It passes the set's own membership test wherever that test is exact:
+    the single-party kinds, marginal sets, and hulls decided by a closed
+    characterization, by marginals or as products.  A hull sample that
+    reaches the D_max step can be rejected when the see-saw inside ``dmax``
+    stalls (seen on mixtures over smin(Real3, All3))."""
     rng = np.random.default_rng(seed)
     m = free_set.random_state(rng)
     structure = getattr(free_set, "structure", None) or single_party(free_set.dim)

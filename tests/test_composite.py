@@ -221,6 +221,12 @@ class TestCheckSandwich:
         assert not by_name["candidate-inside-marginal-set"].passed
         assert by_name["candidate-inside-marginal-set"].counterexample is not None
 
+    def test_real_hull_samples_are_members(self):
+        # both samples are correlated mixtures, accepted only through the
+        # D_max witness
+        locals_ = [th.RealStates(2), th.RealStates(2)]
+        assert co.check_sandwich(co.smin(locals_), locals_, n_samples=2, seed=1003).all_pass
+
 
 class TestBpAxioms:
     def _unital_pair_smax(self):

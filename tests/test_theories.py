@@ -438,6 +438,30 @@ class TestComposites:
                 ref = partial_trace_mat(g @ full, dims, [i])
                 assert np.max(np.abs(h[r] - 0.5 * (ref + ref.conj().T))) <= 1e-13
 
+    @pytest.mark.parametrize("other", [th.RealStates(2), th.AllStates(2)])
+    def test_real_factor_hull_rejects_yy_correlations(self, other):
+        # Tr[(Y (x) Y) mu (x) nu] = 0 whenever mu is real, so no state with
+        # <Y (x) Y> != 0 lies in the hull; the mixture is still separable
+        hull = th.MinComposite([th.RealStates(2), other])
+        noisy = 0.3 * PHI + 0.7 * np.eye(4) / 4
+        assert not hull.contains(PHI, 1e-6)
+        assert not hull.contains(noisy, 1e-6)
+        assert th.SeparableTwoQubit().contains(noisy, 1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_real_hull_samples_pass_the_dmax_test(self, seed):
+        hull = th.MinComposite([th.RealStates(2), th.RealStates(2)])
+        mu = hull.random_state(np.random.default_rng(seed))
+        margs = [partial_trace_mat(mu, (2, 2), [i]) for i in (0, 1)]
+        assert np.max(np.abs(mu - np.kron(*margs))) > 1e-3  # not decided as a product
+        assert hull.contains(mu, 1e-5)
+
+    def test_singleton_factor_hull_holds_only_products(self):
+        hull = th.MinComposite([th.Singleton(np.eye(2) / 2), th.RealStates(2)])
+        classical = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        assert not hull.contains(classical, 1e-6)
+        assert hull.contains(np.kron(np.eye(2) / 2, np.array([[0.7, 0.2], [0.2, 0.3]])), 1e-6)
+
 
 def test_theory_descriptor_roundtrip():
     sets = [
