@@ -133,7 +133,6 @@ def check_axioms(
     n_state_samples: int = DEFAULT_STATE_SAMPLES,
     n_channel_samples: int = DEFAULT_CHANNEL_SAMPLES,
     seed: int = 0,
-    membership_tol: float = 1e-6,
 ) -> AxiomReport:
     """Probe the four local-compatibility conditions of a candidate theory.
 
@@ -159,7 +158,7 @@ def check_axioms(
         prod = np.array([[1.0 + 0j]])
         for s in local_sets:
             prod = np.kron(prod, s.random_state(rng))
-        if not candidate_states.contains(prod, membership_tol):
+        if not candidate_states.contains(prod, 1e-6):
             bad = prod
             break
     verdicts.append(ConditionVerdict(
@@ -185,7 +184,7 @@ def check_axioms(
             for _ in range(max(1, n_state_samples // max(len(list(candidate_ops)), 1))):
                 mu = candidate_states.random_state(rng)
                 img = lam.apply_mat(mu)
-                if not candidate_states.contains(img, max(membership_tol, 1e-5)):
+                if not candidate_states.contains(img, 1e-5):
                     ok, bad = False, mu
                     break
         verdicts.append(ConditionVerdict(
@@ -200,7 +199,7 @@ def check_axioms(
         mu = candidate_states.random_state(rng)
         for i, s in enumerate(local_sets):
             marg = partial_trace_mat(mu, dims, [i])
-            if not s.contains(marg, membership_tol):
+            if not s.contains(marg, 1e-6):
                 bad = mu
                 break
         if bad is not None:

@@ -126,7 +126,6 @@ def rel_entropy_of_resource(
     rho,
     free_set: FreeStateSet,
     gap: float = DEFAULT_GAP,
-    max_iters: int = ITER_CAP,
     seed: int = 0,
     force_engine: bool = False,
 ) -> DivergenceResult:
@@ -147,8 +146,8 @@ def rel_entropy_of_resource(
     if not force_engine and free_set.contains(m, 1e-9):
         return _exact(0.0, m, method="member")
     if isinstance(free_set, MaxComposite):
-        return _pg_rel_entropy_marginal_set(m, free_set, gap, max_iters)
-    return _fw_rel_entropy(m, free_set, gap, max_iters, seed)
+        return _pg_rel_entropy_marginal_set(m, free_set, gap)
+    return _fw_rel_entropy(m, free_set, gap, seed)
 
 
 def _interior_start(m: np.ndarray, free_set: FreeStateSet, rng, delta: float = 1e-3):
@@ -159,7 +158,7 @@ def _interior_start(m: np.ndarray, free_set: FreeStateSet, rng, delta: float = 1
     return (1.0 - delta) * anchor + delta * fr
 
 
-def _fw_rel_entropy(m, free_set, gap, max_iters, seed) -> DivergenceResult:
+def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     rng = np.random.default_rng(seed)
     s_rho = _neg_plogp(m)
     sigma = _interior_start(m, free_set, rng)
@@ -169,7 +168,7 @@ def _fw_rel_entropy(m, free_set, gap, max_iters, seed) -> DivergenceResult:
     warm = None
     has_warm = hasattr(free_set, "lmo_with_parts")
     certified = False
-    for t in range(1, max_iters + 1):
+    for t in range(1, ITER_CAP + 1):
         iters = t
         w, v = np.linalg.eigh(sigma)
         f = _objective_from_eig(m, w, v, s_rho)
@@ -240,7 +239,7 @@ def _marginal_lower_bound(m: np.ndarray, free_set: FreeStateSet) -> float:
     return best
 
 
-def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap, max_iters) -> DivergenceResult:
+def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap) -> DivergenceResult:
     """Projected gradient over {all marginals locally free} with a Dykstra
     feasibility projection; the certificate combines a one-shot oracle gap
     with the partial-trace lower bound. The oracle gap uses the LMO's dual
@@ -259,7 +258,7 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap, max_iters) -> D
     eta = 0.5
     iters = 0
     stall = 0
-    for t in range(1, min(max_iters, 600) + 1):
+    for t in range(1, 601):
         iters = t
         w, v = np.linalg.eigh(sigma)
         grad = _log_gradient(m, w, v)

@@ -19,7 +19,12 @@ import numpy as np
 
 from . import channels as ch
 from .composite import smax, smin
-from .divergences import DivergenceResult, regularized_rel_entropy, rel_entropy_of_resource
+from .divergences import (
+    DivergenceResult,
+    hypothesis_testing,
+    regularized_rel_entropy,
+    rel_entropy_of_resource,
+)
 from .qcore import (
     KET0,
     KET1,
@@ -110,7 +115,6 @@ def uncorrelated_reduction(
     resourceful_party: str,
     gap: float = 1e-3,
     seed: int = 0,
-    product_tol: float = 1e-8,
 ) -> DivergenceResult:
     """For an explicit product state with every other party locally free,
     both extremal divergences collapse to the resourceful party's local
@@ -121,7 +125,7 @@ def uncorrelated_reduction(
     recon = np.array([[1.0 + 0j]])
     for m in margs:
         recon = np.kron(recon, m)
-    if trace_norm(rho.mat - recon) > product_tol:
+    if trace_norm(rho.mat - recon) > 1e-8:
         raise ValueError("input is not a product state within tolerance")
     r_idx = labels.index(resourceful_party)
     for i, s in enumerate(locals_):
@@ -157,7 +161,6 @@ def asymptotic_rate_bound(
     set1: FreeStateSet,
     sigma2: DensityOperator,
     set2: FreeStateSet,
-    additivity: tuple[str, str] = ("declared-additive", "declared-additive"),
     assume_additive: tuple[bool, bool] = (False, False),
     gap: float = 1e-3,
     seed: int = 0,
@@ -166,10 +169,10 @@ def asymptotic_rate_bound(
     resources: the ratio of regularized divergences, evaluated where
     regularization collapses to single-copy values."""
     num = regularized_rel_entropy(
-        rho1, set1, mode=additivity[0], assume_additive=assume_additive[0], gap=gap, seed=seed
+        rho1, set1, mode="declared-additive", assume_additive=assume_additive[0], gap=gap, seed=seed
     )
     den = regularized_rel_entropy(
-        sigma2, set2, mode=additivity[1], assume_additive=assume_additive[1], gap=gap, seed=seed
+        sigma2, set2, mode="declared-additive", assume_additive=assume_additive[1], gap=gap, seed=seed
     )
     if num.value <= num.gap + 1e-12:
         ratio = 0.0
@@ -296,19 +299,19 @@ def witness_channel(
     set1: FreeStateSet,
     set2: FreeStateSet,
     seed: int = 0,
-    subgrad_iters: int = 600,
     n_postcheck: int = 200,
-    delta: float = 1e-3,
 ) -> WitnessChannelResult:
     """Measure-and-prepare channel mapping set1 into set2 while carrying the
     given resource state outside set2.
 
-    A separating witness 0 <= W <= 1 with Tr W rho < 1/2 <= inf over set1 is
-    found by projected supergradient ascent (the infimum via set1's oracle)
-    followed by two affine rescalings; the output pair straddles set2's
-    boundary, located by bisection along the segment from a known
-    non-member to an interior point and recentered so the crossing sits at
-    mixing parameter 1/2.  Both postconditions are verified on samples and
+    The separating witness is W = I - P, with P the optimal test of the
+    hypothesis-testing divergence of rho against set1 at budget 1/2: then
+    inf over set1 of Tr W mu = 1 - alpha exceeds Tr W rho = beta.  Shifting
+    by that infimum (from set1's oracle) and scaling about 1/2 give a witness
+    0 <= W <= 1 with Tr W rho < 1/2 <= inf over set1.  The output pair
+    straddles set2's boundary, located by bisection along the segment from a
+    known non-member to an interior point and recentered so the crossing
+    sits at mixing parameter 1/2.  Both postconditions are verified on samples and
     the constructor fails loudly if either breaks.
     """
     m = as_matrix(rho)
@@ -318,21 +321,10 @@ def witness_channel(
     rng = np.random.default_rng(seed)
 
     d = m.shape[0]
-    w = np.eye(d, dtype=complex) / 2.0
-    best_w, best_h = None, -np.inf
-    for t in range(1, subgrad_iters + 1):
-        mu = set1.lmo(w, rng)
-        h = float(np.real(np.trace(w @ mu) - np.trace(w @ m)))
-        if h > best_h:
-            best_h, best_w = h, w.copy()
-        step = 0.35 / math.sqrt(t)
-        w = w + step * (mu - m)
-        ew, ev = np.linalg.eigh(0.5 * (w + w.conj().T))
-        w = (ev * np.clip(ew, 0.0, 1.0)) @ ev.conj().T
-    if best_h <= 1e-6:
-        raise ValueError("failed to separate the state from set1 (is it on the boundary?)")
-    w = best_w
+    w = np.eye(d, dtype=complex) - hypothesis_testing(m, set1, 0.5, seed=seed).optimizer
     q_star = float(np.real(np.trace(w @ set1.lmo(w, rng))))
+    if q_star - float(np.real(np.trace(w @ m))) <= 1e-6:
+        raise ValueError("failed to separate the state from set1 (is it on the boundary?)")
 
     shifted = w - q_star * np.eye(d)
     ew = np.linalg.eigvalsh(shifted)
@@ -340,6 +332,7 @@ def witness_channel(
     w_final = 0.5 * np.eye(d, dtype=complex) + eps * shifted
 
     p_star = _membership_bisection(set2, sigma0, tau0)
+    delta = 1e-3
     sigma_out = (1 - p_star + delta) * sigma0 + (p_star - delta) * tau0
     tau_out = (1 - p_star - delta) * sigma0 + (p_star + delta) * tau0
 

@@ -10,7 +10,7 @@ bits (log base 2).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,7 +99,6 @@ class DensityOperator:
 
     mat: np.ndarray
     structure: TensorStructure
-    _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         m = check_hermitian(self.mat)
@@ -108,13 +107,12 @@ class DensityOperator:
             raise ValueError(
                 f"structure dim {self.structure.dim} != matrix dim {m.shape[0]}"
             )
-        if self._validate:
-            tr = float(np.real(np.trace(self.mat)))
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL:.1e}")
-            lam = np.linalg.eigvalsh(self.mat)
-            if lam[0] < -PSD_TOL:
-                raise ValueError(f"negative eigenvalue {lam[0]:.3e}")
+        tr = float(np.real(np.trace(self.mat)))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL:.1e}")
+        lam = np.linalg.eigvalsh(self.mat)
+        if lam[0] < -PSD_TOL:
+            raise ValueError(f"negative eigenvalue {lam[0]:.3e}")
 
     @property
     def dim(self) -> int:

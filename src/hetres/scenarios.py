@@ -43,23 +43,12 @@ from .qcore import (
     partial_trace_mat,
     pure_state,
     random_pure_vec,
+    random_unitary,
     rotation_z,
     single_party,
     trace_norm,
     von_neumann_entropy,
 )
-
-KINDS = {
-    "divergence",
-    "single_shot",
-    "conversion",
-    "assisted",
-    "certification",
-    "axioms",
-    "bp_axioms",
-    "counterexample",
-}
-
 
 class ScenarioError(ValueError):
     """Schema or reference problem in a scenario file."""
@@ -572,10 +561,11 @@ def rng_verified_channel_family(n: int, seed: int = 0) -> list[ch.KrausChannel]:
     while len(out) < n:
         phase_in = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
         phase_out = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
-        ua = _haar2(rng)
-        ub = _haar2(rng)
+        ua = random_unitary(rng, 2)
+        ub = random_unitary(rng, 2)
         pre = ch.unitary_channel(np.kron(phase_in, np.kron(ua, ub)), structure)
-        post = ch.unitary_channel(np.kron(phase_out, np.kron(_haar2(rng), _haar2(rng))), structure)
+        post = ch.unitary_channel(
+            np.kron(phase_out, np.kron(random_unitary(rng, 2), random_unitary(rng, 2))), structure)
         cand = ch.compose(post, ch.compose(base, pre))
         if rng.uniform() < 0.3:
             # mix with a product of free preparations
@@ -596,12 +586,6 @@ def rng_verified_channel_family(n: int, seed: int = 0) -> list[ch.KrausChannel]:
     return out
 
 
-def _haar2(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-
-
 _RUNNERS = {
     "divergence": _run_divergence,
     "single_shot": _run_single_shot,
@@ -620,7 +604,7 @@ def validate_scenario(obj) -> dict:
     for key in ("name", "kind", "inputs"):
         if key not in obj:
             raise ScenarioError(f"scenario missing required key {key!r}")
-    if obj["kind"] not in KINDS:
+    if obj["kind"] not in _RUNNERS:
         raise ScenarioError(f"unknown scenario kind {obj['kind']!r}")
     params = obj.setdefault("params", {})
     params.setdefault("seed", 0)

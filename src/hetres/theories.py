@@ -310,9 +310,10 @@ class AllStates(FreeStateSet):
 class FiniteSet(FreeStateSet):
     """An explicit finite list of states.
 
-    Not convex in general; it exists to express resource non-generation with
-    respect to small hand-picked sets, and divergences over it reduce to a
-    minimum over the list.
+    It exists to express resource non-generation with respect to small
+    hand-picked sets.  ``contains`` and ``closest_free_state`` treat the list
+    itself (membership of a listed state, minimum over the list), while
+    D_H, D_max and Frank-Wolfe optimise over the list's convex hull.
     """
 
     kind = "finite"

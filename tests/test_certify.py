@@ -10,8 +10,10 @@ from hetres import theories as th
 from hetres.qcore import (
     KET_PLUS_Y,
     PAULI_X,
+    DensityOperator,
     TensorStructure,
     random_density_mat,
+    random_hermitian,
     rotation_z,
     single_party,
 )
@@ -103,6 +105,43 @@ class TestRemote:
         assert abs(rep.value - rep.ceiling.value) < 1e-6
         rep = ct.remote_certification(PLUS_Y, INC2, "all", [mover], 0.5)
         assert math.isinf(rep.value)
+
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("preprocess", ["identity", "move-and-replace"])
+    def test_budget_holds_over_the_whole_set(self, seed, preprocess):
+        # RealStates lists no extreme points; the type-I budget must still
+        # hold over all real states, so the remote value stays below the
+        # data-processing ceiling
+        real3 = th.RealStates(3)
+        lam = (ch.identity_channel(single_party(3, "A")) if preprocess == "identity"
+               else ct.move_and_replace_channel(np.eye(3, dtype=complex) / 3, 3))
+        rho = random_density_mat(np.random.default_rng(seed), 3)
+        rep = ct.remote_certification(rho, real3, "all", [lam], 0.1)
+        assert rep.value <= rep.ceiling.upper_bound + 1e-9
+        p = rep.achiever["povm_element"]
+        assert float(np.real(np.trace(real3.lmo(-p) @ p))) <= 0.1 + 1e-12
+
+
+class TestImageSet:
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_oracle_matches_the_images_of_extreme_points(self, joint):
+        rng = np.random.default_rng(11)
+        inc3 = th.Incoherent(3)
+        if joint:
+            struct = TensorStructure([("A", 3), ("B", 2)])
+            lam = ch.random_channel(rng, 6, 6, n_kraus=3)
+            lam = ch.KrausChannel(lam.kraus, struct, struct)
+            aux = {"B": DensityOperator(random_density_mat(rng, 2), single_party(2, "B"))}
+            image = ct._ImageSet(inc3, lam, aux)
+        else:
+            image = ct._ImageSet(inc3, ch.random_channel(rng, 3, 2, n_kraus=3))
+        points = image.extreme_points()
+        assert image.dim == 2 and len(points) == 3
+        for _ in range(5):
+            g = random_hermitian(rng, 2)
+            best = min(float(np.real(np.trace(g @ x))) for x in points)
+            assert abs(float(np.real(np.trace(g @ image.lmo(g)))) - best) <= 1e-12
 
 
 class TestLfoccCeiling:
