@@ -113,6 +113,10 @@ class _ImageSet(FreeStateSet):
             pulled = np.einsum("rt,atbr->ab", self.aux, pulled.reshape(d, n, d, n))
         return self.image(self.base.lmo(pulled, rng))
 
+    @property
+    def exact_lmo(self):
+        return self.base.exact_lmo
+
     def extreme_points(self) -> list[np.ndarray] | None:
         points = self.base.extreme_points()
         return None if points is None else [self.image(p) for p in points]

@@ -506,14 +506,13 @@ def effective_povm(
     channel: KrausChannel,
     element: np.ndarray,
     measured_party: str,
-    frozen: Mapping[str, DensityOperator] | None = None,
 ) -> np.ndarray:
     """Pull a measurement on one output party back through the channel.
 
     Computes sum_K K^dag (P embedded at the measured party) K on the input
     space, then contracts every input party other than the certified one
-    with a frozen state (maximally mixed by default).  The result is a valid
-    POVM element: 0 <= result <= identity.
+    with the maximally mixed state.  The result is a valid POVM element:
+    0 <= result <= identity.
     """
     p = check_hermitian(element)
     d_m = channel.out_structure.local_dim(measured_party)
@@ -531,11 +530,9 @@ def effective_povm(
     ins = channel.in_structure
     if len(ins.parties) == 1:
         return pulled
-    frozen = dict(frozen or {})
     other = [lbl for lbl in ins.labels if lbl != measured_party]
     weights = kron_all(
-        (frozen[lbl].mat if lbl in frozen else np.eye(dim) / dim) if lbl == measured_party
-        else np.eye(dim, dtype=complex)
+        np.eye(dim) / dim if lbl == measured_party else np.eye(dim, dtype=complex)
         for lbl, dim in ins.parties
     )
     keep = [ins.index(lbl) for lbl in other]

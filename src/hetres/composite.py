@@ -240,7 +240,7 @@ def check_axioms(
 
 
 def _labels_for(candidate: FreeStateSet, n: int) -> list[str]:
-    structure = getattr(candidate, "structure", None)
+    structure = candidate.structure
     if structure is not None and len(structure.labels) == n:
         return list(structure.labels)
     return [str(i + 1) for i in range(n)]

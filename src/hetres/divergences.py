@@ -133,8 +133,9 @@ def rel_entropy_of_resource(
     Frank-Wolfe against the set's linear-minimization oracle.
 
     The duality-gap certificate Tr G (sigma - oracle) bounds the
-    suboptimality; for sets whose oracle is itself a see-saw heuristic the
-    certificate is only as good as the oracle, which the extras record.
+    suboptimality.  Over a set without an exact oracle (``exact_lmo``
+    False: a see-saw hull) the lower bound rests on heuristic oracle calls,
+    including 4-restart ones, and ``extras["oracle_limited"]`` says so.
     ``force_engine`` skips an available closed form (cross-validation).
     """
     m = as_matrix(rho)
@@ -165,9 +166,7 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     best_lb = -np.inf
     f = np.inf
     iters = 0
-    warm = None
-    has_warm = hasattr(free_set, "lmo_with_parts")
-    certified = False
+    exact = free_set.exact_lmo
     for t in range(1, ITER_CAP + 1):
         iters = t
         w, v = np.linalg.eigh(sigma)
@@ -176,23 +175,21 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
             sigma = 0.5 * sigma + 0.5 * _interior_start(m, free_set, rng, delta=0.1)
             continue
         grad = _log_gradient(m, w, v)
-        if has_warm:
-            # cheap warm-started oracle during iterations; the stopping
-            # certificate below re-solves with the full restart budget
-            mu, warm = free_set.lmo_with_parts(grad, rng, restarts=4, warm=warm)
-        else:
+        if exact:
             mu = free_set.lmo(grad, rng)
+        else:
+            # a cheap 4-restart oracle during iterations; a gap that looks
+            # closed is re-checked with the full restart budget
+            mu = free_set.lmo(grad, rng, restarts=4)
         fw_gap = float(np.real(np.trace(grad @ (sigma - mu))))
-        if fw_gap <= gap and has_warm and not certified:
-            mu_full, warm = free_set.lmo_with_parts(grad, rng, restarts=None, warm=warm)
+        if fw_gap <= gap and not exact:
+            mu_full = free_set.lmo(grad, rng)
             full_gap = float(np.real(np.trace(grad @ (sigma - mu_full))))
             if full_gap < fw_gap:
                 fw_gap, mu = full_gap, mu_full
-            certified = True
         best_lb = max(best_lb, f - max(fw_gap, 0.0))
         if f - best_lb <= gap:
             break
-        certified = False
         direction = mu - sigma
 
         def h(g):
@@ -207,8 +204,9 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     value = float(f)
     lb = max(best_lb, _marginal_lower_bound(m, free_set))
     lb = min(lb, value)
-    extras = {"method": "frank-wolfe", "lmo": free_set.kind, "requested_gap": gap}
-    if has_warm:
+    extras = {"method": "frank-wolfe", "lmo": free_set.kind, "requested_gap": gap,
+              "oracle_limited": not exact}
+    if not exact:
         extras["lmo_restarts"] = {"iterate": 4, "certificate": SEESAW_RESTARTS}
     return DivergenceResult(
         value,

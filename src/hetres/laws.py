@@ -357,7 +357,7 @@ def witness_channel(
 
 
 def _structure_for(free_set: FreeStateSet) -> TensorStructure:
-    return getattr(free_set, "structure", None) or TensorStructure([("out", free_set.dim)])
+    return free_set.structure or TensorStructure([("out", free_set.dim)])
 
 
 def _membership_bisection(

@@ -13,6 +13,7 @@ are reported as verdicts on the given decomposition, not as universal proofs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +47,8 @@ class FreeStateSet:
 
     kind = "abstract"
     has_closed_form_closest = False
+    exact_lmo = True  # lmo returns a true minimizer, not a heuristic one
+    structure: TensorStructure | None = None  # a composite's labelled parties
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -71,6 +74,11 @@ class FreeStateSet:
     def extreme_points(self) -> list[np.ndarray] | None:
         """The set's extreme points when there are finitely many, else None."""
         return None
+
+    def hull_factors(self) -> list[FreeStateSet]:
+        """The sets whose product states generate this set as a convex hull:
+        the set itself, or a hull's local factors, nested hulls flattened."""
+        return [self]
 
     def verification_states(self, rng: np.random.Generator, n: int) -> tuple[list[np.ndarray], str]:
         """States whose preservation certifies (or samples) RNG membership."""
@@ -390,75 +398,53 @@ class MinComposite(_Composite):
 
     kind = "min-composite"
 
+    def hull_factors(self):
+        return [f for s in self.locals for f in s.hull_factors()]
+
+    @property
+    def exact_lmo(self):
+        factors = self.hull_factors()
+        return (sum(f.extreme_points() is None for f in factors) <= 1
+                and all(f.exact_lmo for f in factors))
+
     def lmo(self, grad, rng=None, restarts: int | None = None):
+        """One batched see-saw over the flattened factors.
+
+        Factors that list their extreme points are enumerated along the
+        batch axis, all but the last one when every factor lists them.  The
+        remaining factors are see-sawed, each by its own oracle, from
+        ``restarts`` random starts per enumerated combination; all of them
+        advance together.  With one such factor a single sweep is exact."""
         g = as_complex(grad)
         if g.ndim > 2:
             return np.stack([self.lmo(x, rng, restarts) for x in g])
-        return self._seesaw(g, rng, restarts)[0]
-
-    def lmo_with_parts(self, grad, rng=None, restarts: int | None = None, warm=None):
-        return self._seesaw(grad, rng, restarts, warm)
-
-    def _enumerable_side(self) -> tuple[int, list[np.ndarray]] | None:
-        if len(self.locals) != 2:
-            return None
-        for side in (0, 1):
-            points = self.locals[side].extreme_points()
-            if points is not None:
-                return side, points
-        return None
-
-    def _seesaw(self, grad, rng, restarts, warm=None):
         rng = rng or np.random.default_rng(0)
-        restarts = SEESAW_RESTARTS if restarts is None else restarts
-        g = as_complex(grad)
-        dims = self.local_dims
-        enumerable = self._enumerable_side()
-        if enumerable is not None:
-            # one party has finitely many extreme points: enumerate them and
-            # solve the other party's subproblem exactly or by its own oracle
-            side, points = enumerable
-            other_idx = 1 - side
-            other = self.locals[other_idx]
-            best_val, best_pair, new_warm = np.inf, None, []
-            for point in points:
-                parts = [None, None]
-                parts[side] = point
-                h = _effective_local_operator(g, dims, parts, other_idx)
-                if hasattr(other, "lmo_with_parts"):
-                    mu, w2 = other.lmo_with_parts(h, rng, restarts=restarts, warm=warm)
-                    new_warm.extend(w2)
-                else:
-                    mu = other.lmo(h, rng)
-                val = float(np.real(np.trace(h @ mu)))
-                if val < best_val:
-                    best_val, best_pair = val, (point, mu)
-            parts = [None, None]
-            parts[side], parts[other_idx] = best_pair
-            full = np.kron(parts[0], parts[1])
-            return full, (new_warm or warm or [])
-        # every restart advances at once: party i's effective operators and
-        # local minimizers are stacks over the restarts
-        starts = [list(parts) for parts in (warm or [])]
-        for _ in range(max(1, restarts)):
-            starts.append([s.random_state(rng) for s in self.locals])
-        parts = [np.stack([start[i] for start in starts]) for i in range(len(dims))]
+        factors = self.hull_factors()
+        dims = [f.dim for f in factors]
+        points = [f.extreme_points() for f in factors]
+        free = [i for i, p in enumerate(points) if p is None] or [len(factors) - 1]
+        listed = [i for i in range(len(factors)) if i not in free]
+        seesaw = len(free) > 1
+        n = max(1, SEESAW_RESTARTS if restarts is None else restarts) if seesaw else 1
+        combos = list(itertools.product(*(points[i] for i in listed)))
+        parts = [None] * len(factors)
+        for k, i in enumerate(listed):
+            parts[i] = np.stack([c[k] for c in combos for _ in range(n)])
+        if seesaw:
+            starts = [[factors[i].random_state(rng) for i in free] for _ in range(n)]
+            for k, i in enumerate(free):
+                parts[i] = np.stack([s[k] for _ in combos for s in starts])
         prev = np.inf
-        for _ in range(30):
-            for i, local in enumerate(self.locals):
+        for _ in range(30 if seesaw else 1):
+            for i in free:
                 h = _effective_local_operator(g, dims, parts, i)
-                if hasattr(local, "lmo_with_parts"):
-                    # a nested see-saw gets a small restart budget; the
-                    # outer restarts diversify
-                    parts[i] = np.stack([local.lmo_with_parts(x, rng, restarts=3)[0] for x in h])
-                else:
-                    parts[i] = local.lmo(h, rng)
-            val = np.real(np.einsum("rab,rba->r", h, parts[-1]))
+                parts[i] = factors[i].lmo(h, rng)
+            val = np.real(np.einsum("rab,rba->r", h, parts[free[-1]]))
             if np.all(prev - val < 1e-12):
                 break
             prev = val
-        best = [p[int(np.argmin(val))] for p in parts]
-        return kron_all(best), [best]
+        best = int(np.argmin(val))
+        return kron_all(p[best] for p in parts)
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         """Hull membership at trace-norm resolution ``tol``.
@@ -595,6 +581,7 @@ class MaxComposite(_Composite):
     """States whose every single-party marginal is locally free."""
 
     kind = "max-composite"
+    exact_lmo = False  # projected subgradient, certified only by lmo_with_bound
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         m = as_matrix(rho)
@@ -658,9 +645,9 @@ class MaxComposite(_Composite):
                 break
         return cur, incs
 
-    def project_feasible(self, x: np.ndarray, iters: int = 400, tol: float = 1e-11) -> np.ndarray:
+    def project_feasible(self, x: np.ndarray, iters: int = 400) -> np.ndarray:
         """Dykstra projection onto {PSD, trace 1, all marginals locally free}."""
-        return self._dykstra(x, iters, tol)[0]
+        return self._dykstra(x, iters)[0]
 
     def _dual_bound(self, g: np.ndarray, incs: list[np.ndarray], eta: float) -> float:
         """Lagrange dual of min Tr(g X): Tr(g X) >= lambda_min(g - sum_i w_i (x) I)
@@ -958,7 +945,7 @@ def random_free_state(free_set: FreeStateSet, seed: int) -> DensityOperator:
     stalls (seen on mixtures over smin(Real3, All3))."""
     rng = np.random.default_rng(seed)
     m = free_set.random_state(rng)
-    structure = getattr(free_set, "structure", None) or single_party(free_set.dim)
+    structure = free_set.structure or single_party(free_set.dim)
     return DensityOperator(m, structure)
 
 

@@ -73,6 +73,14 @@ class TestRelEntropyOfResource:
             res = dv.rel_entropy_of_resource(rho, real, gap=1e-4, force_engine=True)
             assert abs(res.value - closed) < 1e-3
 
+    def test_frank_wolfe_flags_a_heuristic_oracle(self):
+        res = dv.rel_entropy_of_resource(PHI, th.SeparableTwoQubit(), gap=5e-4, seed=1)
+        assert res.extras["method"] == "frank-wolfe"
+        assert res.extras["oracle_limited"] is True
+        res = dv.rel_entropy_of_resource(PHI, smin([INC2, th.RealStates(2)]), gap=1e-3)
+        assert res.extras["method"] == "frank-wolfe"
+        assert res.extras["oracle_limited"] is False
+
     def test_optimizer_is_free(self):
         res = dv.rel_entropy_of_resource(PHI, th.SeparableTwoQubit(), gap=1e-3, seed=5)
         assert th.SeparableTwoQubit().contains(res.optimizer, 1e-6)

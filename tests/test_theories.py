@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hetres import certify as ct
 from hetres import channels as ch
 from hetres import theories as th
 from hetres.qcore import (
@@ -461,6 +462,52 @@ class TestComposites:
         classical = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
         assert not hull.contains(classical, 1e-6)
         assert hull.contains(np.kron(np.eye(2) / 2, np.array([[0.7, 0.2], [0.2, 0.3]])), 1e-6)
+
+    def test_nested_hull_runs_the_flat_see_saw(self):
+        # conv(Inc2 (x) Sep) = conv(Inc2 (x) All2 (x) All2): one see-saw over
+        # the flattened factors, with the same draws
+        nested = th.MinComposite([th.Incoherent(2), th.SeparableTwoQubit()])
+        flat = th.MinComposite([th.Incoherent(2), th.AllStates(2), th.AllStates(2)])
+        assert [f.kind for f in nested.hull_factors()] == ["incoherent", "all", "all"]
+        for seed in range(20):
+            g = random_hermitian(np.random.default_rng([7, seed]), 8)
+            mu = nested.lmo(g, np.random.default_rng(seed))
+            assert np.array_equal(mu, flat.lmo(g, np.random.default_rng(seed)))
+
+    def test_listed_factors_are_enumerated_exactly(self):
+        # reference: every product of the singleton, an incoherent basis
+        # state and the real factor's exact minimizer, by kron and partial trace
+        gamma = np.diag([0.7, 0.3]).astype(complex)
+        hull = th.MinComposite([th.Singleton(gamma), th.Incoherent(2), th.RealStates(2)])
+        assert hull.exact_lmo
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            g = random_hermitian(rng, 8)
+            best = np.inf
+            for e in np.eye(2):
+                fixed = np.kron(np.kron(gamma, np.diag(e)), np.eye(2))
+                h = partial_trace_mat(g @ fixed, (2, 2, 2), [2])
+                best = min(best, float(np.linalg.eigvalsh(np.real(h + h.conj().T) / 2)[0]))
+            mu = hull.lmo(g, rng)
+            assert abs(float(np.real(np.trace(g @ mu))) - best) <= 1e-12
+            assert th.RealStates(8).contains(mu, 1e-12)
+
+    def test_exact_lmo_by_kind(self):
+        inc2, real2, all2 = th.Incoherent(2), th.RealStates(2), th.AllStates(2)
+        single = [inc2, real2, all2, th.Singleton(np.eye(2) / 2), th.FiniteSet([PLUS])]
+        assert all(s.exact_lmo for s in single)
+        smax = th.MaxComposite([inc2, real2])
+        assert not smax.exact_lmo
+        assert not th.SeparableTwoQubit().exact_lmo
+        assert th.MinComposite([inc2, real2]).exact_lmo
+        assert th.MinComposite([inc2, inc2, inc2]).exact_lmo
+        assert not th.MinComposite([real2, real2]).exact_lmo
+        assert not th.MinComposite([inc2, th.SeparableTwoQubit()]).exact_lmo
+        assert not th.MinComposite([inc2, smax]).exact_lmo  # one unlisted, inexact
+        # an image set's oracle is its base set's, pulled back
+        assert ct._ImageSet(real2, ch.identity_channel(single_party(2))).exact_lmo
+        hull = th.MinComposite([real2, real2])
+        assert not ct._ImageSet(hull, ch.identity_channel(single_party(4))).exact_lmo
 
 
 def test_theory_descriptor_roundtrip():
