@@ -22,6 +22,7 @@ from .qcore import (
     TensorStructure,
     as_complex,
     as_matrix,
+    check_hermitian,
     kron_all,
     mat_to_json,
     partial_trace_mat,
@@ -101,9 +102,9 @@ class _ImageSet(FreeStateSet):
         return partial_trace_mat(out, self.lam.out_structure.dims,
                                  list(range(1, len(self.lam.out_structure.parties))))
 
-    def lmo(self, grad, rng=None):
-        # pull grad back through the adjoint, Tr(G image(x)) = Tr(x pulled):
-        # pulled = Tr_aux[(I (x) aux) sum_K K^dag (I_first (x) G) K]
+    def pullback(self, grad: np.ndarray) -> np.ndarray:
+        """The adjoint of ``image``, with Tr(G image(x)) = Tr(x pullback(G)):
+        Tr_aux[(I (x) aux) sum_K K^dag (I_first (x) G) K]."""
         g = as_complex(grad)
         if self.aux is not None:
             g = np.kron(np.eye(self.lam.out_structure.dims[0]), g)
@@ -111,7 +112,10 @@ class _ImageSet(FreeStateSet):
         if self.aux is not None:
             d, n = self.lam.in_structure.dims[0], len(self.aux)
             pulled = np.einsum("rt,atbr->ab", self.aux, pulled.reshape(d, n, d, n))
-        return self.image(self.base.lmo(pulled, rng))
+        return pulled
+
+    def lmo(self, grad, rng=None):
+        return self.image(self.base.lmo(self.pullback(grad), rng))
 
     @property
     def exact_lmo(self):
@@ -183,25 +187,26 @@ def lfocc_ceiling(
     protocol: ch.LfoccProtocol,
     element: np.ndarray,
     epsilon: float,
-    measured_party: str = "B",
     seed: int = 0,
 ) -> CertReport:
     """Certification through a local protocol, against its structural ceiling.
 
-    Verifies the per-round classes (suspect party strictly incoherent, the
-    measuring party real), compiles the protocol, pulls the
-    measurement back to an effective element on the suspect party, asserts
-    its diagonality, and reports alpha/beta through it alongside the
-    diagonal-restricted hypothesis-testing ceiling.
+    The protocol's first party holds the suspect state and its second party
+    measures ``element``.  Verifies the per-round classes (suspect party
+    strictly incoherent, the measuring party real), compiles the protocol,
+    pulls the measurement back through the image set to an effective element
+    on the suspect party, asserts its diagonality, and reports alpha/beta
+    through it alongside the diagonal-restricted hypothesis-testing ceiling.
     """
-    labels = list(protocol.structure.labels)
-    a_party = next(lbl for lbl in labels if lbl != measured_party)
-    checker = Lfocc({a_party: Sio(), measured_party: RealOps()})
-    if not checker.protocol_ok(protocol):
+    a_party, b_party = protocol.structure.labels
+    if not Lfocc({a_party: Sio(), b_party: RealOps()}).protocol_ok(protocol):
         raise ValueError("protocol violates the declared local operation classes")
 
-    compiled = ch.compile_lfocc(protocol)
-    effective = ch.effective_povm(compiled, element, measured_party)
+    p = check_hermitian(element)
+    w = np.linalg.eigvalsh(p)
+    if w[0] < -1e-10 or w[-1] > 1 + 1e-10:
+        raise ValueError("element must satisfy 0 <= P <= identity")
+    effective = _ImageSet(set_a, ch.compile_lfocc(protocol)).pullback(p)
     off = effective - np.diag(np.diag(effective))
     off_norm = float(np.max(np.abs(off)))
     if off_norm > 1e-10:

@@ -502,43 +502,6 @@ def compile_lfocc(protocol: LfoccProtocol) -> KrausChannel:
     return chan
 
 
-def effective_povm(
-    channel: KrausChannel,
-    element: np.ndarray,
-    measured_party: str,
-) -> np.ndarray:
-    """Pull a measurement on one output party back through the channel.
-
-    Computes sum_K K^dag (P embedded at the measured party) K on the input
-    space, then contracts every input party other than the certified one
-    with the maximally mixed state.  The result is a valid POVM element:
-    0 <= result <= identity.
-    """
-    p = check_hermitian(element)
-    d_m = channel.out_structure.local_dim(measured_party)
-    if p.shape != (d_m, d_m):
-        raise ValueError("element must act on the measured party")
-    lam = np.linalg.eigvalsh(p)
-    if lam[0] < -1e-10 or lam[-1] > 1 + 1e-10:
-        raise ValueError("element must satisfy 0 <= P <= identity")
-
-    full_p = embed_operator(p, channel.out_structure, measured_party)
-    pulled = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
-    for k in channel.kraus:
-        pulled += k.conj().T @ full_p @ k
-
-    ins = channel.in_structure
-    if len(ins.parties) == 1:
-        return pulled
-    other = [lbl for lbl in ins.labels if lbl != measured_party]
-    weights = kron_all(
-        np.eye(dim) / dim if lbl == measured_party else np.eye(dim, dtype=complex)
-        for lbl, dim in ins.parties
-    )
-    keep = [ins.index(lbl) for lbl in other]
-    return partial_trace_mat(weights @ pulled, ins.dims, keep)
-
-
 # ---------------------------------------------------------------------------
 # random channels for property tests
 

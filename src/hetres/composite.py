@@ -4,9 +4,9 @@ Given local theories, builds the minimal free-state set (hull of local-free
 products), the maximal one (everything with locally free marginals), and
 mixtures of product channels.  Checkers probe the four compatibility
 conditions between a candidate composite theory and its locals, and the
-multi-copy closure axioms, by sampling with explicit counterexample
-reporting; verdicts record whether a condition was checked exhaustively,
-by sampling, or holds by construction.
+multi-copy closure axioms, by sampling up to the first counterexample,
+which they report; verdicts record whether a condition was checked
+exhaustively, by sampling, or holds by construction.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from . import channels as ch
 from .qcore import (
     DensityOperator,
     TensorStructure,
+    kron_all,
     mat_to_json,
     partial_trace_mat,
     permutation_matrix,
+    single_party,
 )
 from .theories import (
     FreeOpClass,
@@ -31,6 +33,7 @@ from .theories import (
     MaxComposite,
     MinComposite,
     Singleton,
+    first_failure,
 )
 
 DEFAULT_STATE_SAMPLES = 200
@@ -153,14 +156,8 @@ def check_axioms(
     verdicts: list[ConditionVerdict] = []
 
     # (a) free product states
-    bad = None
-    for _ in range(n_state_samples):
-        prod = np.array([[1.0 + 0j]])
-        for s in local_sets:
-            prod = np.kron(prod, s.random_state(rng))
-        if not candidate_states.contains(prod, 1e-6):
-            bad = prod
-            break
+    products = (kron_all(s.random_state(rng) for s in local_sets) for _ in range(n_state_samples))
+    bad = first_failure(((p, p, candidate_states.contains) for p in products), 1e-6)
     verdicts.append(ConditionVerdict(
         "free-product-states", bad is None, "sampled",
         f"{n_state_samples} sampled local products", bad))
@@ -168,75 +165,59 @@ def check_axioms(
     # (b) free product operations
     ops_is_class = isinstance(candidate_ops, FreeOpClass)
     if ops_is_class:
-        bad_detail, ok = "", True
-        for _ in range(n_channel_samples):
-            prods = [cls.sample_channel(rng, d) for cls, d in zip(local_classes, dims)]
-            prod = ch.product_channel(prods, labels)
-            if not candidate_ops.contains_channel(prod):
-                ok, bad_detail = False, "a product of sampled local free channels failed the class predicate"
-                break
+        draws = ([cls.sample_channel(rng, d) for cls, d in zip(local_classes, dims)]
+                 for _ in range(n_channel_samples))
+        channels = (ch.product_channel(parts, labels) for parts in draws)
+        bad = first_failure(((c, c, candidate_ops.contains_channel) for c in channels), 1e-9)
         verdicts.append(ConditionVerdict(
-            "free-product-operations", ok, "sampled",
-            bad_detail or f"{n_channel_samples} sampled local free products pass the class predicate"))
+            "free-product-operations", bad is None, "sampled",
+            "a product of sampled local free channels failed the class predicate" if bad is not None
+            else f"{n_channel_samples} sampled local free products pass the class predicate"))
     else:
-        ok, bad = True, None
-        for lam in candidate_ops:
-            for _ in range(max(1, n_state_samples // max(len(list(candidate_ops)), 1))):
-                mu = candidate_states.random_state(rng)
-                img = lam.apply_mat(mu)
-                if not candidate_states.contains(img, 1e-5):
-                    ok, bad = False, mu
-                    break
+        ops_list = list(candidate_ops)
+        per_op = max(1, n_state_samples // max(len(ops_list), 1))
+        images = ((mu, lam.apply_mat(mu), candidate_states.contains) for lam in ops_list
+                  for mu in (candidate_states.random_state(rng) for _ in range(per_op)))
+        bad = first_failure(images, 1e-5)
         verdicts.append(ConditionVerdict(
-            "free-product-operations", ok, "vacuous-finite-list",
+            "free-product-operations", bad is None, "vacuous-finite-list",
             "explicit operation list given; product membership is not decidable, "
             "verified instead that each listed operation preserves the candidate free states",
             bad))
 
     # (c) free marginal states
-    bad = None
-    for _ in range(n_state_samples):
-        mu = candidate_states.random_state(rng)
-        for i, s in enumerate(local_sets):
-            marg = partial_trace_mat(mu, dims, [i])
-            if not s.contains(marg, 1e-6):
-                bad = mu
-                break
-        if bad is not None:
-            break
+    upper = smax(local_sets)
+    samples = (candidate_states.random_state(rng) for _ in range(n_state_samples))
+    bad = first_failure(((mu, mu, upper.contains) for mu in samples), 1e-6)
     verdicts.append(ConditionVerdict(
         "free-marginal-states", bad is None, "sampled",
         f"{n_state_samples} sampled candidate free states", bad))
 
     # (d) free marginal operations
-    ops_list = [] if ops_is_class else list(candidate_ops)
     if ops_is_class:
         verdicts.append(ConditionVerdict(
             "free-marginal-operations", True, "skipped",
             "no sampler over a bare class; provide explicit operations to probe (d)"))
     else:
-        failed = None
-        detail = ""
-        structure = TensorStructure(zip(labels, dims))
-        for lam in ops_list:
-            for i, (s, cls) in enumerate(locals_):
-                frozen = {
-                    labels[j]: DensityOperator(local_sets[j].random_state(rng),
-                                               TensorStructure([(labels[j], dims[j])]))
-                    for j in range(len(dims)) if j != i
-                }
-                marg_chan = ch.marginal_channel(_with_structure(lam, structure), labels[i], frozen)
-                if not cls.contains_channel(marg_chan, 1e-6):
-                    failed = lam
-                    detail = (f"marginal at party {labels[i]} with locally free frozen "
-                              f"inputs fails the local class {cls.kind}")
-                    break
-            if failed is not None:
-                break
+        bad = first_failure(_marginal_channels(ops_list, locals_, labels, rng), 1e-6)
         verdicts.append(ConditionVerdict(
-            "free-marginal-operations", failed is None,
-            "sampled", detail or "all listed operations reduce to locally free marginals"))
+            "free-marginal-operations", bad is None, "sampled",
+            bad or "all listed operations reduce to locally free marginals"))
     return AxiomReport(verdicts, seed)
+
+
+def _marginal_channels(ops, locals_, labels, rng):
+    """Cases of condition (d): each listed operation's marginal at each party,
+    the other inputs frozen on freshly sampled locally free states; the
+    witness is the failure's description."""
+    structure = TensorStructure(zip(labels, [s.dim for s, _ in locals_]))
+    for lam in ops:
+        for i, (_, cls) in enumerate(locals_):
+            frozen = {label: DensityOperator(s.random_state(rng), single_party(s.dim, label))
+                      for j, ((s, _), label) in enumerate(zip(locals_, labels)) if j != i}
+            marginal = ch.marginal_channel(_with_structure(lam, structure), labels[i], frozen)
+            yield (f"marginal at party {labels[i]} with locally free frozen inputs "
+                   f"fails the local class {cls.kind}"), marginal, cls.contains_channel
 
 
 def _labels_for(candidate: FreeStateSet, n: int) -> list[str]:
@@ -267,18 +248,10 @@ def check_sandwich(
     rng = np.random.default_rng(seed)
     lower = MinComposite(list(locals_))
     upper = smax(locals_)
-    bad_low = None
-    for _ in range(n_samples):
-        mu = lower.random_state(rng)
-        if not candidate.contains(mu, max(tol, 1e-5)):
-            bad_low = mu
-            break
-    bad_high = None
-    for _ in range(n_samples):
-        mu = candidate.random_state(rng)
-        if not upper.contains(mu, tol):
-            bad_high = mu
-            break
+    hull_samples = (lower.random_state(rng) for _ in range(n_samples))
+    bad_low = first_failure(((mu, mu, candidate.contains) for mu in hull_samples), max(tol, 1e-5))
+    candidate_samples = (candidate.random_state(rng) for _ in range(n_samples))
+    bad_high = first_failure(((mu, mu, upper.contains) for mu in candidate_samples), tol)
     verdicts = [
         ConditionVerdict("hull-inside-candidate", bad_low is None, "sampled",
                          f"{n_samples} hull samples", bad_low),
@@ -333,20 +306,47 @@ def check_bp_axioms(
             states.append(family[n].random_state(rng))
         return states
 
+    loose = max(tol, 1e-5)
+
+    def mixtures():
+        for n in range(1, max_n + 1):
+            states = pool(n, 8)
+            for _ in range(n_samples // max_n + 1):
+                w = rng.dirichlet(np.ones(len(states)))
+                mix = sum(wi * s for wi, s in zip(w, states))
+                yield mix, mix, family[n].contains
+
+    def copy_marginals():
+        for n in range(2, max_n + 1):
+            d_copy = _copy_dim(family, n)
+            for mu in pool(n, n_samples // 4 + 1):
+                for drop in range(n):
+                    keep = [i for i in range(n) if i != drop]
+                    yield mu, partial_trace_mat(mu, [d_copy] * n, keep), family[n - 1].contains
+
+    def products():
+        for m in range(1, max_n):
+            for n in range(1, max_n - m + 1):
+                for a in pool(m, 10):
+                    for b in pool(n, 10):
+                        prod = np.kron(a, b)
+                        note = f"S_{m} (x) S_{n} leaves S_{m + n}"
+                        yield (prod, note), prod, family[m + n].contains
+
+    def swaps():
+        for n in range(2, max_n + 1):
+            structure = TensorStructure([(f"c{i}", _copy_dim(family, n)) for i in range(n)])
+            for k in range(n - 1):
+                order = list(structure.labels)
+                order[k], order[k + 1] = order[k + 1], order[k]
+                perm = permutation_matrix(structure, order)
+                for mu in pool(n, 10):
+                    yield mu, perm @ mu @ perm.conj().T, family[n].contains
+
     axioms: list[ConditionVerdict] = []
 
     # 1: convexity
-    bad = None
-    for n in range(1, max_n + 1):
-        states = pool(n, 8)
-        for _ in range(n_samples // max_n + 1):
-            w = rng.dirichlet(np.ones(len(states)))
-            mix = sum(wi * s for wi, s in zip(w, states))
-            if not family[n].contains(mix, max(tol, 1e-5)):
-                bad = mix
-                break
-        if bad is not None:
-            break
+    bad = first_failure(mixtures(), loose)
     axioms.append(ConditionVerdict("convexity", bad is None, "sampled",
                                    "mixtures of members stay inside", bad))
 
@@ -366,60 +366,16 @@ def check_bp_axioms(
     axioms.append(ConditionVerdict("full-rank-member", ok_rank, "witness", "; ".join(detail)))
 
     # 3: marginal closure (trace out one copy)
-    bad, mode = None, "sampled"
-    for n in range(2, max_n + 1):
-        d_copy = _copy_dim(family, n)
-        for mu in pool(n, n_samples // 4 + 1):
-            for drop in range(n):
-                keep = [i for i in range(n) if i != drop]
-                marg = partial_trace_mat(mu, [d_copy] * n, keep)
-                if not family[n - 1].contains(marg, max(tol, 1e-5)):
-                    bad = mu
-                    break
-            if bad is not None:
-                break
-    axioms.append(ConditionVerdict("marginal-closure", bad is None, mode,
+    bad = first_failure(copy_marginals(), loose)
+    axioms.append(ConditionVerdict("marginal-closure", bad is None, "sampled",
                                    "single-copy partial traces stay free", bad))
 
     # 4: tensor closure
-    bad, witness_note = None, ""
-    for m_copies in range(1, max_n):
-        for n_copies in range(1, max_n - m_copies + 1):
-            for a in pool(m_copies, 10):
-                for b in pool(n_copies, 10):
-                    prod = np.kron(a, b)
-                    if not family[m_copies + n_copies].contains(prod, max(tol, 1e-5)):
-                        bad = prod
-                        witness_note = (f"S_{m_copies} (x) S_{n_copies} leaves "
-                                        f"S_{m_copies + n_copies}")
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            break
-    axioms.append(ConditionVerdict("tensor-closure", bad is None, "sampled",
-                                   witness_note or "sampled products stay free", bad))
+    prod, note = first_failure(products(), loose) or (None, "sampled products stay free")
+    axioms.append(ConditionVerdict("tensor-closure", prod is None, "sampled", note, prod))
 
     # 5: permutation closure (explicit swaps of adjacent copies)
-    bad = None
-    for n in range(2, max_n + 1):
-        d_copy = _copy_dim(family, n)
-        structure = TensorStructure([(f"c{i}", d_copy) for i in range(n)])
-        for k in range(n - 1):
-            order = list(structure.labels)
-            order[k], order[k + 1] = order[k + 1], order[k]
-            perm = permutation_matrix(structure, order)
-            for mu in pool(n, 10):
-                swapped = perm @ mu @ perm.conj().T
-                if not family[n].contains(swapped, max(tol, 1e-5)):
-                    bad = mu
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            break
+    bad = first_failure(swaps(), loose)
     axioms.append(ConditionVerdict("permutation-closure", bad is None, "sampled",
                                    "adjacent-copy swaps stay free", bad))
     return BpReport(axioms, seed)

@@ -98,14 +98,14 @@ def _neg_plogp(rho: np.ndarray) -> float:
     return float(np.sum(lam * np.log2(lam))) if lam.size else 0.0
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 90):
+def _golden_section(fun, lo: float, hi: float, tol: float = 1e-10):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
     it = 0
-    while (b - a) > tol and it < max_iter:
+    while (b - a) > tol and it < 90:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -37,7 +37,7 @@ from .qcore import (
     partial_trace_mat,
     trace_norm,
 )
-from .theories import AllStates, FreeStateSet, Rng
+from .theories import AllStates, FreeStateSet
 
 FORBIDDEN = "FORBIDDEN"
 NOT_EXCLUDED = "NOT-EXCLUDED"
@@ -240,7 +240,6 @@ def induced_monotone(
     set2: FreeStateSet,
     channel_family: list[ch.KrausChannel],
     mu2_samples: int = 6,
-    op_check: Rng | None = None,
     gap: float = 1e-3,
     seed: int = 0,
 ) -> float:
@@ -250,11 +249,6 @@ def induced_monotone(
     supremum (the family is finite by construction)."""
     if not channel_family:
         raise ValueError("channel family must be nonempty")
-    if op_check is not None:
-        for lam in channel_family:
-            verdict = op_check.verify(lam)
-            if not verdict.ok:
-                raise ValueError(f"family member fails the free-operation check: {verdict.describe()}")
     rng = np.random.default_rng(seed)
     m1 = as_matrix(rho1)
     best = 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,6 +114,16 @@ class FreeStateSet:
     def _check_dim(self, m: np.ndarray):
         if m.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: state {m.shape[0]}, set {self.dim}")
+
+
+def first_failure(cases: Iterable[tuple[object, object, Callable]], tol: float) -> object | None:
+    """The witness of the first case that fails its membership test, or None.
+
+    A case is a triple ``(witness, x, contains)``, checked as
+    ``contains(x, tol)``: a state and a set's ``contains``, or a channel and
+    a class's ``contains_channel``.  Cases are drawn lazily, each after the
+    previous one's check, so sampling stops at the first failure."""
+    return next((w for w, x, contains in cases if not contains(x, tol)), None)
 
 
 class Incoherent(FreeStateSet):
@@ -828,9 +838,6 @@ class RealOps(FreeOpClass):
     def contains_channel(self, channel, tol: float = 1e-9) -> bool:
         return all(float(np.max(np.abs(np.imag(k)))) <= tol for k in channel.kraus)
 
-    def kraus_ok(self, k: np.ndarray, tol: float = 1e-9) -> bool:
-        return float(np.max(np.abs(np.imag(np.asarray(k))))) <= tol
-
     def sample_channel(self, rng, dim):
         # the row blocks of a real isometry sum to K^T K = I to rounding,
         # however ill-conditioned the Gaussian draw
@@ -892,11 +899,9 @@ class Rng(FreeOpClass):
     def verify(self, channel: ch.KrausChannel, tol: float = MEMBERSHIP_TOL) -> RngVerdict:
         rng = np.random.default_rng(self.seed)
         states, mode = self.free_set.verification_states(rng, self.n_samples)
-        for mu in states:
-            image = channel.apply_mat(mu)
-            if not self.free_set.contains(image, tol):
-                return RngVerdict(False, mode, len(states), witness=mu)
-        return RngVerdict(True, mode, len(states))
+        images = ((mu, channel.apply_mat(mu), self.free_set.contains) for mu in states)
+        bad = first_failure(images, tol)
+        return RngVerdict(bad is None, mode, len(states), witness=bad)
 
     def contains_channel(self, channel, tol: float = 1e-6) -> bool:
         return self.verify(channel, tol).ok

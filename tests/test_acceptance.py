@@ -221,7 +221,7 @@ def test_criterion_11_local_protocol_ceiling():
         element = np.diag(rng.uniform(0.0, 1.0, 2)).astype(complex)
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         element = u @ element @ u.conj().T
-        rep = ct.lfocc_ceiling(PLUS_Y, INC2, proto, element, 0.5, measured_party="B", seed=11)
+        rep = ct.lfocc_ceiling(PLUS_Y, INC2, proto, element, 0.5, seed=11)
         worst_off = max(worst_off, rep.extras["effective_offdiag"])
         if not math.isinf(rep.ceiling.value):
             worst_excess = max(worst_excess, rep.value - rep.ceiling.value)

@@ -143,6 +143,31 @@ class TestImageSet:
             best = min(float(np.real(np.trace(g @ x))) for x in points)
             assert abs(float(np.real(np.trace(g @ image.lmo(g)))) - best) <= 1e-12
 
+    def test_identity_pullback_returns_same_element(self):
+        image = ct._ImageSet(INC2, ch.identity_channel(single_party(2, "A")))
+        p = np.array([[0.7, 0.1], [0.1, 0.2]], dtype=complex)
+        assert np.max(np.abs(image.pullback(p) - p)) < 1e-12
+
+    def test_swap_pullback_moves_element(self):
+        # the measured party's element lands on the suspect party
+        swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+        image = ct._ImageSet(INC2, ch.unitary_channel(swap, STRUCT_AB))
+        p = np.array([[0.6, 0.2j], [-0.2j, 0.3]], dtype=complex)
+        assert np.max(np.abs(image.pullback(p) - p)) < 1e-12
+
+    def test_sio_real_protocols_pull_back_to_diagonal_elements(self):
+        rng = np.random.default_rng(12)
+        classes = {"A": th.Sio(), "B": th.RealOps()}
+        for _ in range(40):
+            proto = th.random_lfocc_protocol(
+                rng, STRUCT_AB, classes, int(rng.integers(1, 4)), order=["A", "B", "A"]
+            )
+            image = ct._ImageSet(INC2, ch.compile_lfocc(proto))
+            eff = image.pullback(random_density_mat(rng, 2))
+            assert np.max(np.abs(eff - np.diag(np.diag(eff)))) < 1e-10
+            w = np.linalg.eigvalsh(eff)
+            assert w[0] > -1e-10 and w[-1] < 1 + 1e-10
+
 
 class TestLfoccCeiling:
     def _protocol(self, rng, rounds=2):
@@ -154,7 +179,7 @@ class TestLfoccCeiling:
         for _ in range(60):
             proto = self._protocol(rng, int(rng.integers(1, 4)))
             p = random_density_mat(rng, 2)
-            rep = ct.lfocc_ceiling(PLUS_Y, INC2, proto, p, 0.5, measured_party="B")
+            rep = ct.lfocc_ceiling(PLUS_Y, INC2, proto, p, 0.5)
             assert rep.extras["effective_offdiag"] <= 1e-10
             if not math.isinf(rep.ceiling.value):
                 assert rep.value <= rep.ceiling.value + 1e-6
@@ -165,9 +190,14 @@ class TestLfoccCeiling:
         rng = np.random.default_rng(3)
         proto = self._protocol(rng)
         p = random_density_mat(rng, 2)
-        rep = ct.lfocc_ceiling(PLUS_Y, INC2, proto, p, 0.25, measured_party="B")
+        rep = ct.lfocc_ceiling(PLUS_Y, INC2, proto, p, 0.25)
         assert rep.beta >= 1.0 - 0.25 - 1e-9
         assert abs(rep.ceiling.value - (-math.log2(0.75))) < 1e-9
+
+    def test_element_bounds_validated(self):
+        proto = self._protocol(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="0 <= P"):
+            ct.lfocc_ceiling(PLUS_Y, INC2, proto, 2.0 * np.eye(2), 0.5)
 
     def test_class_violation_rejected(self):
         rng = np.random.default_rng(4)
@@ -185,8 +215,7 @@ class TestLfoccCeiling:
                 ceiling = dv.hypothesis_testing(rho, INC2, eps, restrict="diagonal")
                 p_opt = np.real(np.diag(ceiling.optimizer))
                 proto = ct.measure_and_forward_protocol(np.diag(p_opt))
-                rep = ct.lfocc_ceiling(rho, INC2, proto, np.diag([0.0, 1.0]).astype(complex),
-                                       eps, measured_party="B")
+                rep = ct.lfocc_ceiling(rho, INC2, proto, np.diag([0.0, 1.0]).astype(complex), eps)
                 assert abs(rep.value - ceiling.value) < 1e-6
                 assert rep.extras["effective_offdiag"] <= 1e-12
 

@@ -265,41 +265,6 @@ class TestLfocc:
             ch.LfoccProtocol(struct, (ch.LfoccRound("1", {"": (cnot,)}),))
 
 
-class TestEffectivePovm:
-    def test_identity_channel_returns_same_element(self):
-        lam = ch.identity_channel(single_party(2, "A"))
-        p = np.array([[0.7, 0.1], [0.1, 0.2]], dtype=complex)
-        assert np.max(np.abs(ch.effective_povm(lam, p, "A") - p)) < 1e-12
-
-    def test_swap_moves_element(self):
-        swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
-        lam = ch.unitary_channel(swap, TensorStructure([("A", 2), ("B", 2)]))
-        p = np.array([[0.6, 0.2j], [-0.2j, 0.3]], dtype=complex)
-        eff = ch.effective_povm(lam, p, "B")
-        assert np.max(np.abs(eff - p)) < 1e-12
-
-    def test_sio_real_protocols_give_diagonal_elements(self):
-        rng = np.random.default_rng(12)
-        struct = S12
-        classes = {"1": th.Sio(), "2": th.RealOps()}
-        for _ in range(40):
-            proto = th.random_lfocc_protocol(
-                rng, struct, classes, int(rng.integers(1, 4)), order=["1", "2", "1"]
-            )
-            lam = ch.compile_lfocc(proto)
-            p = random_density_mat(rng, 2)
-            eff = ch.effective_povm(lam, p, "2")
-            off = eff - np.diag(np.diag(eff))
-            assert np.max(np.abs(off)) < 1e-10
-            w = np.linalg.eigvalsh(eff)
-            assert w[0] > -1e-10 and w[-1] < 1 + 1e-10
-
-    def test_element_bounds_validated(self):
-        lam = ch.identity_channel(single_party(2, "A"))
-        with pytest.raises(ValueError):
-            ch.effective_povm(lam, 2.0 * np.eye(2), "A")
-
-
 class TestPovmType:
     def test_valid(self):
         p = np.diag([0.4, 0.7]).astype(complex)

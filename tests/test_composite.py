@@ -5,7 +5,9 @@ from hetres import channels as ch
 from hetres import composite as co
 from hetres import theories as th
 from hetres.qcore import (
+    HADAMARD,
     KET_PLUS,
+    TensorStructure,
     bell_phi_plus_vec,
     partial_trace_mat,
     random_density_mat,
@@ -16,6 +18,7 @@ from hetres.scenarios import rotated_bell_preparation
 
 PHI = np.outer(bell_phi_plus_vec(2), bell_phi_plus_vec(2).conj())
 PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
+S12 = TensorStructure([("1", 2), ("2", 2)])
 
 
 class TestSmin:
@@ -198,6 +201,21 @@ class TestCheckAxioms:
         rep = co.check_axioms(hull, [lam], locals_, n_state_samples=40, seed=12)
         assert rep.all_pass
 
+    def test_listed_operations_stop_at_the_first_failure(self):
+        # a repeated failing operation reports the same counterexample as
+        # one copy of it: sampling ends at the first state it sends out
+        locals_ = [(th.Incoherent(2), th.Sio()), (th.Incoherent(2), th.Sio())]
+        hadamard = ch.unitary_channel(np.kron(HADAMARD, np.eye(2)), S12)
+
+        def witness(ops):
+            rep = co.check_axioms(co.smin([s for s, _ in locals_]), ops, locals_,
+                                  n_state_samples=10, seed=3)
+            cond = next(c for c in rep.conditions if c.name == "free-product-operations")
+            assert not cond.passed
+            return cond.counterexample
+
+        assert np.array_equal(witness([hadamard, hadamard]), witness([hadamard]))
+
     def test_report_json(self):
         locals_ = [(th.Incoherent(2), th.Sio()), (th.Incoherent(2), th.Sio())]
         rep = co.check_axioms(co.smin([s for s, _ in locals_]), [], locals_,
@@ -254,12 +272,21 @@ class TestBpAxioms:
         witness = by_name["tensor-closure"].counterexample
         assert witness is not None
         assert trace_norm(witness - np.kron(PHI, PHI)) < 1e-9
+        assert by_name["tensor-closure"].detail == "S_1 (x) S_1 leaves S_2"
         # the witness fails because its second-copy marginal is the
         # entangled pair, not the fixed maximally mixed factor
         marg2 = partial_trace_mat(witness, (4, 4), [1])
         assert trace_norm(marg2 - np.eye(4) / 4) > 0.5
         assert by_name["convexity"].passed
         assert by_name["marginal-closure"].passed
+
+    def test_marginal_closure_reports_the_first_copy_number_that_fails(self):
+        # real two-copy states have non-diagonal marginals, and generic
+        # three-copy states complex ones; the search stops at n = 2
+        fam = {1: th.Incoherent(2), 2: th.RealStates(4), 3: th.AllStates(8)}
+        rep = co.check_bp_axioms(fam, max_n=3, n_samples=8, seed=1)
+        cond = next(a for a in rep.axioms if a.name == "marginal-closure")
+        assert not cond.passed and cond.counterexample.shape == (4, 4)
 
     def test_max_n_limit(self):
         with pytest.raises(ValueError):
