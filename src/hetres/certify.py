@@ -247,10 +247,10 @@ def measure_and_forward_protocol(
     structure = TensorStructure([("A", d), ("B", b_dim)])
     k_yes = np.diag(np.sqrt(p)).astype(complex)
     k_no = np.diag(np.sqrt(1.0 - p)).astype(complex)
-    round1 = ch.lfocc_round(structure, "A", {"": [k_yes, k_no]})
+    round1 = ch.LfoccRound("A", {"": (k_yes, k_no)})
     flag_up = [np.outer(np.eye(b_dim)[1], np.eye(b_dim)[j]) for j in range(b_dim)]
     flag_down = [np.outer(np.eye(b_dim)[0], np.eye(b_dim)[j]) for j in range(b_dim)]
-    round2 = ch.lfocc_round(structure, "B", {"0": flag_up, "1": flag_down})
+    round2 = ch.LfoccRound("B", {"0": flag_up, "1": flag_down})
     return ch.LfoccProtocol(structure, (round1, round2))
 
 

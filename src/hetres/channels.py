@@ -2,8 +2,9 @@
 
 Channels are stored as explicit Kraus operators (dim_out x dim_in); the Choi
 matrix is computed on demand when a map needs re-factoring.  Local protocols
-with classical communication are stored as per-round Kraus trees keyed by the
-classical history so far, and compiled into a flat Kraus family.
+with classical communication are stored as per-round trees of local Kraus
+families keyed by the classical history so far, and compiled into a flat Kraus
+family on the whole network.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from .qcore import (
     mat_from_json,
     mat_to_json,
     partial_trace_mat,
-    permutation_matrix,
     single_party,
     trace_norm,
 )
 
 TP_TOL = 1e-9
-LOCALITY_TOL = 1e-10
 BRANCH_CAP = 64
 
 
@@ -261,64 +260,29 @@ def marginal_channel(
     if method != "direct":
         raise ValueError("method must be 'direct' or 'choi'")
 
-    # injection V: H_target -> H_full with sqrt(frozen) on the other slots
-    inject = np.array([[1.0 + 0j]])
+    # K (I_target (x) sqrt(frozen)) on the parties' axes: the traced output
+    # parties and frozen input slots go ahead of the target's axes, so each
+    # (output basis state, input basis state) pair gives one Kraus operator
+    blocks = []
     for lbl, dim in ins.parties:
         if lbl == target:
-            block = np.eye(dim, dtype=complex)
+            blocks.append(np.eye(dim, dtype=complex))
         else:
-            fm = frozen_inputs[lbl].mat
-            w, v = np.linalg.eigh(fm)
-            block = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        inject = np.kron(inject, block)
-    t_out = outs.index(target)
-    other_out = [i for i in range(len(outs.parties)) if i != t_out]
-    d_other = int(np.prod([outs.dims[i] for i in other_out])) if other_out else 1
-
-    injections = _slot_injections(ins, target)
+            w, v = np.linalg.eigh(frozen_inputs[lbl].mat)
+            blocks.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    inject = kron_all(blocks)
+    n_out, t_out, t_in = len(outs.dims), outs.index(target), ins.index(target)
+    axes = ([i for i in range(n_out) if i != t_out]
+            + [n_out + j for j in range(len(ins.dims)) if j != t_in] + [t_out, n_out + t_in])
     ops = []
     for k in channel.kraus:
-        big = k @ inject  # full-in -> full-out with sqrt(frozen) absorbed
-        t = big.reshape(tuple(outs.dims) + tuple(ins.dims))
-        n_out = len(outs.dims)
-        for m in range(d_other):
-            sel = np.unravel_index(m, tuple(outs.dims[i] for i in other_out)) if other_out else ()
-            idx: list = [slice(None)] * (n_out + len(ins.dims))
-            for pos, i_out in enumerate(other_out):
-                idx[i_out] = sel[pos]
-            sub = t[tuple(idx)].reshape(d_out_t, channel.dim_in)
-            for emb in injections:
-                op = sub @ emb
-                if float(np.max(np.abs(op))) > 1e-12:
-                    ops.append(op)
+        t = (k @ inject).reshape(outs.dims + ins.dims).transpose(axes)
+        ops += [op for op in t.reshape(-1, d_out_t, d_t) if float(np.max(np.abs(op))) > 1e-12]
     if not ops:
         ops = [np.zeros((d_out_t, d_t), dtype=complex)]
     return KrausChannel(
         tuple(ops), single_party(d_t, target), single_party(d_out_t, target)
     )
-
-
-def _slot_injections(ins: TensorStructure, target: str) -> list[np.ndarray]:
-    """Isometries H_target -> H_full placing a basis state on every slot
-    except the target; X (x) I_other = sum_b emb_b X emb_b^dag."""
-    other = [(lbl, dim) for lbl, dim in ins.parties if lbl != target]
-    other_dims = tuple(d for _, d in other)
-    d_t = ins.local_dim(target)
-    out = []
-    for b in range(int(np.prod(other_dims)) if other_dims else 1):
-        sel = np.unravel_index(b, other_dims) if other_dims else ()
-        emb = np.array([[1.0 + 0j]])
-        pos = 0
-        for lbl, dim in ins.parties:
-            if lbl == target:
-                emb = np.kron(emb, np.eye(dim, dtype=complex))
-            else:
-                e = np.zeros((dim, 1), dtype=complex)
-                e[sel[pos], 0] = 1.0
-                emb = np.kron(emb, e)
-                pos += 1
-        out.append(emb)
-    return out
 
 
 def _marginal_choi(channel, target, frozen_inputs, d_t):
@@ -371,32 +335,17 @@ def binary_povm(element: np.ndarray) -> Povm:
 # local protocols with classical communication
 
 
-def local_part(op: np.ndarray, structure: TensorStructure, party: str):
-    """Split op = local (x) identity-elsewhere; returns (local, deviation)."""
-    labels = list(structure.labels)
-    order = [party] + [l for l in labels if l != party]
-    perm = permutation_matrix(structure, order)
-    moved = perm @ as_complex(op) @ perm.conj().T
-    d_p = structure.local_dim(party)
-    d_rest = structure.dim // d_p
-    loc = partial_trace_mat(moved, (d_p, d_rest), [0]) / d_rest
-    recon = np.kron(loc, np.eye(d_rest))
-    dev = float(np.max(np.abs(moved - recon)))
-    return loc, dev
-
-
 @dataclass(frozen=True)
 class LfoccRound:
-    """One communication round: who acts, and the Kraus family per history.
+    """One communication round: who acts, and the local instrument per history.
 
     ``branches`` maps a classical history string (comma separated branch
     indices of all earlier rounds, "" for the first round) to the Kraus
-    family applied on that branch.  Operators are given on the full space
-    and must act nontrivially only on ``party``.
+    family applied on that branch, given on ``party``'s space alone.
     """
 
     party: str
-    branches: Mapping[str, tuple[np.ndarray, ...]]
+    branches: Mapping[str, Sequence[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -405,46 +354,15 @@ class LfoccProtocol:
     rounds: tuple[LfoccRound, ...]
 
     def __post_init__(self):
-        d = self.structure.dim
         for rnd in self.rounds:
-            self.structure.index(rnd.party)
+            local = single_party(self.structure.local_dim(rnd.party), rnd.party)
             for hist, family in rnd.branches.items():
-                acc = np.zeros((d, d), dtype=complex)
-                for k in family:
-                    k = as_complex(k)
-                    if k.shape != (d, d):
-                        raise ValueError("round operators must act on the full space")
-                    _, dev = local_part(k, self.structure, rnd.party)
-                    if dev > LOCALITY_TOL:
-                        raise ValueError(
-                            f"round operator on history {hist!r} acts outside "
-                            f"party {rnd.party} (deviation {dev:.3e})"
-                        )
-                    acc += k.conj().T @ k
-                if float(np.max(np.abs(acc - np.eye(d)))) > TP_TOL:
-                    raise ValueError(f"branch family at history {hist!r} is not trace preserving")
-
-    def local_round_families(self) -> list[tuple[str, str, list[np.ndarray]]]:
-        """(party, history, local Kraus family) for every branch of every round."""
-        out = []
-        for rnd in self.rounds:
-            for hist, family in rnd.branches.items():
-                loc = [local_part(k, self.structure, rnd.party)[0] for k in family]
-                out.append((rnd.party, hist, loc))
-        return out
-
-
-def lfocc_round(
-    structure: TensorStructure,
-    party: str,
-    local_branches: Mapping[str, Sequence[np.ndarray]],
-) -> LfoccRound:
-    """Build a round from local Kraus operators, embedding identities elsewhere."""
-    branches = {
-        hist: tuple(embed_operator(np.asarray(k, dtype=complex), structure, party) for k in fam)
-        for hist, fam in local_branches.items()
-    }
-    return LfoccRound(party, branches)
+                try:
+                    KrausChannel(tuple(family), local, local)
+                except ValueError as err:
+                    raise ValueError(
+                        f"round of party {rnd.party} at history {hist!r}: {err}"
+                    ) from None
 
 
 def protocol_to_json(protocol: LfoccProtocol) -> dict:
@@ -490,7 +408,8 @@ def compile_lfocc(protocol: LfoccProtocol) -> KrausChannel:
             family = rnd.branches[hist]
             for l, k in enumerate(family):
                 new_hist = f"{hist},{l}" if hist else str(l)
-                new_frontier.append((new_hist, k @ op))
+                embedded = embed_operator(as_complex(k), protocol.structure, rnd.party)
+                new_frontier.append((new_hist, embedded @ op))
             if len(new_frontier) > BRANCH_CAP:
                 raise ValueError(f"protocol exceeds the {BRANCH_CAP}-branch cap")
         frontier = new_frontier

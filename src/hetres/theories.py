@@ -812,9 +812,6 @@ class Sio(FreeOpClass):
     def contains_channel(self, channel, tol: float = 1e-9) -> bool:
         return all(_sio_normal_form(self._frame(k), tol) for k in channel.kraus)
 
-    def kraus_ok(self, k: np.ndarray, tol: float = 1e-9) -> bool:
-        return _sio_normal_form(self._frame(np.asarray(k, dtype=complex)), tol)
-
     def sample_channel(self, rng, dim):
         n = int(rng.integers(1, 4))
         perms = [rng.permutation(dim) for _ in range(n)]
@@ -877,10 +874,6 @@ class RngVerdict:
     n_states: int
     witness: np.ndarray | None = None
 
-    def describe(self) -> str:
-        status = "verified" if self.ok else "violated"
-        return f"{status} on {self.n_states} states ({self.mode})"
-
 
 class Rng(FreeOpClass):
     """Resource non-generating operations with respect to a free-state set.
@@ -920,15 +913,12 @@ class Lfocc(FreeOpClass):
         self.local_classes = dict(local_classes)
 
     def protocol_ok(self, protocol: ch.LfoccProtocol, tol: float = 1e-9) -> bool:
-        for party, _hist, family in protocol.local_round_families():
-            cls = self.local_classes[party]
-            chan = ch.KrausChannel(
-                tuple(family),
-                single_party(family[0].shape[0], party),
-                single_party(family[0].shape[0], party),
-            )
-            if not cls.contains_channel(chan, tol):
-                return False
+        for rnd in protocol.rounds:
+            local = single_party(protocol.structure.local_dim(rnd.party), rnd.party)
+            cls = self.local_classes[rnd.party]
+            for family in rnd.branches.values():
+                if not cls.contains_channel(ch.KrausChannel(tuple(family), local, local), tol):
+                    return False
         return True
 
     def contains_channel(self, channel, tol: float = 1e-9) -> bool:
@@ -973,10 +963,10 @@ def random_lfocc_protocol(
         new_histories = []
         for hist in histories:
             fam = cls.sample_channel(rng, dim).kraus
-            branches[hist] = list(fam)
+            branches[hist] = fam
             for l in range(len(fam)):
                 new_histories.append(f"{hist},{l}" if hist else str(l))
-        rounds.append(ch.lfocc_round(structure, party, branches))
+        rounds.append(ch.LfoccRound(party, branches))
         histories = new_histories
         if len(histories) > 32:
             break

@@ -86,8 +86,9 @@ def test_criterion_03_forward_conversion():
     hull = th.MinComposite([INC2, SEP], labels=["1", "2"])
     verdict = th.Rng(hull, n_samples=50, seed=3).verify(lam)
     assert verdict.ok
-    _report(3, f"forward conversion exact (trace distance {dist:.1e}), "
-               f"resource non-generation {verdict.describe()}")
+    assert (verdict.n_states, verdict.mode) == (50, "sampled")
+    _report(3, f"forward conversion exact (trace distance {dist:.1e}), resource "
+               f"non-generation verified on {verdict.n_states} states ({verdict.mode})")
 
 
 def test_criterion_04_reverse_nogo():

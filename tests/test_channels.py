@@ -10,6 +10,7 @@ from hetres.qcore import (
     TensorStructure,
     bell_phi_plus_vec,
     density,
+    embed_operator,
     maximally_mixed,
     partial_trace_mat,
     pure_state,
@@ -119,17 +120,27 @@ class TestMarginalChannel:
                 assert np.max(np.abs(marg.apply_mat(unit) - expected)) < 1e-12
 
     def test_direct_matches_choi(self):
+        # every party as target, 1-dimensional parties and frozen inputs of
+        # every rank, rank-deficient ones included
         rng = np.random.default_rng(6)
-        raw = ch.random_channel(rng, 4, 4, 3)
-        lam = ch.KrausChannel(raw.kraus, S12, S12)
-        frozen = {"2": density(random_density_mat(rng, 2), single_party(2, "2"))}
-        direct = ch.marginal_channel(lam, "1", frozen, method="direct")
-        via_choi = ch.marginal_channel(lam, "1", frozen, method="choi")
-        for i in range(2):
-            for j in range(2):
-                unit = np.zeros((2, 2), dtype=complex)
-                unit[i, j] = 1.0
-                assert np.max(np.abs(direct.apply_mat(unit) - via_choi.apply_mat(unit))) < 1e-11
+        for dims in [(2, 2), (3, 2), (1, 3), (2, 2, 2), (2, 1, 3)]:
+            labels = [str(i + 1) for i in range(len(dims))]
+            struct = TensorStructure(zip(labels, dims))
+            raw = ch.random_channel(rng, struct.dim, struct.dim, 3)
+            lam = ch.KrausChannel(raw.kraus, struct, struct)
+            for target, d_t in zip(labels, dims):
+                frozen = {
+                    lbl: density(random_density_mat(rng, d, 1 + i % d), single_party(d, lbl))
+                    for i, (lbl, d) in enumerate(zip(labels, dims)) if lbl != target
+                }
+                direct = ch.marginal_channel(lam, target, frozen, method="direct")
+                via_choi = ch.marginal_channel(lam, target, frozen, method="choi")
+                for i in range(d_t):
+                    for j in range(d_t):
+                        unit = np.zeros((d_t, d_t), dtype=complex)
+                        unit[i, j] = 1.0
+                        diff = direct.apply_mat(unit) - via_choi.apply_mat(unit)
+                        assert np.max(np.abs(diff)) < 1e-11
 
     def test_missing_frozen_input(self):
         lam = ch.identity_channel(S12)
@@ -179,16 +190,16 @@ def _teleportation_protocol():
     paulis = [np.eye(2, dtype=complex), x, z, x @ z]
     bell_vecs = [np.kron(np.eye(2), p) @ v for p in paulis]
     measure = {"": [np.outer(b, b.conj()) for b in bell_vecs]}
-    round1 = ch.lfocc_round(struct, "B", measure)
+    round1 = ch.LfoccRound("B", measure)
     corrections = {str(i): [p.conj().T] for i, p in enumerate(paulis)}
-    round2 = ch.lfocc_round(struct, "A", corrections)
+    round2 = ch.LfoccRound("A", corrections)
     return ch.LfoccProtocol(struct, (round1, round2))
 
 
 class TestLfocc:
     def test_identity_rounds_compile_to_identity(self):
         struct = S12
-        rnd = ch.lfocc_round(struct, "1", {"": [np.eye(2, dtype=complex)]})
+        rnd = ch.LfoccRound("1", {"": [np.eye(2, dtype=complex)]})
         proto = ch.LfoccProtocol(struct, (rnd,))
         lam = ch.compile_lfocc(proto)
         rng = np.random.default_rng(9)
@@ -224,7 +235,8 @@ class TestLfocc:
             nxt = []
             for hist, op in branches:
                 for l, k in enumerate(rnd.branches[hist]):
-                    nxt.append((f"{hist},{l}" if hist else str(l), k @ op))
+                    full = embed_operator(k, struct, rnd.party)
+                    nxt.append((f"{hist},{l}" if hist else str(l), full @ op))
             branches = nxt
         for _, op in branches:
             total += op @ rho @ op.conj().T
@@ -242,7 +254,7 @@ class TestLfocc:
                 branches[h] = [np.eye(2, dtype=complex) / np.sqrt(3)] * 3
                 for l in range(3):
                     new_hist.append(f"{h},{l}" if h else str(l))
-            rounds.append(ch.lfocc_round(struct, "1", branches))
+            rounds.append(ch.LfoccRound("1", branches))
             histories = new_hist
         proto = ch.LfoccProtocol(struct, tuple(rounds))
         with pytest.raises(ValueError, match="branch cap"):
@@ -250,8 +262,8 @@ class TestLfocc:
 
     def test_missing_history_rejected(self):
         struct = S12
-        r1 = ch.lfocc_round(struct, "1", {"": [np.eye(2, dtype=complex) / np.sqrt(2)] * 2})
-        r2 = ch.lfocc_round(struct, "2", {"0": [np.eye(2, dtype=complex)]})
+        r1 = ch.LfoccRound("1", {"": [np.eye(2, dtype=complex) / np.sqrt(2)] * 2})
+        r2 = ch.LfoccRound("2", {"0": [np.eye(2, dtype=complex)]})
         proto = ch.LfoccProtocol(struct, (r1, r2))
         with pytest.raises(ValueError, match="history"):
             ch.compile_lfocc(proto)
@@ -261,8 +273,17 @@ class TestLfocc:
         cnot = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
-        with pytest.raises(ValueError, match="acts outside"):
+        with pytest.raises(ValueError, match="Kraus shape"):
             ch.LfoccProtocol(struct, (ch.LfoccRound("1", {"": (cnot,)}),))
+
+    def test_branch_not_trace_preserving_on_its_party_rejected(self):
+        # a projector alone drops the weight on |1>
+        half = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="history '0'.*not trace preserving"):
+            ch.LfoccProtocol(S12, (
+                ch.LfoccRound("1", {"": [np.eye(2, dtype=complex)]}),
+                ch.LfoccRound("2", {"0": [half]}),
+            ))
 
 
 class TestPovmType:
