@@ -23,6 +23,7 @@ LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
 ITER_CAP = 50_000
 DH_ROUNDS = 32  # cutting-plane rounds of hypothesis_testing and dmax
+LINE_SEARCH_TOL = 1e-10  # bracket width at which a Frank-Wolfe line search stops
 
 
 @dataclass
@@ -71,18 +72,20 @@ def _exact(value: float, optimizer: np.ndarray | None, **extras) -> DivergenceRe
 # gradient of sigma -> -Tr rho log2 sigma (first divided differences of log2)
 
 
-def _log_gradient(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _log_divided_differences(w: np.ndarray) -> np.ndarray:
     wc = np.clip(w, EIG_FLOOR, None)
     lg = np.log2(wc)
     diff = wc[:, None] - wc[None, :]
-    phi = np.where(
+    return np.where(
         np.abs(diff) > 1e-14 * np.maximum(wc[:, None], wc[None, :]),
         (lg[:, None] - lg[None, :]) / np.where(diff == 0.0, 1.0, diff),
         1.0 / (np.maximum(wc[:, None], wc[None, :]) * LN2),
     )
+
+
+def _log_gradient(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     rho_hat = v.conj().T @ rho @ v
-    g_hat = -rho_hat * phi
-    return v @ g_hat @ v.conj().T
+    return v @ (-rho_hat * _log_divided_differences(w)) @ v.conj().T
 
 
 def _objective_from_eig(rho: np.ndarray, w: np.ndarray, v: np.ndarray, s_rho: float) -> float:
@@ -98,24 +101,57 @@ def _neg_plogp(rho: np.ndarray) -> float:
     return float(np.sum(lam * np.log2(lam))) if lam.size else 0.0
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-10):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    it = 0
-    while (b - a) > tol and it < 90:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
+def _line_search(rho, s_rho, sigma, direction, f, slope0):
+    """Exact line search for the convex h(g) = D(rho || sigma + g*direction)
+    on [0, 1], given h(0) = f and h'(0) = slope0 < 0.
+
+    h'(g) = Tr[grad(sigma_g) direction] costs one eigensolve, which also
+    gives h(g).  The minimiser is g = 1 when h'(1) <= 0; otherwise it is the
+    root of h' in the bracket [0, 1], found by Brent's method (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4) to a
+    bracket narrower than ``LINE_SEARCH_TOL``.  Returns (g, h(g)).
+    """
+    h_at = {0.0: f}
+
+    def slope(g):
+        w, v = np.linalg.eigh(sigma + g * direction)
+        h_at[g] = _objective_from_eig(rho, w, v, s_rho)
+        rho_hat = v.conj().T @ rho @ v
+        d_hat = v.conj().T @ direction @ v
+        return -float(np.real(np.vdot(d_hat, rho_hat * _log_divided_differences(w))))
+
+    # x_cur is the best estimate; the root lies between x_cur and x_blk
+    x_pre, s_pre = 0.0, slope0
+    x_cur, s_cur = 1.0, slope(1.0)
+    if s_cur <= 0.0:
+        return 1.0, h_at[1.0]
+    delta = LINE_SEARCH_TOL / 2.0
+    while True:
+        if s_pre * s_cur < 0.0:
+            x_blk, s_blk = x_pre, s_pre
+            step_pre = step_cur = x_cur - x_pre
+        if abs(s_blk) < abs(s_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            s_pre, s_cur, s_blk = s_cur, s_blk, s_cur
+        half = (x_blk - x_cur) / 2.0
+        if s_cur == 0.0 or abs(half) < delta:
+            return x_cur, h_at[x_cur]
+        if abs(step_pre) > delta and abs(s_cur) < abs(s_pre):
+            if x_pre == x_blk:  # secant
+                trial = -s_cur * (x_cur - x_pre) / (s_cur - s_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (s_pre - s_cur) / (x_pre - x_cur)
+                d_blk = (s_blk - s_cur) / (x_blk - x_cur)
+                trial = -s_cur * (s_blk * d_blk - s_pre * d_pre) / (d_blk * d_pre * (s_blk - s_pre))
+            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(half) - delta):
+                step_pre, step_cur = step_cur, trial
+            else:
+                step_pre = step_cur = half
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-        it += 1
-    return (a + b) / 2.0
+            step_pre = step_cur = half
+        x_pre, s_pre = x_cur, s_cur
+        x_cur += step_cur if abs(step_cur) > delta else math.copysign(delta, half)
+        s_cur = slope(x_cur)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +167,11 @@ def rel_entropy_of_resource(
 ) -> DivergenceResult:
     """min_{mu in S} D(rho||mu), closed form when the set has one, otherwise
     Frank-Wolfe against the set's linear-minimization oracle.
+
+    Each Frank-Wolfe step is chosen by an exact line search by the
+    derivative: it minimises h(g) = D(rho || sigma + g(mu - sigma)) on
+    [0, 1] as g = 1 when h'(1) <= 0, else as the root of h' by Brent's
+    method, at one eigensolve per trial step.
 
     The duality-gap certificate Tr G (sigma - oracle) bounds the
     suboptimality.  Over a set without an exact oracle (``exact_lmo``
@@ -191,14 +232,8 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
         if f - best_lb <= gap:
             break
         direction = mu - sigma
-
-        def h(g):
-            cand = sigma + g * direction
-            wc, vc = np.linalg.eigh(cand)
-            return _objective_from_eig(m, wc, vc, s_rho)
-
-        gamma = _golden_section(h, 0.0, 1.0)
-        if h(gamma) > f:
+        gamma, h_gamma = _line_search(m, s_rho, sigma, direction, f, -fw_gap)
+        if h_gamma > f:
             gamma = min(2.0 / (t + 2.0), 0.5)
         sigma = sigma + gamma * direction
     value = float(f)

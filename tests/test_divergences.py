@@ -127,6 +127,87 @@ class TestRelEntropyOfResource:
         assert math.isinf(res.value)
 
 
+def _line_search_corpus():
+    """(kind, rho, sigma, mu) as Frank-Wolfe meets them: rho full rank and
+    sigma an interior free state.  "vertex": mu is the LMO's rank-one answer,
+    so h(1) = inf.  "past-optimum": mu lies halfway to the closest free
+    state, so h falls all the way and the minimiser is g = 1.  "mixed": mu
+    averages the two and is full rank."""
+    cases = []
+    for dim in (2, 4, 9):
+        rng = np.random.default_rng([11, dim])
+        for free_set in (th.Incoherent(dim), th.RealStates(dim)):
+            rho = random_density_mat(rng, dim)
+            sigma = 0.9 * free_set.random_state(rng) + 0.1 * np.eye(dim) / dim
+            w, v = np.linalg.eigh(sigma)
+            vertex = free_set.lmo(dv._log_gradient(rho, w, v), rng)
+            closest, _ = free_set.closest_free_state(rho)
+            for kind, mu in (("vertex", vertex), ("past-optimum", 0.5 * (sigma + closest)),
+                             ("mixed", 0.5 * (vertex + closest))):
+                cases.append(pytest.param(kind, rho, sigma, mu,
+                                          id=f"{free_set.kind}{dim}-{kind}"))
+    return cases
+
+
+def _segment_objective(rho, sigma, mu):
+    s_rho = dv._neg_plogp(rho)
+
+    def h(g):
+        w, v = np.linalg.eigh(sigma + g * (mu - sigma))
+        return dv._objective_from_eig(rho, w, v, s_rho)
+
+    return s_rho, h
+
+
+def _reference_minimiser(h, probe=1e-5):
+    """Ternary search for the minimiser of a convex h on [0, 1] that compares
+    h at g +- probe, so its comparisons stay well above the rounding in h."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-13:
+        g = 0.5 * (lo + hi)
+        if h(min(g + probe, 1.0)) < h(max(g - probe, 0.0)):
+            lo = g
+        else:
+            hi = g
+    return 0.5 * (lo + hi)
+
+
+class TestFrankWolfeLineSearch:
+    @pytest.mark.parametrize("kind, rho, sigma, mu", _line_search_corpus())
+    def test_returns_the_minimiser_of_the_segment(self, kind, rho, sigma, mu):
+        s_rho, h = _segment_objective(rho, sigma, mu)
+        w, v = np.linalg.eigh(sigma)
+        slope0 = float(np.real(np.trace(dv._log_gradient(rho, w, v) @ (mu - sigma))))
+        assert slope0 < 0.0
+        gamma, h_gamma = dv._line_search(rho, s_rho, sigma, mu - sigma, h(0.0), slope0)
+        assert h_gamma == h(gamma)
+        if kind == "vertex":
+            assert math.isinf(h(1.0))
+        if kind == "past-optimum":
+            assert gamma == 1.0
+        assert abs(gamma - _reference_minimiser(h)) <= 1e-8
+        assert h_gamma <= min(h(g) for g in np.linspace(0.0, 1.0, 2001)) + 1e-12
+
+    def test_a_frank_wolfe_step_costs_few_eigensolves(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        real = th.RealStates(9)
+        rho = random_density_mat(np.random.default_rng(9), 9)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        res = dv.rel_entropy_of_resource(rho, real, gap=1e-3, force_engine=True)
+        monkeypatch.undo()
+        # golden-section search took about 52 per iteration
+        assert len(calls) / res.iterations <= 16
+        _, closed = real.closest_free_state(rho)
+        assert res.converged
+        assert res.lower_bound <= closed <= res.upper_bound
+
+
 class TestDmax:
     def test_self_singleton_zero(self):
         rng = np.random.default_rng(7)
