@@ -43,18 +43,15 @@ DEFAULT_CHANNEL_SAMPLES = 50
 def smin(locals_: Sequence[FreeStateSet], labels: Sequence[str] | None = None) -> FreeStateSet:
     """Convex hull of products of locally free states.
 
-    Products of singletons collapse to a singleton, and products of
+    Products of one-point sets collapse to a singleton, and products of
     incoherent sets to the incoherent set in the product basis (mixtures of
     diagonal products exhaust the diagonal states); otherwise a hull
     descriptor with a see-saw extreme-point oracle is returned.
     """
     if len(locals_) < 2:
         raise ValueError("need at least two local theories")
-    if all(isinstance(s, Singleton) for s in locals_):
-        g = locals_[0].gamma
-        for s in locals_[1:]:
-            g = np.kron(g, s.gamma)
-        return Singleton(g)
+    if all(len(s.extreme_points() or ()) == 1 for s in locals_):
+        return Singleton(kron_all(s.extreme_points()[0] for s in locals_))
     if all(isinstance(s, Incoherent) and s.basis is None for s in locals_):
         return Incoherent(int(np.prod([s.dim for s in locals_])))
     return MinComposite(list(locals_), labels)

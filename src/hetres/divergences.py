@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import EIG_FLOOR, as_matrix, mat_to_json, trace_norm
-from .theories import SEESAW_RESTARTS, FreeStateSet, MaxComposite, MinComposite
+from .qcore import EIG_FLOOR, as_matrix, mat_to_json, partial_trace_mat, trace_norm
+from .theories import SEESAW_RESTARTS, FreeStateSet, MaxComposite
 
 LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
@@ -109,13 +109,14 @@ def _line_search(rho, s_rho, sigma, direction, f, slope0):
     gives h(g).  The minimiser is g = 1 when h'(1) <= 0; otherwise it is the
     root of h' in the bracket [0, 1], found by Brent's method (Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 4) to a
-    bracket narrower than ``LINE_SEARCH_TOL``.  Returns (g, h(g)).
+    bracket narrower than ``LINE_SEARCH_TOL``.  Returns (g, h(g), eig), eig
+    the eigendecomposition of sigma + g*direction, or None at g = 0.
     """
-    h_at = {0.0: f}
+    h_at = {0.0: (f, None)}
 
     def slope(g):
         w, v = np.linalg.eigh(sigma + g * direction)
-        h_at[g] = _objective_from_eig(rho, w, v, s_rho)
+        h_at[g] = _objective_from_eig(rho, w, v, s_rho), (w, v)
         rho_hat = v.conj().T @ rho @ v
         d_hat = v.conj().T @ direction @ v
         return -float(np.real(np.vdot(d_hat, rho_hat * _log_divided_differences(w))))
@@ -124,7 +125,7 @@ def _line_search(rho, s_rho, sigma, direction, f, slope0):
     x_pre, s_pre = 0.0, slope0
     x_cur, s_cur = 1.0, slope(1.0)
     if s_cur <= 0.0:
-        return 1.0, h_at[1.0]
+        return 1.0, *h_at[1.0]
     delta = LINE_SEARCH_TOL / 2.0
     while True:
         if s_pre * s_cur < 0.0:
@@ -135,7 +136,7 @@ def _line_search(rho, s_rho, sigma, direction, f, slope0):
             s_pre, s_cur, s_blk = s_cur, s_blk, s_cur
         half = (x_blk - x_cur) / 2.0
         if s_cur == 0.0 or abs(half) < delta:
-            return x_cur, h_at[x_cur]
+            return x_cur, *h_at[x_cur]
         if abs(step_pre) > delta and abs(s_cur) < abs(s_pre):
             if x_pre == x_blk:  # secant
                 trial = -s_cur * (x_cur - x_pre) / (s_cur - s_pre)
@@ -182,9 +183,9 @@ def rel_entropy_of_resource(
     m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
-    if free_set.has_closed_form_closest and not force_engine:
-        sigma, val = free_set.closest_free_state(m)
-        return _exact(val, sigma, method="closed-form")
+    closed = None if force_engine else free_set.closest_free_state(m)
+    if closed is not None:
+        return _exact(closed[1], closed[0], method="closed-form")
     if not force_engine and free_set.contains(m, 1e-9):
         return _exact(0.0, m, method="member")
     if isinstance(free_set, MaxComposite):
@@ -208,12 +209,14 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     f = np.inf
     iters = 0
     exact = free_set.exact_lmo
+    eig = None  # the line search's eigendecomposition of the current sigma
     for t in range(1, ITER_CAP + 1):
         iters = t
-        w, v = np.linalg.eigh(sigma)
+        w, v = eig or np.linalg.eigh(sigma)
         f = _objective_from_eig(m, w, v, s_rho)
         if not np.isfinite(f):
             sigma = 0.5 * sigma + 0.5 * _interior_start(m, free_set, rng, delta=0.1)
+            eig = None
             continue
         grad = _log_gradient(m, w, v)
         if exact:
@@ -232,9 +235,9 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
         if f - best_lb <= gap:
             break
         direction = mu - sigma
-        gamma, h_gamma = _line_search(m, s_rho, sigma, direction, f, -fw_gap)
+        gamma, h_gamma, eig = _line_search(m, s_rho, sigma, direction, f, -fw_gap)
         if h_gamma > f:
-            gamma = min(2.0 / (t + 2.0), 0.5)
+            gamma, eig = min(2.0 / (t + 2.0), 0.5), None
         sigma = sigma + gamma * direction
     value = float(f)
     lb = max(best_lb, _marginal_lower_bound(m, free_set))
@@ -256,19 +259,15 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
 
 def _marginal_lower_bound(m: np.ndarray, free_set: FreeStateSet) -> float:
     """Data processing under partial trace: D(rho||S) >= D(rho_i||S_i) for
-    either extremal composite set; valid whenever local values are exact."""
-    if not isinstance(free_set, (MinComposite, MaxComposite)):
+    either extremal composite set, over the locals with a closed form."""
+    if free_set.structure is None:
         return -np.inf
-    from .qcore import partial_trace_mat
-
     dims = free_set.structure.dims
     best = -np.inf
     for i, local in enumerate(free_set.locals):
-        if not local.has_closed_form_closest:
-            continue
-        marg = partial_trace_mat(m, dims, [i])
-        _, val = local.closest_free_state(marg)
-        best = max(best, val)
+        closed = local.closest_free_state(partial_trace_mat(m, dims, [i]))
+        if closed is not None:
+            best = max(best, closed[1])
     return best
 
 
@@ -478,8 +477,9 @@ def _constraint_states(m: np.ndarray, free_set: FreeStateSet, rng) -> tuple[list
     if points is not None:
         return list(points), True
     points = [q for q in (free_set.lmo(-m, rng), free_set.full_rank_state()) if q is not None]
-    if free_set.has_closed_form_closest:
-        points.append(free_set.closest_free_state(m)[0])
+    closed = free_set.closest_free_state(m)
+    if closed is not None:
+        points.append(closed[0])
     return points, False
 
 

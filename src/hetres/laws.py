@@ -34,6 +34,7 @@ from .qcore import (
     TensorStructure,
     as_matrix,
     bell_phi_plus_vec,
+    mat_to_json,
     partial_trace_mat,
     trace_norm,
 )
@@ -156,6 +157,18 @@ def uncorrelated_reduction(
     return out
 
 
+def _rate_bound(num: DivergenceResult, den: DivergenceResult) -> BoundReport:
+    """The rate ceiling num/den: 0 when num is within its gap of zero, else
+    +inf when den is."""
+    if num.value <= num.gap + 1e-12:
+        ratio = 0.0
+    elif den.value <= den.gap + 1e-12:
+        ratio = float("inf")
+    else:
+        ratio = num.value / den.value
+    return BoundReport(num, den, "BOUND", ratio=ratio)
+
+
 def asymptotic_rate_bound(
     rho1: DensityOperator,
     set1: FreeStateSet,
@@ -174,13 +187,7 @@ def asymptotic_rate_bound(
     den = regularized_rel_entropy(
         sigma2, set2, mode="declared-additive", assume_additive=assume_additive[1], gap=gap, seed=seed
     )
-    if num.value <= num.gap + 1e-12:
-        ratio = 0.0
-    elif den.value <= den.gap + 1e-12:
-        ratio = float("inf")
-    else:
-        ratio = num.value / den.value
-    return BoundReport(num, den, "BOUND", ratio=ratio)
+    return _rate_bound(num, den)
 
 
 def assisted_distillation_bound(
@@ -198,13 +205,7 @@ def assisted_distillation_bound(
     hull = smin([AllStates(d_a), b_theory], labels=labels)
     num = rel_entropy_of_resource(rho_ab, hull, gap=gap, seed=seed)
     den = regularized_rel_entropy(golden, b_theory, mode="declared-additive", gap=gap, seed=seed)
-    if num.value <= num.gap + 1e-12:
-        ratio = 0.0
-    elif den.value <= den.gap + 1e-12:
-        ratio = float("inf")
-    else:
-        ratio = num.value / den.value
-    return BoundReport(num, den, "BOUND", ratio=ratio)
+    return _rate_bound(num, den)
 
 
 def correlation_witness(
@@ -279,8 +280,6 @@ class WitnessChannelResult:
     separation: float
 
     def to_json(self) -> dict:
-        from .qcore import mat_to_json
-
         return {
             "p_star": self.p_star,
             "separation": self.separation,

@@ -39,8 +39,10 @@ from .qcore import (
     bell_phi_plus_vec,
     density,
     mat_from_json,
+    mat_to_json,
     maximally_mixed,
     partial_trace_mat,
+    partial_transpose_mat,
     pure_state,
     random_pure_vec,
     random_unitary,
@@ -253,7 +255,7 @@ def _run_divergence(inputs, params):
         res = dv.rel_entropy_of_resource(state, theory, gap=gap, seed=seed)
         results |= {"value": res.value, "converged": res.converged, "gap": res.gap}
         certs.append(res.to_json())
-        if inputs.get("engine") == "both" and theory.has_closed_form_closest:
+        if inputs.get("engine") == "both" and res.extras["method"] == "closed-form":
             eng = dv.rel_entropy_of_resource(state, theory, gap=gap, seed=seed, force_engine=True)
             results |= {"closed_form": res.value, "engine_value": eng.value,
                         "cross_check_dev": abs(res.value - eng.value)}
@@ -526,8 +528,6 @@ def _run_counterexample(inputs, params):
             seed=seed, n_postcheck=int(inputs.get("n_postcheck", 200)),
         )
         out = res.channel.apply_mat(plus.mat)
-        from .qcore import partial_transpose_mat
-
         results = {
             "p_star": res.p_star,
             "resource_output_min_pt_eig": float(
@@ -542,8 +542,6 @@ def _run_counterexample(inputs, params):
 def _ket00_literal():
     m = np.zeros((4, 4))
     m[0, 0] = 1.0
-    from .qcore import mat_to_json
-
     return mat_to_json(m)
 
 
@@ -935,8 +933,6 @@ def _builtin_list() -> list[dict]:
 
 
 def _maximally_mixed_literal(d: int) -> dict:
-    from .qcore import mat_to_json
-
     return mat_to_json(np.eye(d) / d)
 
 

@@ -2,9 +2,11 @@
 
 A :class:`FreeStateSet` describes a convex, closed set of density matrices
 through three capabilities: membership testing, linear minimization over the
-set (the oracle the divergence engines call), and, where one exists, a
-closed-form closest free state.  A :class:`FreeOpClass` is a decidable
-predicate on explicit Kraus families.
+set (the oracle the divergence engines call), and a closed-form closest free
+state; ``closest_free_state`` returns None where a kind has no closed form.
+The incoherent, real and unrestricted sets are the states fixed by one
+projection and derive all three from it.  A :class:`FreeOpClass` is a
+decidable predicate on explicit Kraus families.
 
 SIO and real-operation membership are decided on the Kraus representation
 that is handed in; the predicates are representation dependent and results
@@ -27,6 +29,8 @@ from .qcore import (
     as_matrix,
     check_hermitian,
     kron_all,
+    mat_from_json,
+    mat_to_json,
     partial_trace_mat,
     partial_transpose_mat,
     random_density_mat,
@@ -46,7 +50,6 @@ class FreeStateSet:
     """Base descriptor; concrete kinds override the capability methods."""
 
     kind = "abstract"
-    has_closed_form_closest = False
     exact_lmo = True  # lmo returns a true minimizer, not a heuristic one
     structure: TensorStructure | None = None  # a composite's labelled parties
 
@@ -62,8 +65,9 @@ class FreeStateSet:
         A stack of gradients (..., d, d) gives the stack of minimizers."""
         raise NotImplementedError(f"{self.kind} has no extreme-point oracle")
 
-    def closest_free_state(self, rho) -> tuple[np.ndarray, float]:
-        raise NotImplementedError(f"{self.kind} has no closed-form closest state")
+    def closest_free_state(self, rho) -> tuple[np.ndarray, float] | None:
+        """(closest free state, D(rho||S) in bits), or None without a closed form."""
+        return None
 
     def random_state(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -81,8 +85,12 @@ class FreeStateSet:
         return [self]
 
     def verification_states(self, rng: np.random.Generator, n: int) -> tuple[list[np.ndarray], str]:
-        """States whose preservation certifies (or samples) RNG membership."""
-        raise NotImplementedError
+        """States whose preservation certifies (or samples) RNG membership:
+        by default the listed extreme points, which certify it exhaustively."""
+        points = self.extreme_points()
+        if points is None:
+            raise NotImplementedError(f"{self.kind} lists no extreme points")
+        return points, "extreme-points"
 
     def marginal_projection(self, m: np.ndarray) -> np.ndarray:
         """Frobenius projection of a candidate marginal onto the closed convex
@@ -126,11 +134,36 @@ def first_failure(cases: Iterable[tuple[object, object, Callable]], tol: float) 
     return next((w for w, x, contains in cases if not contains(x, tol)), None)
 
 
-class Incoherent(FreeStateSet):
+class _FixedStates(FreeStateSet):
+    """The states fixed by a projection Pi, the set's ``marginal_projection``.
+
+    Pi is positive, unital, trace preserving, self-adjoint and idempotent,
+    and it fixes log sigma for every free sigma, so Tr rho log sigma =
+    Tr Pi(rho) log sigma and D(rho||sigma) = D(rho||Pi rho) + D(Pi rho||sigma).
+    Pi rho is therefore the closest free state, at S(Pi rho) - S(rho).
+    Membership is max|rho - Pi rho| <= tol over the entries in the
+    computational basis, and I/d is free.
+    """
+
+    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
+        m = as_matrix(rho)
+        self._check_dim(m)
+        return float(np.max(np.abs(m - self.marginal_projection(m)))) <= tol
+
+    def closest_free_state(self, rho):
+        m = as_matrix(rho)
+        self._check_dim(m)
+        fixed = self.marginal_projection(m)
+        return fixed, von_neumann_entropy(fixed) - von_neumann_entropy(m)
+
+    def full_rank_state(self):
+        return np.eye(self.dim, dtype=complex) / self.dim
+
+
+class Incoherent(_FixedStates):
     """Diagonal states in a fixed orthonormal basis."""
 
     kind = "incoherent"
-    has_closed_form_closest = True
 
     def __init__(self, dim: int, basis: np.ndarray | None = None):
         super().__init__(dim)
@@ -142,38 +175,20 @@ class Incoherent(FreeStateSet):
     def _from_frame(self, m: np.ndarray) -> np.ndarray:
         return m if self.basis is None else self.basis @ m @ self.basis.conj().T
 
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = self._to_frame(as_matrix(rho))
-        self._check_dim(m)
-        off = m - np.diag(np.diag(m))
-        return float(np.max(np.abs(off))) <= tol
-
     def lmo(self, grad, rng=None):
         g = self._to_frame(as_complex(grad))
         e = np.eye(self.dim, dtype=complex)[np.argmin(np.real(np.diagonal(g, 0, -2, -1)), axis=-1)]
         return self._from_frame(e[..., :, None] * e[..., None, :])
 
-    def closest_free_state(self, rho):
-        m = as_matrix(rho)
-        self._check_dim(m)
-        deph = self._from_frame(np.diag(np.diag(self._to_frame(m))))
-        return deph, von_neumann_entropy(deph) - von_neumann_entropy(m)
-
     def random_state(self, rng):
         p = rng.dirichlet(np.ones(self.dim))
         return self._from_frame(np.diag(p).astype(complex))
-
-    def full_rank_state(self):
-        return np.eye(self.dim, dtype=complex) / self.dim
 
     def extreme_points(self) -> list[np.ndarray]:
         return [
             self._from_frame(np.diag(np.eye(self.dim)[i]).astype(complex))
             for i in range(self.dim)
         ]
-
-    def verification_states(self, rng, n):
-        return self.extreme_points(), "extreme-points"
 
     def marginal_projection(self, m):
         f = self._to_frame(m)
@@ -185,22 +200,14 @@ class Incoherent(FreeStateSet):
     def to_json(self):
         out = {"kind": self.kind, "dim": self.dim}
         if self.basis is not None:
-            from .qcore import mat_to_json
-
             out["basis"] = mat_to_json(self.basis)
         return out
 
 
-class RealStates(FreeStateSet):
+class RealStates(_FixedStates):
     """States with real matrix elements in the computational basis."""
 
     kind = "real"
-    has_closed_form_closest = True
-
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = as_matrix(rho)
-        self._check_dim(m)
-        return float(np.max(np.abs(np.imag(m)))) <= tol
 
     def lmo(self, grad, rng=None):
         # Tr(G mu) for a real symmetric mu only sees the real part of G.
@@ -209,19 +216,10 @@ class RealStates(FreeStateSet):
         vec = v[..., :, 0] / np.linalg.norm(v[..., :, 0], axis=-1, keepdims=True)
         return (vec[..., :, None] * vec[..., None, :]).astype(complex)
 
-    def closest_free_state(self, rho):
-        m = as_matrix(rho)
-        self._check_dim(m)
-        re = np.real(m).astype(complex)
-        return re, von_neumann_entropy(re) - von_neumann_entropy(m)
-
     def random_state(self, rng):
         g = rng.normal(size=(self.dim, self.dim))
         m = g @ g.T
         return (m / np.trace(m)).astype(complex)
-
-    def full_rank_state(self):
-        return np.eye(self.dim, dtype=complex) / self.dim
 
     def verification_states(self, rng, n):
         out = [np.diag(np.eye(self.dim)[i]).astype(complex) for i in range(self.dim)]
@@ -242,7 +240,6 @@ class Singleton(FreeStateSet):
     """A single free state (Gibbs-preserving style theories)."""
 
     kind = "singleton"
-    has_closed_form_closest = True
 
     def __init__(self, gamma):
         g = as_matrix(gamma)
@@ -269,9 +266,6 @@ class Singleton(FreeStateSet):
         w = np.linalg.eigvalsh(self.gamma)
         return self.gamma if w[0] > 1e-12 else None
 
-    def verification_states(self, rng, n):
-        return [self.gamma], "extreme-points"
-
     def extreme_points(self) -> list[np.ndarray]:
         return [self.gamma]
 
@@ -285,35 +279,21 @@ class Singleton(FreeStateSet):
         return Singleton(kron_all([self.gamma] * n))
 
     def to_json(self):
-        from .qcore import mat_to_json
-
         return {"kind": self.kind, "dim": self.dim, "gamma": mat_to_json(self.gamma)}
 
 
-class AllStates(FreeStateSet):
+class AllStates(_FixedStates):
     """No restriction: every density matrix is free."""
 
     kind = "all"
-    has_closed_form_closest = True
-
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        self._check_dim(as_matrix(rho))
-        return True
 
     def lmo(self, grad, rng=None):
         w, v = np.linalg.eigh(check_hermitian(grad, tol=1e-8))
         vec = v[..., :, 0]
         return vec[..., :, None] * vec.conj()[..., None, :]
 
-    def closest_free_state(self, rho):
-        m = as_matrix(rho)
-        return m, 0.0
-
     def random_state(self, rng):
         return random_density_mat(rng, self.dim)
-
-    def full_rank_state(self):
-        return np.eye(self.dim, dtype=complex) / self.dim
 
     def verification_states(self, rng, n):
         return [np.outer(v := random_pure_vec(rng, self.dim), v.conj()) for _ in range(n)], "sampled"
@@ -335,7 +315,6 @@ class FiniteSet(FreeStateSet):
     """
 
     kind = "finite"
-    has_closed_form_closest = True
 
     def __init__(self, states: Sequence):
         mats = [as_matrix(s) for s in states]
@@ -362,15 +341,10 @@ class FiniteSet(FreeStateSet):
     def random_state(self, rng):
         return self.states[int(rng.integers(len(self.states)))]
 
-    def verification_states(self, rng, n):
-        return list(self.states), "extreme-points"
-
     def extreme_points(self) -> list[np.ndarray]:
         return list(self.states)
 
     def to_json(self):
-        from .qcore import mat_to_json
-
         return {"kind": self.kind, "dim": self.dim,
                 "states": [mat_to_json(s) for s in self.states]}
 
@@ -479,7 +453,7 @@ class MinComposite(_Composite):
             return False
         if trace_norm(m - kron_all(margs)) <= tol:
             return True
-        if sum(s.kind != "singleton" for s in self.locals) <= 1:
+        if sum(len(s.extreme_points() or ()) != 1 for s in self.locals) <= 1:
             return False
         from .divergences import dmax  # divergences imports this module
 
@@ -508,16 +482,13 @@ class MinComposite(_Composite):
             if not (isinstance(local, Incoherent) and local.basis is None):
                 continue
             other = self.locals[1 - side]
-            t = m.reshape(dims + dims)
+            # t[i, j] is the (i, j) block of the incoherent party
+            t = m.reshape(dims + dims).transpose((0, 2, 1, 3) if side == 0 else (1, 3, 0, 2))
+            off = ~np.eye(dims[side], dtype=bool)
+            if float(np.max(np.abs(t[off]), initial=0.0)) > tol:
+                return False
             for i in range(dims[side]):
-                for j in range(dims[side]):
-                    if i == j:
-                        continue
-                    block = t[i, :, j, :] if side == 0 else t[:, i, :, j]
-                    if float(np.max(np.abs(block))) > tol:
-                        return False
-            for i in range(dims[side]):
-                block = t[i, :, i, :] if side == 0 else t[:, i, :, i]
+                block = t[i, i]
                 p = float(np.real(np.trace(block)))
                 if p <= 1e-12:
                     continue
@@ -752,8 +723,6 @@ class MaxComposite(_Composite):
 
 
 def set_from_json(obj: dict) -> FreeStateSet:
-    from .qcore import mat_from_json
-
     kind = obj["kind"]
     if kind == "incoherent":
         basis = mat_from_json(obj["basis"]) if "basis" in obj else None

@@ -38,6 +38,13 @@ class TestSmin:
         assert out.kind == "singleton"
         assert np.allclose(out.gamma, np.kron(g1, g2))
 
+    def test_one_point_sets_collapse_to_a_singleton(self):
+        g1 = np.diag([0.7, 0.3]).astype(complex)
+        g2 = np.diag([0.2, 0.3, 0.5]).astype(complex)
+        out = co.smin([th.FiniteSet([g1]), th.Singleton(g2)])
+        assert out.kind == "singleton"
+        assert np.array_equal(out.gamma, np.kron(g1, g2))
+
     def test_incoherent_product_collapses(self):
         out = co.smin([th.Incoherent(2), th.Incoherent(2)])
         assert out.kind == "incoherent" and out.dim == 4

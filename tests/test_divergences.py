@@ -179,8 +179,11 @@ class TestFrankWolfeLineSearch:
         w, v = np.linalg.eigh(sigma)
         slope0 = float(np.real(np.trace(dv._log_gradient(rho, w, v) @ (mu - sigma))))
         assert slope0 < 0.0
-        gamma, h_gamma = dv._line_search(rho, s_rho, sigma, mu - sigma, h(0.0), slope0)
+        gamma, h_gamma, eig = dv._line_search(rho, s_rho, sigma, mu - sigma, h(0.0), slope0)
         assert h_gamma == h(gamma)
+        # the eigendecomposition Frank-Wolfe reuses at its next iterate
+        w, v = np.linalg.eigh(sigma + gamma * (mu - sigma))
+        assert np.array_equal(eig[0], w) and np.array_equal(eig[1], v)
         if kind == "vertex":
             assert math.isinf(h(1.0))
         if kind == "past-optimum":

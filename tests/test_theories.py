@@ -10,6 +10,7 @@ from hetres.qcore import (
     KET_PLUS_Y,
     PAULI_X,
     bell_phi_plus_vec,
+    kron_all,
     partial_trace_mat,
     pure_state,
     random_density_mat,
@@ -184,6 +185,33 @@ class TestClosestFreeState:
                     mu = inc.random_state(rng)
                     assert relative_entropy(rho, mu) >= closed - 1e-9
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["incoherent", "incoherent-fourier", "real", "all"])
+    def test_projection_sets_close_at_their_projection(self, kind, dim):
+        # the Fourier basis is the Hadamard basis at dim 2
+        fourier = np.fft.fft(np.eye(dim)) / np.sqrt(dim)
+        free_set = {"incoherent": th.Incoherent(dim),
+                    "incoherent-fourier": th.Incoherent(dim, basis=fourier),
+                    "real": th.RealStates(dim), "all": th.AllStates(dim)}[kind]
+        rng = np.random.default_rng([5, dim])
+        for _ in range(5):
+            rho = random_density_mat(rng, dim)
+            sigma, val = free_set.closest_free_state(rho)
+            assert np.array_equal(sigma, free_set.marginal_projection(rho))
+            assert abs(val - relative_entropy(rho, sigma)) < 1e-9
+            assert free_set.contains(sigma, 1e-12)
+
+    @pytest.mark.parametrize(
+        "free_set",
+        [th.MinComposite([th.Incoherent(2), th.RealStates(2)]),
+         th.MaxComposite([th.Incoherent(2), th.RealStates(2)]),
+         th.SeparableTwoQubit(),
+         ct._ImageSet(th.Incoherent(2), ch.unitary_channel(HADAMARD, single_party(2)))],
+        ids=["min-composite", "max-composite", "separable", "image"],
+    )
+    def test_no_closed_form_is_none(self, free_set):
+        assert free_set.closest_free_state(np.eye(free_set.dim) / free_set.dim) is None
+
 
 class TestOpClasses:
     def test_pauli_x_preserves_only_the_point(self):
@@ -193,6 +221,17 @@ class TestOpClasses:
         verdict = th.Rng(finite).verify(x_chan)
         assert not verdict.ok
         assert (verdict.n_states, verdict.mode) == (2, "extreme-points")
+
+    def test_listed_sets_verify_on_their_extreme_points(self):
+        rng = np.random.default_rng(0)
+        for free_set in (th.Incoherent(3), th.Singleton(np.eye(2) / 2),
+                         th.FiniteSet([np.eye(2) / 2, np.diag([1.0, 0.0])])):
+            states, mode = free_set.verification_states(rng, 40)
+            assert mode == "extreme-points"
+            assert all(np.array_equal(a, b) for a, b in zip(states, free_set.extreme_points()))
+        unlisted = ct._ImageSet(th.RealStates(2), ch.unitary_channel(HADAMARD, single_party(2)))
+        with pytest.raises(NotImplementedError):
+            unlisted.verification_states(rng, 40)
 
     def test_prepare_channel_rng_cases(self):
         prep = ch.prepare_channel(pure_state(KET_PLUS), single_party(2, "A"))
@@ -310,6 +349,44 @@ class TestComposites:
         ok = np.kron(PHI, np.eye(4) / 4)
         assert mc.contains(ok, 1e-8)
         assert not mc.contains(np.kron(PHI, PHI), 1e-6)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_block_rule_matches_a_per_block_check(self, dims, side):
+        locals_ = [th.RealStates(d) for d in dims]
+        locals_[side] = th.Incoherent(dims[side])
+        hull, other, n = th.MinComposite(locals_), locals_[1 - side], dims[side]
+        rng = np.random.default_rng([13, *dims, side])
+
+        def member():
+            p = rng.dirichlet(np.ones(n))
+            terms = [[p[i] * np.diag(np.eye(n)[i]), other.random_state(rng)] for i in range(n)]
+            return sum(kron_all(t if side == 0 else t[::-1]) for t in terms)
+
+        def per_block(m, tol):
+            t = m.reshape(dims + dims)
+            blocks = {(i, j): t[i, :, j, :] if side == 0 else t[:, i, :, j]
+                      for i in range(n) for j in range(n)}
+            for (i, j), block in blocks.items():
+                if i != j and np.max(np.abs(block)) > tol:
+                    return False
+            for i in range(n):
+                p = np.real(np.trace(blocks[i, i]))
+                if p > 1e-12 and not other.contains(blocks[i, i] / p, max(tol, tol / max(p, 1e-6))):
+                    return False
+            return True
+
+        # a real perturbation reaches the off-diagonal blocks only
+        corpus = []
+        for _ in range(30):
+            mu, noise = member(), random_hermitian(rng, hull.dim)
+            corpus += [mu, mu + 1e-7 * noise / np.max(np.abs(noise)),
+                       mu + 1e-7 * np.real(noise) / np.max(np.abs(np.real(noise))),
+                       random_density_mat(rng, hull.dim)]
+        for tol in (1e-8, 1e-6):
+            verdicts = [hull._structured_fast_path(m, tol) for m in corpus]
+            assert verdicts == [per_block(m, tol) for m in corpus]
+            assert set(verdicts) == {True, False}
 
     def test_max_composite_membership_is_marginal_check(self):
         xc = th.MaxComposite([th.Singleton(np.eye(2) / 2), th.Singleton(np.eye(2) / 2)])
