@@ -83,13 +83,19 @@ def _log_divided_differences(w: np.ndarray) -> np.ndarray:
     )
 
 
-def _log_gradient(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    rho_hat = v.conj().T @ rho @ v
+def _eig_frame(rho: np.ndarray, sigma: np.ndarray):
+    """(w, v, rho_hat): sigma = v diag(w) v^H and rho_hat = v^H rho v, the
+    input of both the objective and the gradient at sigma."""
+    w, v = np.linalg.eigh(sigma)
+    return w, v, v.conj().T @ rho @ v
+
+
+def _log_gradient(w: np.ndarray, v: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
     return v @ (-rho_hat * _log_divided_differences(w)) @ v.conj().T
 
 
-def _objective_from_eig(rho: np.ndarray, w: np.ndarray, v: np.ndarray, s_rho: float) -> float:
-    diag = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho, v))
+def _objective_from_eig(rho_hat: np.ndarray, w: np.ndarray, s_rho: float) -> float:
+    diag = np.real(np.diagonal(rho_hat))
     if np.any((w <= EIG_FLOOR) & (diag > 1e-10)):
         return float("inf")
     return s_rho - float(np.dot(diag, np.log2(np.clip(w, EIG_FLOOR, None))))
@@ -109,15 +115,14 @@ def _line_search(rho, s_rho, sigma, direction, f, slope0):
     gives h(g).  The minimiser is g = 1 when h'(1) <= 0; otherwise it is the
     root of h' in the bracket [0, 1], found by Brent's method (Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 4) to a
-    bracket narrower than ``LINE_SEARCH_TOL``.  Returns (g, h(g), eig), eig
-    the eigendecomposition of sigma + g*direction, or None at g = 0.
+    bracket narrower than ``LINE_SEARCH_TOL``.  Returns (g, h(g), frame),
+    frame the ``_eig_frame`` of sigma + g*direction, or None at g = 0.
     """
     h_at = {0.0: (f, None)}
 
     def slope(g):
-        w, v = np.linalg.eigh(sigma + g * direction)
-        h_at[g] = _objective_from_eig(rho, w, v, s_rho), (w, v)
-        rho_hat = v.conj().T @ rho @ v
+        w, v, rho_hat = frame = _eig_frame(rho, sigma + g * direction)
+        h_at[g] = _objective_from_eig(rho_hat, w, s_rho), frame
         d_hat = v.conj().T @ direction @ v
         return -float(np.real(np.vdot(d_hat, rho_hat * _log_divided_differences(w))))
 
@@ -169,6 +174,12 @@ def rel_entropy_of_resource(
     """min_{mu in S} D(rho||mu), closed form when the set has one, otherwise
     Frank-Wolfe against the set's linear-minimization oracle.
 
+    A set with a ``projection`` Pi closes at Pi rho, at S(Pi rho) - S(rho)
+    and zero iterations: the incoherent, real and unrestricted sets, and
+    hulls of such factors all but one of them incoherent, e.g. smin(Inc,
+    Real) or the quantum-incoherent smin(All, Inc), where the value is
+    S(Delta_B rho) - S(rho).
+
     Each Frank-Wolfe step is chosen by an exact line search by the
     derivative: it minimises h(g) = D(rho || sigma + g(mu - sigma)) on
     [0, 1] as g = 1 when h'(1) <= 0, else as the root of h' by Brent's
@@ -209,16 +220,16 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     f = np.inf
     iters = 0
     exact = free_set.exact_lmo
-    eig = None  # the line search's eigendecomposition of the current sigma
+    frame = None  # the line search's _eig_frame of the current sigma
     for t in range(1, ITER_CAP + 1):
         iters = t
-        w, v = eig or np.linalg.eigh(sigma)
-        f = _objective_from_eig(m, w, v, s_rho)
+        w, v, rho_hat = frame or _eig_frame(m, sigma)
+        f = _objective_from_eig(rho_hat, w, s_rho)
         if not np.isfinite(f):
             sigma = 0.5 * sigma + 0.5 * _interior_start(m, free_set, rng, delta=0.1)
-            eig = None
+            frame = None
             continue
-        grad = _log_gradient(m, w, v)
+        grad = _log_gradient(w, v, rho_hat)
         if exact:
             mu = free_set.lmo(grad, rng)
         else:
@@ -235,9 +246,9 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
         if f - best_lb <= gap:
             break
         direction = mu - sigma
-        gamma, h_gamma, eig = _line_search(m, s_rho, sigma, direction, f, -fw_gap)
+        gamma, h_gamma, frame = _line_search(m, s_rho, sigma, direction, f, -fw_gap)
         if h_gamma > f:
-            gamma, eig = min(2.0 / (t + 2.0), 0.5), None
+            gamma, frame = min(2.0 / (t + 2.0), 0.5), None
         sigma = sigma + gamma * direction
     value = float(f)
     lb = max(best_lb, _marginal_lower_bound(m, free_set))
@@ -283,8 +294,8 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap) -> DivergenceRe
     sigma = 0.999 * free_set.project_feasible(0.7 * start + 0.3 * m) + 0.001 * start
 
     def f_of(s):
-        w, v = np.linalg.eigh(s)
-        return _objective_from_eig(m, w, v, s_rho)
+        w, _, rho_hat = _eig_frame(m, s)
+        return _objective_from_eig(rho_hat, w, s_rho)
 
     f = f_of(sigma)
     eta = 0.5
@@ -292,8 +303,7 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap) -> DivergenceRe
     stall = 0
     for t in range(1, 601):
         iters = t
-        w, v = np.linalg.eigh(sigma)
-        grad = _log_gradient(m, w, v)
+        grad = _log_gradient(*_eig_frame(m, sigma))
         improved = None
         while eta > 1e-12:
             cand = free_set.project_feasible(sigma - eta * grad)
@@ -315,8 +325,7 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap) -> DivergenceRe
         f = new_f
         eta = min(eta * 1.8, 2.0)
 
-    w, v = np.linalg.eigh(sigma)
-    grad = _log_gradient(m, w, v)
+    grad = _log_gradient(*_eig_frame(m, sigma))
     mu, lower, lmo_steps = free_set.lmo_with_bound(grad, iters=220)
     oracle_limited = lower == -np.inf
     if oracle_limited:

@@ -4,9 +4,11 @@ A :class:`FreeStateSet` describes a convex, closed set of density matrices
 through three capabilities: membership testing, linear minimization over the
 set (the oracle the divergence engines call), and a closed-form closest free
 state; ``closest_free_state`` returns None where a kind has no closed form.
-The incoherent, real and unrestricted sets are the states fixed by one
-projection and derive all three from it.  A :class:`FreeOpClass` is a
-decidable predicate on explicit Kraus families.
+A set that is exactly the states fixed by one projection Pi (its
+``projection``) closes at Pi rho, at S(Pi rho) - S(rho): the incoherent, real
+and unrestricted sets, and every hull whose factors are such sets with at
+most one of them not incoherent, such as the quantum-incoherent states.  A
+:class:`FreeOpClass` is a decidable predicate on explicit Kraus families.
 
 SIO and real-operation membership are decided on the Kraus representation
 that is handed in; the predicates are representation dependent and results
@@ -65,9 +67,27 @@ class FreeStateSet:
         A stack of gradients (..., d, d) gives the stack of minimizers."""
         raise NotImplementedError(f"{self.kind} has no extreme-point oracle")
 
-    def closest_free_state(self, rho) -> tuple[np.ndarray, float] | None:
-        """(closest free state, D(rho||S) in bits), or None without a closed form."""
+    def projection(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The map Pi whose fixed density matrices are exactly this set, or None.
+
+        Pi is positive, unital, trace preserving, self-adjoint and idempotent,
+        and it fixes log sigma for every free sigma, so Tr rho log sigma =
+        Tr Pi(rho) log sigma and D(rho||sigma) = D(rho||Pi rho) + D(Pi rho||sigma).
+        Pi acts on stacks of matrices (..., d, d)."""
         return None
+
+    def closest_free_state(self, rho) -> tuple[np.ndarray, float] | None:
+        """(closest free state, D(rho||S) in bits), or None without a closed form.
+
+        With a ``projection`` Pi the closest free state is Pi rho, at
+        S(Pi rho) - S(rho)."""
+        proj = self.projection()
+        if proj is None:
+            return None
+        m = as_matrix(rho)
+        self._check_dim(m)
+        fixed = proj(m)
+        return fixed, von_neumann_entropy(fixed) - von_neumann_entropy(m)
 
     def random_state(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -137,10 +157,7 @@ def first_failure(cases: Iterable[tuple[object, object, Callable]], tol: float) 
 class _FixedStates(FreeStateSet):
     """The states fixed by a projection Pi, the set's ``marginal_projection``.
 
-    Pi is positive, unital, trace preserving, self-adjoint and idempotent,
-    and it fixes log sigma for every free sigma, so Tr rho log sigma =
-    Tr Pi(rho) log sigma and D(rho||sigma) = D(rho||Pi rho) + D(Pi rho||sigma).
-    Pi rho is therefore the closest free state, at S(Pi rho) - S(rho).
+    Pi is the set's ``projection``, so Pi rho is the closest free state.
     Membership is max|rho - Pi rho| <= tol over the entries in the
     computational basis, and I/d is free.
     """
@@ -150,11 +167,8 @@ class _FixedStates(FreeStateSet):
         self._check_dim(m)
         return float(np.max(np.abs(m - self.marginal_projection(m)))) <= tol
 
-    def closest_free_state(self, rho):
-        m = as_matrix(rho)
-        self._check_dim(m)
-        fixed = self.marginal_projection(m)
-        return fixed, von_neumann_entropy(fixed) - von_neumann_entropy(m)
+    def projection(self):
+        return self.marginal_projection
 
     def full_rank_state(self):
         return np.eye(self.dim, dtype=complex) / self.dim
@@ -191,8 +205,7 @@ class Incoherent(_FixedStates):
         ]
 
     def marginal_projection(self, m):
-        f = self._to_frame(m)
-        return self._from_frame(np.diag(np.diag(f)))
+        return self._from_frame(self._to_frame(m) * np.eye(self.dim))
 
     def tensor_power(self, n):
         return Incoherent(self.dim**n, None if self.basis is None else kron_all([self.basis] * n))
@@ -384,6 +397,38 @@ class MinComposite(_Composite):
 
     def hull_factors(self):
         return [f for s in self.locals for f in s.hull_factors()]
+
+    def projection(self):
+        """The tensor product of the factors' projections, where every factor
+        has one and at most one of them lists no extreme points; else None.
+
+        A projection set with finitely many extreme points has a commutative
+        fixed algebra, so its projection is a dephasing.  Dephasing every
+        slot but at most one fixes exactly the block-diagonal states sum_k
+        |k><k| (x) X_k over a product basis, each X_k in the cone of the
+        remaining factor's set, and these are the hull; over Incoherent (x) AllStates
+        they are the quantum-incoherent states, where D(rho||S) = S(Delta_A
+        rho) - S(rho) (Chitambar et al., PRL 116, 070402, 2016).  The
+        product is positive, as it acts blockwise, and it fixes log sigma
+        blockwise, so the ``FreeStateSet.projection`` argument holds.  It
+        would not with two factors without listed extreme points (separable
+        sets), nor with a singleton or finite factor, which have no
+        projection."""
+        factors = self.hull_factors()
+        projs = [f.projection() for f in factors]
+        if None in projs or sum(f.extreme_points() is None for f in factors) > 1:
+            return None
+        dims = tuple(f.dim for f in factors)
+        n = len(dims)
+
+        def proj(m):
+            t = m.reshape(m.shape[:-2] + dims * 2)
+            for i, p in enumerate(projs):
+                slots = (t.ndim - 2 * n + i, t.ndim - n + i)
+                t = np.moveaxis(p(np.moveaxis(t, slots, (-2, -1))), (-2, -1), slots)
+            return t.reshape(m.shape)
+
+        return proj
 
     @property
     def exact_lmo(self):

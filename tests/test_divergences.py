@@ -13,6 +13,7 @@ from hetres.qcore import (
     partial_trace_mat,
     random_density_mat,
     random_pure_vec,
+    relative_entropy,
     von_neumann_entropy,
 )
 
@@ -77,7 +78,9 @@ class TestRelEntropyOfResource:
         res = dv.rel_entropy_of_resource(PHI, th.SeparableTwoQubit(), gap=5e-4, seed=1)
         assert res.extras["method"] == "frank-wolfe"
         assert res.extras["oracle_limited"] is True
-        res = dv.rel_entropy_of_resource(PHI, smin([INC2, th.RealStates(2)]), gap=1e-3)
+        # the hull has a closed form, so only a forced solve reaches Frank-Wolfe
+        res = dv.rel_entropy_of_resource(PHI, smin([INC2, th.RealStates(2)]), gap=1e-3,
+                                         force_engine=True)
         assert res.extras["method"] == "frank-wolfe"
         assert res.extras["oracle_limited"] is False
 
@@ -127,6 +130,47 @@ class TestRelEntropyOfResource:
         assert math.isinf(res.value)
 
 
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def _projection_hulls():
+    inc, real = th.Incoherent, th.RealStates
+    hulls = {
+        "inc2-real2": [inc(2), real(2)],
+        "inc3-real3": [inc(3), real(3)],
+        "all2-inc2": [th.AllStates(2), inc(2)],
+        "inc2hadamard-real2": [inc(2, HADAMARD), real(2)],
+        "inc2-inc2-real2": [inc(2), inc(2), real(2)],
+        "real3-inc2": [real(3), inc(2)],
+    }
+    return [pytest.param(th.MinComposite(locals_), id=name) for name, locals_ in hulls.items()]
+
+
+class TestProjectionHulls:
+    """Hulls whose factors are projection sets, all but one incoherent: the
+    closest free state is Pi rho for Pi the product of the projections."""
+
+    @pytest.mark.parametrize("hull", _projection_hulls())
+    def test_closed_form_lies_in_the_frank_wolfe_certificate(self, hull):
+        rng = np.random.default_rng([14, hull.dim])
+        for _ in range(3):
+            rho = random_density_mat(rng, hull.dim)
+            res = dv.rel_entropy_of_resource(rho, hull)
+            assert res.extras["method"] == "closed-form"
+            fw = dv.rel_entropy_of_resource(rho, hull, gap=1e-4, force_engine=True)
+            assert fw.converged and fw.extras["method"] == "frank-wolfe"
+            assert fw.lower_bound - 1e-9 <= res.value <= fw.upper_bound + 1e-9
+            assert hull.contains(res.optimizer, 1e-12)
+            assert abs(relative_entropy(rho, res.optimizer) - res.value) <= 1e-9
+
+    def test_rank_one_input_closes_without_iterations(self):
+        rng = np.random.default_rng(14)
+        hull = smin([th.Incoherent(3), th.RealStates(3)])
+        res = dv.rel_entropy_of_resource(random_density_mat(rng, 9, 1), hull, gap=1e-9)
+        assert res.extras["method"] == "closed-form"
+        assert res.iterations == 0 and res.converged
+
+
 def _line_search_corpus():
     """(kind, rho, sigma, mu) as Frank-Wolfe meets them: rho full rank and
     sigma an interior free state.  "vertex": mu is the LMO's rank-one answer,
@@ -139,8 +183,7 @@ def _line_search_corpus():
         for free_set in (th.Incoherent(dim), th.RealStates(dim)):
             rho = random_density_mat(rng, dim)
             sigma = 0.9 * free_set.random_state(rng) + 0.1 * np.eye(dim) / dim
-            w, v = np.linalg.eigh(sigma)
-            vertex = free_set.lmo(dv._log_gradient(rho, w, v), rng)
+            vertex = free_set.lmo(dv._log_gradient(*dv._eig_frame(rho, sigma)), rng)
             closest, _ = free_set.closest_free_state(rho)
             for kind, mu in (("vertex", vertex), ("past-optimum", 0.5 * (sigma + closest)),
                              ("mixed", 0.5 * (vertex + closest))):
@@ -153,8 +196,8 @@ def _segment_objective(rho, sigma, mu):
     s_rho = dv._neg_plogp(rho)
 
     def h(g):
-        w, v = np.linalg.eigh(sigma + g * (mu - sigma))
-        return dv._objective_from_eig(rho, w, v, s_rho)
+        w, _, rho_hat = dv._eig_frame(rho, sigma + g * (mu - sigma))
+        return dv._objective_from_eig(rho_hat, w, s_rho)
 
     return s_rho, h
 
@@ -176,14 +219,13 @@ class TestFrankWolfeLineSearch:
     @pytest.mark.parametrize("kind, rho, sigma, mu", _line_search_corpus())
     def test_returns_the_minimiser_of_the_segment(self, kind, rho, sigma, mu):
         s_rho, h = _segment_objective(rho, sigma, mu)
-        w, v = np.linalg.eigh(sigma)
-        slope0 = float(np.real(np.trace(dv._log_gradient(rho, w, v) @ (mu - sigma))))
+        slope0 = float(np.real(np.trace(dv._log_gradient(*dv._eig_frame(rho, sigma)) @ (mu - sigma))))
         assert slope0 < 0.0
-        gamma, h_gamma, eig = dv._line_search(rho, s_rho, sigma, mu - sigma, h(0.0), slope0)
+        gamma, h_gamma, frame = dv._line_search(rho, s_rho, sigma, mu - sigma, h(0.0), slope0)
         assert h_gamma == h(gamma)
-        # the eigendecomposition Frank-Wolfe reuses at its next iterate
-        w, v = np.linalg.eigh(sigma + gamma * (mu - sigma))
-        assert np.array_equal(eig[0], w) and np.array_equal(eig[1], v)
+        # the eigendecomposition and rho in its frame, reused at the next iterate
+        expected = dv._eig_frame(rho, sigma + gamma * (mu - sigma))
+        assert all(np.array_equal(a, b) for a, b in zip(frame, expected))
         if kind == "vertex":
             assert math.isinf(h(1.0))
         if kind == "past-optimum":

@@ -203,11 +203,12 @@ class TestClosestFreeState:
 
     @pytest.mark.parametrize(
         "free_set",
-        [th.MinComposite([th.Incoherent(2), th.RealStates(2)]),
+        [th.MinComposite([th.RealStates(2), th.RealStates(2)]),
+         th.MinComposite([th.Incoherent(2), th.SeparableTwoQubit()]),
          th.MaxComposite([th.Incoherent(2), th.RealStates(2)]),
          th.SeparableTwoQubit(),
          ct._ImageSet(th.Incoherent(2), ch.unitary_channel(HADAMARD, single_party(2)))],
-        ids=["min-composite", "max-composite", "separable", "image"],
+        ids=["min-real-real", "min-inc-separable", "max-composite", "separable", "image"],
     )
     def test_no_closed_form_is_none(self, free_set):
         assert free_set.closest_free_state(np.eye(free_set.dim) / free_set.dim) is None
@@ -483,7 +484,7 @@ class TestComposites:
         target = np.kron(np.diag([1.0, 0.0]), PHI).astype(complex)
         xc = th.MaxComposite([th.Incoherent(2), th.SeparableTwoQubit()])
         res = dv.rel_entropy_of_resource(target, xc, gap=2e-3)
-        g = dv._log_gradient(target, *np.linalg.eigh(res.optimizer))
+        g = dv._log_gradient(*dv._eig_frame(target, res.optimizer))
         g = 0.5 * (g + g.conj().T)
         mu, lower, steps = xc.lmo_with_bound(g, iters=220)
         val = float(np.real(np.trace(g @ mu)))
