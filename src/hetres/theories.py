@@ -70,7 +70,7 @@ class FreeStateSet:
     def projection(self) -> Callable[[np.ndarray], np.ndarray] | None:
         """The map Pi whose fixed density matrices are exactly this set, or None.
 
-        Pi is positive, unital, trace preserving, self-adjoint and idempotent,
+        Pi is linear, positive, unital, trace preserving, self-adjoint and idempotent,
         and it fixes log sigma for every free sigma, so Tr rho log sigma =
         Tr Pi(rho) log sigma and D(rho||sigma) = D(rho||Pi rho) + D(Pi rho||sigma).
         Pi acts on stacks of matrices (..., d, d)."""
@@ -243,7 +243,9 @@ class RealStates(_FixedStates):
         return out, "sampled"
 
     def marginal_projection(self, m):
-        return np.real(m).astype(complex)
+        # (m + m^T)/2 is linear, so a product acts with it on one tensor slot
+        # alone; on Hermitian m it is the real part
+        return (0.5 * (m + np.swapaxes(m, -1, -2))).astype(complex, copy=False)
 
     def tensor_power(self, n):
         return RealStates(self.dim**n)
@@ -413,10 +415,12 @@ class MinComposite(_Composite):
         blockwise, so the ``FreeStateSet.projection`` argument holds.  It
         would not with two factors without listed extreme points (separable
         sets), nor with a singleton or finite factor, which have no
-        projection."""
+        projection.  Each factor's Pi acts on its own tensor slot, which
+        needs it linear: the real part of a slot would also conjugate the
+        other slots' coefficients, so the real states' Pi is (X + X^T)/2."""
         factors = self.hull_factors()
         projs = [f.projection() for f in factors]
-        if None in projs or sum(f.extreme_points() is None for f in factors) > 1:
+        if None in projs or self._unlisted(factors) > 1:
             return None
         dims = tuple(f.dim for f in factors)
         n = len(dims)
@@ -430,11 +434,15 @@ class MinComposite(_Composite):
 
         return proj
 
+    @staticmethod
+    def _unlisted(factors: Sequence[FreeStateSet]) -> int:
+        """How many of ``factors`` list no extreme points."""
+        return sum(f.extreme_points() is None for f in factors)
+
     @property
     def exact_lmo(self):
         factors = self.hull_factors()
-        return (sum(f.extreme_points() is None for f in factors) <= 1
-                and all(f.exact_lmo for f in factors))
+        return self._unlisted(factors) <= 1 and all(f.exact_lmo for f in factors)
 
     def lmo(self, grad, rng=None, restarts: int | None = None):
         """One batched see-saw over the flattened factors.

@@ -13,6 +13,7 @@ from hetres.qcore import (
     partial_trace_mat,
     random_density_mat,
     random_pure_vec,
+    random_unitary,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -131,6 +132,8 @@ class TestRelEntropyOfResource:
 
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# the eigenbasis (1, +-i)/sqrt(2) of sigma_y: a basis with non-real entries
+Y_BASIS = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
 
 
 def _projection_hulls():
@@ -140,6 +143,9 @@ def _projection_hulls():
         "inc3-real3": [inc(3), real(3)],
         "all2-inc2": [th.AllStates(2), inc(2)],
         "inc2hadamard-real2": [inc(2, HADAMARD), real(2)],
+        "inc2y-real2": [inc(2, Y_BASIS), real(2)],
+        "inc3fourier-real3": [inc(3, np.fft.fft(np.eye(3)) / np.sqrt(3)), real(3)],
+        "real2-inc2unitary": [real(2), inc(2, random_unitary(np.random.default_rng(14), 2))],
         "inc2-inc2-real2": [inc(2), inc(2), real(2)],
         "real3-inc2": [real(3), inc(2)],
     }
@@ -162,6 +168,15 @@ class TestProjectionHulls:
             assert fw.lower_bound - 1e-9 <= res.value <= fw.upper_bound + 1e-9
             assert hull.contains(res.optimizer, 1e-12)
             assert abs(relative_entropy(rho, res.optimizer) - res.value) <= 1e-9
+
+    def test_complex_basis_dephases_only_its_own_slot(self):
+        # the real part taken over the whole matrix would keep a
+        # sigma_y (x) sigma_y term here, which no hull member has
+        hull = smin([th.Incoherent(2, Y_BASIS), th.RealStates(2)])
+        b0 = np.outer(Y_BASIS[:, 0], Y_BASIS[:, 0].conj())
+        res = dv.rel_entropy_of_resource(np.kron(b0, PLUS_Y), hull)
+        assert np.max(np.abs(res.optimizer - np.kron(b0, np.eye(2) / 2))) <= 1e-12
+        assert abs(res.value - 1.0) <= 1e-12
 
     def test_rank_one_input_closes_without_iterations(self):
         rng = np.random.default_rng(14)
