@@ -303,7 +303,9 @@ class AllStates(_FixedStates):
     kind = "all"
 
     def lmo(self, grad, rng=None):
-        w, v = np.linalg.eigh(check_hermitian(grad, tol=1e-8))
+        # Tr(G mu) for a Hermitian mu only sees the Hermitian part of G
+        g = as_complex(grad)
+        _, v = np.linalg.eigh(0.5 * (g + np.swapaxes(g.conj(), -1, -2)))
         vec = v[..., :, 0]
         return vec[..., :, None] * vec.conj()[..., None, :]
 
@@ -415,34 +417,19 @@ class MinComposite(_Composite):
         blockwise, so the ``FreeStateSet.projection`` argument holds.  It
         would not with two factors without listed extreme points (separable
         sets), nor with a singleton or finite factor, which have no
-        projection.  Each factor's Pi acts on its own tensor slot, which
-        needs it linear: the real part of a slot would also conjugate the
-        other slots' coefficients, so the real states' Pi is (X + X^T)/2."""
+        projection."""
         factors = self.hull_factors()
-        projs = [f.projection() for f in factors]
-        if None in projs or self._unlisted(factors) > 1:
-            return None
-        dims = tuple(f.dim for f in factors)
-        n = len(dims)
-
-        def proj(m):
-            t = m.reshape(m.shape[:-2] + dims * 2)
-            for i, p in enumerate(projs):
-                slots = (t.ndim - 2 * n + i, t.ndim - n + i)
-                t = np.moveaxis(p(np.moveaxis(t, slots, (-2, -1))), (-2, -1), slots)
-            return t.reshape(m.shape)
-
-        return proj
+        return None if len(self._unlisted(factors)) > 1 else _product_projection(factors)
 
     @staticmethod
-    def _unlisted(factors: Sequence[FreeStateSet]) -> int:
-        """How many of ``factors`` list no extreme points."""
-        return sum(f.extreme_points() is None for f in factors)
+    def _unlisted(factors: Sequence[FreeStateSet]) -> list[int]:
+        """The positions of the ``factors`` that list no extreme points."""
+        return [i for i, f in enumerate(factors) if f.extreme_points() is None]
 
     @property
     def exact_lmo(self):
         factors = self.hull_factors()
-        return self._unlisted(factors) <= 1 and all(f.exact_lmo for f in factors)
+        return len(self._unlisted(factors)) <= 1 and all(f.exact_lmo for f in factors)
 
     def lmo(self, grad, rng=None, restarts: int | None = None):
         """One batched see-saw over the flattened factors.
@@ -486,20 +473,38 @@ class MinComposite(_Composite):
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         """Hull membership at trace-norm resolution ``tol``.
 
-        After the closed characterizations of ``_structured_fast_path``:
-        a member's marginals are locally free (the hull sits inside the
-        marginal set), and a product of free marginals is a member.  With at
-        most one non-singleton factor conv(A (x) {gamma}) = conv(A) (x)
-        {gamma}, so every member is such a product.  Otherwise D_max(rho||S)
-        <= b = log2(1 + tol/2) comes with a free witness sigma, rho <= 2^b
-        sigma, hence ||rho - sigma||_1 <= 2(2^b - 1) = tol; a rejection is
-        only as exact as the see-saw oracle inside ``dmax``.
+        Where every factor has a ``projection``, the hull lies in the fixed
+        space of their tensor product Pi, so max|rho - Pi rho| > tol rejects
+        at every size.  A fixed state is sum_k |k><k| (x) X_k over the
+        dephased factors' product basis; with at most one factor that lists
+        no extreme points each X_k is in that factor's cone, so the state is
+        a member.  With two such factors at 2x2 or 2x3 a PPT X_k is
+        separable (Horodecki, PLA 223, 1, 1996), and Pi maps each of its
+        product terms onto a free one, so a nonnegative partial transpose on
+        one of them decides it.
+
+        Otherwise a member's marginals are locally free (the hull sits
+        inside the marginal set), and a product of free marginals is a
+        member.  With at most one non-singleton factor conv(A (x) {gamma}) =
+        conv(A) (x) {gamma}, so every member is such a product.  Else
+        D_max(rho||S) <= b = log2(1 + tol/2) comes with a free witness sigma,
+        rho <= 2^b sigma, hence ||rho - sigma||_1 <= 2(2^b - 1) = tol; a
+        rejection is only as exact as the see-saw oracle inside ``dmax``.
         """
         m = as_matrix(rho)
         self._check_dim(m)
-        fast = self._structured_fast_path(m, tol)
-        if fast is not None:
-            return fast
+        factors = self.hull_factors()
+        proj = _product_projection(factors)
+        if proj is not None:
+            if float(np.max(np.abs(m - proj(m)))) > tol:
+                return False
+            unlisted = self._unlisted(factors)
+            if len(unlisted) <= 1:
+                return True
+            factor_dims = [f.dim for f in factors]
+            if len(unlisted) == 2 and sorted(factor_dims[i] for i in unlisted) in ([2, 2], [2, 3]):
+                pt = partial_transpose_mat(m, factor_dims, unlisted[1])
+                return bool(np.linalg.eigvalsh(pt)[0] >= -tol)
         dims = self.local_dims
         margs = [partial_trace_mat(m, dims, [i]) for i in range(len(dims))]
         if not all(s.contains(marg, tol) for s, marg in zip(self.locals, margs)):
@@ -511,44 +516,7 @@ class MinComposite(_Composite):
         from .divergences import dmax  # divergences imports this module
 
         b = np.log2(1.0 + 0.5 * tol)
-        return dmax(m, self, tol=b).upper_bound <= b
-
-    def _structured_fast_path(self, m, tol):
-        """Exact membership where the hull has a closed characterization.
-
-        With an incoherent factor the hull is exactly the block-diagonal
-        states whose conditional blocks lie in the other party's hull; with
-        two unrestricted qubit factors it is the separable set, where the
-        partial-transpose test is exact.
-        """
-        if len(self.locals) != 2:
-            return None
-        dims = self.local_dims
-        if all(isinstance(s, AllStates) for s in self.locals) and tuple(sorted(dims)) in {
-            (2, 2),
-            (2, 3),
-        }:
-            pt = partial_transpose_mat(m, dims, 1)
-            return bool(np.linalg.eigvalsh(pt)[0] >= -tol)
-        for side in (0, 1):
-            local = self.locals[side]
-            if not (isinstance(local, Incoherent) and local.basis is None):
-                continue
-            other = self.locals[1 - side]
-            # t[i, j] is the (i, j) block of the incoherent party
-            t = m.reshape(dims + dims).transpose((0, 2, 1, 3) if side == 0 else (1, 3, 0, 2))
-            off = ~np.eye(dims[side], dtype=bool)
-            if float(np.max(np.abs(t[off]), initial=0.0)) > tol:
-                return False
-            for i in range(dims[side]):
-                block = t[i, i]
-                p = float(np.real(np.trace(block)))
-                if p <= 1e-12:
-                    continue
-                if not other.contains(block / p, max(tol, tol / max(p, 1e-6))):
-                    return False
-            return True
-        return None
+        return bool(dmax(m, self, tol=b).upper_bound <= b)
 
     def random_state(self, rng):
         k = int(rng.integers(1, 9))
@@ -595,6 +563,28 @@ class SeparableTwoQubit(MinComposite):
 
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim, "cut": list(self.cut)}
+
+
+def _product_projection(factors: Sequence[FreeStateSet]) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The tensor product of the factors' projections, or None where one has none.
+
+    Each factor's Pi acts on its own tensor slot, which needs it linear: the
+    real part of a slot would also conjugate the other slots' coefficients,
+    so the real states' Pi is (X + X^T)/2."""
+    projs = [f.projection() for f in factors]
+    if None in projs:
+        return None
+    dims = tuple(f.dim for f in factors)
+    n = len(dims)
+
+    def proj(m):
+        t = m.reshape(m.shape[:-2] + dims * 2)
+        for i, p in enumerate(projs):
+            slots = (t.ndim - 2 * n + i, t.ndim - n + i)
+            t = np.moveaxis(p(np.moveaxis(t, slots, (-2, -1))), (-2, -1), slots)
+        return t.reshape(m.shape)
+
+    return proj
 
 
 def _effective_local_operator(g, dims, parts, i):
@@ -956,10 +946,11 @@ def random_free_state(free_set: FreeStateSet, seed: int) -> DensityOperator:
     """Seeded sample of the set.
 
     It passes the set's own membership test wherever that test is exact:
-    the single-party kinds, marginal sets, and hulls decided by a closed
-    characterization, by marginals or as products.  A hull sample that
-    reaches the D_max step can be rejected when the see-saw inside ``dmax``
-    stalls (seen on mixtures over smin(Real3, All3))."""
+    the single-party kinds, marginal sets, and hulls decided by the
+    factors' projections (with a partial transpose at 2x2 and 2x3), by
+    marginals or as products.  A hull sample that reaches the D_max step
+    can be rejected when the see-saw inside ``dmax`` stalls (seen on
+    mixtures over smin(Real3, All3))."""
     rng = np.random.default_rng(seed)
     m = free_set.random_state(rng)
     structure = free_set.structure or single_party(free_set.dim)

@@ -23,6 +23,7 @@ PHI = np.outer(bell_phi_plus_vec(2), bell_phi_plus_vec(2).conj())
 PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
 PLUS_Y = np.outer(KET_PLUS_Y, KET_PLUS_Y.conj())
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+Y_BASIS = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
 
 
 class TestMembership:
@@ -150,6 +151,15 @@ class TestLinearMinimization:
         mu = th.RealStates(3).lmo(g)
         target = np.linalg.eigvalsh(0.5 * (np.real(g) + np.real(g).T))[0]
         assert abs(float(np.real(np.trace(g @ mu))) - target) < 1e-10
+
+    def test_all_states_lmo_minimizes_the_hermitian_part(self):
+        rng = np.random.default_rng(2)
+        g = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+        herm = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+        mus = th.AllStates(3).lmo(g)
+        assert np.array_equal(mus, th.AllStates(3).lmo(herm))
+        for x, mu in zip(herm, mus):
+            assert abs(float(np.real(np.trace(x @ mu))) - np.linalg.eigvalsh(x)[0]) < 1e-12
 
 
 class TestClosestFreeState:
@@ -385,7 +395,7 @@ class TestComposites:
                        mu + 1e-7 * np.real(noise) / np.max(np.abs(np.real(noise))),
                        random_density_mat(rng, hull.dim)]
         for tol in (1e-8, 1e-6):
-            verdicts = [hull._structured_fast_path(m, tol) for m in corpus]
+            verdicts = [hull.contains(m, tol) for m in corpus]
             assert verdicts == [per_block(m, tol) for m in corpus]
             assert set(verdicts) == {True, False}
 
@@ -527,13 +537,59 @@ class TestComposites:
         assert not hull.contains(noisy, 1e-6)
         assert th.SeparableTwoQubit().contains(noisy, 1e-6)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_real_hull_samples_pass_the_dmax_test(self, seed):
-        hull = th.MinComposite([th.RealStates(2), th.RealStates(2)])
-        mu = hull.random_state(np.random.default_rng(seed))
-        margs = [partial_trace_mat(mu, (2, 2), [i]) for i in (0, 1)]
+    @pytest.mark.parametrize(
+        "locals_, entangled",
+        [
+            ([th.Incoherent(2, basis=HADAMARD), th.RealStates(2)], None),
+            ([th.Incoherent(2, basis=Y_BASIS), th.RealStates(2)], None),
+            ([th.Incoherent(2), th.Incoherent(2), th.RealStates(2)], None),
+            ([th.RealStates(2), th.RealStates(2)], None),
+            ([th.RealStates(2), th.AllStates(3)], None),
+            ([th.AllStates(2), th.AllStates(2)], PHI),
+            ([th.Incoherent(2), th.SeparableTwoQubit()], np.kron(np.diag([1.0, 0.0]), PHI)),
+        ],
+        ids=["inc-hadamard-real", "inc-y-real", "inc-inc-real", "real-real", "real-all3",
+             "all-all", "inc-sep"],
+    )
+    def test_exact_rule_hulls_never_reach_dmax(self, locals_, entangled, monkeypatch):
+        # seeded members pass; states off the fixed space of the factors'
+        # projections fail; Pi-invariant entangled states fail by partial
+        # transpose.  None of them needs the D_max witness.
+        from hetres import divergences as dv
+
+        def no_dmax(*args, **kwargs):
+            raise AssertionError("contains reached the D_max step")
+
+        monkeypatch.setattr(dv, "dmax", no_dmax)
+        hull = th.MinComposite(locals_)
+        proj = th._product_projection(hull.hull_factors())
+        rng = np.random.default_rng([17, hull.dim, len(locals_)])
+        for _ in range(20):
+            assert hull.contains(hull.random_state(rng), 1e-8)
+        outside = [random_density_mat(rng, hull.dim) for _ in range(20)]
+        outside = [m for m in outside if np.max(np.abs(m - proj(m))) > 1e-6]
+        assert outside or entangled is not None  # Pi is the identity on all-all
+        assert not any(hull.contains(m, 1e-6) for m in outside)
+        if entangled is not None:
+            assert np.max(np.abs(entangled - proj(entangled))) <= 1e-15
+            assert not hull.contains(entangled, 1e-6)
+            # the blocks of the mixture are separable Werner states
+            assert hull.contains(0.15 * entangled + 0.85 * np.eye(hull.dim) / hull.dim, 1e-8)
+
+    def test_real_hull_samples_pass_the_dmax_test(self, monkeypatch):
+        # at 2x4 a partial transpose does not decide the hull, so a correlated
+        # sample is accepted by the D_max witness
+        from hetres import divergences as dv
+
+        calls = []
+        dmax = dv.dmax
+        monkeypatch.setattr(dv, "dmax", lambda *a, **k: calls.append(1) or dmax(*a, **k))
+        hull = th.MinComposite([th.RealStates(2), th.RealStates(4)])
+        mu = hull.random_state(np.random.default_rng(0))
+        margs = [partial_trace_mat(mu, (2, 4), [i]) for i in (0, 1)]
         assert np.max(np.abs(mu - np.kron(*margs))) > 1e-3  # not decided as a product
         assert hull.contains(mu, 1e-5)
+        assert calls
 
     def test_singleton_factor_hull_holds_only_products(self):
         hull = th.MinComposite([th.Singleton(np.eye(2) / 2), th.RealStates(2)])
