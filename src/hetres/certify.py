@@ -286,8 +286,8 @@ def rng_optimal_protocol(
     """The move-and-replace strategy that saturates the certification ceiling.
 
     Valid when the suspect party's free states are free for the measuring
-    party under the dimension identification (checked on samples) and the
-    refill state is free; then the remote value equals the unrestricted
+    party under the dimension identification (checked by ``maps_into``) and
+    the refill state is free; then the remote value equals the unrestricted
     hypothesis-testing divergence.  The ceiling's optimal element is measured
     after the move: beta on the image of rho, alpha over the image of the
     whole free set by one oracle call, and the report certifies the match
@@ -298,11 +298,9 @@ def rng_optimal_protocol(
     m = as_matrix(rho_a)
     mu = as_matrix(mu_a)
     rng = np.random.default_rng(seed)
-    probes, _ = set_a.verification_states(rng, 24)
-    for s in probes:
-        if not set_b.contains(s, 1e-8):
-            raise ValueError("inclusion check failed: a free state of the suspect party "
-                             "is not free for the measuring party")
+    if not set_a.maps_into(lambda x: x, set_b, 1e-8, 24, rng).ok:
+        raise ValueError("inclusion check failed: a free state of the suspect party "
+                         "is not free for the measuring party")
     if not set_a.contains(mu, 1e-8):
         raise ValueError("the refill state must be free for the suspect party")
 

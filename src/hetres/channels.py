@@ -70,13 +70,11 @@ class KrausChannel:
         return self.out_structure.dim
 
     def apply_mat(self, mat: np.ndarray) -> np.ndarray:
+        """The image of a matrix, or of each matrix in a stack (..., d_in, d_in)."""
         m = as_complex(mat)
-        if m.shape[0] != self.dim_in:
-            raise ValueError(f"dimension mismatch: state {m.shape[0]}, channel {self.dim_in}")
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ m @ k.conj().T
-        return out
+        if m.shape[-1] != self.dim_in:
+            raise ValueError(f"dimension mismatch: state {m.shape[-1]}, channel {self.dim_in}")
+        return sum(k @ m @ k.conj().T for k in self.kraus)
 
     def to_json(self) -> dict:
         return {
@@ -286,23 +284,14 @@ def marginal_channel(
 
 
 def _marginal_choi(channel, target, frozen_inputs, d_t):
-    ins = channel.in_structure
-    out_keep = [channel.out_structure.index(target)]
-    effective = {}
-    for i in range(d_t):
-        for j in range(d_t):
-            unit = np.zeros((d_t, d_t), dtype=complex)
-            unit[i, j] = 1.0
-            full = kron_all(unit if lbl == target else frozen_inputs[lbl].mat
-                            for lbl, _ in ins.parties)
-            img = channel.apply_mat(full)
-            effective[(i, j)] = partial_trace_mat(img, channel.out_structure.dims, out_keep)
-    d_out = effective[(0, 0)].shape[0]
-    choi = np.zeros((d_t * d_out, d_t * d_out), dtype=complex)
-    for i in range(d_t):
-        for j in range(d_t):
-            choi[i * d_out : (i + 1) * d_out, j * d_out : (j + 1) * d_out] = effective[(i, j)]
-    return choi
+    """sum_ij |i><j| (x) Tr_other L(|i><j| (x) frozen), from one stacked application."""
+    ins, outs = channel.in_structure, channel.out_structure
+    full = [kron_all(u if lbl == target else frozen_inputs[lbl].mat for lbl, _ in ins.parties)
+            for u in np.eye(d_t * d_t, dtype=complex).reshape(-1, d_t, d_t)]
+    imgs = np.stack([partial_trace_mat(x, outs.dims, [outs.index(target)])
+                     for x in channel.apply_mat(np.stack(full))])
+    d_out = imgs.shape[-1]
+    return imgs.reshape(d_t, d_t, d_out, d_out).swapaxes(1, 2).reshape(d_t * d_out, -1)
 
 
 # ---------------------------------------------------------------------------

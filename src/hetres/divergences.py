@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import EIG_FLOOR, as_matrix, mat_to_json, partial_trace_mat, trace_norm
-from .theories import SEESAW_RESTARTS, FreeStateSet, MaxComposite
+from .theories import FreeStateSet, MaxComposite
 
 LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
@@ -187,8 +187,8 @@ def rel_entropy_of_resource(
 
     The duality-gap certificate Tr G (sigma - oracle) bounds the
     suboptimality.  Over a set without an exact oracle (``exact_lmo``
-    False: a see-saw hull) the lower bound rests on heuristic oracle calls,
-    including 4-restart ones, and ``extras["oracle_limited"]`` says so.
+    False: a see-saw hull) the lower bound rests on heuristic 4-restart
+    oracle calls, and ``extras["oracle_limited"]`` says so.
     ``force_engine`` skips an available closed form (cross-validation).
     """
     m = as_matrix(rho)
@@ -230,18 +230,8 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
             frame = None
             continue
         grad = _log_gradient(w, v, rho_hat)
-        if exact:
-            mu = free_set.lmo(grad, rng)
-        else:
-            # a cheap 4-restart oracle during iterations; a gap that looks
-            # closed is re-checked with the full restart budget
-            mu = free_set.lmo(grad, rng, restarts=4)
+        mu = free_set.lmo(grad, rng) if exact else free_set.lmo(grad, rng, restarts=4)
         fw_gap = float(np.real(np.trace(grad @ (sigma - mu))))
-        if fw_gap <= gap and not exact:
-            mu_full = free_set.lmo(grad, rng)
-            full_gap = float(np.real(np.trace(grad @ (sigma - mu_full))))
-            if full_gap < fw_gap:
-                fw_gap, mu = full_gap, mu_full
         best_lb = max(best_lb, f - max(fw_gap, 0.0))
         if f - best_lb <= gap:
             break
@@ -256,7 +246,7 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     extras = {"method": "frank-wolfe", "lmo": free_set.kind, "requested_gap": gap,
               "oracle_limited": not exact}
     if not exact:
-        extras["lmo_restarts"] = {"iterate": 4, "certificate": SEESAW_RESTARTS}
+        extras["lmo_restarts"] = {"iterate": 4}
     return DivergenceResult(
         value,
         lb,
@@ -284,9 +274,9 @@ def _marginal_lower_bound(m: np.ndarray, free_set: FreeStateSet) -> float:
 
 def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap) -> DivergenceResult:
     """Projected gradient over {all marginals locally free} with a Dykstra
-    feasibility projection; the certificate combines a one-shot oracle gap
-    with the partial-trace lower bound. The oracle gap uses the LMO's dual
-    bound when it closed, else its heuristic minimiser (``oracle_limited``)."""
+    feasibility projection; the certificate combines the oracle gap Tr G
+    sigma - lower, from the LMO's dual bound, with the partial-trace lower
+    bound."""
     s_rho = _neg_plogp(m)
     start = free_set.full_rank_state()
     if start is None:
@@ -326,12 +316,8 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap) -> DivergenceRe
         eta = min(eta * 1.8, 2.0)
 
     grad = _log_gradient(*_eig_frame(m, sigma))
-    mu, lower, lmo_steps = free_set.lmo_with_bound(grad, iters=220)
-    oracle_limited = lower == -np.inf
-    if oracle_limited:
-        oracle_gap = float(np.real(np.trace(grad @ (sigma - mu))))
-    else:
-        oracle_gap = float(np.real(np.trace(grad @ sigma))) - lower
+    _, lower, lmo_steps = free_set.lmo_with_bound(grad, iters=220)
+    oracle_gap = float(np.real(np.trace(grad @ sigma))) - lower
     lb = max(f - max(oracle_gap, 0.0), _marginal_lower_bound(m, free_set))
     lb = min(lb, f)
     return DivergenceResult(
@@ -342,7 +328,7 @@ def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap) -> DivergenceRe
         converged=(f - lb) <= gap,
         optimizer=sigma,
         extras={"method": "projected-gradient", "requested_gap": gap,
-                "lmo_steps": lmo_steps, "oracle_limited": oracle_limited},
+                "lmo_steps": lmo_steps},
     )
 
 

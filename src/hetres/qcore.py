@@ -154,16 +154,11 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator(np.kron(a.mat, b.mat), a.structure.concat(b.structure))
 
 
-def _as_tensor(mat: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    n = len(dims)
-    return mat.reshape(tuple(dims) * 2)
-
-
 def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Partial trace of a square matrix over all axes not in ``keep``."""
     n = len(dims)
     keep = sorted(keep)
-    t = _as_tensor(as_complex(mat), dims)
+    t = as_complex(mat).reshape(tuple(dims) * 2)
     traced = [i for i in range(n) if i not in keep]
     for off, i in enumerate(traced):
         t = np.trace(t, axis1=i - off, axis2=i - off + n - off)
@@ -190,11 +185,12 @@ def marginal(rho: DensityOperator, label: str) -> DensityOperator:
 
 
 def partial_transpose_mat(mat: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:
-    n = len(dims)
-    t = _as_tensor(as_complex(mat), dims)
-    t = np.swapaxes(t, party, party + n)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
+    """Transpose one party's factor of each matrix in a stack (..., d, d)."""
+    m = as_complex(mat)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + tuple(dims) * 2)
+    t = np.swapaxes(t, len(lead) + party, len(lead) + party + len(dims))
+    return t.reshape(m.shape)
 
 
 def partial_transpose(rho: DensityOperator, party: str) -> np.ndarray:

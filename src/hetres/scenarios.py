@@ -490,7 +490,7 @@ def _run_counterexample(inputs, params):
         v = bell_phi_plus_vec(2)
         target = np.kron(np.diag([1.0, 0.0]), np.outer(v, v.conj()))
         smin_set = th.MinComposite([th.Incoherent(2), th.SeparableTwoQubit()], labels=["1", "2"])
-        verdict = th.Rng(smin_set, n_samples=int(inputs.get("rng_samples", 20))).verify(lam)
+        verdict = th.Rng(smin_set).verify(lam)
         ss = laws.single_shot_verdict(
             inp, DensityOperator(target, lam.in_structure),
             [th.Incoherent(2), th.SeparableTwoQubit()],
@@ -500,6 +500,7 @@ def _run_counterexample(inputs, params):
             "trace_distance": trace_norm(out.mat - target),
             "fidelity": float(np.real(v.conj() @ partial_trace_mat(out.mat, (2, 4), [1]) @ v)),
             "rng_verified": verdict.ok,
+            "rng_mode": verdict.mode,
             "lhs": ss.lhs.value,
             "rhs": ss.rhs.value,
             "verdict": ss.verdict,
@@ -553,7 +554,7 @@ def rng_verified_channel_family(n: int, seed: int = 0) -> list[ch.KrausChannel]:
     rng = np.random.default_rng(seed)
     base = coherence_to_entanglement_channel()
     smin_set = th.MinComposite([th.Incoherent(2), th.SeparableTwoQubit()], labels=["1", "2"])
-    checker = th.Rng(smin_set, n_samples=8, seed=seed)
+    checker = th.Rng(smin_set, seed=seed)
     structure = base.in_structure
     out = []
     while len(out) < n:
@@ -684,12 +685,13 @@ def _builtin_list() -> list[dict]:
             "kind": "counterexample",
             "description": "A resource-non-generating map turns one coherence "
                            "unit into one entanglement unit exactly.",
-            "inputs": {"which": "conversion_forward", "rng_samples": 20},
+            "inputs": {"which": "conversion_forward"},
             "params": {"seed": 2, "gap": 2e-3},
             "expected": [
                 {"path": "trace_distance", "op": "le", "target": 1e-10},
                 {"path": "fidelity", "op": "ge", "target": 1.0, "tol": 1e-10},
                 {"path": "rng_verified", "op": "true"},
+                {"path": "rng_mode", "op": "eq", "target": "certified"},
                 {"path": "verdict", "op": "eq", "target": "NOT-EXCLUDED"},
             ],
         },

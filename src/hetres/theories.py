@@ -4,11 +4,13 @@ A :class:`FreeStateSet` describes a convex, closed set of density matrices
 through three capabilities: membership testing, linear minimization over the
 set (the oracle the divergence engines call), and a closed-form closest free
 state; ``closest_free_state`` returns None where a kind has no closed form.
-A set that is exactly the states fixed by one projection Pi (its
-``projection``) closes at Pi rho, at S(Pi rho) - S(rho): the incoherent, real
-and unrestricted sets, and every hull whose factors are such sets with at
-most one of them not incoherent, such as the quantum-incoherent states.  A
-:class:`FreeOpClass` is a decidable predicate on explicit Kraus families.
+A set with a ``linear_form`` (Pi, pt) is the density matrices that Pi fixes,
+with a nonnegative partial transpose where pt is set; membership and the
+non-generation test ``maps_into`` read it, and without pt the set closes at
+Pi rho, at S(Pi rho) - S(rho).  A non-generation verdict's mode is
+``extreme-points``, ``projection`` or ``certified`` (exact or sufficient
+certificates) or ``sampled``.  A :class:`FreeOpClass` is a decidable
+predicate on explicit Kraus families.
 
 SIO and real-operation membership are decided on the Kraus representation
 that is handed in; the predicates are representation dependent and results
@@ -36,7 +38,6 @@ from .qcore import (
     partial_trace_mat,
     partial_transpose_mat,
     random_density_mat,
-    random_pure_vec,
     random_unitary,
     relative_entropy,
     single_party,
@@ -59,7 +60,13 @@ class FreeStateSet:
         self.dim = int(dim)
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        raise NotImplementedError
+        """Membership at entrywise resolution ``tol``, read off the ``linear_form``."""
+        form = self.linear_form()
+        if form is None:
+            raise NotImplementedError(f"{self.kind} has no membership test")
+        m = as_matrix(rho)
+        self._check_dim(m)
+        return bool(_satisfies(form, m, tol))
 
     def lmo(self, grad: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """A state mu in the set minimizing Tr(grad mu), within oracle tolerance.
@@ -67,14 +74,24 @@ class FreeStateSet:
         A stack of gradients (..., d, d) gives the stack of minimizers."""
         raise NotImplementedError(f"{self.kind} has no extreme-point oracle")
 
-    def projection(self) -> Callable[[np.ndarray], np.ndarray] | None:
-        """The map Pi whose fixed density matrices are exactly this set, or None.
-
-        Pi is linear, positive, unital, trace preserving, self-adjoint and idempotent,
-        and it fixes log sigma for every free sigma, so Tr rho log sigma =
-        Tr Pi(rho) log sigma and D(rho||sigma) = D(rho||Pi rho) + D(Pi rho||sigma).
-        Pi acts on stacks of matrices (..., d, d)."""
+    def linear_form(self) -> tuple[Callable[[np.ndarray], np.ndarray], tuple | None] | None:
+        """(Pi, pt) when the set is exactly the density matrices that Pi
+        fixes with, where pt = (dims, slot) is given, a nonnegative partial
+        transpose on that tensor slot; else None.  Pi is linear, positive,
+        unital, trace preserving, self-adjoint and idempotent, acts on stacks
+        (..., d, d), and maps products of states over ``dims`` (all states,
+        without pt) into the set.  ``contains``, ``projection`` and the
+        verdict modes of ``maps_into`` (extreme-points, projection, certified,
+        sampled) derive from it."""
         return None
+
+    def projection(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The linear form's Pi when it sets no partial transpose, else None:
+        the set is then exactly Pi's fixed density matrices, and Pi fixes
+        log sigma for every free sigma, so Tr rho log sigma = Tr Pi(rho) log
+        sigma and D(rho||sigma) = D(rho||Pi rho) + D(Pi rho||sigma)."""
+        form = self.linear_form()
+        return form[0] if form is not None and form[1] is None else None
 
     def closest_free_state(self, rho) -> tuple[np.ndarray, float] | None:
         """(closest free state, D(rho||S) in bits), or None without a closed form.
@@ -104,13 +121,46 @@ class FreeStateSet:
         the set itself, or a hull's local factors, nested hulls flattened."""
         return [self]
 
-    def verification_states(self, rng: np.random.Generator, n: int) -> tuple[list[np.ndarray], str]:
-        """States whose preservation certifies (or samples) RNG membership:
-        by default the listed extreme points, which certify it exhaustively."""
+    def maps_into(self, apply: Callable[[np.ndarray], np.ndarray], target: FreeStateSet,
+                  tol: float, n_samples: int, rng: np.random.Generator) -> RngVerdict:
+        """Whether the linear map ``apply`` (on stacks) sends this set into
+        ``target``, in the first of four modes that decides it:
+
+        - ``extreme-points``: this set lists them; each image is checked.
+        - ``projection``: both sets have a ``linear_form``.  Pi_in of d^2
+          product pure states that span the matrices are members; an image
+          outside ``target``'s form is an exact rejection with its witness.
+          They span Pi_in's range, so passing means (id - Pi_out) apply
+          Pi_in = 0 (Liu, Hu & Lloyd, PRL 118, 060502, 2017): exact where
+          ``target`` sets no partial transpose T.
+        - ``certified``: a PSD Choi matrix of T apply or T apply Pi_in, or of
+          either after this set's own T_in (PSD on its members), makes each
+          image's T nonnegative: sufficient.
+        - ``sampled``: otherwise, ``n_samples`` draws of ``random_state``."""
         points = self.extreme_points()
-        if points is None:
-            raise NotImplementedError(f"{self.kind} lists no extreme points")
-        return points, "extreme-points"
+        form_in, form_out = self.linear_form(), target.linear_form()
+        if points is None and form_in is not None and form_out is not None:
+            (proj_in, pt_in), (proj_out, pt_out) = form_in, form_out
+            states = proj_in(_spanning_states(pt_in[0] if pt_in else (self.dim,)))
+            ok = _satisfies(form_out, apply(states), tol)
+            if not np.all(ok):
+                return RngVerdict(False, "projection", len(states), states[np.argmin(ok)])
+            if pt_out is None:
+                return RngVerdict(True, "projection", len(states))
+            d = self.dim
+            units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
+            out = partial_transpose_mat(apply(np.stack([proj_in(units), units])), *pt_out)
+            d_out = out.shape[-1]
+            chois = out.reshape(2, d, d, d_out, d_out).swapaxes(2, 3).reshape(2, d * d_out, -1)
+            if pt_in is not None:
+                dims_in, slot_in = pt_in
+                chois = np.concatenate([chois, partial_transpose_mat(chois, (*dims_in, d_out), slot_in)])
+            if np.max(np.linalg.eigvalsh(chois)[:, 0]) >= -tol:
+                return RngVerdict(True, "certified", len(states))
+        mode, n = ("sampled", n_samples) if points is None else ("extreme-points", len(points))
+        states = points or (self.random_state(rng) for _ in range(n_samples))
+        bad = first_failure(((mu, apply(mu), target.contains) for mu in states), tol)
+        return RngVerdict(bad is None, mode, n, bad)
 
     def marginal_projection(self, m: np.ndarray) -> np.ndarray:
         """Frobenius projection of a candidate marginal onto the closed convex
@@ -144,6 +194,16 @@ class FreeStateSet:
             raise ValueError(f"dimension mismatch: state {m.shape[0]}, set {self.dim}")
 
 
+@dataclass
+class RngVerdict:
+    """A non-generation verdict, with a mode from ``FreeStateSet.maps_into``."""
+
+    ok: bool
+    mode: str
+    n_states: int
+    witness: np.ndarray | None = None
+
+
 def first_failure(cases: Iterable[tuple[object, object, Callable]], tol: float) -> object | None:
     """The witness of the first case that fails its membership test, or None.
 
@@ -154,21 +214,36 @@ def first_failure(cases: Iterable[tuple[object, object, Callable]], tol: float) 
     return next((w for w, x, contains in cases if not contains(x, tol)), None)
 
 
+def _satisfies(form, m: np.ndarray, tol: float) -> np.ndarray:
+    """Whether ``m``, or each matrix of a stack, meets a ``linear_form`` at
+    entrywise resolution ``tol``: max|m - Pi m| <= tol, and a partial
+    transpose >= -tol where one is set."""
+    proj, pt = form
+    ok = np.max(np.abs(m - proj(m)), axis=(-2, -1)) <= tol
+    if pt is not None:
+        ok &= np.linalg.eigvalsh(partial_transpose_mat(m, *pt))[..., 0] >= -tol
+    return ok
+
+
+def _spanning_states(dims: Sequence[int]) -> np.ndarray:
+    """The d^2 product pure states over local dimensions ``dims`` whose
+    projectors span the matrices: |a>, (|a> + |b>)/sqrt2 and (|a> + i|b>)/sqrt2
+    on each party."""
+    vecs = np.ones((1, 1))
+    for d in dims:
+        e, (a, b) = np.eye(d), np.triu_indices(d, 1)
+        local = np.concatenate([e, (e[a] + e[b]) / np.sqrt(2.0), (e[a] + 1j * e[b]) / np.sqrt(2.0)])
+        vecs = (vecs[:, None, :, None] * local[None, :, None, :]).reshape(-1, vecs.shape[1] * d)
+    return vecs[:, :, None] * vecs.conj()[:, None, :]
+
+
 class _FixedStates(FreeStateSet):
-    """The states fixed by a projection Pi, the set's ``marginal_projection``.
+    """The states fixed by a projection Pi, the set's ``marginal_projection``:
+    its ``linear_form`` sets no partial transpose, so Pi rho is the closest
+    free state, and I/d is free."""
 
-    Pi is the set's ``projection``, so Pi rho is the closest free state.
-    Membership is max|rho - Pi rho| <= tol over the entries in the
-    computational basis, and I/d is free.
-    """
-
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = as_matrix(rho)
-        self._check_dim(m)
-        return float(np.max(np.abs(m - self.marginal_projection(m)))) <= tol
-
-    def projection(self):
-        return self.marginal_projection
+    def linear_form(self):
+        return self.marginal_projection, None
 
     def full_rank_state(self):
         return np.eye(self.dim, dtype=complex) / self.dim
@@ -233,14 +308,6 @@ class RealStates(_FixedStates):
         g = rng.normal(size=(self.dim, self.dim))
         m = g @ g.T
         return (m / np.trace(m)).astype(complex)
-
-    def verification_states(self, rng, n):
-        out = [np.diag(np.eye(self.dim)[i]).astype(complex) for i in range(self.dim)]
-        while len(out) < n:
-            v = rng.normal(size=self.dim)
-            v = v / np.linalg.norm(v)
-            out.append(np.outer(v, v).astype(complex))
-        return out, "sampled"
 
     def marginal_projection(self, m):
         # (m + m^T)/2 is linear, so a product acts with it on one tensor slot
@@ -311,9 +378,6 @@ class AllStates(_FixedStates):
 
     def random_state(self, rng):
         return random_density_mat(rng, self.dim)
-
-    def verification_states(self, rng, n):
-        return [np.outer(v := random_pure_vec(rng, self.dim), v.conj()) for _ in range(n)], "sampled"
 
     def marginal_projection(self, m):
         return m
@@ -402,24 +466,31 @@ class MinComposite(_Composite):
     def hull_factors(self):
         return [f for s in self.locals for f in s.hull_factors()]
 
-    def projection(self):
-        """The tensor product of the factors' projections, where every factor
-        has one and at most one of them lists no extreme points; else None.
-
-        A projection set with finitely many extreme points has a commutative
-        fixed algebra, so its projection is a dephasing.  Dephasing every
-        slot but at most one fixes exactly the block-diagonal states sum_k
-        |k><k| (x) X_k over a product basis, each X_k in the cone of the
-        remaining factor's set, and these are the hull; over Incoherent (x) AllStates
-        they are the quantum-incoherent states, where D(rho||S) = S(Delta_A
-        rho) - S(rho) (Chitambar et al., PRL 116, 070402, 2016).  The
-        product is positive, as it acts blockwise, and it fixes log sigma
-        blockwise, so the ``FreeStateSet.projection`` argument holds.  It
-        would not with two factors without listed extreme points (separable
-        sets), nor with a singleton or finite factor, which have no
-        projection."""
+    def linear_form(self):
+        """The tensor product Pi of the factors' projections, where every factor
+        has one, with a partial transpose where two factors list no extreme
+        points at 2x2 or 2x3; else None.  A projection set with finitely many
+        extreme points has a commutative fixed algebra, so its projection is a
+        dephasing.  Dephasing every slot but at most one fixes exactly the
+        block-diagonal states sum_k |k><k| (x) X_k over a product basis, each
+        X_k in the cone of the remaining factor's set, and these are the hull;
+        over Incoherent (x) AllStates they are the quantum-incoherent states,
+        where D(rho||S) = S(Delta_A rho) - S(rho) (Chitambar et al., PRL 116,
+        070402, 2016).  The product is positive, as it acts blockwise, and it
+        fixes log sigma blockwise, so the ``FreeStateSet.projection`` argument
+        holds.  With two undephased factors at 2x2 or 2x3 a PPT X_k is separable
+        (Horodecki, PLA 223, 1, 1996), and Pi maps each of its product terms
+        onto a free one, so a nonnegative partial transpose on one of them
+        decides membership.  A singleton or finite factor has no projection."""
         factors = self.hull_factors()
-        return None if len(self._unlisted(factors)) > 1 else _product_projection(factors)
+        proj = _product_projection(factors)
+        unlisted = self._unlisted(factors)
+        if proj is None or len(unlisted) <= 1:
+            return None if proj is None else (proj, None)
+        dims = tuple(f.dim for f in factors)
+        if len(unlisted) == 2 and sorted(dims[i] for i in unlisted) in ([2, 2], [2, 3]):
+            return proj, (dims, unlisted[1])
+        return None
 
     @staticmethod
     def _unlisted(factors: Sequence[FreeStateSet]) -> list[int]:
@@ -471,40 +542,23 @@ class MinComposite(_Composite):
         return kron_all(p[best] for p in parts)
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Hull membership at trace-norm resolution ``tol``.
-
-        Where every factor has a ``projection``, the hull lies in the fixed
-        space of their tensor product Pi, so max|rho - Pi rho| > tol rejects
-        at every size.  A fixed state is sum_k |k><k| (x) X_k over the
-        dephased factors' product basis; with at most one factor that lists
-        no extreme points each X_k is in that factor's cone, so the state is
-        a member.  With two such factors at 2x2 or 2x3 a PPT X_k is
-        separable (Horodecki, PLA 223, 1, 1996), and Pi maps each of its
-        product terms onto a free one, so a nonnegative partial transpose on
-        one of them decides it.
-
-        Otherwise a member's marginals are locally free (the hull sits
-        inside the marginal set), and a product of free marginals is a
-        member.  With at most one non-singleton factor conv(A (x) {gamma}) =
-        conv(A) (x) {gamma}, so every member is such a product.  Else
-        D_max(rho||S) <= b = log2(1 + tol/2) comes with a free witness sigma,
-        rho <= 2^b sigma, hence ||rho - sigma||_1 <= 2(2^b - 1) = tol; a
-        rejection is only as exact as the see-saw oracle inside ``dmax``.
-        """
+        """Hull membership by the ``linear_form`` where there is one.  Else,
+        where every factor has a ``projection``, the hull lies in the fixed
+        space of their tensor product Pi, so max|rho - Pi rho| > tol rejects.
+        A member's marginals are locally free (the hull sits inside the
+        marginal set), and a product of free marginals is a member.  With at
+        most one non-singleton factor conv(A (x) {gamma}) = conv(A) (x)
+        {gamma}, so every member is such a product.  Else D_max(rho||S) <= b
+        = log2(1 + tol/2) comes with a free witness sigma, rho <= 2^b sigma,
+        hence ||rho - sigma||_1 <= 2(2^b - 1) = tol; a rejection is only as
+        exact as the see-saw oracle inside ``dmax``."""
+        if self.linear_form() is not None:
+            return super().contains(rho, tol)
         m = as_matrix(rho)
         self._check_dim(m)
-        factors = self.hull_factors()
-        proj = _product_projection(factors)
-        if proj is not None:
-            if float(np.max(np.abs(m - proj(m)))) > tol:
-                return False
-            unlisted = self._unlisted(factors)
-            if len(unlisted) <= 1:
-                return True
-            factor_dims = [f.dim for f in factors]
-            if len(unlisted) == 2 and sorted(factor_dims[i] for i in unlisted) in ([2, 2], [2, 3]):
-                pt = partial_transpose_mat(m, factor_dims, unlisted[1])
-                return bool(np.linalg.eigvalsh(pt)[0] >= -tol)
+        proj = _product_projection(self.hull_factors())
+        if proj is not None and float(np.max(np.abs(m - proj(m)))) > tol:
+            return False
         dims = self.local_dims
         margs = [partial_trace_mat(m, dims, [i]) for i in range(len(dims))]
         if not all(s.contains(marg, tol) for s, marg in zip(self.locals, margs)):
@@ -526,12 +580,6 @@ class MinComposite(_Composite):
             m += w[i] * kron_all(s.random_state(rng) for s in self.locals)
         return m
 
-    def verification_states(self, rng, n):
-        out = []
-        for _ in range(n):
-            pools = (s.verification_states(rng, 4)[0] for s in self.locals)
-            out.append(kron_all(pool[int(rng.integers(len(pool)))] for pool in pools))
-        return out, "sampled"
 
 class SeparableTwoQubit(MinComposite):
     """Separable states across a 2x2 (or 2x3) cut: the hull of products of
@@ -701,14 +749,14 @@ class MaxComposite(_Composite):
 
         At steps 1, 2, 4, 8, ... the dual bound is read off that step's
         Dykstra multipliers; the run stops once the fully projected best
-        iterate is within 1e-9 max|grad| of it. ``lower`` is -inf when that
-        never happens, and mu then rests on the heuristic minimiser alone."""
+        iterate is within 1e-9 max|grad| of it.  ``lower`` is the best
+        reading, so it is certified even where mu is not the minimiser."""
         g = as_complex(grad)
         g = 0.5 * (g + g.conj().T)
         x = self.full_rank_state()
         if x is None:
             x = self.project_feasible(np.eye(self.dim, dtype=complex) / self.dim)
-        best, best_val = None, np.inf
+        best, best_val, lower = None, np.inf, -np.inf
         scale = max(float(np.max(np.abs(g))), 1e-12)
         for t in range(1, iters + 1):
             eta = 0.9 / (scale * np.sqrt(t))
@@ -718,12 +766,13 @@ class MaxComposite(_Composite):
                 best_val, best = val, x
             if t & (t - 1) == 0:
                 # a best value far below the bound is an infeasible iterate
-                lower = self._dual_bound(g, incs, eta)
-                if abs(best_val - lower) <= 1e-9 * scale:
+                reading = self._dual_bound(g, incs, eta)
+                lower = max(lower, reading)
+                if abs(best_val - reading) <= 1e-9 * scale:
                     mu = self.project_feasible(best, iters=800)
-                    if float(np.real(np.trace(g @ mu))) - lower <= 1e-9 * scale:
+                    if float(np.real(np.trace(g @ mu))) - reading <= 1e-9 * scale:
                         return mu, lower, t
-        return self.project_feasible(best, iters=800), -np.inf, iters
+        return self.project_feasible(best, iters=800), lower, iters
 
     def random_state(self, rng):
         parts = []
@@ -756,9 +805,6 @@ class MaxComposite(_Composite):
                 hi = mid
         t = lo * rng.uniform()
         return base + t * corr
-
-    def verification_states(self, rng, n):
-        return [self.random_state(rng) for _ in range(n)], "sampled"
 
 
 # ---------------------------------------------------------------------------
@@ -879,19 +925,12 @@ class AllOps(FreeOpClass):
         return ch.random_channel(rng, dim, dim, int(rng.integers(1, 4)))
 
 
-@dataclass
-class RngVerdict:
-    ok: bool
-    mode: str
-    n_states: int
-    witness: np.ndarray | None = None
-
-
 class Rng(FreeOpClass):
     """Resource non-generating operations with respect to a free-state set.
 
-    Verification is certificate-based: exhaustive when the set has finitely
-    many extreme points, otherwise sampled; the verdict records which.
+    ``verify`` asks the set's ``maps_into`` whether the channel maps it into
+    itself; the verdict's mode is ``extreme-points``, ``projection`` (exact),
+    ``certified`` (sufficient) or ``sampled`` (``n_samples`` draws, ``seed``).
     """
 
     kind = "rng"
@@ -902,11 +941,8 @@ class Rng(FreeOpClass):
         self.seed = seed
 
     def verify(self, channel: ch.KrausChannel, tol: float = MEMBERSHIP_TOL) -> RngVerdict:
-        rng = np.random.default_rng(self.seed)
-        states, mode = self.free_set.verification_states(rng, self.n_samples)
-        images = ((mu, channel.apply_mat(mu), self.free_set.contains) for mu in states)
-        bad = first_failure(images, tol)
-        return RngVerdict(bad is None, mode, len(states), witness=bad)
+        return self.free_set.maps_into(channel.apply_mat, self.free_set, tol, self.n_samples,
+                                       np.random.default_rng(self.seed))
 
     def contains_channel(self, channel, tol: float = 1e-6) -> bool:
         return self.verify(channel, tol).ok

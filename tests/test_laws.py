@@ -13,9 +13,11 @@ from hetres.qcore import (
     TensorStructure,
     bell_phi_plus_vec,
     density,
+    partial_trace_mat,
     partial_transpose_mat,
     pure_state,
     random_pure_vec,
+    random_unitary,
     single_party,
     von_neumann_entropy,
 )
@@ -317,6 +319,26 @@ class TestNogo:
         assert rep.certified
         assert rep.basis_offdiag <= 1e-9
         assert rep.direct_offdiag <= 1e-9
+
+    def test_offdiagonals_match_a_per_input_reference(self):
+        # a random unitary generates coherence; the stacked marginals must
+        # equal the party-1 marginals of each input taken one at a time
+        rng = np.random.default_rng(12)
+        struct = TensorStructure([("1", 2), ("2", 4)])
+        lam = ch.unitary_channel(random_unitary(rng, 8), struct)
+        rep = laws.nogo_entanglement_to_coherence(lam, INC2, n_free_inputs=3, seed=7)
+        free_rng = np.random.default_rng(7)
+        mus = [INC2.random_state(free_rng) for _ in range(3)]
+
+        def offdiag(x):
+            marg = partial_trace_mat(lam.apply_mat(x), (2, 4), [0])
+            return float(np.max(np.abs(marg - np.diag(np.diag(marg)))))
+
+        basis = max(offdiag(np.kron(mu, b)) for mu in mus for b in laws.product_affine_basis())
+        direct = max(offdiag(np.kron(mu, PHI)) for mu in mus)
+        assert not rep.certified and basis > 1e-3
+        assert abs(rep.basis_offdiag - basis) <= 1e-12
+        assert abs(rep.direct_offdiag - direct) <= 1e-12
 
     def test_verified_family_certified(self):
         for lam in rng_verified_channel_family(5, seed=5):
