@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import EIG_FLOOR, as_matrix, mat_to_json, partial_trace_mat, trace_norm
-from .theories import FreeStateSet, MaxComposite
+from .qcore import EIG_FLOOR, as_matrix, hermitian_basis, mat_to_json, partial_trace_mat, trace_norm
+from .theories import FreeStateSet
 
 LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
@@ -171,8 +171,9 @@ def rel_entropy_of_resource(
     seed: int = 0,
     force_engine: bool = False,
 ) -> DivergenceResult:
-    """min_{mu in S} D(rho||mu), closed form when the set has one, otherwise
-    Frank-Wolfe against the set's linear-minimization oracle.
+    """min_{mu in S} D(rho||mu): a closed form where the set has one, entropic
+    mirror descent over a set with ``marginal_constraints`` (the marginal
+    sets), else Frank-Wolfe against the set's linear-minimization oracle.
 
     A set with a ``projection`` Pi closes at Pi rho, at S(Pi rho) - S(rho)
     and zero iterations: the incoherent, real and unrestricted sets, and
@@ -185,11 +186,11 @@ def rel_entropy_of_resource(
     [0, 1] as g = 1 when h'(1) <= 0, else as the root of h' by Brent's
     method, at one eigensolve per trial step.
 
-    The duality-gap certificate Tr G (sigma - oracle) bounds the
-    suboptimality.  Over a set without an exact oracle (``exact_lmo``
-    False: a see-saw hull) the lower bound rests on heuristic 4-restart
-    oracle calls, and ``extras["oracle_limited"]`` says so.
-    ``force_engine`` skips an available closed form (cross-validation).
+    Both engines certify by the gap Tr G sigma - min Tr G mu.  Mirror descent
+    takes the minimum's certified dual bound; over a set without an exact
+    oracle (``exact_lmo`` False: a see-saw hull) Frank-Wolfe's lower bound
+    rests on heuristic 4-restart oracle calls, and ``extras["oracle_limited"]``
+    says so.  ``force_engine`` skips an available closed form (cross-validation).
     """
     m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
@@ -199,8 +200,8 @@ def rel_entropy_of_resource(
         return _exact(closed[1], closed[0], method="closed-form")
     if not force_engine and free_set.contains(m, 1e-9):
         return _exact(0.0, m, method="member")
-    if isinstance(free_set, MaxComposite):
-        return _pg_rel_entropy_marginal_set(m, free_set, gap)
+    if free_set.marginal_constraints is not None:
+        return _mirror_rel_entropy(m, free_set, gap)
     return _fw_rel_entropy(m, free_set, gap, seed)
 
 
@@ -272,64 +273,51 @@ def _marginal_lower_bound(m: np.ndarray, free_set: FreeStateSet) -> float:
     return best
 
 
-def _pg_rel_entropy_marginal_set(m, free_set: MaxComposite, gap) -> DivergenceResult:
-    """Projected gradient over {all marginals locally free} with a Dykstra
-    feasibility projection; the certificate combines the oracle gap Tr G
-    sigma - lower, from the LMO's dual bound, with the partial-trace lower
-    bound."""
-    s_rho = _neg_plogp(m)
-    start = free_set.full_rank_state()
-    if start is None:
-        start = free_set.project_feasible(np.eye(m.shape[0], dtype=complex) / m.shape[0])
-    sigma = 0.999 * free_set.project_feasible(0.7 * start + 0.3 * m) + 0.001 * start
+def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
+    """Entropic mirror descent over a set with ``marginal_constraints``: a
+    step is its solver at tau = 1 on eta G - ln sigma at barrier 1e-6 eta,
+    repaired to a member; eta halves until f(mu) <= min(f, f + Tr G(mu - sigma)
+    + D(mu||sigma)/eta), D in nats (Bauschke, Bolte & Teboulle, Math. Oper.
+    Res. 42, 330, 2017), then grows by half.  The lower bound is f - Tr G sigma + b,
+    b certified at the step's multipliers over eta and, at steps 1, 2, 4, ...,
+    by the exact oracle."""
+    cons, s_rho = free_set.marginal_constraints, _neg_plogp(m)
 
-    def f_of(s):
-        w, _, rho_hat = _eig_frame(m, s)
-        return _objective_from_eig(rho_hat, w, s_rho)
+    def step(k, barrier, y):
+        y, gibbs = cons.solve(k, 1.0, barrier, y, 1e-12)
+        sigma = cons.member(gibbs)
+        w, v, rho_hat = frame = _eig_frame(m, sigma)
+        log_sigma = (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
+        return y, sigma, _objective_from_eig(rho_hat, w, s_rho), frame, log_sigma
 
-    f = f_of(sigma)
-    eta = 0.5
-    iters = 0
-    stall = 0
-    for t in range(1, 601):
-        iters = t
-        grad = _log_gradient(*_eig_frame(m, sigma))
-        improved = None
+    w, v = np.linalg.eigh(0.7 * cons.interior + 0.3 * m)
+    scaled, sigma, f, frame, log_sigma = step(-(v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T,
+                                             1e-6, cons.origin)
+    best_lb, eta = _marginal_lower_bound(m, free_set), 1.0
+    for iters in range(1, 601):
+        if not np.isfinite(f):  # no member reaches rho's support
+            break
+        grad = _log_gradient(*frame)
+        grad = 0.5 * (grad + grad.conj().T)
+        linear = float(np.real(np.vdot(grad, sigma)))
+        best_lb = max(best_lb, f - linear + cons.bound(grad, scaled))
+        if iters & (iters - 1) == 0 and f - best_lb > gap:
+            best_lb = max(best_lb, f - linear + cons.minimize(grad, 0.01 * gap)[1])
+        if f - best_lb <= gap:
+            break
         while eta > 1e-12:
-            cand = free_set.project_feasible(sigma - eta * grad)
-            fc = f_of(cand)
-            if fc < f - 1e-14:
-                improved = (cand, fc)
+            trial = step(eta * grad - log_sigma, 1e-6 * eta, eta * scaled)
+            mu, f_mu, log_mu = trial[1], trial[2], trial[4]
+            bregman = float(np.real(np.vdot(mu, log_mu - log_sigma))) / eta
+            if f_mu <= min(f, f + float(np.real(np.vdot(grad, mu - sigma))) + bregman):
                 break
             eta *= 0.5
-        if improved is None:
-            break
-        sigma, new_f = improved
-        if f - new_f < 1e-11:
-            stall += 1
-            if stall > 5:
-                f = new_f
-                break
         else:
-            stall = 0
-        f = new_f
-        eta = min(eta * 1.8, 2.0)
-
-    grad = _log_gradient(*_eig_frame(m, sigma))
-    _, lower, lmo_steps = free_set.lmo_with_bound(grad, iters=220)
-    oracle_gap = float(np.real(np.trace(grad @ sigma))) - lower
-    lb = max(f - max(oracle_gap, 0.0), _marginal_lower_bound(m, free_set))
-    lb = min(lb, f)
-    return DivergenceResult(
-        float(f),
-        float(lb),
-        float(f),
-        iters,
-        converged=(f - lb) <= gap,
-        optimizer=sigma,
-        extras={"method": "projected-gradient", "requested_gap": gap,
-                "lmo_steps": lmo_steps},
-    )
+            break
+        (scaled, sigma, f, frame, log_sigma), eta = (trial[0] / eta, *trial[1:]), 1.5 * eta
+    lb = min(best_lb, f)
+    return DivergenceResult(float(f), float(lb), float(f), iters, not f - lb > gap, sigma,
+                            {"method": "mirror-descent", "requested_gap": gap})
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +343,8 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
     at the dual point y, delta = lambda_max(rho - sum_i y_i mu_i)+.  It is a
     free state whatever the oracle (a mixture of states the LMO returned).
     The lower bound, log2(Tr rho P / max_S Tr sigma P) over the tests the
-    repair visits, is only as exact as the LMO's maximum (heuristic on hull
-    and marginal sets), as is +inf over a grown sigma_bar.
+    repair visits, is only as exact as the LMO's maximum (heuristic on see-saw
+    hulls), as is +inf over a grown sigma_bar.
     """
     m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
@@ -500,7 +488,7 @@ def hypothesis_testing(
     "round-cap".  Fewer constraints relax the problem, so the least dual value
     (at ``extras["dual_y"]``) bounds from above; the lower bound is the best
     test's exponent after rescaling to alpha <= eps, alpha being only as exact
-    as the LMO (heuristic on hull and marginal sets).  The eps*identity test
+    as the LMO (heuristic on see-saw hulls).  The eps*identity test
     and the support projector are backstops; beta below 1e-12 is +inf.
 
     ``restrict`` confines the test to "diagonal" or "real" POVM elements.
@@ -573,19 +561,6 @@ def hypothesis_testing(
 # where X(y) and its positive part stay.
 
 DUAL_TEMPERATURES = tuple(10.0 ** (-e / 2) for e in range(2, 21))  # 1e-1 .. 1e-10
-
-
-def _cone_basis(n: int, restrict: str | None) -> np.ndarray:
-    """Frobenius-orthonormal basis of the n x n matrices in the cone."""
-    out = []
-    for a in range(n):
-        for b in range(a, a + 1 if restrict == "diagonal" else n):
-            e = np.zeros((n, n), dtype=float if restrict else complex)
-            e[a, b] = e[b, a] = 1.0 if a == b else math.sqrt(0.5)
-            out.append(e)
-            if restrict is None and a != b:
-                out.append(1j * (np.triu(e) - np.tril(e)))
-    return np.stack(out) if out else np.zeros((0, n, n))
 
 
 def _extreme_point_dual(m, points, epsilon, restrict):
@@ -710,7 +685,7 @@ def _polish_face(y, lam, v, n_null, p, mus, epsilon, restrict, spectrum):
     [0, I].
     """
     act = np.flatnonzero(y > 0.0)
-    y, basis = y.copy(), _cone_basis(n_null, restrict)
+    y, basis = y.copy(), hermitian_basis(n_null, restrict)
     null_vecs = v[:, np.argsort(np.abs(lam))[:n_null]]
     fill = null_vecs.conj().T @ p @ null_vecs
     for r in range(5):
@@ -750,7 +725,7 @@ def _polish_face(y, lam, v, n_null, p, mus, epsilon, restrict, spectrum):
 # ---------------------------------------------------------------------------
 # regularization (evaluated only where it collapses)
 
-ADDITIVE_KINDS = {"incoherent", "singleton", "real"}
+ADDITIVE_KINDS = {"incoherent", "singleton"}
 
 
 def regularized_rel_entropy(
@@ -765,8 +740,9 @@ def regularized_rel_entropy(
     """Per-copy limit of the relative entropy of resource.
 
     "declared-additive" returns the single-copy value, allowed for set kinds
-    whose relative entropy of resource is additive (incoherent, singleton,
-    real) or when the caller explicitly asserts additivity.  "evaluate-n"
+    whose relative entropy of resource is additive (incoherent, singleton)
+    or when the caller explicitly asserts additivity.  Real states are not
+    additive: |+i> is one bit from Real_2, and |+i>^(x)2 one bit from Real_4.  "evaluate-n"
     computes (1/n) D(rho^(x)n || S_n) for n <= 2 as a non-certified
     upper-bound estimate.
     """

@@ -227,6 +227,19 @@ def embed_operator(op: np.ndarray, structure: TensorStructure, party: str) -> np
     return kron_all(op if j == i else np.eye(d) for j, d in enumerate(dims))
 
 
+def hermitian_basis(n: int, restrict: str | None) -> np.ndarray:
+    """Frobenius-orthonormal basis of the Hermitian, or ``restrict``ed, n x n matrices."""
+    out = []
+    for a in range(n):
+        for b in range(a, a + 1 if restrict == "diagonal" else n):
+            e = np.zeros((n, n), dtype=float if restrict else complex)
+            e[a, b] = e[b, a] = 1.0 if a == b else np.sqrt(0.5)
+            out.append(e)
+            if restrict is None and a != b:
+                out.append(1j * (np.triu(e) - np.tril(e)))
+    return np.stack(out) if out else np.zeros((0, n, n))
+
+
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product in order; the 1x1 identity for no factors."""
     return functools.reduce(np.kron, mats, np.array([[1.0 + 0j]]))

@@ -19,7 +19,9 @@ are reported as verdicts on the given decomposition, not as universal proofs.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -31,7 +33,8 @@ from .qcore import (
     TensorStructure,
     as_complex,
     as_matrix,
-    check_hermitian,
+    embed_operator,
+    hermitian_basis,
     kron_all,
     mat_from_json,
     mat_to_json,
@@ -55,6 +58,7 @@ class FreeStateSet:
     kind = "abstract"
     exact_lmo = True  # lmo returns a true minimizer, not a heuristic one
     structure: TensorStructure | None = None  # a composite's labelled parties
+    marginal_constraints: MarginalConstraints | None = None  # dual-solver data, if any
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -134,7 +138,8 @@ class FreeStateSet:
           Pi_in = 0 (Liu, Hu & Lloyd, PRL 118, 060502, 2017): exact where
           ``target`` sets no partial transpose T.
         - ``certified``: a PSD Choi matrix of T apply or T apply Pi_in, or of
-          either after this set's own T_in (PSD on its members), makes each
+          either transposed on every other output slot (T(X) >= 0 iff T(X)^T
+          >= 0) or after this set's own T_in (PSD on its members), makes each
           image's T nonnegative: sufficient.
         - ``sampled``: otherwise, ``n_samples`` draws of ``random_state``."""
         points = self.extreme_points()
@@ -155,25 +160,13 @@ class FreeStateSet:
             if pt_in is not None:
                 dims_in, slot_in = pt_in
                 chois = np.concatenate([chois, partial_transpose_mat(chois, (*dims_in, d_out), slot_in)])
-            if np.max(np.linalg.eigvalsh(chois)[:, 0]) >= -tol:
-                return RngVerdict(True, "certified", len(states))
+            for cand in (chois, partial_transpose_mat(chois, (d, d_out), 1)):
+                if np.max(np.linalg.eigvalsh(cand)[:, 0]) >= -tol:
+                    return RngVerdict(True, "certified", len(states))
         mode, n = ("sampled", n_samples) if points is None else ("extreme-points", len(points))
         states = points or (self.random_state(rng) for _ in range(n_samples))
         bad = first_failure(((mu, apply(mu), target.contains) for mu in states), tol)
         return RngVerdict(bad is None, mode, n, bad)
-
-    def marginal_projection(self, m: np.ndarray) -> np.ndarray:
-        """Frobenius projection of a candidate marginal onto the closed convex
-        cone its marginals must lie in (PSD and trace handled globally by the
-        caller); a singleton projects onto its one state instead."""
-        raise NotImplementedError(f"{self.kind} cannot be used as a marginal constraint")
-
-    def marginal_dual(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        """(w', offset) with Tr(w' tau) >= offset for every tau in the set.
-
-        The default projects ``w`` onto the dual of the marginal cone
-        (Moreau: w + P_K(-w)), whose overlap with any member is >= 0."""
-        return w + self.marginal_projection(-w), 0.0
 
     def tensor_power(self, n: int) -> FreeStateSet:
         """The free set of ``n`` copies, where the kind has a known one."""
@@ -350,12 +343,6 @@ class Singleton(FreeStateSet):
 
     def extreme_points(self) -> list[np.ndarray]:
         return [self.gamma]
-
-    def marginal_projection(self, m):
-        return self.gamma
-
-    def marginal_dual(self, w):
-        return w, float(np.real(np.trace(w @ self.gamma)))
 
     def tensor_power(self, n):
         return Singleton(kron_all([self.gamma] * n))
@@ -593,12 +580,6 @@ class SeparableTwoQubit(MinComposite):
         self.cut = (int(cut[0]), int(cut[1]))
         super().__init__([AllStates(d) for d in self.cut], labels=["A", "B"])
 
-    def marginal_projection(self, m):
-        pt = partial_transpose_mat(m, self.cut, 1)
-        w, v = np.linalg.eigh(check_hermitian(pt, tol=1e-8))
-        clipped = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        return partial_transpose_mat(clipped, self.cut, 1)
-
     def boundary_pair(self):
         # a maximally entangled qubit pair, embedded in the cut if it is 2x3
         vec = np.zeros(self.dim, dtype=complex)
@@ -650,161 +631,195 @@ def _effective_local_operator(g, dims, parts, i):
 
 
 class MaxComposite(_Composite):
-    """States whose every single-party marginal is locally free."""
+    """States whose every single-party marginal is locally free.
+
+    ``marginal_constraints`` lifts to each slot the range of id - Pi of that
+    local's ``linear_form`` and a cone on the partial transpose it sets, or,
+    for one extreme point gamma, every traceless B at offset Tr(B gamma)."""
 
     kind = "max-composite"
-    exact_lmo = False  # projected subgradient, certified only by lmo_with_bound
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         m = as_matrix(rho)
         self._check_dim(m)
-        dims = self.local_dims
-        for i, s in enumerate(self.locals):
-            if not s.contains(partial_trace_mat(m, dims, [i]), tol):
-                return False
-        return True
+        return all(s.contains(partial_trace_mat(m, self.local_dims, [i]), tol)
+                   for i, s in enumerate(self.locals))
 
-    def _split(self, i: int) -> tuple[int, int, int]:
-        """Dimensions (left, d_i, right) around party i."""
-        dims = self.local_dims
-        return int(np.prod(dims[:i])), dims[i], int(np.prod(dims[i + 1:]))
+    @functools.cached_property
+    def marginal_constraints(self) -> MarginalConstraints:
+        def lift(stack, i):
+            ops = [embed_operator(b, self.structure, self.structure.labels[i]) for b in stack]
+            return np.array(ops).reshape(-1, self.dim, self.dim)
 
-    def _marginal_projector(self, i: int):
-        left, d, right = self._split(i)
-        d_rest = left * right
+        dirs, cones, centres = [], self._cones(), []
+        for i, local in enumerate(self.locals):
+            d, form, points = local.dim, local.linear_form(), local.extreme_points()
+            basis = hermitian_basis(d, None)
+            if form is not None:
+                proj, centre = form[0], local.full_rank_state()
+                if form[1] is not None:
+                    cones.append(lift(partial_transpose_mat(basis, *form[1]), i))
+            elif points is not None and len(points) == 1:
+                proj, centre = lambda x, d=d: np.einsum("...aa,bc->...bc", x, np.eye(d) / d), points[0]
+            else:
+                raise NotImplementedError(f"{local.kind} cannot be used as a marginal constraint")
+            w, v = np.linalg.eigh(np.real(np.einsum("kab,lba->kl", basis, basis - proj(basis))))
+            dirs.append(lift(np.tensordot(v[:, w > 0.5].T, basis, 1), i))
+            centres.append(centre)
+        return MarginalConstraints(np.concatenate(dirs), cones, kron_all(centres))
 
-        def proj(y):
-            # (left, d, right) on both indices: the marginal sums the
-            # diagonal of the left and right factors, and the correction
-            # delta (x) I / d_rest is added on that same diagonal
-            out = y.copy().reshape(left, d, right, left, d, right)
-            marg = np.einsum("iajibj->ab", out)
-            fixed = self.locals[i].marginal_projection(marg)
-            np.einsum("iajibj->ijab", out)[...] += (fixed - marg) / d_rest
-            return out.reshape(y.shape)
+    def _cones(self) -> list[np.ndarray]:
+        """A*(E), E the ``hermitian_basis``, for cones A(sigma) >= 0 a subclass adds."""
+        return []
 
-        return proj
-
-    def _projections(self):
-        """Frobenius projections whose intersection is the feasible set;
-        subclasses may append further convex constraints."""
-
-        def psd(y):
-            w, v = np.linalg.eigh(0.5 * (y + y.conj().T))
-            return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-        def unit_trace(y):
-            d = y.shape[0]
-            return y + (1.0 - np.trace(y)) / d * np.eye(d)
-
-        return [psd, unit_trace] + [self._marginal_projector(i) for i in range(len(self.locals))]
-
-    def _dykstra(self, x: np.ndarray, iters: int, tol: float = 1e-11):
-        """Dykstra's projection of ``x`` onto the feasible set, and each
-        constraint's increment. The increments sum to x minus the result and
-        are the projection's KKT multipliers (Boyle & Dykstra 1986)."""
-        projections = self._projections()
-        incs = [np.zeros_like(x) for _ in projections]
-        cur = x.copy()
-        for _ in range(iters):
-            prev = cur.copy()
-            for s_idx, proj_fn in enumerate(projections):
-                y = cur + incs[s_idx]
-                proj = proj_fn(y)
-                incs[s_idx] = y - proj
-                cur = proj
-            if float(np.max(np.abs(cur - prev))) < tol:
-                break
-        return cur, incs
-
-    def project_feasible(self, x: np.ndarray, iters: int = 400) -> np.ndarray:
-        """Dykstra projection onto {PSD, trace 1, all marginals locally free}."""
-        return self._dykstra(x, iters)[0]
-
-    def _dual_bound(self, g: np.ndarray, incs: list[np.ndarray], eta: float) -> float:
-        """Lagrange dual of min Tr(g X): Tr(g X) >= lambda_min(g - sum_i w_i (x) I)
-        + sum_i offset_i over the set, for (w_i, offset_i) from party i's
-        ``marginal_dual``. Here w_i comes from the marginal increment
-        N_i (x) I of the projection of x - eta g, as marginal_dual(-N_i / eta)."""
-        h, offset = g, 0.0
-        for i, (local, inc) in enumerate(zip(self.locals, incs[2:])):
-            left, d, right = self._split(i)
-            n = np.einsum("iajibj->ab", inc.reshape(left, d, right, left, d, right))
-            w, off = local.marginal_dual(-n / (left * right * eta))
-            h = h - kron_all([np.eye(left), w, np.eye(right)])
-            offset += off
-        return float(np.linalg.eigvalsh(h)[0]) + offset
-
-    def lmo(self, grad, rng=None, iters: int = 250):
-        """Linear minimization by projected subgradient over the feasible set,
-        stopped early once ``lmo_with_bound`` proves its minimum."""
+    def lmo(self, grad, rng=None):
         g = as_complex(grad)
-        if g.ndim > 2:
-            return np.stack([self.lmo(x, rng, iters) for x in g])
-        return self.lmo_with_bound(g, iters)[0]
+        mus = [self.lmo_with_bound(x)[0] for x in g.reshape(-1, self.dim, self.dim)]
+        return np.stack(mus).reshape(g.shape)
 
-    def lmo_with_bound(self, grad, iters: int = 250) -> tuple[np.ndarray, float, int]:
-        """(mu, lower, steps): the projected-subgradient minimiser, a certified
-        lower bound on Tr(grad X) over the set, and the steps taken.
-
-        At steps 1, 2, 4, 8, ... the dual bound is read off that step's
-        Dykstra multipliers; the run stops once the fully projected best
-        iterate is within 1e-9 max|grad| of it.  ``lower`` is the best
-        reading, so it is certified even where mu is not the minimiser."""
-        g = as_complex(grad)
-        g = 0.5 * (g + g.conj().T)
-        x = self.full_rank_state()
-        if x is None:
-            x = self.project_feasible(np.eye(self.dim, dtype=complex) / self.dim)
-        best, best_val, lower = None, np.inf, -np.inf
-        scale = max(float(np.max(np.abs(g))), 1e-12)
-        for t in range(1, iters + 1):
-            eta = 0.9 / (scale * np.sqrt(t))
-            x, incs = self._dykstra(x - eta * g, iters=160)
-            val = float(np.real(np.trace(g @ x)))
-            if val < best_val:
-                best_val, best = val, x
-            if t & (t - 1) == 0:
-                # a best value far below the bound is an infeasible iterate
-                reading = self._dual_bound(g, incs, eta)
-                lower = max(lower, reading)
-                if abs(best_val - reading) <= 1e-9 * scale:
-                    mu = self.project_feasible(best, iters=800)
-                    if float(np.real(np.trace(g @ mu))) - reading <= 1e-9 * scale:
-                        return mu, lower, t
-        return self.project_feasible(best, iters=800), lower, iters
+    def lmo_with_bound(self, grad) -> tuple[np.ndarray, float]:
+        """(mu, lower): a minimising member and its certified bound, ``minimize`` at 1e-10 max|grad|."""
+        return self.marginal_constraints.minimize(as_complex(grad), 1e-10 * float(np.max(np.abs(grad))))
 
     def random_state(self, rng):
+        """Mixed local samples plus a correlation traceless on every party."""
         parts = []
         for s in self.locals:
-            p = s.random_state(rng)
-            fr = s.full_rank_state()
-            if fr is not None:
-                p = 0.5 * (p + fr)
-            parts.append(p)
+            p, fr = s.random_state(rng), s.full_rank_state()
+            parts.append(p if fr is None else 0.5 * (p + fr))
         base = kron_all(parts)
-        corr = np.zeros_like(base)
-        for _ in range(3):
-            term = np.array([[1.0 + 0j]])
-            for d in self.local_dims:
-                c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                c = 0.5 * (c + c.conj().T)
-                c -= np.trace(c) / d * np.eye(d)
-                term = np.kron(term, c)
-            corr += term
-        nrm = float(np.linalg.norm(corr))
-        if nrm < 1e-14:
-            return base
-        corr /= nrm
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if np.linalg.eigvalsh(base + mid * corr)[0] >= 1e-10:
-                lo = mid
+
+        def traceless(d):
+            c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return 0.5 * (c + c.conj().T) - np.real(np.trace(c)) / d * np.eye(d)
+
+        corr = sum(kron_all(traceless(d) for d in self.local_dims) for _ in range(3))
+        corr = corr / max(np.linalg.norm(corr), 1e-300)
+        w, v = np.linalg.eigh(base - 1e-10 * np.eye(self.dim))
+        root = v / np.sqrt(np.abs(w))
+        top = np.linalg.eigvalsh(-root.conj().T @ corr @ root)[-1]
+        reach = 0.0 if w[0] <= 0.0 else 1.0 / max(top, 1.0)
+        return base + reach * rng.uniform() * corr
+
+
+class MarginalConstraints:
+    """The states with Tr(C_j sigma) = Tr(C_j interior) = c_j for the ``eqs``
+    C_j and A_k(sigma) >= 0 for ``cones`` A_k*(E), E a ``hermitian_basis``.
+    With y = (x, z), Z_k = z.E and H = K - y.mats, ``bound`` = lambda_min(H) +
+    c.x <= min Tr(K sigma) where all Z_k >= 0.  ``solve`` maximises -tau ln Tr
+    exp(-H/tau) + c.x + barrier sum ln det Z_k (Nesterov, Math. Program. 103,
+    127, 2005): at tau = 1 and K = eta G - ln sigma its Gibbs state is the
+    mirror step argmin eta Tr(G mu) + D(mu||sigma) over the set."""
+
+    def __init__(self, eqs: np.ndarray, cones: list[np.ndarray], interior: np.ndarray):
+        self.n_eq, self.interior, self.mats = len(eqs), interior, np.concatenate([eqs] + cones)
+        self.offsets = np.pad(np.real(np.einsum("kab,ba->k", eqs, interior)), (0, sum(map(len, cones))))
+        ends = np.cumsum([self.n_eq] + [len(c) for c in cones])
+        self.cones = [(slice(a, b), hermitian_basis(math.isqrt(b - a), None))
+                      for a, b in zip(ends[:-1], ends[1:])]
+        self.origin = np.concatenate(  # x = 0 and every Z_k = I/n_k
+            [np.zeros(self.n_eq)] + [np.real(np.einsum("kaa->k", e)) / len(e[0]) for _, e in self.cones])
+        self._gram = np.real(np.einsum("jab,kba->jk", eqs, eqs))
+
+    def bound(self, k: np.ndarray, y: np.ndarray) -> float:
+        return float(np.linalg.eigvalsh(k - np.tensordot(y, self.mats, 1))[0] + self.offsets @ y)
+
+    def _dual(self, k, tau, barrier, y):
+        """(dual, eigensystem of H, Gibbs weights, Z_k^-1), or None off Z > 0."""
+        zs = [np.tensordot(y[sl], e, 1) for sl, e in self.cones]
+        if any(np.linalg.eigvalsh(z)[0] <= 0.0 for z in zs):
+            return None
+        logdet = sum(np.linalg.slogdet(z)[1] for z in zs)
+        w, v = np.linalg.eigh(k - np.tensordot(y, self.mats, 1))
+        p = np.exp(-(w - w[0]) / tau)
+        val = w[0] - tau * np.log(np.sum(p)) + self.offsets @ y + barrier * logdet
+        return float(val), w, v, p / np.sum(p), [np.linalg.inv(z) for z in zs]
+
+    def solve(self, k: np.ndarray, tau: float, barrier: float, y: np.ndarray, tol: float):
+        """(y, Gibbs state) after Newton steps (Daleckii-Krein Hessian, cut at
+        1e-13 of its top eigenvalue; Armijo backtracking within rounding) until
+        the gradient is below ``tol`` or the weights' rounding floor."""
+        state, tol = self._dual(k, tau, barrier, y), max(tol, 1e-16 * np.max(np.abs(k)) / tau)
+        for _ in range(50):
+            val, w, v, p, zinv = state
+            mh = v.conj().T @ self.mats @ v
+            d = np.real(np.einsum("kaa->ka", mh)) @ p
+            grad, diff = self.offsets - d, w[:, None] - w[None, :]
+            gamma = np.divide(p[:, None] - p[None, :], diff, where=np.abs(diff) > 1e-9 * tau,
+                              out=-0.5 * (p[:, None] + p[None, :]) / tau)
+            flat = mh.reshape(len(y), len(w) ** 2)
+            curv = -np.real((flat.conj() * gamma.ravel()) @ flat.T) - np.outer(d, d) / tau
+            for (sl, e), zi in zip(self.cones, zinv):
+                grad[sl] += barrier * np.real(np.einsum("kab,ba->k", e, zi))
+                curv[sl, sl] += barrier * np.real(np.einsum("kab,lba->kl", zi @ e, zi @ e))
+            if float(np.max(np.abs(grad), initial=0.0)) <= tol:
+                break
+            lam, vec = np.linalg.eigh(curv)
+            step = vec @ np.divide(vec.T @ grad, lam, out=0.0 * lam, where=lam > 1e-13 * lam[-1])
+            rise, slack = 1e-4 * grad @ step, 1e-14 * (1.0 + abs(val))
+            for t in 0.5 ** np.arange(20):
+                trial = self._dual(k, tau, barrier, y + t * step)
+                if trial is not None and trial[0] >= val + t * rise - slack:
+                    break
             else:
-                hi = mid
-        t = lo * rng.uniform()
-        return base + t * corr
+                break
+            y, state = y + t * step, trial
+        return y, (state[2] * state[3]) @ state[2].conj().T
+
+    def member(self, rho: np.ndarray) -> np.ndarray:
+        """rho corrected along the C_j, then mixed with ``interior`` into every cone."""
+        eqs = self.mats[:self.n_eq]
+        resid = np.real(np.einsum("kab,ba->k", eqs, rho)) - self.offsets[:self.n_eq]
+        rho = rho - np.tensordot(np.linalg.solve(self._gram, resid), eqs, 1)
+        rho = 0.5 * (rho + rho.conj().T)
+        a, b = ([np.linalg.eigvalsh(m)[0] for m in [x] + [np.tensordot(
+            np.real(np.einsum("kab,ba->k", self.mats[sl], x)), e, 1) for sl, e in self.cones]]
+            for x in (rho, self.interior))
+        t = max([0.0] + [-ai / (bi - ai) for ai, bi in zip(a, b) if ai < 0.0])
+        return (1.0 - t) * rho + t * self.interior
+
+    def minimize(self, grad: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+        """(mu, lower): ``solve`` from tau = max|G|/10 down by tenfold steps at
+        barrier tau/100 until the best member (a repaired Gibbs state or, with
+        cones, its extrapolation to barrier 0 from a solve at tau/1000) is
+        within ``tol`` of the best bound, or a colder one ten times as far.
+        Each bound is polished twice: each Z_k cut to its eigenvalues above
+        sqrt(tau max|G|/100), x and that support move by least squares to make
+        N^H H N a multiple of I, N the eigenvectors within 30 tau of lambda_min."""
+        g = 0.5 * (grad + grad.conj().T)
+        scale = max(float(np.max(np.abs(g))), 1e-300)
+        y, best, best_val, lower, grad_tol = self.origin, None, np.inf, -np.inf, 0.1 * tol / scale
+        for e in range(1, 14):
+            tau = scale * 10.0 ** -e
+            y, gibbs = self.solve(g, tau, 0.01 * tau, y, grad_tol)
+            states = [gibbs] + [(10.0 * self.solve(g, tau, 0.001 * tau, y, grad_tol)[1] - gibbs) / 9.0
+                                for _ in self.cones[:1]]
+            z, lower = y.copy(), max(lower, self.bound(g, y))
+            for _ in range(2):
+                keep = np.eye(len(z))
+                for sl, basis in self.cones:
+                    zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
+                    support = (zv * (zw > 0.1 * np.sqrt(tau * scale))) @ zv.conj().T
+                    keep[sl, sl] = np.real(np.einsum("lab,mba->lm", basis, support @ basis @ support))
+                w, v = np.linalg.eigh(g - np.tensordot(keep @ z, self.mats, 1))
+                on_face = w - w[0] <= 30.0 * tau
+                face, hb = v[:, on_face], hermitian_basis(int(np.sum(on_face)), None)
+                a = np.real(np.einsum("lab,kba->lk", hb, face.conj().T @ self.mats @ face)) @ keep
+                a = np.column_stack([a, np.real(np.einsum("laa->l", hb))])
+                rhs = np.real(np.einsum("laa,a->l", hb, w[on_face] - w[0]))
+                z = keep @ (z + np.linalg.lstsq(a, rhs, rcond=None)[0][:-1])
+                for sl, basis in self.cones:
+                    zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
+                    clipped = (zv * np.clip(zw, 0.0, None)) @ zv.conj().T
+                    z[sl] = np.real(np.einsum("lab,ba->l", basis, clipped))
+                lower = max(lower, self.bound(g, z))
+            val, mu = min(((float(np.real(np.vdot(g, mu))), mu) for mu in map(self.member, states)),
+                          key=lambda pair: pair[0])
+            if val < best_val:
+                best, best_val = mu, val
+            if best_val - lower <= tol or val - lower > 10.0 * (best_val - lower):
+                return best, lower
+        return best, lower
 
 
 # ---------------------------------------------------------------------------
@@ -971,11 +986,6 @@ class Lfocc(FreeOpClass):
 
     def contains_channel(self, channel, tol: float = 1e-9) -> bool:
         raise NotImplementedError("membership is decided on protocols, not on flat channels")
-
-
-def op_in_class(channel: ch.KrausChannel, cls: FreeOpClass, tol: float = 1e-9) -> bool:
-    """Predicate dispatch; see each class for what exactly is being decided."""
-    return cls.contains_channel(channel, tol)
 
 
 def random_free_state(free_set: FreeStateSet, seed: int) -> DensityOperator:

@@ -102,7 +102,7 @@ class TestFmin:
             single_party(2),
         )
         lam = co.fmin_element([[deph, deph]])
-        assert th.op_in_class(lam, th.Sio())
+        assert th.Sio().contains_channel(lam)
 
     def test_weights_validated(self):
         ident = ch.identity_channel(single_party(2))
@@ -152,7 +152,7 @@ class TestFmin:
                 )
             }
             marg = ch.marginal_channel(lam, "1", frozen)
-            assert th.op_in_class(marg, th.Sio(), 1e-9)
+            assert th.Sio().contains_channel(marg, 1e-9)
 
 
 class TestCheckAxioms:

@@ -100,22 +100,47 @@ class TestRelEntropyOfResource:
             assert hi.lower_bound <= hi.value
 
     def test_marginal_set_engine_gap_rests_on_the_dual_bound(self):
-        # the gap is Tr G sigma - lower, with lower the LMO's dual bound
+        # the gap is Tr G sigma - lower, with lower the exact oracle's
+        # certified bound: at the returned optimizer it closes the gap
         target = np.kron(np.diag([1.0, 0.0]), PHI).astype(complex)
-        res = dv.rel_entropy_of_resource(
-            target, th.MaxComposite([INC2, th.SeparableTwoQubit()]), gap=2e-3
-        )
-        assert res.extras["lmo_steps"] <= 4
+        xc = th.MaxComposite([INC2, th.SeparableTwoQubit()])
+        res = dv.rel_entropy_of_resource(target, xc, gap=2e-3)
+        assert res.extras["method"] == "mirror-descent"
         assert res.converged and abs(res.value - 1.0) <= 2e-3
-        # the LMO runs all its steps without closing, and its best dual
-        # bound leaves a gap above the requested one
+        g = dv._log_gradient(*dv._eig_frame(target, res.optimizer))
+        g = 0.5 * (g + g.conj().T)
+        oracle_gap = float(np.real(np.trace(g @ res.optimizer))) - xc.lmo_with_bound(g)[1]
+        assert 0.0 <= oracle_gap <= 2e-3
+        # the input on which the projected-gradient engine reported a false
+        # and then an open gap now converges
         rho = random_density_mat(np.random.default_rng([0, 3, 9]), 9, rank=9)
         res = dv.rel_entropy_of_resource(
             rho, th.MaxComposite([th.Incoherent(3), th.RealStates(3)]), gap=1e-3
         )
-        assert res.extras["lmo_steps"] == 220
-        assert not res.converged
-        assert np.isfinite(res.lower_bound) and res.gap > 1e-3
+        assert res.converged and res.gap <= 1e-3
+        assert np.isfinite(res.lower_bound) and res.lower_bound <= res.value
+
+    @pytest.mark.parametrize(
+        "locals_, rank",
+        [([th.Incoherent(d), th.RealStates(d)], r) for d in (2, 3, 4) for r in (1, d * d)]
+        + [([INC2, th.SeparableTwoQubit()], 8), ([INC2, th.Singleton(np.diag([0.7, 0.3]))], 4),
+           ([INC2, th.Incoherent(2)], 1)],
+        ids=["inc2-real2-r1", "inc2-real2-r4", "inc3-real3-r1", "inc3-real3-r9", "inc4-real4-r1",
+             "inc4-real4-r16", "inc2-sep", "inc2-singleton", "inc2-inc2"],
+    )
+    def test_marginal_set_corpus_converges_with_members(self, locals_, rank):
+        # every solve is certified at gap 1e-3, returns an exact member,
+        # sits at or below the hull's closed form, and keeps the partial-
+        # trace lower bound
+        xc = th.MaxComposite(locals_)
+        rho = random_density_mat(np.random.default_rng([xc.dim, rank, 17]), xc.dim, rank)
+        res = dv.rel_entropy_of_resource(rho, xc, gap=1e-3)
+        assert res.converged and res.gap <= 1e-3
+        assert xc.contains(res.optimizer, 1e-9)
+        hull = th.MinComposite(locals_).closest_free_state(rho)
+        if hull is not None:
+            assert res.value <= hull[1]
+        assert res.lower_bound >= dv._marginal_lower_bound(rho, xc)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -497,6 +522,16 @@ class TestRegularized:
             gap=1e-3,
         )
         assert abs(res.value - 1.0) < 2e-3
+
+    def test_real_states_are_not_declared_additive(self):
+        # |+i> is one bit from Real_2, and two copies are one bit from Real_4,
+        # so the per-copy value halves and no single-copy value may stand in
+        real2 = th.RealStates(2)
+        assert abs(dv.rel_entropy_of_resource(PLUS_Y, real2).value - 1.0) < 1e-12
+        two = dv.regularized_rel_entropy(PLUS_Y, real2, mode="evaluate-n", n=2)
+        assert abs(two.value - 0.5) < 1e-9
+        with pytest.raises(ValueError):
+            dv.regularized_rel_entropy(PLUS_Y, real2, mode="declared-additive")
 
     def test_n_above_two_rejected(self):
         with pytest.raises(ValueError):

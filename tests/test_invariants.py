@@ -12,6 +12,7 @@ from hetres.qcore import (
     DensityOperator,
     TensorStructure,
     bell_phi_plus_vec,
+    hermitian_basis,
     partial_trace_mat,
     partial_transpose_mat,
     pure_state,
@@ -35,16 +36,9 @@ class PptRestrictedMarginalSet(th.MaxComposite):
         pt = partial_transpose_mat(m, self.local_dims, 1)
         return float(np.linalg.eigvalsh(pt)[0]) >= -tol
 
-    def _projections(self):
-        dims = self.local_dims
-
-        def ppt(y):
-            pt = partial_transpose_mat(y, dims, 1)
-            w, v = np.linalg.eigh(0.5 * (pt + pt.conj().T))
-            clipped = (v * np.clip(w, 0.0, None)) @ v.conj().T
-            return partial_transpose_mat(clipped, dims, 1)
-
-        return super()._projections() + [ppt]
+    def _cones(self):
+        # the global partial transpose is its own adjoint
+        return [partial_transpose_mat(hermitian_basis(self.dim, None), self.local_dims, 1)]
 
 
 def test_sandwich_through_an_intermediate_set():

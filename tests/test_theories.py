@@ -266,7 +266,9 @@ class TestOpClasses:
             if not verdict.ok and verdict.mode != "sampled":
                 assert free_set.contains(verdict.witness)
                 assert not free_set.contains(lam.apply_mat(verdict.witness))
-        assert modes == {"extreme-points", "projection", "certified", "sampled"}
+        # party swaps over partial-transpose sets certify through the
+        # transpose on the other slots, so nothing here is left to samples
+        assert modes == {"extreme-points", "projection", "certified"}
 
     def test_inclusion_between_sets(self):
         ident = lambda x: x  # noqa: E731
@@ -284,14 +286,14 @@ class TestOpClasses:
 
     def test_cnot_is_real(self):
         lam = ch.unitary_channel(CNOT, single_party(4, "A"))
-        assert th.op_in_class(lam, th.RealOps())
+        assert th.RealOps().contains_channel(lam)
 
     def test_real_ops_sampler_is_trace_preserving(self):
         # ill-conditioned Gaussian draws at these seeds once left a trace
         # deviation that the channel constructor rejected
         for seed in (1331, 2267, 6657):
             lam = th.RealOps().sample_channel(np.random.default_rng(seed), 3)
-            assert th.op_in_class(lam, th.RealOps())
+            assert th.RealOps().contains_channel(lam)
             assert np.max(np.abs(sum(k.conj().T @ k for k in lam.kraus) - np.eye(3))) <= 1e-12
 
     def test_dephasing_is_sio(self):
@@ -300,7 +302,7 @@ class TestOpClasses:
             single_party(2),
             single_party(2),
         )
-        assert th.op_in_class(deph, th.Sio())
+        assert th.Sio().contains_channel(deph)
 
     def test_sio_normal_form_closed_under_products(self):
         rng = np.random.default_rng(4)
@@ -331,9 +333,9 @@ class TestOpClasses:
     def test_unital_class(self):
         rng = np.random.default_rng(6)
         lam = th.UnitalOps().sample_channel(rng, 3)
-        assert th.op_in_class(lam, th.UnitalOps())
+        assert th.UnitalOps().contains_channel(lam)
         prep = ch.prepare_channel(pure_state(KET_PLUS), single_party(2))
-        assert not th.op_in_class(prep, th.UnitalOps())
+        assert not th.UnitalOps().contains_channel(prep)
 
 
 SAMPLED_VERDICTS = (
@@ -489,7 +491,7 @@ class TestComposites:
         rng = np.random.default_rng(9)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         g = 0.5 * (g + g.conj().T)
-        mu = xc.lmo(g, iters=150)
+        mu = xc.lmo(g)
         assert xc.contains(mu, 1e-5)
         # must do at least as well as the best product of local frees
         probe = np.kron(
@@ -497,23 +499,6 @@ class TestComposites:
             np.eye(2) / 2,
         )
         assert float(np.real(np.trace(g @ mu))) <= float(np.real(np.trace(g @ probe))) + 1e-4
-
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2)])
-    def test_marginal_projector_matches_kron_lift(self, dims):
-        # reference: add (fixed - marginal) (x) identity / d_rest built by kron
-        locals_ = [th.RealStates(d) if i % 2 else th.Incoherent(d) for i, d in enumerate(dims)]
-        xc = th.MaxComposite(locals_)
-        rng = np.random.default_rng(sum(dims))
-        y = rng.normal(size=(xc.dim, xc.dim)) + 1j * rng.normal(size=(xc.dim, xc.dim))
-        for i, local in enumerate(locals_):
-            marg = partial_trace_mat(y, dims, [i])
-            delta = (local.marginal_projection(marg) - marg) * dims[i] / xc.dim
-            lift = np.array([[1.0 + 0j]])
-            for j, d in enumerate(dims):
-                lift = np.kron(lift, delta if j == i else np.eye(d))
-            out = xc._marginal_projector(i)(y)
-            assert np.max(np.abs(out - (y + lift))) <= 1e-13
-            assert np.max(np.abs(partial_trace_mat(out, dims, [i]) - local.marginal_projection(marg))) <= 1e-12
 
     @pytest.mark.parametrize(
         "locals_",
@@ -529,42 +514,19 @@ class TestComposites:
              "inc-real-singleton", "inc-rotated-all-sep"],
     )
     def test_dual_bound_is_below_every_member(self, locals_):
-        # the bound from any step's Dykstra increments is valid: it never
-        # exceeds the objective at sampled members or at the minimiser
+        # the oracle returns an exact member, its bound never exceeds the
+        # objective at sampled members, and the two meet within 1e-9 max|G|
         xc = th.MaxComposite(locals_)
         rng = np.random.default_rng(xc.dim + len(locals_))
         members = np.stack([xc.random_state(rng) for _ in range(50)])
         for _ in range(2):
             g = random_hermitian(rng, xc.dim)
-            tol = 1e-9 * float(np.max(np.abs(g)))
-            mu, lower, _ = xc.lmo_with_bound(g, iters=8)
+            mu, lower = xc.lmo_with_bound(g)
             val = float(np.real(np.trace(g @ mu)))
             member_vals = np.real(np.einsum("ij,nji->n", g, members))
-            assert lower <= min(val + tol, float(np.min(member_vals)) + 1e-12)
-            assert np.isfinite(lower)
-            x = xc.full_rank_state()
-            for t in range(1, 5):
-                eta = 0.9 / (float(np.max(np.abs(g))) * np.sqrt(t))
-                x, incs = xc._dykstra(x - eta * g, iters=160)
-                bound = xc._dual_bound(g, incs, eta)
-                assert bound <= float(np.min(member_vals)) + 1e-12
-                assert bound <= val + tol
-
-    @pytest.mark.parametrize(
-        "local",
-        [th.Incoherent(3), th.Incoherent(2, basis=HADAMARD), th.RealStates(3),
-         th.Singleton(np.diag([0.7, 0.3])), th.AllStates(2), th.SeparableTwoQubit()],
-        ids=["incoherent", "incoherent-rotated", "real", "singleton", "all", "separable"],
-    )
-    def test_marginal_dual_is_bounded_below_on_the_set(self, local):
-        # Tr(w' tau) >= offset on the local minimiser of w' and on samples
-        rng = np.random.default_rng(local.dim)
-        taus = np.stack([local.random_state(rng) for _ in range(20)])
-        for _ in range(10):
-            w, offset = local.marginal_dual(random_hermitian(rng, local.dim))
-            assert np.max(np.abs(w - w.conj().T)) <= 1e-12
-            assert float(np.real(np.trace(w @ local.lmo(w, rng)))) >= offset - 1e-9
-            assert float(np.min(np.real(np.einsum("ij,nji->n", w, taus)))) >= offset - 1e-12
+            assert xc.contains(mu, 1e-9)
+            assert lower <= float(np.min(member_vals)) + 1e-12
+            assert lower <= val <= lower + 1e-9 * float(np.max(np.abs(g)))
 
     def test_suite_marginal_set_gradient_certifies_early(self):
         # the gradient at the optimum of D(|0><0| (x) Phi+ || smax(Inc2, Sep)),
@@ -576,23 +538,22 @@ class TestComposites:
         res = dv.rel_entropy_of_resource(target, xc, gap=2e-3)
         g = dv._log_gradient(*dv._eig_frame(target, res.optimizer))
         g = 0.5 * (g + g.conj().T)
-        mu, lower, steps = xc.lmo_with_bound(g, iters=220)
+        mu, lower = xc.lmo_with_bound(g)
         val = float(np.real(np.trace(g @ mu)))
-        assert steps <= 4
         assert abs(val - lower) <= 1e-9 * float(np.max(np.abs(g)))
         assert xc.contains(mu, 1e-9)
 
-    def test_uncertified_lmo_keeps_its_minimum(self):
-        # no certificate closes on this gradient, so all 220 steps run, the
-        # minimum is the one the uncertified oracle has always returned, and
-        # the best dual bound sits below it
+    def test_exact_lmo_reaches_below_the_subgradient_minimum(self):
+        # on this gradient the deleted projected-subgradient oracle ran all
+        # its 220 steps without a certificate and returned -1.8333749484987731;
+        # the exact oracle certifies a minimum at or below it
         xc = th.MaxComposite([th.Incoherent(2), th.RealStates(2)])
         g = random_hermitian(np.random.default_rng(0), 4)
-        mu, lower, steps = xc.lmo_with_bound(g, iters=220)
+        mu, lower = xc.lmo_with_bound(g)
         val = float(np.real(np.trace(g @ mu)))
-        assert steps == 220
-        assert abs(val - (-1.8333749484987731)) <= 1e-12
-        assert np.isfinite(lower) and lower <= val
+        assert xc.contains(mu, 1e-9)
+        assert val <= -1.8333749484987731 + 1e-9
+        assert lower <= val <= lower + 1e-9 * float(np.max(np.abs(g)))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2)])
     def test_effective_operator_matches_kron_reference(self, dims):
@@ -714,13 +675,13 @@ class TestComposites:
         single = [inc2, real2, all2, th.Singleton(np.eye(2) / 2), th.FiniteSet([PLUS])]
         assert all(s.exact_lmo for s in single)
         smax = th.MaxComposite([inc2, real2])
-        assert not smax.exact_lmo
+        assert smax.exact_lmo
         assert not th.SeparableTwoQubit().exact_lmo
         assert th.MinComposite([inc2, real2]).exact_lmo
         assert th.MinComposite([inc2, inc2, inc2]).exact_lmo
         assert not th.MinComposite([real2, real2]).exact_lmo
         assert not th.MinComposite([inc2, th.SeparableTwoQubit()]).exact_lmo
-        assert not th.MinComposite([inc2, smax]).exact_lmo  # one unlisted, inexact
+        assert th.MinComposite([inc2, smax]).exact_lmo  # one unlisted, exact
         # an image set's oracle is its base set's, pulled back
         assert ct._ImageSet(real2, ch.identity_channel(single_party(2))).exact_lmo
         hull = th.MinComposite([real2, real2])
