@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import EIG_FLOOR, as_matrix, hermitian_basis, mat_to_json, partial_trace_mat, trace_norm
+from .qcore import (EIG_FLOOR, as_matrix, hermitian_basis, kron_all, mat_to_json, partial_trace_mat,
+                    trace_norm)
 from .theories import FreeStateSet
 
 LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
 ITER_CAP = 50_000
-DH_ROUNDS = 32  # cutting-plane rounds of hypothesis_testing and dmax
+DH_ROUNDS = 32  # cutting-plane rounds of hypothesis_testing
 LINE_SEARCH_TOL = 1e-10  # bracket width at which a Frank-Wolfe line search stops
 
 
@@ -186,11 +187,11 @@ def rel_entropy_of_resource(
     [0, 1] as g = 1 when h'(1) <= 0, else as the root of h' by Brent's
     method, at one eigensolve per trial step.
 
-    Both engines certify by the gap Tr G sigma - min Tr G mu.  Mirror descent
-    takes the minimum's certified dual bound; over a set without an exact
-    oracle (``exact_lmo`` False: a see-saw hull) Frank-Wolfe's lower bound
-    rests on heuristic 4-restart oracle calls, and ``extras["oracle_limited"]``
-    says so.  ``force_engine`` skips an available closed form (cross-validation).
+    Both engines certify by f - Tr G sigma + a lower bound on min Tr G mu:
+    mirror descent's comes from its own step's multipliers; Frank-Wolfe's is
+    its oracle's minimum, heuristic (4 restarts) over a set without an exact
+    oracle (``exact_lmo`` False: a see-saw hull), as ``extras["oracle_limited"]``
+    says.  ``force_engine`` skips an available closed form (cross-validation).
     """
     m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
@@ -278,9 +279,9 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
     step is its solver at tau = 1 on eta G - ln sigma at barrier 1e-6 eta,
     repaired to a member; eta halves until f(mu) <= min(f, f + Tr G(mu - sigma)
     + D(mu||sigma)/eta), D in nats (Bauschke, Bolte & Teboulle, Math. Oper.
-    Res. 42, 330, 2017), then grows by half.  The lower bound is f - Tr G sigma + b,
-    b certified at the step's multipliers over eta and, at steps 1, 2, 4, ...,
-    by the exact oracle."""
+    Res. 42, 330, 2017), then grows by half.  The lower bound is f - Tr G sigma
+    + ``bound`` at the step's multipliers over eta (certified: the barrier
+    keeps every Z_k > 0), joined by the partial-trace bound."""
     cons, s_rho = free_set.marginal_constraints, _neg_plogp(m)
 
     def step(k, barrier, y):
@@ -301,8 +302,6 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
         grad = 0.5 * (grad + grad.conj().T)
         linear = float(np.real(np.vdot(grad, sigma)))
         best_lb = max(best_lb, f - linear + cons.bound(grad, scaled))
-        if iters & (iters - 1) == 0 and f - best_lb > gap:
-            best_lb = max(best_lb, f - linear + cons.minimize(grad, 0.01 * gap)[1])
         if f - best_lb <= gap:
             break
         while eta > 1e-12:
@@ -329,41 +328,42 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
     generalized robustness.
 
     A set with one extreme point has the closed form ``_dmax_singleton``.
-    Any other set solves 2^D_max = max { Tr rho Y : Y >= 0, Tr sigma Y <= 1
-    on S } as the D_H test program with P = eps*Y, through the constraint
-    states, repair and cutting planes of ``hypothesis_testing`` (one round
-    over listed extreme points, else up to ``DH_ROUNDS``).  Here eps =
-    lambda_min(sigma_bar)/2 for sigma_bar the set's full-rank state, else the
-    mean of the constraint states, grown by LMO calls until no free state
-    leaves its support: Tr sigma_bar P <= eps keeps lambda_max(P) <= 1/2, so
-    the cap P <= I never binds.  A rho outside sigma_bar's support is +inf.
+    Any other set is one ``hypothesis_testing`` call at budget eps and
+    tolerance eps*tol: 2^D_max = max { Tr rho Y : Y >= 0, Tr sigma Y <= 1 on
+    S } is its test program at P = eps*Y.  Here eps = lambda_min(sigma_bar)/2
+    for sigma_bar the set's full-rank state, else the mean of the constraint
+    states, grown by LMO calls until no free state leaves its support; then
+    lambda_max(P) <= 1/2 and the cap P <= I never binds.  A rho outside
+    sigma_bar's support is +inf.
 
-    The value is the upper bound, attained by the witness returned as the
-    optimizer: rho <= sum_i y_i mu_i + delta*sigma_bar/lambda_min(sigma_bar)
-    at the dual point y, delta = lambda_max(rho - sum_i y_i mu_i)+.  It is a
-    free state whatever the oracle (a mixture of states the LMO returned).
-    The lower bound, log2(Tr rho P / max_S Tr sigma P) over the tests the
-    repair visits, is only as exact as the LMO's maximum (heuristic on see-saw
-    hulls), as is +inf over a grown sigma_bar.
+    At D_H's dual point y over its constraint states mu_i, cover = sum_i
+    y_i mu_i and delta = lambda_max(rho - cover)+ / lambda_min(sigma_bar)
+    give rho <= cover + delta*sigma_bar: 2^upper = sum(y) + delta, and the
+    optimizer (cover + delta*sigma_bar)/2^upper is a free witness whatever
+    the oracle.  2^lower = max(1, (1 - beta)/eps) at D_H's best test is only
+    as exact as the LMO's maximum (heuristic on see-saw hulls), as is +inf
+    over a grown sigma_bar.  ``stop``, ``cuts`` and ``method`` are D_H's.
     """
     m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
-    rng = np.random.default_rng(seed)
-    points, exact = _constraint_states(m, free_set, rng)
-    if exact and len(points) == 1:
+    points = free_set.extreme_points()
+    if points is not None and len(points) == 1:
         return _dmax_singleton(m, points[0])
 
     sigma_bar = free_set.full_rank_state()
-    while sigma_bar is None:
-        mean = sum(points) / len(points)
-        w, v = np.linalg.eigh(mean)
-        outside = v[:, w <= EIG_FLOOR] @ v[:, w <= EIG_FLOOR].conj().T
-        cut = None if exact or not outside.any() else free_set.lmo(-outside, rng)
-        if cut is None or float(np.real(np.trace(cut @ outside))) <= 1e-10:
-            sigma_bar = mean
-        else:
-            points.append(cut)
+    if sigma_bar is None:
+        rng = np.random.default_rng(seed)
+        points, exact = _constraint_states(m, free_set, rng)
+        while sigma_bar is None:
+            mean = sum(points) / len(points)
+            w, v = np.linalg.eigh(mean)
+            outside = v[:, w <= EIG_FLOOR] @ v[:, w <= EIG_FLOOR].conj().T
+            cut = None if exact or not outside.any() else free_set.lmo(-outside, rng)
+            if cut is None or float(np.real(np.trace(cut @ outside))) <= 1e-10:
+                sigma_bar = mean
+            else:
+                points.append(cut)
     w, v = np.linalg.eigh(sigma_bar)
     kernel = v[:, w <= EIG_FLOOR]
     if kernel.shape[1] and float(np.real(np.trace(kernel.conj().T @ m @ kernel))) > 1e-10:
@@ -371,31 +371,19 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
     lam_min = float(w[w > EIG_FLOOR][0])
     epsilon = 0.5 * lam_min
 
-    # 2^D_max is bracketed by [lower, upper]; t >= 1 for any witness
-    n_start, steps, lower, upper, witness = len(points), 0, 1.0, np.inf, None
-    for _ in range(DH_ROUNDS):
-        y, _, p, n = _extreme_point_dual(m, points, epsilon, None)
-        steps += n
-        cover = np.tensordot(y, np.stack(points), 1)
-        delta = max(float(np.linalg.eigvalsh(m - cover)[-1]), 0.0) / lam_min
-        t = float(np.sum(y)) + delta
-        if t < upper:
-            upper, witness = t, (cover + delta * sigma_bar) / t
-        _, visited, cuts = _repair(p, free_set, epsilon, rng, None, 1 if exact else 40)
-        for q, alpha in visited:
-            if alpha > 0.0:
-                lower = max(lower, float(np.real(np.trace(m @ q))) / alpha)
-        lower = min(lower, upper)
-        stop = ("gap" if math.log2(upper) - math.log2(lower) <= tol
-                else "no-violation" if exact or not cuts else "round-cap")
-        if stop != "round-cap":
-            break
-        points += cuts[:4]
+    # 2^D_max lies in [lower, upper], and 1 <= 2^D_max for any witness
+    dh = hypothesis_testing(m, free_set, epsilon, tol=epsilon * tol, seed=seed)
+    y = np.array(dh.extras["dual_y"])
+    cover = np.tensordot(y, dh.extras["constraint_states"][:len(y)], 1)
+    delta = max(float(np.linalg.eigvalsh(m - cover)[-1]), 0.0) / lam_min
+    upper = float(np.sum(y)) + delta
+    lower = min(max(1.0, (1.0 - dh.extras["beta"]) / epsilon), upper)
     lo, hi = math.log2(lower), math.log2(upper)
     return DivergenceResult(
-        hi, lo, hi, steps, converged=hi - lo <= tol, optimizer=witness,
-        extras={"method": "exact-dual" if exact else "cutting-plane", "requested_gap": tol,
-                "stop": stop, "cuts": len(points) - n_start},
+        hi, lo, hi, dh.iterations, converged=hi - lo <= tol,
+        optimizer=(cover + delta * sigma_bar) / upper,
+        extras={"method": dh.extras["method"], "requested_gap": tol, "stop": dh.extras["stop"],
+                "cuts": dh.extras["cuts"]},
     )
 
 
@@ -438,18 +426,16 @@ def _repair(p, free_set, epsilon, rng, restrict, steps):
     """Up to ``steps`` repairs of the test p against the worst free states
     the LMO finds: clip p into [0, I], stop once alpha = max_S Tr(sigma p) <=
     eps + 1e-10, else keep sigma as a cut and subtract the multiple of it that
-    meets its constraint.  Returns the last p, the (clipped p, alpha) pairs
-    seen and the cuts."""
-    visited, cuts = [], []
+    meets its constraint.  Returns the last p and the cuts."""
+    cuts = []
     for _ in range(steps):
         p = _cone(_clip_povm(_cone(p, restrict)), restrict)
         a, sigma = _alpha(p, free_set, rng)
-        visited.append((p, a))
         if a <= epsilon + 1e-10:
             break
         cuts.append(sigma)
         p = p - ((a - epsilon) / max(float(np.real(np.trace(sigma @ sigma))), 1e-14)) * sigma
-    return p, visited, cuts
+    return p, cuts
 
 
 def _constraint_states(m: np.ndarray, free_set: FreeStateSet, rng) -> tuple[list[np.ndarray], bool]:
@@ -486,10 +472,11 @@ def hypothesis_testing(
     free state its LMO finds and adds the first four states visited, until
     ``extras["stop"]`` is "gap" (upper - lower <= tol), "no-violation" or
     "round-cap".  Fewer constraints relax the problem, so the least dual value
-    (at ``extras["dual_y"]``) bounds from above; the lower bound is the best
-    test's exponent after rescaling to alpha <= eps, alpha being only as exact
-    as the LMO (heuristic on see-saw hulls).  The eps*identity test
-    and the support projector are backstops; beta below 1e-12 is +inf.
+    (at ``extras["dual_y"]``, over the first len(dual_y) states of the array
+    ``extras["constraint_states"]``) bounds from above; the lower bound is the
+    best test's exponent after rescaling to alpha <= eps, alpha being only as
+    exact as the LMO (heuristic on see-saw hulls).  The eps*identity test and
+    the support projector are backstops; beta below 1e-12 is +inf.
 
     ``restrict`` confines the test to "diagonal" or "real" POVM elements.
     """
@@ -530,7 +517,7 @@ def hypothesis_testing(
         if f < dual_value:
             dual_value, extras["dual_y"] = f, [float(t) for t in y]
         # the dual over all extreme points needs no repair
-        p, _, cuts = _repair(p, free_set, epsilon, rng, restrict, 0 if exact else 40)
+        p, cuts = _repair(p, free_set, epsilon, rng, restrict, 0 if exact else 40)
         b = beta_of(feasible_version(p))
         if b < cut_beta:
             cut_p, cut_beta = p, b
@@ -544,7 +531,8 @@ def hypothesis_testing(
                       key=lambda pair: beta_of(pair[0]))
     best_beta = beta_of(best_p)
     extras.update(method=how, alpha=_alpha(best_p, free_set, rng)[0], beta=max(best_beta, 0.0),
-                  epsilon=epsilon, restrict=restrict, cuts=len(points) - n_start, stop=stop)
+                  epsilon=epsilon, restrict=restrict, cuts=len(points) - n_start, stop=stop,
+                  constraint_states=np.stack(points))
 
     if best_beta <= 1e-12:
         return DivergenceResult(
@@ -725,8 +713,6 @@ def _polish_face(y, lam, v, n_null, p, mus, epsilon, restrict, spectrum):
 # ---------------------------------------------------------------------------
 # regularization (evaluated only where it collapses)
 
-ADDITIVE_KINDS = {"incoherent", "singleton"}
-
 
 def regularized_rel_entropy(
     rho,
@@ -739,15 +725,15 @@ def regularized_rel_entropy(
 ) -> DivergenceResult:
     """Per-copy limit of the relative entropy of resource.
 
-    "declared-additive" returns the single-copy value, allowed for set kinds
-    whose relative entropy of resource is additive (incoherent, singleton)
-    or when the caller explicitly asserts additivity.  Real states are not
-    additive: |+i> is one bit from Real_2, and |+i>^(x)2 one bit from Real_4.  "evaluate-n"
-    computes (1/n) D(rho^(x)n || S_n) for n <= 2 as a non-certified
-    upper-bound estimate.
+    "declared-additive" returns the single-copy value, allowed for sets that
+    declare their relative entropy of resource ``additive`` (incoherent,
+    singleton) or when the caller explicitly asserts additivity.  Real states
+    are not additive: |+i> is one bit from Real_2, and |+i>^(x)2 one bit from
+    Real_4.  "evaluate-n" computes (1/n) D(rho^(x)n || S_n) for n <= 2 as a
+    non-certified upper-bound estimate.
     """
     if mode == "declared-additive":
-        if free_set.kind not in ADDITIVE_KINDS and not assume_additive:
+        if not (free_set.additive or assume_additive):
             raise ValueError(
                 f"additivity is not declared for kind {free_set.kind!r}; "
                 "pass assume_additive=True to assert it"
@@ -760,9 +746,7 @@ def regularized_rel_entropy(
     if n > 2:
         raise ValueError("evaluate-n supports n <= 2 only")
     m = as_matrix(rho)
-    power = m
-    for _ in range(n - 1):
-        power = np.kron(power, m)
+    power = kron_all([m] * n)
     big_set = free_set if n == 1 else free_set.tensor_power(n)
     res = rel_entropy_of_resource(power, big_set, gap=gap, seed=seed)
     per_copy = res.value / n

@@ -34,6 +34,7 @@ from .qcore import (
     TensorStructure,
     as_matrix,
     bell_phi_plus_vec,
+    kron_all,
     mat_to_json,
     partial_trace_mat,
     trace_norm,
@@ -123,10 +124,7 @@ def uncorrelated_reduction(
     labels = list(rho.structure.labels)
     dims = list(rho.structure.dims)
     margs = [partial_trace_mat(rho.mat, dims, [i]) for i in range(len(dims))]
-    recon = np.array([[1.0 + 0j]])
-    for m in margs:
-        recon = np.kron(recon, m)
-    if trace_norm(rho.mat - recon) > 1e-8:
+    if trace_norm(rho.mat - kron_all(margs)) > 1e-8:
         raise ValueError("input is not a product state within tolerance")
     r_idx = labels.index(resourceful_party)
     for i, s in enumerate(locals_):

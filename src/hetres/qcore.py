@@ -329,8 +329,6 @@ KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 KET_PLUS_Y = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex

@@ -38,6 +38,7 @@ from .qcore import (
     TensorStructure,
     bell_phi_plus_vec,
     density,
+    kron_all,
     mat_from_json,
     mat_to_json,
     maximally_mixed,
@@ -97,9 +98,7 @@ def resolve_state(spec, seed: int = 0) -> DensityOperator:
         return pure_state(random_pure_vec(rng, d), structure or single_party(d))
     if name == "product":
         parts = [resolve_state(p, seed) for p in spec["factors"]]
-        mat = parts[0].mat
-        for p in parts[1:]:
-            mat = np.kron(mat, p.mat)
+        mat = kron_all(p.mat for p in parts)
         if structure is None:
             structure = TensorStructure(
                 [(f"p{i}", p.dim) for i, p in enumerate(parts)]

@@ -57,6 +57,7 @@ class FreeStateSet:
 
     kind = "abstract"
     exact_lmo = True  # lmo returns a true minimizer, not a heuristic one
+    additive = False  # relative entropy of resource is additive on tensor powers
     structure: TensorStructure | None = None  # a composite's labelled parties
     marginal_constraints: MarginalConstraints | None = None  # dual-solver data, if any
 
@@ -246,6 +247,7 @@ class Incoherent(_FixedStates):
     """Diagonal states in a fixed orthonormal basis."""
 
     kind = "incoherent"
+    additive = True
 
     def __init__(self, dim: int, basis: np.ndarray | None = None):
         super().__init__(dim)
@@ -315,6 +317,7 @@ class Singleton(FreeStateSet):
     """A single free state (Gibbs-preserving style theories)."""
 
     kind = "singleton"
+    additive = True
 
     def __init__(self, gamma):
         g = as_matrix(gamma)
@@ -779,18 +782,21 @@ class MarginalConstraints:
         return (1.0 - t) * rho + t * self.interior
 
     def minimize(self, grad: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-        """(mu, lower): ``solve`` from tau = max|G|/10 down by tenfold steps at
-        barrier tau/100 until the best member (a repaired Gibbs state or, with
-        cones, its extrapolation to barrier 0 from a solve at tau/1000) is
-        within ``tol`` of the best bound, or a colder one ten times as far.
-        Each bound is polished twice: each Z_k cut to its eigenvalues above
-        sqrt(tau max|G|/100), x and that support move by least squares to make
-        N^H H N a multiple of I, N the eigenvectors within 30 tau of lambda_min."""
+        """(mu, lower): ``solve`` from tau = max(lambda_max(G) - lambda_min(G),
+        max|G|) (colder, the Gibbs weights start one-hot and y stays at the
+        origin) down by tenfold steps at barrier tau/100 until the best member
+        (a repaired Gibbs state or, with cones, its extrapolation to barrier 0
+        from a solve at tau/1000) is within ``tol`` of the best bound, or a
+        colder one ten times as far.  Each bound is polished twice: each Z_k
+        cut to its eigenvalues above sqrt(tau max|G|/100), x and that support
+        move by least squares to make N^H H N a multiple of I, N the
+        eigenvectors within 30 tau of lambda_min."""
         g = 0.5 * (grad + grad.conj().T)
         scale = max(float(np.max(np.abs(g))), 1e-300)
+        top = max(float(np.ptp(np.linalg.eigvalsh(g))), scale)
         y, best, best_val, lower, grad_tol = self.origin, None, np.inf, -np.inf, 0.1 * tol / scale
-        for e in range(1, 14):
-            tau = scale * 10.0 ** -e
+        for e in range(14):
+            tau = top * 10.0 ** -e
             y, gibbs = self.solve(g, tau, 0.01 * tau, y, grad_tol)
             states = [gibbs] + [(10.0 * self.solve(g, tau, 0.001 * tau, y, grad_tol)[1] - gibbs) / 9.0
                                 for _ in self.cones[:1]]

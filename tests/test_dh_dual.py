@@ -8,7 +8,8 @@ test is feasible and attains the lower bound, alpha is exact over the
 extreme points, the upper bound is the weak-duality value at the recorded
 dual point, and no feasible test beats it.  A second corpus over real,
 unrestricted and hull sets checks alpha over the whole set through the
-set's exact LMO.
+set's exact LMO, and the upper bound at the recorded dual point over the
+constraint states the engine returns.
 """
 
 import math
@@ -201,9 +202,16 @@ def _check_cut_result(res, rho, free_set, epsilon, restrict, rng):
     w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
     assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
     assert _set_alphas(free_set, p[None])[0] <= epsilon + 1e-12
+    assert "constraint_states" not in res.to_json()["extras"]
     if math.isinf(res.value):
         return
     assert abs(_exponent(rho, p) - res.lower_bound) <= 1e-12
+    # the upper bound is the weak-duality value at the recorded y over the
+    # first len(y) returned constraint states
+    y = np.array(res.extras["dual_y"])
+    points = res.extras["constraint_states"][:len(y)]
+    assert np.all(y >= 0.0)
+    assert abs(_dual_bound(rho, points, epsilon, restrict, y) - res.upper_bound) <= 1e-9
     tests = _random_tests(rng, rho.shape[0], restrict, 200)
     alphas = _set_alphas(free_set, tests)
     for cand in tests * np.minimum(1.0, epsilon / np.maximum(alphas, 1e-300))[:, None, None]:

@@ -424,6 +424,16 @@ class TestDmaxReferenceCorpus:
         _check_dmax_witness(res, np.kron(zero, PLUS), free_set)
         assert math.isinf(dv.dmax(np.kron(one, np.eye(2) / 2), free_set).value)
 
+    def test_marginal_set_lower_bound_stays_below_a_member_witness(self):
+        # an oracle ladder started below the gradient's spectral width left
+        # its multipliers at the origin: D_max certified [0.832559, 0.832559]
+        # here, above a member witness found independently at 0.822277
+        rho = random_density_mat(np.random.default_rng([8, 1]), 4, 1)
+        free_set = th.MaxComposite([INC2, th.RealStates(2)])
+        res = dv.dmax(rho, free_set, tol=1e-2)
+        assert res.lower_bound <= 0.8230
+        _check_dmax_witness(res, rho, free_set)
+
 
 class TestHypothesisTesting:
     @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
