@@ -182,10 +182,22 @@ def rel_entropy_of_resource(
     Real) or the quantum-incoherent smin(All, Inc), where the value is
     S(Delta_B rho) - S(rho).
 
-    Each Frank-Wolfe step is chosen by an exact line search by the
-    derivative: it minimises h(g) = D(rho || sigma + g(mu - sigma)) on
-    [0, 1] as g = 1 when h'(1) <= 0, else as the root of h' by Brent's
-    method, at one eigensolve per trial step.
+    Frank-Wolfe takes away steps (Lacoste-Julien & Jaggi, NeurIPS 2015):
+    the iterate sigma is kept as an active set, members a_k with convex
+    weights w_k, starting from the oracle's answer at -rho and the
+    full-rank state.  Each iteration compares the Frank-Wolfe gap Tr G(sigma
+    - mu) with the away gap max_k Tr G a_k - Tr G sigma.  The larger one
+    picks the direction: towards mu, or away from the worst atom a_j along
+    sigma - a_j, capped where w_j reaches its floor: 0 for the oracle's
+    atoms, which then leave the active set, and keep = gap ln2/4 for the
+    full-rank state, which keeps sigma off the boundary at a cost of at
+    most about gap/4 (an atom of weight 1 takes no away step).  The step
+    along either direction is an exact line search by the derivative: it
+    minimises h(g) = D(rho || sigma + g d) on [0, 1], d the direction at
+    its cap, as g = 1 when h'(1) <= 0, else as the root of h' by Brent's
+    method, at one eigensolve per trial step.  ``extras["stop"]`` says
+    "gap" or "iteration-cap", ``extras["away_steps"]`` counts the away
+    steps.
 
     Both engines certify by f - Tr G sigma + a lower bound on min Tr G mu:
     mirror descent's comes from its own step's multipliers; Frank-Wolfe's is
@@ -207,20 +219,31 @@ def rel_entropy_of_resource(
 
 
 def _interior_start(m: np.ndarray, free_set: FreeStateSet, rng, delta: float = 1e-3):
+    """Two members, the oracle's answer at -rho and the full-rank state,
+    stacked, with the weights (1 - delta, delta) of the starting iterate."""
     anchor = free_set.lmo(-m, rng)
     fr = free_set.full_rank_state()
     if fr is None:
         fr = sum(free_set.random_state(rng) for _ in range(10)) / 10.0
-    return (1.0 - delta) * anchor + delta * fr
+    return np.stack([anchor, fr]), np.array([1.0 - delta, delta])
 
 
 def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
+    """Away-step Frank-Wolfe (Lacoste-Julien & Jaggi, NeurIPS 2015): the
+    iterate sigma = sum_k w_k a_k is kept as its atoms a_k and weights w_k."""
     rng = np.random.default_rng(seed)
     s_rho = _neg_plogp(m)
-    sigma = _interior_start(m, free_set, rng)
+    atoms, weights = _interior_start(m, free_set, rng)
+    sigma = sum(w * a for w, a in zip(weights, atoms))
+    # an away step leaves a full-rank atom at least the weight keep, at a cost
+    # of at most -log2(1 - keep) ~ gap/4 in the objective: it keeps sigma off
+    # the boundary, where the gradient, clipped at EIG_FLOOR, shows a gap
+    # that no step closes
+    keep = gap * LN2 / 4.0
+    floor = np.array([0.0, keep])
     best_lb = -np.inf
     f = np.inf
-    iters = 0
+    iters, away_steps, stop = 0, 0, "iteration-cap"
     exact = free_set.exact_lmo
     frame = None  # the line search's _eig_frame of the current sigma
     for t in range(1, ITER_CAP + 1):
@@ -228,7 +251,11 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
         w, v, rho_hat = frame or _eig_frame(m, sigma)
         f = _objective_from_eig(rho_hat, w, s_rho)
         if not np.isfinite(f):
-            sigma = 0.5 * sigma + 0.5 * _interior_start(m, free_set, rng, delta=0.1)
+            restart, restart_weights = _interior_start(m, free_set, rng, delta=0.1)
+            sigma = 0.5 * sigma + 0.5 * sum(w * a for w, a in zip(restart_weights, restart))
+            atoms = np.concatenate([atoms, restart])
+            weights = 0.5 * np.concatenate([weights, restart_weights])
+            floor = np.append(floor, [0.0, keep])
             frame = None
             continue
         grad = _log_gradient(w, v, rho_hat)
@@ -236,17 +263,44 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
         fw_gap = float(np.real(np.trace(grad @ (sigma - mu))))
         best_lb = max(best_lb, f - max(fw_gap, 0.0))
         if f - best_lb <= gap:
+            stop = "gap"
             break
-        direction = mu - sigma
-        gamma, h_gamma, frame = _line_search(m, s_rho, sigma, direction, f, -fw_gap)
+        # step away from the atom the gradient rates worst when that gains
+        # more than stepping towards mu; the step (w_j - floor_j)/(1 - w_j)
+        # along sigma - a_j, the longest that keeps w_j >= floor_j, is the
+        # search's g = 1
+        on_atoms = np.where(weights > floor, np.real(np.einsum("kab,ba->k", atoms, grad)), -np.inf)
+        j = int(np.argmax(on_atoms))
+        away_gap = float(on_atoms[j] - np.real(np.trace(grad @ sigma)))
+        away = away_gap > fw_gap and weights[j] < 1.0
+        if away:
+            longest = (weights[j] - floor[j]) / (1.0 - weights[j])
+            direction, slope0 = longest * (sigma - atoms[j]), -longest * away_gap
+        else:
+            direction, slope0 = mu - sigma, -fw_gap
+        gamma, h_gamma, frame = _line_search(m, s_rho, sigma, direction, f, slope0)
         if h_gamma > f:
             gamma, frame = min(2.0 / (t + 2.0), 0.5), None
         sigma = sigma + gamma * direction
+        if away:
+            away_steps += 1
+            weights = (1.0 + gamma * longest) * weights
+            weights[j] = floor[j] if gamma == 1.0 else weights[j] - gamma * longest
+        else:
+            weights = (1.0 - gamma) * weights
+            equal = np.flatnonzero(np.all(atoms == mu, axis=(1, 2)))
+            if equal.size:
+                weights[equal[0]] += gamma
+            else:
+                atoms, weights = np.concatenate([atoms, mu[None]]), np.append(weights, gamma)
+                floor = np.append(floor, 0.0)
+        kept = weights > 0.0
+        atoms, weights, floor = atoms[kept], weights[kept], floor[kept]
     value = float(f)
     lb = max(best_lb, _marginal_lower_bound(m, free_set))
     lb = min(lb, value)
     extras = {"method": "frank-wolfe", "lmo": free_set.kind, "requested_gap": gap,
-              "oracle_limited": not exact}
+              "oracle_limited": not exact, "stop": stop, "away_steps": away_steps}
     if not exact:
         extras["lmo_restarts"] = {"iterate": 4}
     return DivergenceResult(

@@ -294,6 +294,58 @@ class TestFrankWolfeLineSearch:
         assert res.lower_bound <= closed <= res.upper_bound
 
 
+class TestAwayStepFrankWolfe:
+    def test_result_says_why_it_stopped(self, monkeypatch):
+        rho = random_density_mat(np.random.default_rng([4, 0]), 4)
+        res = dv.rel_entropy_of_resource(rho, th.Incoherent(4), gap=1e-4, force_engine=True)
+        assert res.converged and res.extras["stop"] == "gap"
+        assert res.extras["away_steps"] == 6
+        monkeypatch.setattr(dv, "ITER_CAP", 3)
+        res = dv.rel_entropy_of_resource(rho, th.Incoherent(4), gap=1e-4, force_engine=True)
+        assert res.iterations == 3 and not res.converged
+        assert res.extras["stop"] == "iteration-cap"
+
+    @pytest.mark.parametrize("free_set", [th.Incoherent(9), th.RealStates(9)], ids=["inc9", "real9"])
+    @pytest.mark.parametrize("rank", [1, 9])
+    def test_forced_solve_at_d9_closes_in_few_iterations(self, free_set, rank):
+        # vanilla Frank-Wolfe took 76-139 iterations on these inputs
+        rho = random_density_mat(np.random.default_rng([9, rank, 0]), 9, rank)
+        res = dv.rel_entropy_of_resource(rho, free_set, gap=1e-3, force_engine=True)
+        _, closed = free_set.closest_free_state(rho)
+        assert res.converged and res.gap <= 1e-3
+        assert res.lower_bound - 1e-12 <= closed <= res.upper_bound + 1e-12
+        assert res.iterations <= 60
+
+    @pytest.mark.parametrize("s", [27, 28])
+    def test_full_rank_atom_keeps_the_iterate_off_the_boundary(self, s):
+        # with away steps free to empty the full-rank atom, these rank-2
+        # inputs drove sigma's least eigenvalues below 1e-10, where the
+        # clipped gradient's Frank-Wolfe gap (0.07-0.14) stays above the
+        # requested gap while its line search finds no descent
+        real = th.RealStates(9)
+        rho = random_density_mat(np.random.default_rng([9, 2, s]), 9, 2)
+        res = dv.rel_entropy_of_resource(rho, real, gap=1e-3, force_engine=True)
+        _, closed = real.closest_free_state(rho)
+        assert res.converged and res.extras["stop"] == "gap"
+        assert res.lower_bound - 1e-12 <= closed <= res.upper_bound + 1e-12
+        assert res.iterations <= 60
+
+    def test_finite_hull_closes_in_few_iterations(self):
+        # vanilla Frank-Wolfe zig-zagged inside a face of the hull of 4
+        # points for 437 iterations
+        rng = np.random.default_rng([99, 3, 4, 1])
+        hull = th.FiniteSet([random_density_mat(rng, 4) for _ in range(4)])
+        rho = random_density_mat(rng, 4, 1)
+        res = dv.rel_entropy_of_resource(rho, hull, gap=1e-3, seed=3, force_engine=True)
+        assert res.converged and res.gap <= 1e-3
+        assert res.iterations <= 50
+        # away steps move along sigma - a_j, yet the iterate stays in the hull
+        points = np.stack(hull.extreme_points()).reshape(4, -1).T
+        weights, *_ = np.linalg.lstsq(points, res.optimizer.ravel(), rcond=None)
+        assert np.max(np.abs(points @ weights - res.optimizer.ravel())) <= 1e-12
+        assert np.min(weights.real) >= -1e-12 and abs(np.sum(weights) - 1.0) <= 1e-12
+
+
 class TestDmax:
     def test_self_singleton_zero(self):
         rng = np.random.default_rng(7)
