@@ -117,6 +117,10 @@ class _ImageSet(FreeStateSet):
     def lmo(self, grad, rng=None):
         return self.image(self.base.lmo(self.pullback(grad), rng))
 
+    def max_support_state(self):
+        # sigma <= c sigma_bar gives image(sigma) <= c image(sigma_bar)
+        return self.image(self.base.max_support_state())
+
     @property
     def exact_lmo(self):
         return self.base.exact_lmo

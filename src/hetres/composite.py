@@ -44,15 +44,18 @@ def smin(locals_: Sequence[FreeStateSet], labels: Sequence[str] | None = None) -
     """Convex hull of products of locally free states.
 
     Products of one-point sets collapse to a singleton, and products of
-    incoherent sets to the incoherent set in the product basis (mixtures of
-    diagonal products exhaust the diagonal states); otherwise a hull
-    descriptor with a see-saw extreme-point oracle is returned.
+    computational-basis dephasings (a ``projection`` whose extreme points
+    are the basis projectors) to the product-basis incoherent set, which
+    mixtures of diagonal products exhaust; otherwise a hull descriptor with
+    a see-saw extreme-point oracle is returned.
     """
     if len(locals_) < 2:
         raise ValueError("need at least two local theories")
     if all(len(s.extreme_points() or ()) == 1 for s in locals_):
         return Singleton(kron_all(s.extreme_points()[0] for s in locals_))
-    if all(isinstance(s, Incoherent) and s.basis is None for s in locals_):
+    if all(s.projection() is not None
+           and np.array_equal(s.extreme_points(), np.eye(s.dim)[:, None] * np.eye(s.dim))
+           for s in locals_):
         return Incoherent(int(np.prod([s.dim for s in locals_])))
     return MinComposite(list(locals_), labels)
 
@@ -284,9 +287,10 @@ def check_bp_axioms(
     tol: float = 1e-6,
     probe_states: Mapping[int, Sequence[np.ndarray]] | None = None,
 ) -> BpReport:
-    """Sampled verdicts for the five multi-copy closure axioms of a family
-    n -> S_n: convexity, a full-rank member, marginal closure, tensor
-    closure S_m (x) S_n into S_{m+n}, and permutation closure.
+    """Verdicts for the five multi-copy closure axioms of a family n -> S_n:
+    convexity, a full-rank member, marginal closure, tensor closure S_m (x)
+    S_n into S_{m+n}, and permutation closure.  The second is exact, read off
+    each S_n's ``max_support_state``; the others are sampled.
 
     ``probe_states`` optionally injects hand-picked states per copy number
     into the sampling pools, so known witnesses are always exercised.
@@ -348,19 +352,10 @@ def check_bp_axioms(
                                    "mixtures of members stay inside", bad))
 
     # 2: a full-rank member
-    ok_rank, detail = True, []
-    for n in range(1, max_n + 1):
-        found = family[n].full_rank_state()
-        if found is None:
-            mix = sum(pool(n, 12)) / 12.0
-            if np.linalg.eigvalsh(mix)[0] <= 1e-12:
-                ok_rank = False
-                detail.append(f"no full-rank witness found at n={n}")
-            else:
-                detail.append(f"full-rank mixture witness at n={n}")
-        else:
-            detail.append(f"closed-form full-rank witness at n={n}")
-    axioms.append(ConditionVerdict("full-rank-member", ok_rank, "witness", "; ".join(detail)))
+    deficient = [n for n in range(1, max_n + 1)
+                 if np.linalg.eigvalsh(family[n].max_support_state())[0] <= 1e-12]
+    detail = f"no full-rank member at n in {deficient}" if deficient else "a full-rank member at every n"
+    axioms.append(ConditionVerdict("full-rank-member", not deficient, "witness", detail))
 
     # 3: marginal closure (trace out one copy)
     bad = first_failure(copy_marginals(), loose)

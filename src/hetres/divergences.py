@@ -102,6 +102,15 @@ def _objective_from_eig(rho_hat: np.ndarray, w: np.ndarray, s_rho: float) -> flo
     return s_rho - float(np.dot(diag, np.log2(np.clip(w, EIG_FLOOR, None))))
 
 
+def _support_leak(m: np.ndarray, sigma_bar: np.ndarray):
+    """(w, v, leaks): sigma_bar = v diag(w) v^H, and whether rho puts more
+    than 1e-10 on its kernel (w <= EIG_FLOOR); over a set's ``max_support_state``
+    a leak means that no member covers rho, so D and D_max are +inf."""
+    w, v = np.linalg.eigh(sigma_bar)
+    kernel = v[:, w <= EIG_FLOOR]
+    return w, v, float(np.real(np.trace(kernel.conj().T @ m @ kernel))) > 1e-10
+
+
 def _neg_plogp(rho: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > EIG_FLOOR]
@@ -182,22 +191,25 @@ def rel_entropy_of_resource(
     Real) or the quantum-incoherent smin(All, Inc), where the value is
     S(Delta_B rho) - S(rho).
 
+    +inf is decided by support before either engine runs: a rho that leaks
+    out of the support of sigma_bar, the set's ``max_support_state``, is an
+    exact +inf with method "support" and zero iterations.
+
     Frank-Wolfe takes away steps (Lacoste-Julien & Jaggi, NeurIPS 2015):
     the iterate sigma is kept as an active set, members a_k with convex
-    weights w_k, starting from the oracle's answer at -rho and the
-    full-rank state.  Each iteration compares the Frank-Wolfe gap Tr G(sigma
-    - mu) with the away gap max_k Tr G a_k - Tr G sigma.  The larger one
-    picks the direction: towards mu, or away from the worst atom a_j along
-    sigma - a_j, capped where w_j reaches its floor: 0 for the oracle's
-    atoms, which then leave the active set, and keep = gap ln2/4 for the
-    full-rank state, which keeps sigma off the boundary at a cost of at
-    most about gap/4 (an atom of weight 1 takes no away step).  The step
-    along either direction is an exact line search by the derivative: it
-    minimises h(g) = D(rho || sigma + g d) on [0, 1], d the direction at
-    its cap, as g = 1 when h'(1) <= 0, else as the root of h' by Brent's
-    method, at one eigensolve per trial step.  ``extras["stop"]`` says
-    "gap" or "iteration-cap", ``extras["away_steps"]`` counts the away
-    steps.
+    weights w_k, starting from the oracle's answer at -rho and sigma_bar.
+    Each iteration compares the Frank-Wolfe gap Tr G(sigma - mu) with the
+    away gap max_k Tr G a_k - Tr G sigma.  The larger one picks the
+    direction: towards mu, or away from the worst atom a_j along sigma - a_j,
+    capped where w_j reaches its floor: 0 for the oracle's atoms, which then
+    leave the active set, and keep = gap ln2/4 for sigma_bar, which keeps
+    sigma off the boundary at a cost of at most about gap/4 (an atom of
+    weight 1 takes no away step).  The step along either direction is an
+    exact line search by the derivative: it minimises h(g) = D(rho || sigma
+    + g d) on [0, 1], d the direction at its cap, as g = 1 when h'(1) <= 0,
+    else as the root of h' by Brent's method, at one eigensolve per trial
+    step.  ``extras["stop"]`` says "gap" or "iteration-cap",
+    ``extras["away_steps"]`` counts the away steps.
 
     Both engines certify by f - Tr G sigma + a lower bound on min Tr G mu:
     mirror descent's comes from its own step's multipliers; Frank-Wolfe's is
@@ -213,19 +225,17 @@ def rel_entropy_of_resource(
         return _exact(closed[1], closed[0], method="closed-form")
     if not force_engine and free_set.contains(m, 1e-9):
         return _exact(0.0, m, method="member")
+    if _support_leak(m, free_set.max_support_state())[2]:
+        return _exact(float("inf"), None, method="support")
     if free_set.marginal_constraints is not None:
         return _mirror_rel_entropy(m, free_set, gap)
     return _fw_rel_entropy(m, free_set, gap, seed)
 
 
 def _interior_start(m: np.ndarray, free_set: FreeStateSet, rng, delta: float = 1e-3):
-    """Two members, the oracle's answer at -rho and the full-rank state,
-    stacked, with the weights (1 - delta, delta) of the starting iterate."""
-    anchor = free_set.lmo(-m, rng)
-    fr = free_set.full_rank_state()
-    if fr is None:
-        fr = sum(free_set.random_state(rng) for _ in range(10)) / 10.0
-    return np.stack([anchor, fr]), np.array([1.0 - delta, delta])
+    """Two members, the oracle's answer at -rho and the set's member of
+    maximal support, stacked, with the weights (1 - delta, delta) of the start."""
+    return np.stack([free_set.lmo(-m, rng), free_set.max_support_state()]), np.array([1.0 - delta, delta])
 
 
 def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
@@ -235,10 +245,10 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     s_rho = _neg_plogp(m)
     atoms, weights = _interior_start(m, free_set, rng)
     sigma = sum(w * a for w, a in zip(weights, atoms))
-    # an away step leaves a full-rank atom at least the weight keep, at a cost
-    # of at most -log2(1 - keep) ~ gap/4 in the objective: it keeps sigma off
-    # the boundary, where the gradient, clipped at EIG_FLOOR, shows a gap
-    # that no step closes
+    # an away step leaves the maximal-support atom at least the weight keep,
+    # at a cost of at most -log2(1 - keep) ~ gap/4 in the objective: it keeps
+    # sigma off the boundary, where the gradient, clipped at EIG_FLOOR, shows
+    # a gap that no step closes
     keep = gap * LN2 / 4.0
     floor = np.array([0.0, keep])
     best_lb = -np.inf
@@ -335,7 +345,9 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
     + D(mu||sigma)/eta), D in nats (Bauschke, Bolte & Teboulle, Math. Oper.
     Res. 42, 330, 2017), then grows by half.  The lower bound is f - Tr G sigma
     + ``bound`` at the step's multipliers over eta (certified: the barrier
-    keeps every Z_k > 0), joined by the partial-trace bound."""
+    keeps every Z_k > 0), joined by the partial-trace bound.  ``extras["stop"]``
+    says "gap", "iteration-cap" (600 steps) or "stall" (eta below 1e-12, or
+    an objective that is not finite)."""
     cons, s_rho = free_set.marginal_constraints, _neg_plogp(m)
 
     def step(k, barrier, y):
@@ -348,15 +360,17 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
     w, v = np.linalg.eigh(0.7 * cons.interior + 0.3 * m)
     scaled, sigma, f, frame, log_sigma = step(-(v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T,
                                              1e-6, cons.origin)
-    best_lb, eta = _marginal_lower_bound(m, free_set), 1.0
+    best_lb, eta, stop = _marginal_lower_bound(m, free_set), 1.0, "iteration-cap"
     for iters in range(1, 601):
-        if not np.isfinite(f):  # no member reaches rho's support
+        if not np.isfinite(f):
+            stop = "stall"
             break
         grad = _log_gradient(*frame)
         grad = 0.5 * (grad + grad.conj().T)
         linear = float(np.real(np.vdot(grad, sigma)))
         best_lb = max(best_lb, f - linear + cons.bound(grad, scaled))
         if f - best_lb <= gap:
+            stop = "gap"
             break
         while eta > 1e-12:
             trial = step(eta * grad - log_sigma, 1e-6 * eta, eta * scaled)
@@ -366,11 +380,12 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
                 break
             eta *= 0.5
         else:
+            stop = "stall"
             break
         (scaled, sigma, f, frame, log_sigma), eta = (trial[0] / eta, *trial[1:]), 1.5 * eta
     lb = min(best_lb, f)
     return DivergenceResult(float(f), float(lb), float(f), iters, not f - lb > gap, sigma,
-                            {"method": "mirror-descent", "requested_gap": gap})
+                            {"method": "mirror-descent", "requested_gap": gap, "stop": stop})
 
 
 # ---------------------------------------------------------------------------
@@ -381,48 +396,35 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
     """D_max(rho||S) = inf { log2 t : rho <= t sigma, sigma in S }, the log
     generalized robustness.
 
-    A set with one extreme point has the closed form ``_dmax_singleton``.
-    Any other set is one ``hypothesis_testing`` call at budget eps and
-    tolerance eps*tol: 2^D_max = max { Tr rho Y : Y >= 0, Tr sigma Y <= 1 on
-    S } is its test program at P = eps*Y.  Here eps = lambda_min(sigma_bar)/2
-    for sigma_bar the set's full-rank state, else the mean of the constraint
-    states, grown by LMO calls until no free state leaves its support; then
-    lambda_max(P) <= 1/2 and the cap P <= I never binds.  A rho outside
-    sigma_bar's support is +inf.
+    sigma_bar is the set's member of maximal support: a rho that leaks out of
+    it is an exact +inf (method "support"), and a one-point set closes at
+    lambda_max(sigma_bar^-1/2 rho sigma_bar^-1/2).  Any other set is one
+    ``hypothesis_testing`` call at budget eps = lambda_min(sigma_bar)/2 (on
+    its support) and tolerance eps*tol: 2^D_max = max { Tr rho Y : Y >= 0,
+    Tr sigma Y <= 1 on S } is its test program at P = eps*Y, where
+    lambda_max(P) <= 1/2, so the cap P <= I never binds.
 
     At D_H's dual point y over its constraint states mu_i, cover = sum_i
     y_i mu_i and delta = lambda_max(rho - cover)+ / lambda_min(sigma_bar)
     give rho <= cover + delta*sigma_bar: 2^upper = sum(y) + delta, and the
     optimizer (cover + delta*sigma_bar)/2^upper is a free witness whatever
     the oracle.  2^lower = max(1, (1 - beta)/eps) at D_H's best test is only
-    as exact as the LMO's maximum (heuristic on see-saw hulls), as is +inf
-    over a grown sigma_bar.  ``stop``, ``cuts`` and ``method`` are D_H's.
-    """
+    as exact as the LMO's maximum (heuristic on see-saw hulls).  ``stop``,
+    ``cuts`` and ``method`` are D_H's."""
     m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
+    sigma_bar = free_set.max_support_state()
+    w, v, leaks = _support_leak(m, sigma_bar)
+    if leaks:
+        return _exact(float("inf"), None, method="support")
+    support = w > EIG_FLOOR
     points = free_set.extreme_points()
     if points is not None and len(points) == 1:
-        return _dmax_singleton(m, points[0])
-
-    sigma_bar = free_set.full_rank_state()
-    if sigma_bar is None:
-        rng = np.random.default_rng(seed)
-        points, exact = _constraint_states(m, free_set, rng)
-        while sigma_bar is None:
-            mean = sum(points) / len(points)
-            w, v = np.linalg.eigh(mean)
-            outside = v[:, w <= EIG_FLOOR] @ v[:, w <= EIG_FLOOR].conj().T
-            cut = None if exact or not outside.any() else free_set.lmo(-outside, rng)
-            if cut is None or float(np.real(np.trace(cut @ outside))) <= 1e-10:
-                sigma_bar = mean
-            else:
-                points.append(cut)
-    w, v = np.linalg.eigh(sigma_bar)
-    kernel = v[:, w <= EIG_FLOOR]
-    if kernel.shape[1] and float(np.real(np.trace(kernel.conj().T @ m @ kernel))) > 1e-10:
-        return _exact(float("inf"), None, method="support")
-    lam_min = float(w[w > EIG_FLOOR][0])
+        inv_half = (v[:, support] * (1.0 / np.sqrt(w[support]))) @ v[:, support].conj().T
+        lam = float(np.linalg.eigvalsh(inv_half @ m @ inv_half)[-1])
+        return _exact(math.log2(max(lam, EIG_FLOOR)), sigma_bar, method="singleton")
+    lam_min = float(w[support][0])
     epsilon = 0.5 * lam_min
 
     # 2^D_max lies in [lower, upper], and 1 <= 2^D_max for any witness
@@ -439,17 +441,6 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
         extras={"method": dh.extras["method"], "requested_gap": tol, "stop": dh.extras["stop"],
                 "cuts": dh.extras["cuts"]},
     )
-
-
-def _dmax_singleton(m: np.ndarray, g: np.ndarray) -> DivergenceResult:
-    w, v = np.linalg.eigh(g)
-    support = w > EIG_FLOOR
-    kernel = v[:, ~support]
-    if kernel.shape[1] and float(np.real(np.trace(kernel.conj().T @ m @ kernel))) > 1e-10:
-        return _exact(float("inf"), None, method="singleton")
-    inv_half = (v[:, support] * (1.0 / np.sqrt(w[support]))) @ v[:, support].conj().T
-    lam = float(np.linalg.eigvalsh(inv_half @ m @ inv_half)[-1])
-    return _exact(math.log2(max(lam, EIG_FLOOR)), g, method="singleton")
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +485,12 @@ def _repair(p, free_set, epsilon, rng, restrict, steps):
 
 def _constraint_states(m: np.ndarray, free_set: FreeStateSet, rng) -> tuple[list[np.ndarray], bool]:
     """The starting constraint states of the dual engine and whether they
-    are all of the set's extreme points; otherwise they are probes: the
-    LMO at -rho, the full-rank state and the closed-form closest state."""
+    are all of the set's extreme points; otherwise they are probes: the LMO
+    at -rho, the member of maximal support and the closed-form closest state."""
     points = free_set.extreme_points()
     if points is not None:
         return list(points), True
-    points = [q for q in (free_set.lmo(-m, rng), free_set.full_rank_state()) if q is not None]
+    points = [free_set.lmo(-m, rng), free_set.max_support_state()]
     closed = free_set.closest_free_state(m)
     if closed is not None:
         points.append(closed[0])

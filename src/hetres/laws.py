@@ -255,10 +255,7 @@ def induced_monotone(
         d1 = lam.in_structure.dims[0]
         if m1.shape[0] != d1:
             raise ValueError("state does not match the family's party-1 input")
-        mus = [set2.random_state(rng) for _ in range(mu2_samples)]
-        fr = set2.full_rank_state()
-        if fr is not None:
-            mus.append(fr)
+        mus = [set2.random_state(rng) for _ in range(mu2_samples)] + [set2.max_support_state()]
         for mu2 in mus:
             joint = np.kron(m1, mu2)
             image = lam.apply_mat(joint)

@@ -21,8 +21,6 @@ PSD_TOL = 1e-10
 EIG_FLOOR = 1e-12
 SUPPORT_TOL = 1e-10
 
-LN2 = np.log(2.0)
-
 
 def as_complex(mat) -> np.ndarray:
     """A square matrix, or a stack (..., d, d) of them, as a complex array."""

@@ -114,8 +114,13 @@ class FreeStateSet:
     def random_state(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def full_rank_state(self) -> np.ndarray | None:
-        return None
+    def max_support_state(self) -> np.ndarray:
+        """A member whose support holds every member's, so full rank wherever a
+        member is: by default the mean of the ``extreme_points``."""
+        points = self.extreme_points()
+        if points is None:
+            raise NotImplementedError(f"{self.kind} has no member of maximal support")
+        return sum(points) / len(points)
 
     def extreme_points(self) -> list[np.ndarray] | None:
         """The set's extreme points when there are finitely many, else None."""
@@ -239,7 +244,7 @@ class _FixedStates(FreeStateSet):
     def linear_form(self):
         return self.marginal_projection, None
 
-    def full_rank_state(self):
+    def max_support_state(self):
         return np.eye(self.dim, dtype=complex) / self.dim
 
 
@@ -340,10 +345,6 @@ class Singleton(FreeStateSet):
     def random_state(self, rng):
         return self.gamma
 
-    def full_rank_state(self):
-        w = np.linalg.eigvalsh(self.gamma)
-        return self.gamma if w[0] > 1e-12 else None
-
     def extreme_points(self) -> list[np.ndarray]:
         return [self.gamma]
 
@@ -439,9 +440,10 @@ class _Composite(FreeStateSet):
     def local_dims(self) -> tuple[int, ...]:
         return self.structure.dims
 
-    def full_rank_state(self):
-        parts = [s.full_rank_state() for s in self.locals]
-        return None if any(p is None for p in parts) else kron_all(parts)
+    def max_support_state(self):
+        """The locals' product; it holds a marginal-set member's support too,
+        as supp sigma lies in the product of its marginals' supports."""
+        return kron_all(s.max_support_state() for s in self.locals)
 
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim, "labels": list(self.structure.labels),
@@ -654,22 +656,21 @@ class MaxComposite(_Composite):
             ops = [embed_operator(b, self.structure, self.structure.labels[i]) for b in stack]
             return np.array(ops).reshape(-1, self.dim, self.dim)
 
-        dirs, cones, centres = [], self._cones(), []
+        dirs, cones = [], self._cones()
         for i, local in enumerate(self.locals):
             d, form, points = local.dim, local.linear_form(), local.extreme_points()
             basis = hermitian_basis(d, None)
             if form is not None:
-                proj, centre = form[0], local.full_rank_state()
+                proj = form[0]
                 if form[1] is not None:
                     cones.append(lift(partial_transpose_mat(basis, *form[1]), i))
             elif points is not None and len(points) == 1:
-                proj, centre = lambda x, d=d: np.einsum("...aa,bc->...bc", x, np.eye(d) / d), points[0]
+                proj = lambda x, d=d: np.einsum("...aa,bc->...bc", x, np.eye(d) / d)
             else:
                 raise NotImplementedError(f"{local.kind} cannot be used as a marginal constraint")
             w, v = np.linalg.eigh(np.real(np.einsum("kab,lba->kl", basis, basis - proj(basis))))
             dirs.append(lift(np.tensordot(v[:, w > 0.5].T, basis, 1), i))
-            centres.append(centre)
-        return MarginalConstraints(np.concatenate(dirs), cones, kron_all(centres))
+        return MarginalConstraints(np.concatenate(dirs), cones, self.max_support_state())
 
     def _cones(self) -> list[np.ndarray]:
         """A*(E), E the ``hermitian_basis``, for cones A(sigma) >= 0 a subclass adds."""
@@ -686,11 +687,7 @@ class MaxComposite(_Composite):
 
     def random_state(self, rng):
         """Mixed local samples plus a correlation traceless on every party."""
-        parts = []
-        for s in self.locals:
-            p, fr = s.random_state(rng), s.full_rank_state()
-            parts.append(p if fr is None else 0.5 * (p + fr))
-        base = kron_all(parts)
+        base = kron_all(0.5 * (s.random_state(rng) + s.max_support_state()) for s in self.locals)
 
         def traceless(d):
             c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

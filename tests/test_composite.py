@@ -49,6 +49,14 @@ class TestSmin:
         out = co.smin([th.Incoherent(2), th.Incoherent(2)])
         assert out.kind == "incoherent" and out.dim == 4
 
+    def test_only_computational_basis_dephasings_collapse(self):
+        out = co.smin([th.Incoherent(2), th.Incoherent(3)])
+        assert out.kind == "incoherent" and out.dim == 6 and out.basis is None
+        # another basis, or the basis projectors as a list without a projection
+        basis_list = th.FiniteSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        for first in (th.Incoherent(2, HADAMARD), basis_list):
+            assert co.smin([first, th.Incoherent(2)]).kind == "min-composite"
+
     def test_assisted_hull_contains_conditional_products(self):
         hull = co.smin([th.AllStates(2), th.Incoherent(2)])
         rng = np.random.default_rng(1)
@@ -294,6 +302,15 @@ class TestBpAxioms:
         rep = co.check_bp_axioms(fam, max_n=3, n_samples=8, seed=1)
         cond = next(a for a in rep.axioms if a.name == "marginal-closure")
         assert not cond.passed and cond.counterexample.shape == (4, 4)
+
+    def test_full_rank_member_is_read_off_the_member_of_maximal_support(self):
+        # a hull with a rank-deficient singleton factor has no full-rank member
+        zero = np.diag([1.0, 0.0])
+        fam = {1: th.RealStates(2), 2: th.MinComposite([th.Singleton(zero), th.RealStates(2)])}
+        rep = co.check_bp_axioms(fam, max_n=2, n_samples=4, seed=0)
+        cond = next(a for a in rep.axioms if a.name == "full-rank-member")
+        assert not cond.passed and cond.mode == "witness"
+        assert cond.detail == "no full-rank member at n in [2]"
 
     def test_max_n_limit(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,31 @@ class TestRelEntropyOfResource:
         res = dv.rel_entropy_of_resource(np.eye(2, dtype=complex) / 2, finite_set)
         assert math.isinf(res.value)
 
+    @pytest.mark.parametrize("rho, free_set, force", [
+        # a hull with a rank-deficient singleton factor: Frank-Wolfe ran to
+        # its 50,000-iteration cap and returned +inf unconverged
+        (np.eye(4) / 4, th.MinComposite([th.Singleton(np.diag([1.0, 0.0])), th.RealStates(2)]), False),
+        # a forced engine over a finite list: it returned lower bound -inf
+        (np.diag([0.5, 0.0, 0.5]), th.FiniteSet([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]), True),
+    ], ids=["hull-with-rank-deficient-singleton", "forced-finite-list"])
+    def test_support_leak_is_an_exact_infinity(self, rho, free_set, force):
+        # the member of maximal support leaves rho's support uncovered
+        res = dv.rel_entropy_of_resource(rho, free_set, gap=1e-3, force_engine=force)
+        assert math.isinf(res.value) and math.isinf(res.lower_bound)
+        assert res.converged and res.iterations == 0
+        assert res.extras["method"] == "support"
+
+    def test_mirror_descent_says_why_it_stopped(self):
+        rho = random_density_mat(np.random.default_rng([8, 1]), 4, 1)
+        res = dv.rel_entropy_of_resource(rho, th.MaxComposite([INC2, th.RealStates(2)]), gap=1e-3)
+        assert res.converged and res.extras["stop"] == "gap"
+        assert res.iterations < 600
+        # the step size underflows before the gap closes here
+        rho = random_density_mat(np.random.default_rng([6, 3]), 8, 1)
+        res = dv.rel_entropy_of_resource(rho, th.MaxComposite([INC2, th.SeparableTwoQubit()]), gap=1e-3)
+        assert not res.converged and res.extras["stop"] == "stall"
+        assert res.iterations < 600
+
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # the eigenbasis (1, +-i)/sqrt(2) of sigma_y: a basis with non-real entries
@@ -389,7 +414,7 @@ class TestDmax:
 
     def test_unsupported_singleton_infinite(self):
         res = dv.dmax(np.eye(2, dtype=complex) / 2, th.Singleton(np.diag([1.0, 0.0])))
-        assert math.isinf(res.value)
+        assert math.isinf(res.value) and res.extras["method"] == "support"
 
     def test_bell_pair_robustness_is_one(self):
         # generalized robustness of the maximally entangled pair: the
@@ -466,9 +491,9 @@ class TestDmaxReferenceCorpus:
         assert res.upper_bound <= 0.6567296
         _check_dmax_witness(res, rho, free_set)
 
-    def test_rank_deficient_set_grows_its_support(self):
-        # no full-rank free state and no listed extreme points: the support of
-        # the reference state grows by LMO calls to |0><0| (x) everything
+    def test_rank_deficient_set_reads_its_support(self):
+        # no full-rank free state and no listed extreme points: the member of
+        # maximal support is |0><0| (x) I/2, the product of the locals' ones
         zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         free_set = th.MinComposite([th.Singleton(zero), INC2])
         res = dv.dmax(np.kron(zero, PLUS), free_set, tol=DMAX_TOL)

@@ -8,6 +8,7 @@ from hetres import channels as ch
 from hetres import theories as th
 from hetres.qcore import (
     CNOT,
+    DensityOperator,
     KET_PLUS,
     KET_PLUS_Y,
     PAULI_X,
@@ -425,6 +426,44 @@ class TestSamplers:
             if np.max(np.abs(m - prod)) > 1e-3:
                 seen_correlated = True
         assert seen_correlated
+
+
+def _max_support_cases():
+    zero = np.diag([1.0, 0.0])
+    reset = ch.prepare_channel(DensityOperator(zero, single_party(2)), single_party(2))
+    image = ct._ImageSet(th.RealStates(2), reset)
+    cases = {
+        "incoherent": th.Incoherent(3),
+        "real": th.RealStates(3),
+        "all": th.AllStates(2),
+        "rank-deficient-singleton": th.Singleton(np.diag([0.6, 0.4, 0.0])),
+        "finite": th.FiniteSet([zero, PLUS]),
+        "smin-singleton-real": th.MinComposite([th.Singleton(zero), th.RealStates(2)]),
+        "smax-singleton-inc": th.MaxComposite([th.Singleton(zero), th.Incoherent(2)]),
+        "separable": th.SeparableTwoQubit(),
+        "reset-image": image,
+    }
+    samplers = {"reset-image": lambda rng: image.image(image.base.random_state(rng))}
+    # FiniteSet.contains tests the list, and the image set has no membership test
+    unchecked = ("finite", "reset-image")
+    return [pytest.param(s, samplers.get(name, s.random_state), name not in unchecked, id=name)
+            for name, s in cases.items()]
+
+
+@pytest.mark.parametrize("free_set, sample, convex", _max_support_cases())
+def test_max_support_state_covers_every_sample(free_set, sample, convex):
+    sigma_bar = free_set.max_support_state()
+    w, v = np.linalg.eigh(sigma_bar)
+    kernel = v[:, w <= 1e-12]
+    rng = np.random.default_rng(3)
+    samples = [sample(rng) for _ in range(20)]
+    for mu in samples:
+        assert np.max(np.abs(kernel.conj().T @ mu @ kernel), initial=0.0) <= 1e-12
+    # full rank wherever a sampled member is
+    if any(np.linalg.eigvalsh(mu)[0] > 1e-9 for mu in samples):
+        assert w[0] > 1e-12
+    if convex:
+        assert free_set.contains(sigma_bar, 1e-9)
 
 
 class TestComposites:
