@@ -117,6 +117,9 @@ class _ImageSet(FreeStateSet):
     def lmo(self, grad, rng=None):
         return self.image(self.base.lmo(self.pullback(grad), rng))
 
+    def random_state(self, rng):
+        return self.image(self.base.random_state(rng))
+
     def max_support_state(self):
         # sigma <= c sigma_bar gives image(sigma) <= c image(sigma_bar)
         return self.image(self.base.max_support_state())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .qcore import (EIG_FLOOR, as_matrix, hermitian_basis, kron_all, mat_to_json, partial_trace_mat,
                     trace_norm)
-from .theories import FreeStateSet
+from .theories import FreeStateSet, SmoothedDual
 
 LN2 = math.log(2.0)
 DEFAULT_GAP = 1e-4
@@ -601,26 +601,27 @@ def _extreme_point_dual(m, points, epsilon, restrict):
 
     The dual is followed along its softplus smoothing
     eps*sum(y) + tau*Tr log(1 + exp(X/tau)) - eps*tau*sum(log y) as tau falls
-    through ``DUAL_TEMPERATURES`` (damping takes over where linearly dependent
-    mu_i make a Newton system singular at small tau); each smoothed optimum
-    gives the test sigmoid(X/tau): the projector onto the positive
-    part of X plus a fractional fill of its near-null eigenvectors.  From
-    tau = 1e-3 on, ``_polish_face`` solves the optimality system of the face
-    found so far (eigenvalues within 100*tau of zero; active constraints
-    y_i > sqrt(tau), as an inactive one sits at y_i = eps*tau/slack <= tau),
-    which closes the gap to rounding once the face is right.  The barrier
-    and Newton's stopping thresholds scale with eps, so the same holds at
-    small budgets, where the tests and the dual value are of order eps.
+    through ``DUAL_TEMPERATURES``, each rung maximising its negative by
+    ``SmoothedDual.newton`` (K = rho, the mu_i as its matrices, offsets -eps,
+    barrier eps*tau); each smoothed optimum gives the test sigmoid(X/tau):
+    the projector onto the positive part of X plus a fractional fill of its
+    near-null eigenvectors.  From tau = 1e-3 on, ``_polish_face`` solves the
+    optimality system of the face found so far (eigenvalues within 100*tau of
+    zero; active constraints y_i > sqrt(tau), as an inactive one sits at y_i
+    = eps*tau/slack <= tau), which closes the gap to rounding once the face is
+    right.  The barrier and Newton's gradient tolerance scale with eps, so the
+    same holds at small budgets, where the tests and the dual value are of
+    order eps.
 
     Returns (y, f(y), P, Newton steps) for the lowest dual value and the
     test with the highest value after rescaling (the caller rescales P).
     """
     rho = _cone(m, restrict)
     mus = np.stack([_cone(p, restrict) for p in points])
+    smoothed = SmoothedDual(mus, np.full(len(mus), -epsilon), [], True)
 
     def spectrum(y):
-        x = rho - np.tensordot(y, mus, 1)
-        return (np.diag(x).copy(), np.eye(len(x))) if restrict == "diagonal" else np.linalg.eigh(x)
+        return np.linalg.eigh(rho - np.tensordot(y, mus, 1))
 
     def dual_value(y):
         lam = spectrum(y)[0]
@@ -634,10 +635,9 @@ def _extreme_point_dual(m, points, epsilon, restrict):
     best_y, best_f, best_p, best_t = origin, dual_value(origin), np.zeros_like(rho), 0.0
     steps = 0
     for tau in DUAL_TEMPERATURES:
-        y, lam, v, n = _smoothed_dual_newton(y, tau, mus, epsilon, spectrum)
+        y, lam, v, weights, n = smoothed.newton(rho, tau, epsilon * tau, y, 1e-12 * epsilon)
         steps += n
-        s = 0.5 * (1.0 + np.tanh(0.5 * lam / tau))
-        found = [(y, (v * s) @ v.conj().T)]
+        found = [(y, -(v * weights) @ v.conj().T)]
         active = np.where(y > math.sqrt(tau), y, 0.0)
         if tau <= 1e-3 and np.any(active > 0.0):
             n_null = int(np.sum(np.abs(lam) <= 100.0 * tau))
@@ -651,59 +651,6 @@ def _extreme_point_dual(m, points, epsilon, restrict):
         if best_f - best_t <= 1e-12 * (1.0 - best_t):
             break
     return best_y, best_f, best_p.astype(complex), steps
-
-
-def _smoothed_dual_newton(y, tau, mus, epsilon, spectrum):
-    """Damped Newton on y > 0 for the smoothed, barrier-regularized dual at
-    tau, until its gradient vanishes, the decrease falls below rounding, or
-    40 steps."""
-    k = len(mus)
-
-    def smoothed(y):
-        lam, v = spectrum(y)
-        val = epsilon * float(np.sum(y)) + tau * float(np.sum(np.logaddexp(0.0, lam / tau)))
-        return val - epsilon * tau * float(np.sum(np.log(y))), lam, v
-
-    val, lam, v = smoothed(y)
-    accepted = 0.0
-    for step in range(1, 41):
-        s = 0.5 * (1.0 + np.tanh(0.5 * lam / tau))
-        mv = v.conj().T @ mus @ v
-        grad = epsilon - np.real(np.einsum("kaa,a->k", mv, s)) - epsilon * tau / y
-        if float(np.max(np.abs(grad))) <= 1e-12 * epsilon:
-            break
-        # Hessian through the divided differences of the sigmoid (Daleckii-Krein)
-        dl = lam[:, None] - lam[None, :]
-        slope = s * (1.0 - s) / tau
-        close = np.abs(dl) <= 1e-9 * tau
-        gamma = np.where(close, 0.5 * (slope[:, None] + slope[None, :]),
-                         (s[:, None] - s[None, :]) / np.where(close, 1.0, dl))
-        flat = mv.reshape(k, -1)
-        hess = np.real((flat.conj() * gamma.ravel()) @ flat.T) + np.diag(epsilon * tau / y**2)
-        # a plain Newton step first, then Levenberg-Marquardt damping from a
-        # tenth of the last accepted one up, until the step (cut back to stay
-        # inside y > 0) decreases the objective enough; a singular system
-        # (linearly dependent mu_i once tau is tiny) counts as a rejected step
-        damping = 0.0
-        for _ in range(40):
-            try:
-                direction = np.linalg.solve(hess + damping * np.eye(k), -grad)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                dec = -float(grad @ direction)
-                shrink = direction < 0.0
-                t = min(1.0, 0.99 * float(np.min(-y[shrink] / direction[shrink]))) if shrink.any() else 1.0
-                trial = smoothed(y + t * direction)
-                if trial[0] <= val - 1e-4 * t * dec:
-                    break
-            damping = max(10.0 * damping, 0.1 * accepted, 1e-9 * float(np.trace(hess)) / k)
-        else:
-            break
-        if dec <= 1e-17 * max(epsilon, abs(val)):
-            break
-        y, (val, lam, v), accepted = y + t * direction, trial, damping
-    return y, lam, v, step
 
 
 def _polish_face(y, lam, v, n_null, p, mus, epsilon, restrict, spectrum):

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import channels as ch
 from .qcore import (
+    EIG_FLOOR,
     DensityOperator,
     TensorStructure,
     as_complex,
@@ -112,7 +113,7 @@ class FreeStateSet:
         return fixed, von_neumann_entropy(fixed) - von_neumann_entropy(m)
 
     def random_state(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        raise NotImplementedError(f"{self.kind} has no sampler")
 
     def max_support_state(self) -> np.ndarray:
         """A member whose support holds every member's, so full rank wherever a
@@ -702,81 +703,128 @@ class MaxComposite(_Composite):
         return base + reach * rng.uniform() * corr
 
 
-class MarginalConstraints:
-    """The states with Tr(C_j sigma) = Tr(C_j interior) = c_j for the ``eqs``
-    C_j and A_k(sigma) >= 0 for ``cones`` A_k*(E), E a ``hermitian_basis``.
-    With y = (x, z), Z_k = z.E and H = K - y.mats, ``bound`` = lambda_min(H) +
-    c.x <= min Tr(K sigma) where all Z_k >= 0.  ``solve`` maximises -tau ln Tr
-    exp(-H/tau) + c.x + barrier sum ln det Z_k (Nesterov, Math. Program. 103,
-    127, 2005): at tau = 1 and K = eta G - ln sigma its Gibbs state is the
-    mirror step argmin eta Tr(G mu) + D(mu||sigma) over the set."""
+class SmoothedDual:
+    """The concave dual F(y) = c.y + psi(K - y.mats) + barrier sum_k ln det Z_k,
+    smoothed at temperature tau (Nesterov, Math. Program. 103, 127, 2005), for
+    ``cones`` of (slice, E) pairs: Z_k = y[slice].E stays positive definite.
+    With ``softplus`` (D_H's dual over the orthant y > 0), psi(H) = -tau sum_a
+    softplus(lambda_a/tau) smooths -Tr H_+ and F adds barrier sum_i ln y_i;
+    else psi(H) = -tau ln Tr exp(-H/tau) smooths lambda_min(H)."""
 
-    def __init__(self, eqs: np.ndarray, cones: list[np.ndarray], interior: np.ndarray):
-        self.n_eq, self.interior, self.mats = len(eqs), interior, np.concatenate([eqs] + cones)
-        self.offsets = np.pad(np.real(np.einsum("kab,ba->k", eqs, interior)), (0, sum(map(len, cones))))
-        ends = np.cumsum([self.n_eq] + [len(c) for c in cones])
-        self.cones = [(slice(a, b), hermitian_basis(math.isqrt(b - a), None))
-                      for a, b in zip(ends[:-1], ends[1:])]
-        self.origin = np.concatenate(  # x = 0 and every Z_k = I/n_k
-            [np.zeros(self.n_eq)] + [np.real(np.einsum("kaa->k", e)) / len(e[0]) for _, e in self.cones])
-        self._gram = np.real(np.einsum("jab,kba->jk", eqs, eqs))
-
-    def bound(self, k: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(k - np.tensordot(y, self.mats, 1))[0] + self.offsets @ y)
+    def __init__(self, mats: np.ndarray, offsets: np.ndarray, cones: list, softplus: bool):
+        self.mats, self.offsets, self.cones, self.softplus = mats, offsets, cones, softplus
 
     def _dual(self, k, tau, barrier, y):
-        """(dual, eigensystem of H, Gibbs weights, Z_k^-1), or None off Z > 0."""
+        """(F(y), eigensystem of H, weights dpsi/dlambda, Z_k^-1), or None off the domain."""
         zs = [np.tensordot(y[sl], e, 1) for sl, e in self.cones]
-        if any(np.linalg.eigvalsh(z)[0] <= 0.0 for z in zs):
+        if (self.softplus and np.any(y <= 0.0)) or any(np.linalg.eigvalsh(z)[0] <= 0.0 for z in zs):
             return None
-        logdet = sum(np.linalg.slogdet(z)[1] for z in zs)
+        logs = sum(np.linalg.slogdet(z)[1] for z in zs)
         w, v = np.linalg.eigh(k - np.tensordot(y, self.mats, 1))
-        p = np.exp(-(w - w[0]) / tau)
-        val = w[0] - tau * np.log(np.sum(p)) + self.offsets @ y + barrier * logdet
-        return float(val), w, v, p / np.sum(p), [np.linalg.inv(z) for z in zs]
+        if self.softplus:
+            psi, weights = -tau * np.sum(np.logaddexp(0.0, w / tau)), -0.5 * (1.0 + np.tanh(0.5 * w / tau))
+            logs = logs + np.sum(np.log(y))
+        else:
+            p = np.exp(-(w - w[0]) / tau)
+            psi, weights = w[0] - tau * np.log(np.sum(p)), p / np.sum(p)
+        val = psi + self.offsets @ y + barrier * logs
+        return float(val), w, v, weights, [np.linalg.inv(z) for z in zs]
 
-    def solve(self, k: np.ndarray, tau: float, barrier: float, y: np.ndarray, tol: float):
-        """(y, Gibbs state) after Newton steps (Daleckii-Krein Hessian, cut at
-        1e-13 of its top eigenvalue; Armijo backtracking within rounding) until
-        the gradient is below ``tol`` or the weights' rounding floor."""
+    def _derivatives(self, tau, barrier, y, state):
+        """(gradient of F, minus its Hessian) at y from its ``_dual`` state, psi's
+        Hessian through the divided differences of the weights (Daleckii-Krein)."""
+        _, w, v, weights, zinv = state
+        mh = v.conj().T @ self.mats @ v
+        d = np.real(np.einsum("kaa->ka", mh)) @ weights
+        grad, diff = self.offsets - d, w[:, None] - w[None, :]
+        slopes = -weights * (1.0 + weights) if self.softplus else weights  # -tau dweights/dlambda
+        gamma = np.divide(weights[:, None] - weights[None, :], diff, where=np.abs(diff) > 1e-9 * tau,
+                          out=-0.5 * (slopes[:, None] + slopes[None, :]) / tau)
+        flat = mh.reshape(len(y), len(w) ** 2)
+        curv = -np.real((flat.conj() * gamma.ravel()) @ flat.T)
+        if self.softplus:
+            grad, curv = grad + barrier / y, curv + np.diag(barrier / y**2)
+        else:
+            curv -= np.outer(d, d) / tau
+        for (sl, e), zi in zip(self.cones, zinv):
+            grad[sl] += barrier * np.real(np.einsum("kab,ba->k", e, zi))
+            curv[sl, sl] += barrier * np.real(np.einsum("kab,lba->kl", zi @ e, zi @ e))
+        return grad, curv
+
+    def newton(self, k: np.ndarray, tau: float, barrier: float, y: np.ndarray, tol: float):
+        """(y, eigensystem of H, weights, steps) after Newton steps on F (the Hessian's
+        pseudo-inverse, cut at 1e-13 of its top eigenvalue; at most 0.99 of the way to
+        the orthant's boundary; Armijo backtracking within rounding) until the gradient
+        is below ``tol`` or the weights' rounding floor, a line search fails, or 50 steps."""
         state, tol = self._dual(k, tau, barrier, y), max(tol, 1e-16 * np.max(np.abs(k)) / tau)
-        for _ in range(50):
-            val, w, v, p, zinv = state
-            mh = v.conj().T @ self.mats @ v
-            d = np.real(np.einsum("kaa->ka", mh)) @ p
-            grad, diff = self.offsets - d, w[:, None] - w[None, :]
-            gamma = np.divide(p[:, None] - p[None, :], diff, where=np.abs(diff) > 1e-9 * tau,
-                              out=-0.5 * (p[:, None] + p[None, :]) / tau)
-            flat = mh.reshape(len(y), len(w) ** 2)
-            curv = -np.real((flat.conj() * gamma.ravel()) @ flat.T) - np.outer(d, d) / tau
-            for (sl, e), zi in zip(self.cones, zinv):
-                grad[sl] += barrier * np.real(np.einsum("kab,ba->k", e, zi))
-                curv[sl, sl] += barrier * np.real(np.einsum("kab,lba->kl", zi @ e, zi @ e))
-            if float(np.max(np.abs(grad), initial=0.0)) <= tol:
+        for steps in range(51):
+            grad, curv = self._derivatives(tau, barrier, y, state)
+            if steps == 50 or float(np.max(np.abs(grad), initial=0.0)) <= tol:
                 break
             lam, vec = np.linalg.eigh(curv)
             step = vec @ np.divide(vec.T @ grad, lam, out=0.0 * lam, where=lam > 1e-13 * lam[-1])
-            rise, slack = 1e-4 * grad @ step, 1e-14 * (1.0 + abs(val))
-            for t in 0.5 ** np.arange(20):
+            shrink = self.softplus & (step < 0.0)
+            reach = min(1.0, 0.99 * float(np.min(-y[shrink] / step[shrink]))) if shrink.any() else 1.0
+            rise, slack = 1e-4 * grad @ step, 1e-14 * (1.0 + abs(state[0]))
+            for t in reach * 0.5 ** np.arange(20):
                 trial = self._dual(k, tau, barrier, y + t * step)
-                if trial is not None and trial[0] >= val + t * rise - slack:
+                if trial is not None and trial[0] >= state[0] + t * rise - slack:
                     break
             else:
                 break
             y, state = y + t * step, trial
-        return y, (state[2] * state[3]) @ state[2].conj().T
+        return y, state[1], state[2], state[3], steps
+
+
+class MarginalConstraints(SmoothedDual):
+    """The states with Tr(C_j sigma) = Tr(C_j interior) = c_j for the ``eqs``
+    C_j and A_k(sigma) >= 0 for ``cones`` A_k*(E), E a ``hermitian_basis``,
+    compressed onto the support of ``interior``, which holds every member's,
+    with the C_j re-orthonormalised there.  With y = (x, z), Z_k = z.E and H
+    = K - y.mats, ``bound`` = lambda_min(H) + c.x <= min Tr(K sigma) where
+    all Z_k >= 0.  ``solve`` is the log-sum-exp ``SmoothedDual``: at tau = 1
+    and K = eta G - ln sigma its Gibbs state is the mirror step argmin eta
+    Tr(G mu) + D(mu||sigma) over the set."""
+
+    def __init__(self, eqs: np.ndarray, cones: list[np.ndarray], interior: np.ndarray):
+        w, v = np.linalg.eigh(interior)
+        self.interior, self.frame = interior, np.eye(len(w)) if w[0] > EIG_FLOOR else v[:, w > EIG_FLOOR]
+        eqs, cones = self._compress(eqs), [self._compress(c) for c in cones]
+        if w[0] <= EIG_FLOOR:  # on a proper support some C_j vanish or become dependent
+            gw, gv = np.linalg.eigh(np.real(np.einsum("jab,kba->jk", eqs, eqs)))
+            eqs = np.tensordot((gv[:, gw > 1e-10] / np.sqrt(gw[gw > 1e-10])).T, eqs, 1)
+        self.n_eq, self._gram = len(eqs), np.real(np.einsum("jab,kba->jk", eqs, eqs))
+        offsets = np.pad(np.real(np.einsum("kab,ba->k", eqs, self._compress(interior))),
+                         (0, sum(map(len, cones))))
+        ends = np.cumsum([self.n_eq] + [len(c) for c in cones])
+        super().__init__(np.concatenate([eqs] + cones), offsets,
+                         [(slice(a, b), hermitian_basis(math.isqrt(b - a), None))
+                          for a, b in zip(ends[:-1], ends[1:])], False)
+        self.origin = np.concatenate(  # x = 0 and every Z_k = I/n_k
+            [np.zeros(self.n_eq)] + [np.real(np.einsum("kaa->k", e)) / len(e[0]) for _, e in self.cones])
+
+    def _compress(self, x: np.ndarray) -> np.ndarray:
+        return self.frame.conj().T @ x @ self.frame
+
+    def bound(self, k: np.ndarray, y: np.ndarray) -> float:
+        return float(np.linalg.eigvalsh(self._compress(k) - np.tensordot(y, self.mats, 1))[0] + self.offsets @ y)
+
+    def solve(self, k: np.ndarray, tau: float, barrier: float, y: np.ndarray, tol: float):
+        """(y, Gibbs state) after ``newton`` on K compressed to the support."""
+        y, _, v, p, _ = self.newton(self._compress(k), tau, barrier, y, tol)
+        return y, (self.frame @ v * p) @ (self.frame @ v).conj().T
 
     def member(self, rho: np.ndarray) -> np.ndarray:
-        """rho corrected along the C_j, then mixed with ``interior`` into every cone."""
-        eqs = self.mats[:self.n_eq]
+        """rho on the support corrected along the C_j, then mixed with ``interior`` into every cone."""
+        rho, interior, eqs = self._compress(rho), self._compress(self.interior), self.mats[:self.n_eq]
         resid = np.real(np.einsum("kab,ba->k", eqs, rho)) - self.offsets[:self.n_eq]
         rho = rho - np.tensordot(np.linalg.solve(self._gram, resid), eqs, 1)
         rho = 0.5 * (rho + rho.conj().T)
         a, b = ([np.linalg.eigvalsh(m)[0] for m in [x] + [np.tensordot(
             np.real(np.einsum("kab,ba->k", self.mats[sl], x)), e, 1) for sl, e in self.cones]]
-            for x in (rho, self.interior))
+            for x in (rho, interior))
         t = max([0.0] + [-ai / (bi - ai) for ai, bi in zip(a, b) if ai < 0.0])
-        return (1.0 - t) * rho + t * self.interior
+        return self.frame @ ((1.0 - t) * rho + t * interior) @ self.frame.conj().T
 
     def minimize(self, grad: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
         """(mu, lower): ``solve`` from tau = max(lambda_max(G) - lambda_min(G),
@@ -792,6 +840,7 @@ class MarginalConstraints:
         scale = max(float(np.max(np.abs(g))), 1e-300)
         top = max(float(np.ptp(np.linalg.eigvalsh(g))), scale)
         y, best, best_val, lower, grad_tol = self.origin, None, np.inf, -np.inf, 0.1 * tol / scale
+        on_support = self._compress(g)
         for e in range(14):
             tau = top * 10.0 ** -e
             y, gibbs = self.solve(g, tau, 0.01 * tau, y, grad_tol)
@@ -804,7 +853,7 @@ class MarginalConstraints:
                     zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
                     support = (zv * (zw > 0.1 * np.sqrt(tau * scale))) @ zv.conj().T
                     keep[sl, sl] = np.real(np.einsum("lab,mba->lm", basis, support @ basis @ support))
-                w, v = np.linalg.eigh(g - np.tensordot(keep @ z, self.mats, 1))
+                w, v = np.linalg.eigh(on_support - np.tensordot(keep @ z, self.mats, 1))
                 on_face = w - w[0] <= 30.0 * tau
                 face, hb = v[:, on_face], hermitian_basis(int(np.sum(on_face)), None)
                 a = np.real(np.einsum("lab,kba->lk", hb, face.conj().T @ self.mats @ face)) @ keep

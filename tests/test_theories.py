@@ -13,9 +13,11 @@ from hetres.qcore import (
     KET_PLUS_Y,
     PAULI_X,
     bell_phi_plus_vec,
+    hermitian_basis,
     kron_all,
     TensorStructure,
     partial_trace_mat,
+    partial_transpose_mat,
     permutation_matrix,
     pure_state,
     random_density_mat,
@@ -280,6 +282,19 @@ class TestOpClasses:
         assert real2.contains(verdict.witness) and not inc2.contains(verdict.witness)
         assert inc2.maps_into(ident, real2, 1e-8, 24, rng).mode == "extreme-points"
 
+    def test_image_set_maps_into_by_samples(self):
+        # a reset channel's image set has neither a linear form nor extreme
+        # points, so its inclusion is decided on images of base samples
+        zero = np.diag([1.0, 0.0])
+        reset = ch.prepare_channel(DensityOperator(zero, single_party(2)), single_party(2))
+        image = ct._ImageSet(th.RealStates(2), reset)
+        verdict = image.maps_into(lambda x: x, th.Incoherent(2), 1e-8, 8, np.random.default_rng(0))
+        assert (verdict.ok, verdict.mode) == (True, "sampled")
+
+    def test_a_set_without_sampler_says_so(self):
+        with pytest.raises(NotImplementedError, match="abstract has no sampler"):
+            th.FreeStateSet(2).random_state(np.random.default_rng(0))
+
     def test_prepare_channel_rng_cases(self):
         prep = ch.prepare_channel(pure_state(KET_PLUS), single_party(2, "A"))
         assert th.Rng(th.AllStates(2)).verify(prep).ok
@@ -443,20 +458,18 @@ def _max_support_cases():
         "separable": th.SeparableTwoQubit(),
         "reset-image": image,
     }
-    samplers = {"reset-image": lambda rng: image.image(image.base.random_state(rng))}
     # FiniteSet.contains tests the list, and the image set has no membership test
     unchecked = ("finite", "reset-image")
-    return [pytest.param(s, samplers.get(name, s.random_state), name not in unchecked, id=name)
-            for name, s in cases.items()]
+    return [pytest.param(s, name not in unchecked, id=name) for name, s in cases.items()]
 
 
-@pytest.mark.parametrize("free_set, sample, convex", _max_support_cases())
-def test_max_support_state_covers_every_sample(free_set, sample, convex):
+@pytest.mark.parametrize("free_set, convex", _max_support_cases())
+def test_max_support_state_covers_every_sample(free_set, convex):
     sigma_bar = free_set.max_support_state()
     w, v = np.linalg.eigh(sigma_bar)
     kernel = v[:, w <= 1e-12]
     rng = np.random.default_rng(3)
-    samples = [sample(rng) for _ in range(20)]
+    samples = [free_set.random_state(rng) for _ in range(20)]
     for mu in samples:
         assert np.max(np.abs(kernel.conj().T @ mu @ kernel), initial=0.0) <= 1e-12
     # full rank wherever a sampled member is
@@ -593,6 +606,49 @@ class TestComposites:
         assert xc.contains(mu, 1e-9)
         assert val <= -1.8333749484987731 + 1e-9
         assert lower <= val <= lower + 1e-9 * float(np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_rank_deficient_singleton_local_closes(self, seed):
+        # every member lies on the 2-dimensional support of |0><0| (x) I/2,
+        # where 2 of the 5 marginal equalities vanish; solved on the full
+        # space, the seed-1 member sat 0.0504 above its bound
+        xc = th.MaxComposite([th.Singleton(np.diag([1.0, 0.0])), th.Incoherent(2)])
+        g = random_hermitian(np.random.default_rng(seed), 4)
+        mu, lower = xc.lmo_with_bound(g)
+        val = float(np.real(np.trace(g @ mu)))
+        assert xc.marginal_constraints.n_eq == 3
+        assert xc.contains(mu, 1e-9)
+        assert lower <= val <= lower + 1e-10 * float(np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("softplus", [True, False], ids=["softplus-orthant", "log-sum-exp-cone"])
+    def test_smoothed_dual_derivatives_match_finite_differences(self, softplus):
+        rng = np.random.default_rng(12)
+        k, tau, barrier = random_hermitian(rng, 4), 0.3, 0.05
+        if softplus:
+            mats = np.stack([random_density_mat(rng, 4) for _ in range(3)])
+            dual = th.SmoothedDual(mats, np.full(3, -0.1), [], True)
+            y = rng.uniform(0.2, 1.0, 3)
+        else:
+            basis = hermitian_basis(4, None)
+            eqs = np.stack([random_hermitian(rng, 4) for _ in range(2)])
+            mats = np.concatenate([eqs, partial_transpose_mat(basis, (2, 2), 1)])
+            dual = th.SmoothedDual(mats, rng.normal(size=18), [(slice(2, 18), basis)], False)
+            z = np.eye(4) / 4 + 0.05 * random_hermitian(rng, 4)
+            y = np.concatenate([rng.normal(size=2), np.real(np.einsum("lab,ba->l", basis, z))])
+
+        def value(x):
+            return dual._dual(k, tau, barrier, x)[0]
+
+        def gradient(x):
+            return dual._derivatives(tau, barrier, x, dual._dual(k, tau, barrier, x))[0]
+
+        grad, curv = dual._derivatives(tau, barrier, y, dual._dual(k, tau, barrier, y))
+        h, unit = 1e-6, np.eye(len(y))
+        fd_grad = np.array([(value(y + h * e) - value(y - h * e)) / (2 * h) for e in unit])
+        fd_hess = np.stack([(gradient(y + h * e) - gradient(y - h * e)) / (2 * h) for e in unit], axis=1)
+        assert np.allclose(fd_grad, grad, rtol=1e-6, atol=1e-7)
+        assert np.allclose(fd_hess, -curv, rtol=1e-5, atol=1e-6)
+        assert np.allclose(curv, curv.T, atol=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (2, 2, 2)])
     def test_effective_operator_matches_kron_reference(self, dims):
