@@ -23,6 +23,7 @@ from .qcore import (
     as_complex,
     as_matrix,
     check_hermitian,
+    kron,
     kron_all,
     mat_to_json,
     partial_trace_mat,
@@ -98,7 +99,7 @@ class _ImageSet(FreeStateSet):
         """x -> Tr_first Lambda(x (x) aux), or Lambda(x) for a single-party channel."""
         if self.aux is None:
             return self.lam.apply_mat(x)
-        out = self.lam.apply_mat(np.kron(x, self.aux))
+        out = self.lam.apply_mat(kron(x, self.aux))
         return partial_trace_mat(out, self.lam.out_structure.dims,
                                  list(range(1, len(self.lam.out_structure.parties))))
 
@@ -107,7 +108,7 @@ class _ImageSet(FreeStateSet):
         Tr_aux[(I (x) aux) sum_K K^dag (I_first (x) G) K]."""
         g = as_complex(grad)
         if self.aux is not None:
-            g = np.kron(np.eye(self.lam.out_structure.dims[0]), g)
+            g = kron(np.eye(self.lam.out_structure.dims[0]), g)
         pulled = sum(k.conj().T @ g @ k for k in self.lam.kraus)
         if self.aux is not None:
             d, n = self.lam.in_structure.dims[0], len(self.aux)
@@ -273,9 +274,9 @@ def move_and_replace_channel(mu_a: np.ndarray, dim: int) -> ch.KrausChannel:
     for a in range(dim):
         if w[a] <= 1e-14:
             continue
-        left = np.kron(v[:, a].reshape(-1, 1), eye)
+        left = kron(v[:, a].reshape(-1, 1), eye)
         for j in range(dim):
-            right = np.kron(eye, eye[j].reshape(1, -1))
+            right = kron(eye, eye[j].reshape(1, -1))
             ops.append(np.sqrt(w[a]) * (left @ right))
     structure = TensorStructure([("A", dim), ("B", dim)])
     return ch.KrausChannel(tuple(ops), structure, structure)

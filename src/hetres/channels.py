@@ -20,6 +20,7 @@ from .qcore import (
     as_complex,
     check_hermitian,
     embed_operator,
+    kron,
     kron_all,
     mat_from_json,
     mat_to_json,
@@ -145,7 +146,7 @@ def product_channel(parts: Sequence[KrausChannel], labels: Sequence[str] | None 
 
 
 def channel_tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    ops = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
+    ops = tuple(kron(ka, kb) for ka in a.kraus for kb in b.kraus)
     return KrausChannel(
         ops,
         a.in_structure.concat(b.in_structure),

@@ -20,6 +20,7 @@ from . import channels as ch
 from .qcore import (
     DensityOperator,
     TensorStructure,
+    kron,
     kron_all,
     mat_to_json,
     partial_trace_mat,
@@ -330,7 +331,7 @@ def check_bp_axioms(
             for n in range(1, max_n - m + 1):
                 for a in pool(m, 10):
                     for b in pool(n, 10):
-                        prod = np.kron(a, b)
+                        prod = kron(a, b)
                         note = f"S_{m} (x) S_{n} leaves S_{m + n}"
                         yield (prod, note), prod, family[m + n].contains
 

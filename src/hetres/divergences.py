@@ -347,11 +347,13 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
     + ``bound`` at the step's multipliers over eta (certified: the barrier
     keeps every Z_k > 0), joined by the partial-trace bound.  ``extras["stop"]``
     says "gap", "iteration-cap" (600 steps) or "stall" (eta below 1e-12, or
-    an objective that is not finite)."""
-    cons, s_rho = free_set.marginal_constraints, _neg_plogp(m)
+    an objective that is not finite); ``extras["newton_steps"]`` sums the
+    solver's steps over every trial step."""
+    cons, s_rho, newton_steps = free_set.marginal_constraints, _neg_plogp(m), []
 
     def step(k, barrier, y):
-        y, gibbs = cons.solve(k, 1.0, barrier, y, 1e-12)
+        y, gibbs, n = cons.solve(k, 1.0, barrier, y, 1e-12)
+        newton_steps.append(n)
         sigma = cons.member(gibbs)
         w, v, rho_hat = frame = _eig_frame(m, sigma)
         log_sigma = (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
@@ -385,7 +387,8 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
         (scaled, sigma, f, frame, log_sigma), eta = (trial[0] / eta, *trial[1:]), 1.5 * eta
     lb = min(best_lb, f)
     return DivergenceResult(float(f), float(lb), float(f), iters, not f - lb > gap, sigma,
-                            {"method": "mirror-descent", "requested_gap": gap, "stop": stop})
+                            {"method": "mirror-descent", "requested_gap": gap, "stop": stop,
+                             "newton_steps": sum(newton_steps)})
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .qcore import (
     TensorStructure,
     as_matrix,
     bell_phi_plus_vec,
+    kron,
     kron_all,
     mat_to_json,
     partial_trace_mat,
@@ -257,7 +258,7 @@ def induced_monotone(
             raise ValueError("state does not match the family's party-1 input")
         mus = [set2.random_state(rng) for _ in range(mu2_samples)] + [set2.max_support_state()]
         for mu2 in mus:
-            joint = np.kron(m1, mu2)
+            joint = kron(m1, mu2)
             image = lam.apply_mat(joint)
             marg2 = partial_trace_mat(image, lam.out_structure.dims, [1])
             res = rel_entropy_of_resource(marg2, set2, gap=gap, seed=seed)
@@ -391,7 +392,7 @@ def product_affine_basis() -> list[np.ndarray]:
     """Sixteen separable two-qubit states spanning Hermitian space; every
     two-qubit state is an affine (coefficients summing to one) combination."""
     singles = _tomography_qubit_states()
-    return [np.kron(a, b) for a in singles for b in singles]
+    return [kron(a, b) for a in singles for b in singles]
 
 
 def nogo_entanglement_to_coherence(
@@ -421,11 +422,10 @@ def nogo_entanglement_to_coherence(
     # entangled one, for each free mu, from one stacked application
     mus = [party1_set.random_state(rng) for _ in range(n_free_inputs)]
     v = bell_phi_plus_vec(2)
-    inputs = [np.kron(mu, b) for mu in mus for b in basis + [np.outer(v, v.conj())]]
-    d1, rest = dims[0], channel.dim_out // dims[0]
-    outs = channel.apply_mat(np.array(inputs).reshape(-1, channel.dim_in, channel.dim_in))
-    marg1 = np.einsum("nacbc->nab", outs.reshape(-1, d1, rest, d1, rest))
-    off = np.max(np.abs(marg1 - marg1 * np.eye(d1)), axis=(-2, -1)).reshape(len(mus), len(basis) + 1)
+    inputs = kron(np.reshape(mus, (len(mus), 1, party1_set.dim, party1_set.dim)),
+                  np.stack(basis + [np.outer(v, v.conj())]))
+    marg1 = partial_trace_mat(channel.apply_mat(inputs), dims, [0])
+    off = np.max(np.abs(marg1 - marg1 * np.eye(dims[0])), axis=(-2, -1))
     worst_basis = float(np.max(off[:, :-1], initial=0.0))
     worst_direct = float(np.max(off[:, -1], initial=0.0))
 

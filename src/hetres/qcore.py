@@ -10,6 +10,7 @@ bits (log base 2).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -147,21 +148,30 @@ def maximally_mixed(structure: TensorStructure) -> DensityOperator:
 # tensor bookkeeping
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes of ``a`` and ``b``, broadcast
+    over leading stack axes: one broadcast forms the element products that
+    numpy's kron forms, so the result is bit-identical to it on matrices."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product with concatenated party structure."""
-    return DensityOperator(np.kron(a.mat, b.mat), a.structure.concat(b.structure))
+    return DensityOperator(kron(a.mat, b.mat), a.structure.concat(b.structure))
 
 
 def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a square matrix over all axes not in ``keep``."""
-    n = len(dims)
-    keep = sorted(keep)
-    t = as_complex(mat).reshape(tuple(dims) * 2)
+    """Partial trace of each matrix in a stack (..., d, d) over all axes not in ``keep``."""
+    m, n = as_complex(mat), len(dims)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + tuple(dims) * 2)
     traced = [i for i in range(n) if i not in keep]
     for off, i in enumerate(traced):
-        t = np.trace(t, axis1=i - off, axis2=i - off + n - off)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
+        t = np.trace(t, axis1=len(lead) + i - off, axis2=len(lead) + i - off + n - off)
+    d_keep = math.prod(dims[i] for i in keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def partial_trace(rho: DensityOperator, keep: Sequence[str]) -> DensityOperator:
@@ -240,7 +250,7 @@ def hermitian_basis(n: int, restrict: str | None) -> np.ndarray:
 
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product in order; the 1x1 identity for no factors."""
-    return functools.reduce(np.kron, mats, np.array([[1.0 + 0j]]))
+    return functools.reduce(kron, mats, np.array([[1.0 + 0j]]))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .qcore import (
     TensorStructure,
     bell_phi_plus_vec,
     density,
+    kron,
     kron_all,
     mat_from_json,
     mat_to_json,
@@ -144,8 +145,8 @@ def coherence_to_entanglement_channel() -> ch.KrausChannel:
     for j in range(4):
         bra = np.zeros((1, 4), dtype=complex)
         bra[0, j] = 1.0
-        pick = np.kron(np.eye(2, dtype=complex), bra)
-        ops.append(np.kron(e0, copy_iso) @ pick)
+        pick = kron(np.eye(2, dtype=complex), bra)
+        ops.append(kron(e0, copy_iso) @ pick)
     return ch.KrausChannel(tuple(ops), structure, structure)
 
 
@@ -487,7 +488,7 @@ def _run_counterexample(inputs, params):
         inp = DensityOperator(inp.mat, lam.in_structure)
         out = ch.apply(lam, inp)
         v = bell_phi_plus_vec(2)
-        target = np.kron(np.diag([1.0, 0.0]), np.outer(v, v.conj()))
+        target = kron(np.diag([1.0, 0.0]), np.outer(v, v.conj()))
         smin_set = th.MinComposite([th.Incoherent(2), th.SeparableTwoQubit()], labels=["1", "2"])
         verdict = th.Rng(smin_set).verify(lam)
         ss = laws.single_shot_verdict(
@@ -561,9 +562,9 @@ def rng_verified_channel_family(n: int, seed: int = 0) -> list[ch.KrausChannel]:
         phase_out = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
         ua = random_unitary(rng, 2)
         ub = random_unitary(rng, 2)
-        pre = ch.unitary_channel(np.kron(phase_in, np.kron(ua, ub)), structure)
+        pre = ch.unitary_channel(kron(phase_in, kron(ua, ub)), structure)
         post = ch.unitary_channel(
-            np.kron(phase_out, np.kron(random_unitary(rng, 2), random_unitary(rng, 2))), structure)
+            kron(phase_out, kron(random_unitary(rng, 2), random_unitary(rng, 2))), structure)
         cand = ch.compose(post, ch.compose(base, pre))
         if rng.uniform() < 0.3:
             # mix with a product of free preparations

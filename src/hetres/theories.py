@@ -755,11 +755,15 @@ class SmoothedDual:
         """(y, eigensystem of H, weights, steps) after Newton steps on F (the Hessian's
         pseudo-inverse, cut at 1e-13 of its top eigenvalue; at most 0.99 of the way to
         the orthant's boundary; Armijo backtracking within rounding) until the gradient
-        is below ``tol`` or the weights' rounding floor, a line search fails, or 50 steps."""
+        is below ``tol`` or the weights' rounding floor, a line search fails, the last
+        step gained no more than the rounding slack and did not shrink max|grad| (F's
+        rounding floor), or 50 steps."""
         state, tol = self._dual(k, tau, barrier, y), max(tol, 1e-16 * np.max(np.abs(k)) / tau)
+        gain, slack, last = np.inf, 0.0, np.inf  # the last step's rise in F, its slack, max|grad| before it
         for steps in range(51):
             grad, curv = self._derivatives(tau, barrier, y, state)
-            if steps == 50 or float(np.max(np.abs(grad), initial=0.0)) <= tol:
+            size = float(np.max(np.abs(grad), initial=0.0))
+            if steps == 50 or size <= tol or (gain <= slack and size >= last):
                 break
             lam, vec = np.linalg.eigh(curv)
             step = vec @ np.divide(vec.T @ grad, lam, out=0.0 * lam, where=lam > 1e-13 * lam[-1])
@@ -772,7 +776,7 @@ class SmoothedDual:
                     break
             else:
                 break
-            y, state = y + t * step, trial
+            y, state, gain, last = y + t * step, trial, trial[0] - state[0], size
         return y, state[1], state[2], state[3], steps
 
 
@@ -810,9 +814,9 @@ class MarginalConstraints(SmoothedDual):
         return float(np.linalg.eigvalsh(self._compress(k) - np.tensordot(y, self.mats, 1))[0] + self.offsets @ y)
 
     def solve(self, k: np.ndarray, tau: float, barrier: float, y: np.ndarray, tol: float):
-        """(y, Gibbs state) after ``newton`` on K compressed to the support."""
-        y, _, v, p, _ = self.newton(self._compress(k), tau, barrier, y, tol)
-        return y, (self.frame @ v * p) @ (self.frame @ v).conj().T
+        """(y, Gibbs state, Newton steps) after ``newton`` on K compressed to the support."""
+        y, _, v, p, steps = self.newton(self._compress(k), tau, barrier, y, tol)
+        return y, (self.frame @ v * p) @ (self.frame @ v).conj().T, steps
 
     def member(self, rho: np.ndarray) -> np.ndarray:
         """rho on the support corrected along the C_j, then mixed with ``interior`` into every cone."""
@@ -843,7 +847,7 @@ class MarginalConstraints(SmoothedDual):
         on_support = self._compress(g)
         for e in range(14):
             tau = top * 10.0 ** -e
-            y, gibbs = self.solve(g, tau, 0.01 * tau, y, grad_tol)
+            y, gibbs, _ = self.solve(g, tau, 0.01 * tau, y, grad_tol)
             states = [gibbs] + [(10.0 * self.solve(g, tau, 0.001 * tau, y, grad_tol)[1] - gibbs) / 9.0
                                 for _ in self.cones[:1]]
             z, lower = y.copy(), max(lower, self.bound(g, y))

@@ -12,10 +12,13 @@ from hetres.qcore import (
     dephase,
     density,
     eig_hermitian,
+    kron,
+    kron_all,
     mat_from_json,
     mat_to_json,
     maximally_mixed,
     partial_trace,
+    partial_trace_mat,
     partial_transpose,
     permute_parties,
     pure_state,
@@ -81,6 +84,44 @@ class TestPartialTrace:
     def test_unknown_label(self):
         with pytest.raises(KeyError):
             partial_trace(bell_state(), ["C"])
+
+    @pytest.mark.parametrize("keep", [[0], [1], [2], [0, 2], [1, 2], []])
+    def test_stack_equals_the_per_matrix_loop(self, keep):
+        rng = np.random.default_rng(5)
+        dims = (2, 3, 2)
+        stack = np.stack([random_density_mat(rng, 12) for _ in range(6)]).reshape(2, 3, 12, 12)
+        out = partial_trace_mat(stack, dims, keep)
+        d_keep = int(np.prod([dims[i] for i in keep]))
+        assert out.shape == (2, 3, d_keep, d_keep)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], partial_trace_mat(stack[idx], dims, keep))
+
+
+class TestKron:
+    def test_equals_numpy_kron_exactly(self):
+        rng = np.random.default_rng(6)
+        shapes = [(m, n) for m in range(1, 5) for n in range(1, 5)]  # bras (1, n) and kets (m, 1) too
+        for sa in shapes:
+            for sb in shapes:
+                a = rng.normal(size=sa) + 1j * rng.normal(size=sa)
+                b = rng.normal(size=sb) + 1j * rng.normal(size=sb)
+                assert np.array_equal(kron(a, b), np.kron(a, b))
+                assert np.array_equal(kron(a.real, b), np.kron(a.real, b))
+
+    def test_stack_equals_the_loop(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(5, 1, 2, 3)) + 1j * rng.normal(size=(5, 1, 2, 3))
+        b = rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2))
+        out = kron(a, b)
+        assert out.shape == (5, 4, 6, 6)
+        for i, j in np.ndindex(5, 4):
+            assert np.array_equal(out[i, j], np.kron(a[i, 0], b[j]))
+
+    def test_kron_all(self):
+        assert np.array_equal(kron_all([]), np.array([[1.0]]))
+        rng = np.random.default_rng(8)
+        mats = [random_density_mat(rng, d) for d in (2, 3, 2)]
+        assert np.array_equal(kron_all(mats), np.kron(np.kron(np.kron([[1.0 + 0j]], mats[0]), mats[1]), mats[2]))
 
 
 class TestEig:

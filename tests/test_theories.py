@@ -595,6 +595,40 @@ class TestComposites:
         assert abs(val - lower) <= 1e-9 * float(np.max(np.abs(g)))
         assert xc.contains(mu, 1e-9)
 
+    def test_newton_stops_at_its_rounding_floor(self):
+        # with tol = 0 only the rounding-floor stop ends the loop before its
+        # 50-step cap; without it this problem ran all 50 steps
+        cone = partial_transpose_mat(hermitian_basis(4, None), (2, 2), 1)
+        cons = th.MarginalConstraints(np.zeros((0, 4, 4), complex), [cone], np.eye(4) / 4)
+        k = random_hermitian(np.random.default_rng(0), 4)
+        y, *_, steps = cons.newton(k, 1.0, 0.01, cons.origin, 0.0)
+        grad = cons._derivatives(1.0, 0.01, y, cons._dual(k, 1.0, 0.01, y))[0]
+        assert steps < 50
+        assert float(np.max(np.abs(grad))) <= 1e-10
+
+    def test_suite_marginal_set_solves_stop_before_the_cap(self, monkeypatch):
+        # the built-in single-shot input: 3 of its 4 mirror-descent solves ran
+        # into the 50-step cap at max|grad| ~ 1e-11; the bounds are unchanged
+        from hetres import divergences as dv
+
+        steps, newton = [], th.SmoothedDual.newton
+
+        def counted(self, *args):
+            out = newton(self, *args)
+            steps.append(out[-1])
+            return out
+
+        monkeypatch.setattr(th.SmoothedDual, "newton", counted)
+        target = np.kron(np.diag([1.0, 0.0]), PHI).astype(complex)
+        xc = th.MaxComposite([th.Incoherent(2), th.SeparableTwoQubit()])
+        res = dv.rel_entropy_of_resource(target, xc, gap=2e-3)
+        assert steps and max(steps) < 50
+        assert res.extras["newton_steps"] == sum(steps)
+        assert res.converged
+        assert abs(res.value - 1.0000011535250297) <= 1e-12
+        assert abs(res.upper_bound - 1.0000011535250297) <= 1e-12
+        assert abs(res.lower_bound - 0.9999113493638263) <= 1e-12
+
     def test_exact_lmo_reaches_below_the_subgradient_minimum(self):
         # on this gradient the deleted projected-subgradient oracle ran all
         # its 220 steps without a certificate and returned -1.8333749484987731;
