@@ -36,13 +36,6 @@ from .theories import (
 )
 
 
-def standard_certification(
-    rho, free_set: FreeStateSet, epsilon: float, tol: float = 1e-6, seed: int = 0
-) -> DivergenceResult:
-    """Single-party certification; exactly the hypothesis-testing divergence."""
-    return hypothesis_testing(rho, free_set, epsilon, tol=tol, seed=seed)
-
-
 @dataclass
 class CertReport:
     value: float
@@ -54,9 +47,7 @@ class CertReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        achiever = dict(self.achiever)
-        if isinstance(achiever.get("povm_element"), np.ndarray):
-            achiever["povm_element"] = mat_to_json(achiever["povm_element"])
+        achiever = dict(self.achiever, povm_element=mat_to_json(self.achiever["povm_element"]))
         return {
             "value": self.value,
             "ceiling": self.ceiling.to_json(),
@@ -64,17 +55,15 @@ class CertReport:
             "alpha": self.alpha,
             "beta": self.beta,
             "floor": self.floor,
-            "extras": {k: v for k, v in self.extras.items() if not isinstance(v, np.ndarray)},
+            "extras": dict(self.extras),
         }
 
 
 def _restrict_name(measurements) -> str | None:
     if measurements in (None, "all"):
         return None
-    if measurements == "real" or isinstance(measurements, RealOps):
-        return "real"
-    if measurements == "diagonal" or isinstance(measurements, Sio):
-        return "diagonal"
+    if measurements in ("real", "diagonal"):
+        return measurements
     raise ValueError(f"unsupported measurement restriction {measurements!r}")
 
 
@@ -176,8 +165,7 @@ def remote_certification(
         if best is None or res.value > best[1].value:
             best = (idx, res)
     idx, res = best
-    alpha = float(res.extras.get("alpha", float("nan")))
-    beta = float(res.extras.get("beta", 0.0 if math.isinf(res.value) else 2.0**-res.value))
+    alpha, beta = float(res.extras["alpha"]), float(res.extras["beta"])
     return CertReport(
         value=res.value,
         ceiling=ceiling,
@@ -315,7 +303,7 @@ def rng_optimal_protocol(
     channel = move_and_replace_channel(mu, set_a.dim)
     ceiling = hypothesis_testing(m, set_a, epsilon, tol=tol, seed=seed)
 
-    p_opt = ceiling.optimizer if ceiling.optimizer is not None else epsilon * np.eye(set_a.dim)
+    p_opt = ceiling.optimizer
     image = _ImageSet(set_a, channel)
     beta = 1.0 - float(np.real(np.trace(image.image(m) @ p_opt)))
     alpha = float(np.real(np.trace(image.lmo(-p_opt, rng) @ p_opt)))

@@ -157,16 +157,8 @@ def channel_tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
 def prepare_channel(
     state: DensityOperator, in_structure: TensorStructure
 ) -> KrausChannel:
-    """The constant map X -> Tr(X) * state."""
-    w, v = np.linalg.eigh(state.mat)
-    ops = []
-    for a in range(len(w)):
-        if w[a] <= 1e-14:
-            continue
-        for b in range(in_structure.dim):
-            k = np.sqrt(w[a]) * np.outer(v[:, a], np.eye(in_structure.dim)[b])
-            ops.append(k)
-    return KrausChannel(tuple(ops), in_structure, state.structure)
+    """The constant map X -> Tr(X) * state: measure the trivial POVM {I}, then prepare."""
+    return measure_prepare_channel([np.eye(in_structure.dim)], [state], in_structure)
 
 
 def measure_prepare_channel(
@@ -289,8 +281,7 @@ def _marginal_choi(channel, target, frozen_inputs, d_t):
     ins, outs = channel.in_structure, channel.out_structure
     full = [kron_all(u if lbl == target else frozen_inputs[lbl].mat for lbl, _ in ins.parties)
             for u in np.eye(d_t * d_t, dtype=complex).reshape(-1, d_t, d_t)]
-    imgs = np.stack([partial_trace_mat(x, outs.dims, [outs.index(target)])
-                     for x in channel.apply_mat(np.stack(full))])
+    imgs = partial_trace_mat(channel.apply_mat(np.stack(full)), outs.dims, [outs.index(target)])
     d_out = imgs.shape[-1]
     return imgs.reshape(d_t, d_t, d_out, d_out).swapaxes(1, 2).reshape(d_t * d_out, -1)
 

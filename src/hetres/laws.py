@@ -26,10 +26,6 @@ from .divergences import (
     rel_entropy_of_resource,
 )
 from .qcore import (
-    KET0,
-    KET1,
-    KET_PLUS,
-    KET_PLUS_Y,
     DensityOperator,
     TensorStructure,
     as_matrix,
@@ -38,6 +34,7 @@ from .qcore import (
     kron_all,
     mat_to_json,
     partial_trace_mat,
+    spanning_states,
     trace_norm,
 )
 from .theories import AllStates, FreeStateSet
@@ -60,7 +57,7 @@ class BoundReport:
             "rhs": self.rhs.to_json(),
             "gaps": [self.lhs.gap, self.rhs.gap],
             "verdict": self.verdict,
-            "extras": {k: v for k, v in self.extras.items() if not isinstance(v, np.ndarray)},
+            "extras": dict(self.extras),
         }
         if self.ratio is not None:
             out["ratio"] = self.ratio
@@ -373,27 +370,6 @@ class NogoReport:
     basis_condition: float
     n_free_inputs: int
 
-    def to_json(self) -> dict:
-        return {
-            "certified": self.certified,
-            "basis_offdiag": self.basis_offdiag,
-            "direct_offdiag": self.direct_offdiag,
-            "basis_condition": self.basis_condition,
-            "n_free_inputs": self.n_free_inputs,
-        }
-
-
-def _tomography_qubit_states() -> list[np.ndarray]:
-    kets = [KET0, KET1, KET_PLUS, KET_PLUS_Y]
-    return [np.outer(k, k.conj()) for k in kets]
-
-
-def product_affine_basis() -> list[np.ndarray]:
-    """Sixteen separable two-qubit states spanning Hermitian space; every
-    two-qubit state is an affine (coefficients summing to one) combination."""
-    singles = _tomography_qubit_states()
-    return [kron(a, b) for a in singles for b in singles]
-
 
 def nogo_entanglement_to_coherence(
     channel: ch.KrausChannel,
@@ -404,15 +380,14 @@ def nogo_entanglement_to_coherence(
 ) -> NogoReport:
     """Certify that the channel cannot push party-2 correlations into party-1
     coherence: the party-1 marginal of the output is incoherent for every
-    free product input in an affine basis of party-2 states, hence, by
-    affinity, for every party-2 input; confirmed directly on the maximally
-    entangled input.
+    free product input in an affine basis of party-2 states (the 16 product
+    states of ``spanning_states((2, 2))``), hence, by affinity, for every
+    party-2 input; confirmed directly on the maximally entangled input.
 
     Raises if the affine basis fails its spanning (condition-number) check.
     """
-    basis = product_affine_basis()
-    vecs = np.stack([b.reshape(-1) for b in basis], axis=1)
-    cond = float(np.linalg.cond(vecs))
+    basis = spanning_states((2, 2))
+    cond = float(np.linalg.cond(basis.reshape(len(basis), -1).T))
     if cond > 1e6:
         raise ValueError(f"affine basis is not well conditioned ({cond:.2e})")
     rng = np.random.default_rng(seed)
@@ -423,7 +398,7 @@ def nogo_entanglement_to_coherence(
     mus = [party1_set.random_state(rng) for _ in range(n_free_inputs)]
     v = bell_phi_plus_vec(2)
     inputs = kron(np.reshape(mus, (len(mus), 1, party1_set.dim, party1_set.dim)),
-                  np.stack(basis + [np.outer(v, v.conj())]))
+                  np.concatenate([basis, np.outer(v, v.conj())[None]]))
     marg1 = partial_trace_mat(channel.apply_mat(inputs), dims, [0])
     off = np.max(np.abs(marg1 - marg1 * np.eye(dims[0])), axis=(-2, -1))
     worst_basis = float(np.max(off[:, :-1], initial=0.0))

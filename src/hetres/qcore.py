@@ -117,9 +117,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
-
 
 def as_matrix(x) -> np.ndarray:
     """The matrix of a :class:`DensityOperator`, or an array as by :func:`as_complex`."""
@@ -188,10 +185,6 @@ def partial_trace(rho: DensityOperator, keep: Sequence[str]) -> DensityOperator:
     return DensityOperator(out_mat, out_struct)
 
 
-def marginal(rho: DensityOperator, label: str) -> DensityOperator:
-    return partial_trace(rho, [label])
-
-
 def partial_transpose_mat(mat: np.ndarray, dims: Sequence[int], party: int) -> np.ndarray:
     """Transpose one party's factor of each matrix in a stack (..., d, d)."""
     m = as_complex(mat)
@@ -251,6 +244,18 @@ def hermitian_basis(n: int, restrict: str | None) -> np.ndarray:
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product in order; the 1x1 identity for no factors."""
     return functools.reduce(kron, mats, np.array([[1.0 + 0j]]))
+
+
+def spanning_states(dims: Sequence[int]) -> np.ndarray:
+    """The d^2 product pure states over local dimensions ``dims`` whose
+    projectors span the matrices: |a>, (|a> + |b>)/sqrt2 and (|a> + i|b>)/sqrt2
+    on each party, so |0>, |1>, |+>, |+i> on a qubit."""
+    vecs = np.ones((1, 1))
+    for d in dims:
+        e, (a, b) = np.eye(d), np.triu_indices(d, 1)
+        local = np.concatenate([e, (e[a] + e[b]) / np.sqrt(2.0), (e[a] + 1j * e[b]) / np.sqrt(2.0)])
+        vecs = (vecs[:, None, :, None] * local[None, :, None, :]).reshape(-1, vecs.shape[1] * d)
+    return vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ def _run_certification(inputs, params):
     state = resolve_state(inputs["state"], seed)
     theory = resolve_theory(inputs["theory"])
     if sub == "standard":
-        res = ct.standard_certification(state, theory, eps, seed=seed)
+        res = dv.hypothesis_testing(state, theory, eps, seed=seed)
         return {"value": res.value, "converged": res.converged}, [res.to_json()]
     if sub == "remote":
         family = [resolve_channel(c, seed) for c in inputs["family"]]

@@ -30,7 +30,6 @@ import numpy as np
 from . import channels as ch
 from .qcore import (
     EIG_FLOOR,
-    DensityOperator,
     TensorStructure,
     as_complex,
     as_matrix,
@@ -45,6 +44,7 @@ from .qcore import (
     random_unitary,
     relative_entropy,
     single_party,
+    spanning_states,
     trace_norm,
     von_neumann_entropy,
 )
@@ -153,7 +153,7 @@ class FreeStateSet:
         form_in, form_out = self.linear_form(), target.linear_form()
         if points is None and form_in is not None and form_out is not None:
             (proj_in, pt_in), (proj_out, pt_out) = form_in, form_out
-            states = proj_in(_spanning_states(pt_in[0] if pt_in else (self.dim,)))
+            states = proj_in(spanning_states(pt_in[0] if pt_in else (self.dim,)))
             ok = _satisfies(form_out, apply(states), tol)
             if not np.all(ok):
                 return RngVerdict(False, "projection", len(states), states[np.argmin(ok)])
@@ -223,18 +223,6 @@ def _satisfies(form, m: np.ndarray, tol: float) -> np.ndarray:
     if pt is not None:
         ok &= np.linalg.eigvalsh(partial_transpose_mat(m, *pt))[..., 0] >= -tol
     return ok
-
-
-def _spanning_states(dims: Sequence[int]) -> np.ndarray:
-    """The d^2 product pure states over local dimensions ``dims`` whose
-    projectors span the matrices: |a>, (|a> + |b>)/sqrt2 and (|a> + i|b>)/sqrt2
-    on each party."""
-    vecs = np.ones((1, 1))
-    for d in dims:
-        e, (a, b) = np.eye(d), np.triu_indices(d, 1)
-        local = np.concatenate([e, (e[a] + e[b]) / np.sqrt(2.0), (e[a] + 1j * e[b]) / np.sqrt(2.0)])
-        vecs = (vecs[:, None, :, None] * local[None, :, None, :]).reshape(-1, vecs.shape[1] * d)
-    return vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
 class _FixedStates(FreeStateSet):
@@ -319,43 +307,6 @@ class RealStates(_FixedStates):
         return RealStates(self.dim**n)
 
 
-class Singleton(FreeStateSet):
-    """A single free state (Gibbs-preserving style theories)."""
-
-    kind = "singleton"
-    additive = True
-
-    def __init__(self, gamma):
-        g = as_matrix(gamma)
-        super().__init__(g.shape[0])
-        self.gamma = g
-
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        m = as_matrix(rho)
-        self._check_dim(m)
-        return trace_norm(m - self.gamma) <= tol
-
-    def lmo(self, grad, rng=None):
-        return np.broadcast_to(self.gamma, np.shape(grad))
-
-    def closest_free_state(self, rho):
-        m = as_matrix(rho)
-        self._check_dim(m)
-        return self.gamma, relative_entropy(m, self.gamma)
-
-    def random_state(self, rng):
-        return self.gamma
-
-    def extreme_points(self) -> list[np.ndarray]:
-        return [self.gamma]
-
-    def tensor_power(self, n):
-        return Singleton(kron_all([self.gamma] * n))
-
-    def to_json(self):
-        return {"kind": self.kind, "dim": self.dim, "gamma": mat_to_json(self.gamma)}
-
-
 class AllStates(_FixedStates):
     """No restriction: every density matrix is free."""
 
@@ -408,8 +359,8 @@ class FiniteSet(FreeStateSet):
 
     def closest_free_state(self, rho):
         m = as_matrix(rho)
-        best = min(self.states, key=lambda s: relative_entropy(m, s))
-        return best, relative_entropy(m, best)
+        self._check_dim(m)
+        return min(((s, relative_entropy(m, s)) for s in self.states), key=lambda pair: pair[1])
 
     def random_state(self, rng):
         return self.states[int(rng.integers(len(self.states)))]
@@ -420,6 +371,23 @@ class FiniteSet(FreeStateSet):
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim,
                 "states": [mat_to_json(s) for s in self.states]}
+
+
+class Singleton(FiniteSet):
+    """A single free state (Gibbs-preserving style theories): a one-point list."""
+
+    kind = "singleton"
+    additive = True
+
+    def __init__(self, gamma):
+        super().__init__([gamma])
+        self.gamma = self.states[0]
+
+    def tensor_power(self, n):
+        return Singleton(kron_all([self.gamma] * n))
+
+    def to_json(self):
+        return {"kind": self.kind, "dim": self.dim, "gamma": mat_to_json(self.gamma)}
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +885,6 @@ class FreeOpClass:
     def sample_channel(self, rng: np.random.Generator, dim: int) -> ch.KrausChannel:
         raise NotImplementedError(f"{self.kind} has no channel sampler")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
-
 
 def _sio_normal_form(k: np.ndarray, tol: float) -> bool:
     mask = np.abs(k) > tol
@@ -1018,9 +983,6 @@ class Rng(FreeOpClass):
     def contains_channel(self, channel, tol: float = 1e-6) -> bool:
         return self.verify(channel, tol).ok
 
-    def to_json(self):
-        return {"kind": self.kind, "set": self.free_set.to_json()}
-
 
 class Lfocc(FreeOpClass):
     """Round-based protocols whose per-round local families pass each acting
@@ -1042,21 +1004,6 @@ class Lfocc(FreeOpClass):
 
     def contains_channel(self, channel, tol: float = 1e-9) -> bool:
         raise NotImplementedError("membership is decided on protocols, not on flat channels")
-
-
-def random_free_state(free_set: FreeStateSet, seed: int) -> DensityOperator:
-    """Seeded sample of the set.
-
-    It passes the set's own membership test wherever that test is exact:
-    the single-party kinds, marginal sets, and hulls decided by the
-    factors' projections (with a partial transpose at 2x2 and 2x3), by
-    marginals or as products.  A hull sample that reaches the D_max step
-    can be rejected when the see-saw inside ``dmax`` stalls (seen on
-    mixtures over smin(Real3, All3))."""
-    rng = np.random.default_rng(seed)
-    m = free_set.random_state(rng)
-    structure = free_set.structure or single_party(free_set.dim)
-    return DensityOperator(m, structure)
 
 
 def random_lfocc_protocol(

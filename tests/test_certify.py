@@ -6,6 +6,7 @@ import pytest
 from hetres import certify as ct
 from hetres import channels as ch
 from hetres import divergences as dv
+from hetres import scenarios as sc
 from hetres import theories as th
 from hetres.qcore import (
     KET_PLUS_Y,
@@ -33,9 +34,16 @@ def rz_send():
 
 class TestStandard:
     def test_delegates_to_hypothesis_testing(self):
-        res = ct.standard_certification(PLUS_Y, INC2, 0.5)
-        ref = dv.hypothesis_testing(PLUS_Y, INC2, 0.5)
-        assert math.isinf(res.value) and math.isinf(ref.value)
+        # the "standard" certification scenario reports D_H itself
+        for state, eps in (("plus_y", 0.5), ("plus", 0.25)):
+            report = sc.run_scenario({"name": "standard", "kind": "certification",
+                                      "inputs": {"sub": "standard", "state": state,
+                                                 "theory": INC2.to_json()},
+                                      "params": {"seed": 3, "epsilon": eps}})
+            ref = dv.hypothesis_testing(sc.resolve_state(state), INC2, eps, seed=3)
+            assert report["results"] == {"value": ref.value, "converged": ref.converged}
+            assert report["certificates"] == [ref.to_json()]
+        assert math.isinf(dv.hypothesis_testing(PLUS_Y, INC2, 0.5).value)
 
 
 class TestRemote:
@@ -96,6 +104,23 @@ class TestRemote:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             ct.remote_certification(PLUS_Y, INC2, "all", [], 0.5)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+    def test_diagonal_measurements_through_identity(self, eps):
+        # sending the qubit untouched makes the image set the set itself, so
+        # diagonal measurements reach exactly the diagonal-restricted D_H
+        rho = random_density_mat(np.random.default_rng(6), 2)
+        rep = ct.remote_certification(rho, INC2, "diagonal", [identity_send()], eps)
+        ref = dv.hypothesis_testing(rho, INC2, eps, restrict="diagonal")
+        assert rep.extras["restrict"] == "diagonal"
+        assert abs(rep.value - ref.value) <= 1e-12
+        assert abs(rep.beta - ref.extras["beta"]) <= 1e-12
+        assert np.max(np.abs(np.diag(np.diag(rep.achiever["povm_element"]))
+                             - rep.achiever["povm_element"])) == 0.0
+
+    def test_measurement_restriction_names_only(self):
+        with pytest.raises(ValueError):
+            ct.remote_certification(PLUS_Y, INC2, th.Sio(), [identity_send()], 0.5)
 
     def test_joint_preprocessing_channel(self):
         # an AB -> AB preprocessing (move the suspect system across, refill

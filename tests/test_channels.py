@@ -148,6 +148,32 @@ class TestMarginalChannel:
             ch.marginal_channel(lam, "1", {})
 
 
+class TestPrepare:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_identity_eigenbasis_is_exact(self, d):
+        # the trivial POVM {I} measures in the basis eigh returns for I
+        w, v = np.linalg.eigh(np.eye(d))
+        assert np.array_equal(w, np.ones(d)) and np.array_equal(v, np.eye(d))
+
+    @pytest.mark.parametrize("seed, rank", [(0, 1), (1, 2), (2, 3), (3, 1)])
+    def test_kraus_set_is_trivial_measure_and_prepare(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        state = density(random_density_mat(rng, 3, rank))
+        ins = single_party(2)
+        prep = ch.prepare_channel(state, ins)
+        mp = ch.measure_prepare_channel([np.eye(2)], [state], ins)
+        assert len(prep.kraus) == 2 * rank
+        assert all(np.array_equal(a, b) for a, b in zip(prep.kraus, mp.kraus))
+        # sqrt(w_a) |v_a><b| for every eigenpair of the state and input basis state b
+        w, v = np.linalg.eigh(state.mat)
+        ref = [np.sqrt(w[a]) * np.outer(v[:, a], np.eye(2)[b]) for a in range(3) if w[a] > 1e-14
+               for b in range(2)]
+        key = lambda k: tuple(np.round(np.abs(k).ravel(), 12))
+        assert np.allclose(sorted(prep.kraus, key=key), sorted(ref, key=key), atol=1e-15)
+        x = random_density_mat(rng, 2)
+        assert np.max(np.abs(prep.apply_mat(x) - state.mat)) < 1e-14
+
+
 class TestUnital:
     def test_unitary_is_unital(self):
         rng = np.random.default_rng(7)

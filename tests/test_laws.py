@@ -19,6 +19,7 @@ from hetres.qcore import (
     random_pure_vec,
     random_unitary,
     single_party,
+    spanning_states,
     von_neumann_entropy,
 )
 from hetres.scenarios import coherence_to_entanglement_channel, rng_verified_channel_family
@@ -306,12 +307,6 @@ class TestInducedMonotone:
 
 
 class TestNogo:
-    def test_affine_basis_is_well_conditioned(self):
-        basis = laws.product_affine_basis()
-        assert len(basis) == 16
-        vecs = np.stack([b.reshape(-1) for b in basis], axis=1)
-        assert np.linalg.matrix_rank(vecs) == 16
-
     def test_conversion_channel_certified(self):
         rep = laws.nogo_entanglement_to_coherence(
             coherence_to_entanglement_channel(), INC2, n_free_inputs=6
@@ -334,7 +329,7 @@ class TestNogo:
             marg = partial_trace_mat(lam.apply_mat(x), (2, 4), [0])
             return float(np.max(np.abs(marg - np.diag(np.diag(marg)))))
 
-        basis = max(offdiag(np.kron(mu, b)) for mu in mus for b in laws.product_affine_basis())
+        basis = max(offdiag(np.kron(mu, b)) for mu in mus for b in spanning_states((2, 2)))
         direct = max(offdiag(np.kron(mu, PHI)) for mu in mus)
         assert not rep.certified and basis > 1e-3
         assert abs(rep.basis_offdiag - basis) <= 1e-12

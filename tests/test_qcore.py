@@ -26,6 +26,7 @@ from hetres.qcore import (
     random_hermitian,
     relative_entropy,
     single_party,
+    spanning_states,
     tensor,
     trace_norm_distance,
     von_neumann_entropy,
@@ -122,6 +123,23 @@ class TestKron:
         rng = np.random.default_rng(8)
         mats = [random_density_mat(rng, d) for d in (2, 3, 2)]
         assert np.array_equal(kron_all(mats), np.kron(np.kron(np.kron([[1.0 + 0j]], mats[0]), mats[1]), mats[2]))
+
+
+class TestSpanningStates:
+    @pytest.mark.parametrize("dims", [(2, 2), (3,), (2, 3)])
+    def test_product_states_span_the_matrices(self, dims):
+        states = spanning_states(dims)
+        d = int(np.prod(dims))
+        assert states.shape == (d * d, d, d)
+        assert np.linalg.matrix_rank(states.reshape(d * d, -1)) == d * d
+        assert np.allclose(np.einsum("kaa->k", states), 1.0)
+        assert np.allclose(states @ states, states)  # pure
+
+    def test_qubit_pair_order(self):
+        # |0>, |1>, |+>, |+i> on each qubit, the first qubit's index outermost
+        singles = [np.outer(k, k.conj()) for k in (KET0, KET1, KET_PLUS, KET_PLUS_Y)]
+        expected = np.stack([np.kron(a, b) for a in singles for b in singles])
+        assert np.array_equal(spanning_states((2, 2)), expected)
 
 
 class TestEig:

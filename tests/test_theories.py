@@ -13,6 +13,7 @@ from hetres.qcore import (
     KET_PLUS_Y,
     PAULI_X,
     bell_phi_plus_vec,
+    density,
     hermitian_basis,
     kron_all,
     TensorStructure,
@@ -417,7 +418,7 @@ class TestSamplers:
     def test_random_states_pass_membership(self, factory):
         free_set = factory()
         for seed in range(2000):
-            state = th.random_free_state(free_set, seed)
+            state = density(free_set.random_state(np.random.default_rng(seed)))
             assert free_set.contains(state.mat, 1e-8)
 
     def test_composite_samplers_pass_membership(self):
@@ -441,6 +442,61 @@ class TestSamplers:
             if np.max(np.abs(m - prod)) > 1e-3:
                 seen_correlated = True
         assert seen_correlated
+
+
+class TestSingletonIsOnePointList:
+    """A singleton answers every capability as the one-point finite list."""
+
+    GAMMA = np.diag([0.6, 0.4]).astype(complex) + 0.1 * PAULI_X
+
+    def _pair(self):
+        return th.Singleton(self.GAMMA), th.FiniteSet([self.GAMMA])
+
+    def test_membership_and_oracle(self):
+        single, listed = self._pair()
+        rng = np.random.default_rng(3)
+        for rho in (self.GAMMA, self.GAMMA + 1e-7 * PAULI_X, self.GAMMA + 1e-3 * PAULI_X,
+                    random_density_mat(rng, 2)):
+            assert single.contains(rho) == listed.contains(rho)
+        grads = np.stack([random_hermitian(rng, 2) for _ in range(3)])
+        assert np.array_equal(single.lmo(grads), listed.lmo(grads))
+        assert np.array_equal(single.lmo(grads), np.broadcast_to(self.GAMMA, grads.shape))
+        assert np.array_equal(single.lmo(grads[0]), self.GAMMA)
+
+    def test_closest_state_points_and_sampler(self):
+        single, listed = self._pair()
+        rho = random_density_mat(np.random.default_rng(4), 2)
+        (s_state, s_val), (l_state, l_val) = single.closest_free_state(rho), listed.closest_free_state(rho)
+        assert np.array_equal(s_state, l_state) and s_val == l_val == relative_entropy(rho, self.GAMMA)
+        assert all(np.array_equal(a, b) for a, b in zip(single.extreme_points(), listed.extreme_points()))
+        assert np.array_equal(single.max_support_state(), listed.max_support_state())
+        # drawing the one listed state takes nothing from the generator
+        rngs = [np.random.default_rng(9) for _ in range(3)]
+        assert np.array_equal(single.random_state(rngs[0]), listed.random_state(rngs[1]))
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+    def test_divergences(self):
+        from hetres import divergences as dv
+
+        single, listed = self._pair()
+        rho = random_density_mat(np.random.default_rng(5), 2)
+        a, b = dv.dmax(rho, single), dv.dmax(rho, listed)
+        assert (a.value, a.lower_bound, a.upper_bound) == (b.value, b.lower_bound, b.upper_bound)
+        a, b = dv.hypothesis_testing(rho, single, 0.2), dv.hypothesis_testing(rho, listed, 0.2)
+        assert (a.value, a.upper_bound, a.extras["alpha"]) == (b.value, b.upper_bound, b.extras["alpha"])
+
+    def test_closest_state_takes_one_relative_entropy_per_listed_state(self, monkeypatch):
+        calls = []
+
+        def counted(rho, sigma):
+            calls.append(sigma)
+            return relative_entropy(rho, sigma)
+
+        monkeypatch.setattr(th, "relative_entropy", counted)
+        listed = th.FiniteSet([np.eye(2) / 2, np.diag([0.9, 0.1]), np.diag([0.2, 0.8])])
+        state, value = listed.closest_free_state(np.diag([0.85, 0.15]))
+        assert len(calls) == 3
+        assert np.array_equal(state, np.diag([0.9, 0.1])) and value == relative_entropy(np.diag([0.85, 0.15]), state)
 
 
 def _max_support_cases():
