@@ -98,7 +98,7 @@ class _ImageSet(FreeStateSet):
         g = as_complex(grad)
         if self.aux is not None:
             g = kron(np.eye(self.lam.out_structure.dims[0]), g)
-        pulled = sum(k.conj().T @ g @ k for k in self.lam.kraus)
+        pulled = self.lam.adjoint_mat(g)
         if self.aux is not None:
             d, n = self.lam.in_structure.dims[0], len(self.aux)
             pulled = np.einsum("rt,atbr->ab", self.aux, pulled.reshape(d, n, d, n))

@@ -1,7 +1,9 @@
 """Quantum channels as Kraus families, plus round-based local protocols.
 
-Channels are stored as explicit Kraus operators (dim_out x dim_in); the Choi
-matrix is computed on demand when a map needs re-factoring.  Local protocols
+Channels are stored as explicit Kraus operators (dim_out x dim_in).  The map,
+its adjoint and its Choi form all come from one cached superoperator
+sum_K K (x) conj(K), the size of the Choi matrix, so applying a channel to a
+matrix or a stack of them is one matrix product.  Local protocols
 with classical communication are stored as per-round trees of local Kraus
 families keyed by the classical history so far, and compiled into a flat Kraus
 family on the whole network.
@@ -9,6 +11,7 @@ family on the whole network.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -57,8 +60,7 @@ class KrausChannel:
                 raise ValueError(f"Kraus shape {k.shape} != ({d_out}, {d_in})")
         object.__setattr__(self, "kraus", ops)
         if self.check_tp:
-            acc = sum(k.conj().T @ k for k in ops)
-            dev = float(np.max(np.abs(acc - np.eye(d_in))))
+            dev = _tp_deviation(ops)
             if dev > TP_TOL:
                 raise ValueError(f"channel is not trace preserving (dev {dev:.3e})")
 
@@ -70,12 +72,33 @@ class KrausChannel:
     def dim_out(self) -> int:
         return self.out_structure.dim
 
+    @functools.cached_property
+    def superoperator(self) -> np.ndarray:
+        """S = sum_K K (x) conj(K), (d_out^2, d_in^2): vec(L(X)) = S vec(X) for
+        row-major vec, from one product on the stacked family."""
+        d_in, d_out = self.dim_in, self.dim_out
+        f = np.stack(self.kraus).reshape(len(self.kraus), -1)
+        s = (f.T @ f.conj()).reshape(d_out, d_in, d_out, d_in)
+        s = s.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
+        s.setflags(write=False)  # shared by every later call on this channel
+        return s
+
     def apply_mat(self, mat: np.ndarray) -> np.ndarray:
         """The image of a matrix, or of each matrix in a stack (..., d_in, d_in)."""
         m = as_complex(mat)
         if m.shape[-1] != self.dim_in:
             raise ValueError(f"dimension mismatch: state {m.shape[-1]}, channel {self.dim_in}")
-        return sum(k @ m @ k.conj().T for k in self.kraus)
+        out = m.reshape(*m.shape[:-2], -1) @ self.superoperator.T
+        return out.reshape(*m.shape[:-2], self.dim_out, self.dim_out)
+
+    def adjoint_mat(self, mat: np.ndarray) -> np.ndarray:
+        """sum_K K^dag G K for a matrix G, or for each matrix in a stack
+        (..., d_out, d_out): Tr(G L(X)) = Tr(adjoint_mat(G) X)."""
+        g = as_complex(mat)
+        if g.shape[-1] != self.dim_out:
+            raise ValueError(f"dimension mismatch: operator {g.shape[-1]}, channel {self.dim_out}")
+        out = g.reshape(*g.shape[:-2], -1) @ self.superoperator.conj()
+        return out.reshape(*g.shape[:-2], self.dim_in, self.dim_in)
 
     def to_json(self) -> dict:
         return {
@@ -85,6 +108,12 @@ class KrausChannel:
             "out_labels": list(self.out_structure.labels),
             "kraus": [mat_to_json(k) for k in self.kraus],
         }
+
+
+def _tp_deviation(ops: Sequence[np.ndarray]) -> float:
+    """max |sum K^dag K - I|, from one product on the stacked family."""
+    ks = np.stack(ops).reshape(-1, ops[0].shape[1])
+    return float(np.max(np.abs(ks.conj().T @ ks - np.eye(ks.shape[1]))))
 
 
 def channel_from_json(obj: dict) -> KrausChannel:
@@ -200,11 +229,8 @@ def is_unital(channel: KrausChannel, tol: float = 1e-9) -> bool:
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) L(|i><j|), shape (d_in*d_out)^2."""
     d_in, d_out = channel.dim_in, channel.dim_out
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for k in channel.kraus:
-        v = k.T.reshape(-1)
-        c += np.outer(v, v.conj())
-    return c
+    s = channel.superoperator.reshape(d_out, d_out, d_in, d_in)
+    return s.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
 
 
 def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int, tol: float = 1e-12) -> list[np.ndarray]:
@@ -395,11 +421,9 @@ def compile_lfocc(protocol: LfoccProtocol) -> KrausChannel:
                 raise ValueError(f"protocol exceeds the {BRANCH_CAP}-branch cap")
         frontier = new_frontier
     ops = tuple(op for _, op in frontier)
-    chan = KrausChannel(ops, protocol.structure, protocol.structure, check_tp=False)
-    acc = sum(k.conj().T @ k for k in ops)
-    if float(np.max(np.abs(acc - np.eye(d)))) > 1e-8:
+    if _tp_deviation(ops) > 1e-8:
         raise ValueError("compiled protocol is not trace preserving within 1e-8")
-    return chan
+    return KrausChannel(ops, protocol.structure, protocol.structure, check_tp=False)
 
 
 # ---------------------------------------------------------------------------

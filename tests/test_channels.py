@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from hetres import certify as ct
 from hetres import channels as ch
 from hetres import theories as th
 from hetres.qcore import (
     KET0,
     KET_PLUS,
     PAULI_X,
+    DensityOperator,
     TensorStructure,
     bell_phi_plus_vec,
     density,
@@ -15,6 +17,7 @@ from hetres.qcore import (
     partial_trace_mat,
     pure_state,
     random_density_mat,
+    random_hermitian,
     random_pure_vec,
     single_party,
     trace_norm,
@@ -76,6 +79,87 @@ class TestApplyCompose:
         lam = ch.identity_channel(S1)
         with pytest.raises(ValueError):
             lam.apply_mat(np.eye(4) / 4)
+
+
+SUPEROP_DIMS = [(1, 1), (2, 3), (3, 2), (2, 6), (4, 4), (9, 9)]
+
+
+def _random_mats(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestSuperoperator:
+    """The superoperator paths against loops over the Kraus family."""
+
+    @pytest.mark.parametrize("d_in,d_out", SUPEROP_DIMS)
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_apply_matches_kraus_loop(self, d_in, d_out, lead):
+        rng = np.random.default_rng(d_in * 10 + d_out)
+        lam = ch.random_channel(rng, d_in, d_out, n_kraus=3)
+        m = _random_mats(rng, *lead, d_in, d_in)
+        ref = np.zeros((*lead, d_out, d_out), dtype=complex)
+        for k in lam.kraus:
+            ref += k @ m @ k.conj().T
+        out = lam.apply_mat(m)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-13
+
+    @pytest.mark.parametrize("d_in,d_out", SUPEROP_DIMS)
+    def test_adjoint_matches_kraus_loop(self, d_in, d_out):
+        rng = np.random.default_rng(d_in * 10 + d_out + 1)
+        lam = ch.random_channel(rng, d_in, d_out, n_kraus=3)
+        g, x = _random_mats(rng, d_out, d_out), _random_mats(rng, d_in, d_in)
+        ref = np.zeros((d_in, d_in), dtype=complex)
+        for k in lam.kraus:
+            ref += k.conj().T @ g @ k
+        assert np.max(np.abs(lam.adjoint_mat(g) - ref)) < 1e-13
+        lhs = np.trace(g @ lam.apply_mat(x))
+        assert abs(lhs - np.trace(lam.adjoint_mat(g) @ x)) < 1e-12
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_pullback_is_adjoint_of_reference_image(self, joint):
+        rng = np.random.default_rng(14)
+        if joint:
+            struct = TensorStructure([("A", 3), ("B", 2)])
+            lam = ch.KrausChannel(ch.random_channel(rng, 6, 6, n_kraus=3).kraus, struct, struct)
+            aux_mat = random_density_mat(rng, 2)
+            image = ct._ImageSet(th.Incoherent(3), lam, {"B": DensityOperator(aux_mat, single_party(2, "B"))})
+        else:
+            lam = ch.random_channel(rng, 3, 2, n_kraus=3)
+            image = ct._ImageSet(th.Incoherent(3), lam)
+
+        def reference_image(x):
+            full = np.kron(x, aux_mat) if joint else x
+            out = np.zeros((lam.dim_out, lam.dim_out), dtype=complex)
+            for k in lam.kraus:
+                out += k @ full @ k.conj().T
+            return partial_trace_mat(out, (3, 2), [1]) if joint else out
+
+        g = random_hermitian(rng, 2)
+        units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+        # Tr(x P) = sum_ab x[a, b] P[b, a], so P[b, a] = Tr(G image(|a><b|))
+        ref = np.array([np.trace(g @ reference_image(u)) for u in units]).reshape(3, 3).T
+        assert np.max(np.abs(image.pullback(g) - ref)) < 1e-13
+
+    @pytest.mark.parametrize("d_in,d_out", SUPEROP_DIMS)
+    def test_choi_matches_outer_products(self, d_in, d_out):
+        rng = np.random.default_rng(d_in * 10 + d_out + 2)
+        lam = ch.random_channel(rng, d_in, d_out, n_kraus=3)
+        ref = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+        for k in lam.kraus:
+            v = k.T.reshape(-1)
+            ref += np.outer(v, v.conj())
+        assert np.max(np.abs(ch.choi_matrix(lam) - ref)) < 1e-13
+
+    def test_superoperator_is_cached(self):
+        lam = ch.random_channel(np.random.default_rng(15), 2, 3)
+        assert lam.superoperator is lam.superoperator
+        assert lam.superoperator.shape == (9, 4)
+
+    def test_small_trace_deviation_rejected(self):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            ch.KrausChannel((np.sqrt(1 + 2e-9) * np.eye(2),), S1, S1)
+        ch.KrausChannel((np.sqrt(1 + 5e-10) * np.eye(2),), S1, S1)
 
 
 class TestMarginalChannel:
