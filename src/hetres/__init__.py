@@ -6,5 +6,5 @@ resources remotely."""
 __version__ = "0.1.0"
 
 from .qcore import DensityOperator, TensorStructure  # noqa: F401
-from .channels import KrausChannel, LfoccProtocol, Povm  # noqa: F401
+from .channels import KrausChannel, LfoccProtocol  # noqa: F401
 from .divergences import DivergenceResult  # noqa: F401

@@ -313,32 +313,6 @@ def _marginal_choi(channel, target, frozen_inputs, d_t):
 
 
 # ---------------------------------------------------------------------------
-# POVMs
-
-
-@dataclass(frozen=True)
-class Povm:
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        elems = tuple(check_hermitian(e) for e in self.elements)
-        d = elems[0].shape[0]
-        acc = np.zeros((d, d), dtype=complex)
-        for e in elems:
-            if np.linalg.eigvalsh(e)[0] < -1e-10:
-                raise ValueError("POVM element is not PSD within 1e-10")
-            acc += e
-        if float(np.max(np.abs(acc - np.eye(d)))) > 1e-9:
-            raise ValueError("POVM elements do not sum to the identity within 1e-9")
-        object.__setattr__(self, "elements", elems)
-
-
-def binary_povm(element: np.ndarray) -> Povm:
-    e = check_hermitian(element)
-    return Povm((e, np.eye(e.shape[0]) - e))
-
-
-# ---------------------------------------------------------------------------
 # local protocols with classical communication
 
 
@@ -370,32 +344,6 @@ class LfoccProtocol:
                     raise ValueError(
                         f"round of party {rnd.party} at history {hist!r}: {err}"
                     ) from None
-
-
-def protocol_to_json(protocol: LfoccProtocol) -> dict:
-    return {
-        "dims": list(protocol.structure.dims),
-        "labels": list(protocol.structure.labels),
-        "rounds": [
-            {
-                "party": rnd.party,
-                "branches": {hist: [mat_to_json(k) for k in fam] for hist, fam in rnd.branches.items()},
-            }
-            for rnd in protocol.rounds
-        ],
-    }
-
-
-def protocol_from_json(obj: dict) -> LfoccProtocol:
-    structure = TensorStructure(zip(obj["labels"], obj["dims"]))
-    rounds = tuple(
-        LfoccRound(
-            rnd["party"],
-            {hist: tuple(mat_from_json(k) for k in fam) for hist, fam in rnd["branches"].items()},
-        )
-        for rnd in obj["rounds"]
-    )
-    return LfoccProtocol(structure, rounds)
 
 
 def compile_lfocc(protocol: LfoccProtocol) -> KrausChannel:

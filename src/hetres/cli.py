@@ -106,7 +106,11 @@ def cmd_suite(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
 
-    reports = [run_scenario(obj, args.seed, args.gap) for _, obj in scenarios]
+    try:
+        reports = [run_scenario(obj, args.seed, args.gap) for _, obj in scenarios]
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
     summary = {
         "n_scenarios": len(reports),

@@ -2,17 +2,23 @@
 
 Given local theories, builds the minimal free-state set (hull of local-free
 products), the maximal one (everything with locally free marginals), and
-mixtures of product channels.  Checkers probe the four compatibility
+mixtures of product channels.  Checkers test the four compatibility
 conditions between a candidate composite theory and its locals, and the
-multi-copy closure axioms, by sampling up to the first counterexample,
-which they report; verdicts record whether a condition was checked
-exhaustively, by sampling, or holds by construction.
+multi-copy closure axioms.  Every condition that is an inclusion of one free
+set in another under a linear map (free products, free marginals, listed
+operations, the sandwich, copy marginals and copy swaps) is one or more
+``FreeStateSet.maps_into`` calls, and its verdict carries that engine's
+mode: ``extreme-points``, ``projection`` or ``certified`` where it decides
+exactly, ``sampled`` where a set has neither listed extreme points nor a
+linear form.  Conditions over operation classes, marginal channels (d),
+convexity and tensor closure are sampled up to the first counterexample;
+the full-rank axiom is read off a ``witness``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .theories import (
     Incoherent,
     MaxComposite,
     MinComposite,
+    RngVerdict,
     Singleton,
     first_failure,
 )
@@ -138,16 +145,19 @@ def check_axioms(
     n_channel_samples: int = DEFAULT_CHANNEL_SAMPLES,
     seed: int = 0,
 ) -> AxiomReport:
-    """Probe the four local-compatibility conditions of a candidate theory.
+    """Test the four local-compatibility conditions of a candidate theory.
 
-    (a) products of locally free states are free; (b) products of locally
-    free operations are free; (c) marginals of free states are locally free;
-    (d) marginal channels of free operations, frozen on locally free inputs,
-    are locally free.  When the candidate operations come as an explicit
-    finite list, condition (b) cannot be decided (membership of arbitrary
-    products in a list is not testable); the checker then records it as
-    holding vacuously and instead verifies that every listed operation
-    preserves the candidate free states.
+    (a) products of locally free states are free, ``smin(locals)`` inside
+    the candidate; (b) products of locally free operations are free; (c)
+    marginals of free states are locally free, the candidate inside
+    ``smax(locals)``; (d) marginal channels of free operations, frozen on
+    locally free inputs, are locally free.  (a) and (c) are ``maps_into``
+    verdicts under the identity.  Over an operation class, (b) samples
+    products of local channels against the class predicate and (d) is
+    skipped.  Over an explicit list, membership of arbitrary products in
+    the list is not decided; (b) instead asks ``maps_into`` whether each
+    listed operation maps the candidate into itself, and (d) samples the
+    frozen inputs.
     """
     rng = np.random.default_rng(seed)
     local_sets = [s for s, _ in locals_]
@@ -157,11 +167,10 @@ def check_axioms(
     verdicts: list[ConditionVerdict] = []
 
     # (a) free product states
-    products = (kron_all(s.random_state(rng) for s in local_sets) for _ in range(n_state_samples))
-    bad = first_failure(((p, p, candidate_states.contains) for p in products), 1e-6)
-    verdicts.append(ConditionVerdict(
-        "free-product-states", bad is None, "sampled",
-        f"{n_state_samples} sampled local products", bad))
+    verdicts.append(_inclusion(
+        "free-product-states", [smin(local_sets).maps_into(_identity, candidate_states, 1e-6,
+                                                           n_state_samples, rng)],
+        "local free products lie in the candidate"))
 
     # (b) free product operations
     ops_is_class = isinstance(candidate_ops, FreeOpClass)
@@ -177,22 +186,18 @@ def check_axioms(
     else:
         ops_list = list(candidate_ops)
         per_op = max(1, n_state_samples // max(len(ops_list), 1))
-        images = ((mu, lam.apply_mat(mu), candidate_states.contains) for lam in ops_list
-                  for mu in (candidate_states.random_state(rng) for _ in range(per_op)))
-        bad = first_failure(images, 1e-5)
-        verdicts.append(ConditionVerdict(
-            "free-product-operations", bad is None, "vacuous-finite-list",
-            "explicit operation list given; product membership is not decidable, "
-            "verified instead that each listed operation preserves the candidate free states",
-            bad))
+        verdicts.append(_inclusion(
+            "free-product-operations",
+            (candidate_states.maps_into(lam.apply_mat, candidate_states, 1e-5, per_op, rng)
+             for lam in ops_list),
+            "each listed operation maps the candidate free states into themselves; "
+            "membership of products of local operations in the list is not decided"))
 
     # (c) free marginal states
-    upper = smax(local_sets)
-    samples = (candidate_states.random_state(rng) for _ in range(n_state_samples))
-    bad = first_failure(((mu, mu, upper.contains) for mu in samples), 1e-6)
-    verdicts.append(ConditionVerdict(
-        "free-marginal-states", bad is None, "sampled",
-        f"{n_state_samples} sampled candidate free states", bad))
+    verdicts.append(_inclusion(
+        "free-marginal-states", [candidate_states.maps_into(_identity, smax(local_sets), 1e-6,
+                                                            n_state_samples, rng)],
+        "candidate free states have locally free marginals"))
 
     # (d) free marginal operations
     if ops_is_class:
@@ -243,23 +248,39 @@ def check_sandwich(
     seed: int = 0,
     tol: float = 1e-6,
 ) -> AxiomReport:
-    """Sampled check that the candidate sits between the extremal sets:
-    hull samples must be candidate members, candidate samples must have
-    locally free marginals."""
+    """Whether the candidate sits between the extremal sets: the hull of
+    local products inside it, and it inside the marginal set, each decided
+    by ``maps_into`` under the identity."""
     rng = np.random.default_rng(seed)
-    lower = MinComposite(list(locals_))
-    upper = smax(locals_)
-    hull_samples = (lower.random_state(rng) for _ in range(n_samples))
-    bad_low = first_failure(((mu, mu, candidate.contains) for mu in hull_samples), max(tol, 1e-5))
-    candidate_samples = (candidate.random_state(rng) for _ in range(n_samples))
-    bad_high = first_failure(((mu, mu, upper.contains) for mu in candidate_samples), tol)
     verdicts = [
-        ConditionVerdict("hull-inside-candidate", bad_low is None, "sampled",
-                         f"{n_samples} hull samples", bad_low),
-        ConditionVerdict("candidate-inside-marginal-set", bad_high is None, "sampled",
-                         f"{n_samples} candidate samples", bad_high),
+        _inclusion("hull-inside-candidate",
+                   [smin(locals_).maps_into(_identity, candidate, max(tol, 1e-5), n_samples, rng)],
+                   "the hull of local products lies in the candidate"),
+        _inclusion("candidate-inside-marginal-set",
+                   [candidate.maps_into(_identity, smax(locals_), tol, n_samples, rng)],
+                   "candidate free states have locally free marginals"),
     ]
     return AxiomReport(verdicts, seed)
+
+
+_MODES = ("extreme-points", "projection", "certified", "sampled")
+
+
+def _identity(m: np.ndarray) -> np.ndarray:
+    return m
+
+
+def _inclusion(name: str, verdicts: Iterable[RngVerdict], detail: str) -> ConditionVerdict:
+    """One condition from ``maps_into`` verdicts, drawn lazily up to the first
+    failure, which it reports with that verdict's mode and witness; a pass
+    takes the weakest mode read, so ``sampled`` if any part was sampled."""
+    read = []
+    for v in verdicts:
+        read.append(v)
+        if not v.ok:
+            return ConditionVerdict(name, False, v.mode, detail, v.witness)
+    mode = max((v.mode for v in read), key=_MODES.index, default=_MODES[0])
+    return ConditionVerdict(name, True, mode, f"{detail} (states checked: {sum(v.n_states for v in read)})")
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +312,13 @@ def check_bp_axioms(
     """Verdicts for the five multi-copy closure axioms of a family n -> S_n:
     convexity, a full-rank member, marginal closure, tensor closure S_m (x)
     S_n into S_{m+n}, and permutation closure.  The second is exact, read off
-    each S_n's ``max_support_state``; the others are sampled.
+    each S_n's ``max_support_state``.  Marginal closure (S_n into S_{n-1}
+    under each single-copy partial trace) and permutation closure (S_n into
+    itself under each adjacent-copy swap) are ``maps_into`` verdicts;
+    convexity and tensor closure sample mixtures and products of pools.
 
     ``probe_states`` optionally injects hand-picked states per copy number
-    into the sampling pools, so known witnesses are always exercised.
+    into those pools, so known witnesses are always exercised.
     """
     if max_n > 3:
         raise ValueError("max_n <= 3")
@@ -319,12 +343,13 @@ def check_bp_axioms(
                 yield mix, mix, family[n].contains
 
     def copy_marginals():
+        # the n dropped copies share n_samples // 4 + 1 draws per copy number
         for n in range(2, max_n + 1):
-            d_copy = _copy_dim(family, n)
-            for mu in pool(n, n_samples // 4 + 1):
-                for drop in range(n):
-                    keep = [i for i in range(n) if i != drop]
-                    yield mu, partial_trace_mat(mu, [d_copy] * n, keep), family[n - 1].contains
+            dims = [_copy_dim(family, n)] * n
+            for drop in range(n):
+                keep = [i for i in range(n) if i != drop]
+                yield family[n].maps_into(lambda m: partial_trace_mat(m, dims, keep),
+                                          family[n - 1], loose, max(1, (n_samples // 4 + 1) // n), rng)
 
     def products():
         for m in range(1, max_n):
@@ -342,8 +367,8 @@ def check_bp_axioms(
                 order = list(structure.labels)
                 order[k], order[k + 1] = order[k + 1], order[k]
                 perm = permutation_matrix(structure, order)
-                for mu in pool(n, 10):
-                    yield mu, perm @ mu @ perm.conj().T, family[n].contains
+                yield family[n].maps_into(lambda m: perm @ m @ perm.conj().T,
+                                          family[n], loose, 10, rng)
 
     axioms: list[ConditionVerdict] = []
 
@@ -359,18 +384,15 @@ def check_bp_axioms(
     axioms.append(ConditionVerdict("full-rank-member", not deficient, "witness", detail))
 
     # 3: marginal closure (trace out one copy)
-    bad = first_failure(copy_marginals(), loose)
-    axioms.append(ConditionVerdict("marginal-closure", bad is None, "sampled",
-                                   "single-copy partial traces stay free", bad))
+    axioms.append(_inclusion("marginal-closure", copy_marginals(),
+                             "single-copy partial traces stay free"))
 
     # 4: tensor closure
     prod, note = first_failure(products(), loose) or (None, "sampled products stay free")
     axioms.append(ConditionVerdict("tensor-closure", prod is None, "sampled", note, prod))
 
     # 5: permutation closure (explicit swaps of adjacent copies)
-    bad = first_failure(swaps(), loose)
-    axioms.append(ConditionVerdict("permutation-closure", bad is None, "sampled",
-                                   "adjacent-copy swaps stay free", bad))
+    axioms.append(_inclusion("permutation-closure", swaps(), "adjacent-copy swaps stay free"))
     return BpReport(axioms, seed)
 
 

@@ -1,10 +1,11 @@
 """Dense complex Hermitian linear algebra on small multipartite systems.
 
 Everything here works on explicit numpy arrays at dimensions <= 16.  States
-carry a :class:`TensorStructure` naming the parties, so partial traces,
-partial transposes and embeddings are always addressed by party label rather
-than by axis arithmetic at the call site.  All entropic quantities are in
-bits (log base 2).
+carry a :class:`TensorStructure` naming the parties; ``partial_trace``,
+``partial_transpose`` and ``embed_operator`` address a party by its label,
+while ``partial_trace_mat`` and ``partial_transpose_mat``, which the engines
+call on bare matrices and stacks, take local dimensions and party indices.
+All entropic quantities are in bits (log base 2).
 """
 
 from __future__ import annotations

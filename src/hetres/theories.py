@@ -148,7 +148,10 @@ class FreeStateSet:
           either transposed on every other output slot (T(X) >= 0 iff T(X)^T
           >= 0) or after this set's own T_in (PSD on its members), makes each
           image's T nonnegative: sufficient.
-        - ``sampled``: otherwise, ``n_samples`` draws of ``random_state``."""
+        - ``sampled``: otherwise, ``n_samples`` draws of the set's generators,
+          a product of one ``random_state`` per ``hull_factors`` entry: a
+          linear map sends a hull into a convex ``target`` iff it sends its
+          products there."""
         points = self.extreme_points()
         form_in, form_out = self.linear_form(), target.linear_form()
         if points is None and form_in is not None and form_out is not None:
@@ -171,7 +174,8 @@ class FreeStateSet:
                 if np.max(np.linalg.eigvalsh(cand)[:, 0]) >= -tol:
                     return RngVerdict(True, "certified", len(states))
         mode, n = ("sampled", n_samples) if points is None else ("extreme-points", len(points))
-        states = points or (self.random_state(rng) for _ in range(n_samples))
+        factors = self.hull_factors()
+        states = points or (kron_all(f.random_state(rng) for f in factors) for _ in range(n_samples))
         bad = first_failure(((mu, apply(mu), target.contains) for mu in states), tol)
         return RngVerdict(bad is None, mode, n, bad)
 

@@ -396,21 +396,6 @@ class TestLfocc:
             ))
 
 
-class TestPovmType:
-    def test_valid(self):
-        p = np.diag([0.4, 0.7]).astype(complex)
-        povm = ch.binary_povm(p)
-        assert len(povm.elements) == 2
-
-    def test_not_summing_rejected(self):
-        with pytest.raises(ValueError):
-            ch.Povm((np.eye(2) * 0.5, np.eye(2) * 0.4))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ch.Povm((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))
-
-
 def test_channel_json_roundtrip():
     rng = np.random.default_rng(13)
     lam = ch.random_channel(rng, 2, 3, 2)

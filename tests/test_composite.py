@@ -176,11 +176,13 @@ class TestCheckAxioms:
         ]
         rep = co.check_axioms(hull, ops, locals_, n_state_samples=80, seed=1)
         assert rep.all_pass
-        assert {c.name for c in rep.conditions} == {
-            "free-product-states",
-            "free-product-operations",
-            "free-marginal-states",
-            "free-marginal-operations",
+        # the dephased hull lists its extreme points, so (a)-(c) are exact
+        modes = {c.name: c.mode for c in rep.conditions}
+        assert modes == {
+            "free-product-states": "extreme-points",
+            "free-product-operations": "extreme-points",
+            "free-marginal-states": "extreme-points",
+            "free-marginal-operations": "sampled",
         }
 
     def test_class_candidate_product_operations(self):
@@ -255,10 +257,27 @@ class TestCheckSandwich:
         assert by_name["candidate-inside-marginal-set"].counterexample is not None
 
     def test_real_hull_samples_are_members(self):
-        # both samples are correlated mixtures, accepted only through the
-        # D_max witness
+        # the hull's linear form sets a partial transpose, so its inclusion
+        # in itself is certified from the Choi matrix, not sampled
         locals_ = [th.RealStates(2), th.RealStates(2)]
-        assert co.check_sandwich(co.smin(locals_), locals_, n_samples=2, seed=1003).all_pass
+        rep = co.check_sandwich(co.smin(locals_), locals_, n_samples=2, seed=1003)
+        assert rep.all_pass
+        assert rep.conditions[0].mode == "certified"
+
+    def test_dephased_hull_inclusion_is_a_projection_verdict(self):
+        locals_ = [th.Incoherent(2), th.RealStates(2)]
+        rep = co.check_sandwich(co.smin(locals_), locals_, n_samples=40, seed=5)
+        assert rep.all_pass
+        assert rep.conditions[0].name == "hull-inside-candidate"
+        assert rep.conditions[0].mode == "projection"
+
+    def test_hull_without_a_linear_form_passes_on_products(self):
+        # MinComposite.contains can reject a genuine hull mixture at this
+        # seed (its D_max step stops at the round cap), so the hull must be
+        # tested on products of local samples, which it decides exactly
+        locals_ = [th.RealStates(3), th.AllStates(3)]
+        rep = co.check_sandwich(co.smin(locals_), locals_, n_samples=40, seed=2000)
+        assert [(c.passed, c.mode) for c in rep.conditions] == [(True, "sampled")] * 2
 
 
 class TestBpAxioms:

@@ -103,19 +103,6 @@ def test_bell_pair_against_assisted_hull_is_one_bit():
     assert abs(res.value - 1.0) < 1e-3
 
 
-def test_protocol_json_roundtrip():
-    rng = np.random.default_rng(5)
-    struct = TensorStructure([("A", 2), ("B", 2)])
-    proto = th.random_lfocc_protocol(
-        rng, struct, {"A": th.Sio(), "B": th.RealOps()}, 2, order=["A", "B"]
-    )
-    again = ch.protocol_from_json(ch.protocol_to_json(proto))
-    rho = random_density_mat(rng, 4)
-    out1 = ch.compile_lfocc(proto).apply_mat(rho)
-    out2 = ch.compile_lfocc(again).apply_mat(rho)
-    assert np.max(np.abs(out1 - out2)) < 1e-12
-
-
 def test_marginal_bound_is_valid_lower_bound():
     # data processing under partial trace anchors the composite divergences
     rng = np.random.default_rng(6)

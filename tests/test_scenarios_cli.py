@@ -146,6 +146,24 @@ class TestCli:
         (d / "bad.json").write_text("{{{")
         assert main(["suite", str(d)]) == 2
 
+    def test_suite_with_unknown_state_is_schema_error(self, tmp_path, capsys):
+        # the file is schema-valid; the state name fails only when it runs
+        scen = {
+            "name": "unknown-state",
+            "kind": "divergence",
+            "inputs": {"state": "no_such_state", "theory": {"kind": "incoherent", "dim": 2}},
+            "params": {"seed": 0},
+            "expected": [],
+        }
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "scen.json").write_text(json.dumps(scen))
+        assert main(["run", str(d / "scen.json")]) == 2
+        run_err = capsys.readouterr().err
+        assert run_err.startswith("error: unknown state")
+        assert main(["suite", str(d)]) == 2
+        assert capsys.readouterr().err == run_err
+
     def test_failing_expectation_nonzero(self, tmp_path, capsys):
         scen = {
             "name": "wrong-expectation",

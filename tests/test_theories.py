@@ -26,6 +26,7 @@ from hetres.qcore import (
     random_unitary,
     relative_entropy,
     single_party,
+    trace_norm,
 )
 
 PHI = np.outer(bell_phi_plus_vec(2), bell_phi_plus_vec(2).conj())
@@ -291,6 +292,26 @@ class TestOpClasses:
         image = ct._ImageSet(th.RealStates(2), reset)
         verdict = image.maps_into(lambda x: x, th.Incoherent(2), 1e-8, 8, np.random.default_rng(0))
         assert (verdict.ok, verdict.mode) == (True, "sampled")
+
+    def test_sampled_inclusion_hands_the_target_products(self):
+        # a hull without a linear form is sampled on its generators, the
+        # products of one local sample per factor, never on their mixtures
+        class Recording(th.FreeStateSet):
+            def __init__(self, dim):
+                super().__init__(dim)
+                self.seen = []
+
+            def contains(self, rho, tol=th.MEMBERSHIP_TOL):
+                self.seen.append(rho)
+                return True
+
+        hull = th.MinComposite([th.RealStates(3), th.AllStates(3)])
+        target = Recording(9)
+        verdict = hull.maps_into(lambda x: x, target, 1e-8, 30, np.random.default_rng(4))
+        assert (verdict.ok, verdict.mode, len(target.seen)) == (True, "sampled", 30)
+        for m in target.seen:
+            margs = [partial_trace_mat(m, (3, 3), [i]) for i in range(2)]
+            assert trace_norm(m - kron_all(margs)) <= 1e-12
 
     def test_a_set_without_sampler_says_so(self):
         with pytest.raises(NotImplementedError, match="abstract has no sampler"):
