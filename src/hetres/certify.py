@@ -185,49 +185,67 @@ def lfocc_ceiling(
     epsilon: float,
     seed: int = 0,
 ) -> CertReport:
-    """Certification through a local protocol, against its structural ceiling.
+    """Certification through one local protocol; see ``lfocc_ceilings``."""
+    return lfocc_ceilings(rho_a, set_a, [protocol], [element], epsilon, seed)[0]
 
-    The protocol's first party holds the suspect state and its second party
-    measures ``element``.  Verifies the per-round classes (suspect party
-    strictly incoherent, the measuring party real), compiles the protocol,
-    pulls the measurement back through the image set to an effective element
-    on the suspect party, asserts its diagonality, and reports alpha/beta
-    through it alongside the diagonal-restricted hypothesis-testing ceiling.
+
+def lfocc_ceilings(
+    rho_a,
+    set_a: FreeStateSet,
+    protocols: list[ch.LfoccProtocol],
+    elements: list[np.ndarray],
+    epsilon: float,
+    seed: int,
+) -> list[CertReport]:
+    """Certification through a family of local protocols, against their one
+    structural ceiling.
+
+    Each protocol's first party holds the suspect state and its second party
+    measures the matching element.  Every protocol and element is validated
+    before any solve: the per-round classes (suspect party strictly
+    incoherent, the measuring party real), the element's bounds, and the
+    diagonality of the effective element, the measurement pulled back through
+    the compiled protocol's image set to the suspect party.  Each report
+    gives alpha/beta through its effective element (the worst free state from
+    a fresh generator at ``seed``) alongside the diagonal-restricted
+    hypothesis-testing ceiling, which depends on no protocol and is solved
+    once for the whole family.
     """
-    a_party, b_party = protocol.structure.labels
-    if not Lfocc({a_party: Sio(), b_party: RealOps()}).protocol_ok(protocol):
-        raise ValueError("protocol violates the declared local operation classes")
-
-    p = check_hermitian(element)
-    w = np.linalg.eigvalsh(p)
-    if w[0] < -1e-10 or w[-1] > 1 + 1e-10:
-        raise ValueError("element must satisfy 0 <= P <= identity")
-    effective = _ImageSet(set_a, ch.compile_lfocc(protocol)).pullback(p)
-    off = effective - np.diag(np.diag(effective))
-    off_norm = float(np.max(np.abs(off)))
-    if off_norm > 1e-10:
-        raise AssertionError(
-            f"effective element is not diagonal (off-diagonal {off_norm:.3e})"
-        )
+    effectives = []
+    for protocol, element in zip(protocols, elements, strict=True):
+        a_party, b_party = protocol.structure.labels
+        if not Lfocc({a_party: Sio(), b_party: RealOps()}).protocol_ok(protocol):
+            raise ValueError("protocol violates the declared local operation classes")
+        p = check_hermitian(element)
+        w = np.linalg.eigvalsh(p)
+        if w[0] < -1e-10 or w[-1] > 1 + 1e-10:
+            raise ValueError("element must satisfy 0 <= P <= identity")
+        effective = _ImageSet(set_a, ch.compile_lfocc(protocol)).pullback(p)
+        off_norm = float(np.max(np.abs(effective - np.diag(np.diag(effective)))))
+        if off_norm > 1e-10:
+            raise AssertionError(
+                f"effective element is not diagonal (off-diagonal {off_norm:.3e})"
+            )
+        effectives.append((effective, off_norm))
 
     m = as_matrix(rho_a)
-    rng = np.random.default_rng(seed)
-    worst = set_a.lmo(-effective, rng)
-    alpha = float(np.real(np.trace(worst @ effective)))
-    scaled = effective if alpha <= epsilon else effective * (epsilon / alpha)
-    alpha_used = min(alpha, epsilon)
-    beta = 1.0 - float(np.real(np.trace(m @ scaled)))
-    value = float("inf") if beta <= 1e-12 else -math.log2(max(beta, 1e-300))
     ceiling = hypothesis_testing(m, set_a, epsilon, seed=seed, restrict="diagonal")
-    return CertReport(
-        value=value,
-        ceiling=ceiling,
-        achiever={"channel_index": 0, "povm_element": scaled},
-        alpha=alpha_used,
-        beta=beta,
-        floor=-math.log2(1.0 - epsilon),
-        extras={"effective_offdiag": off_norm, "raw_alpha": alpha, "epsilon": epsilon},
-    )
+    reports = []
+    for effective, off_norm in effectives:
+        worst = set_a.lmo(-effective, np.random.default_rng(seed))
+        alpha = float(np.real(np.trace(worst @ effective)))
+        scaled = effective if alpha <= epsilon else effective * (epsilon / alpha)
+        beta = 1.0 - float(np.real(np.trace(m @ scaled)))
+        reports.append(CertReport(
+            value=float("inf") if beta <= 1e-12 else -math.log2(max(beta, 1e-300)),
+            ceiling=ceiling,
+            achiever={"channel_index": 0, "povm_element": scaled},
+            alpha=min(alpha, epsilon),
+            beta=beta,
+            floor=-math.log2(1.0 - epsilon),
+            extras={"effective_offdiag": off_norm, "raw_alpha": alpha, "epsilon": epsilon},
+        ))
+    return reports
 
 
 def measure_and_forward_protocol(

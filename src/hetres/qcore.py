@@ -279,29 +279,27 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
     return float(-np.sum(lam * np.log2(lam))) if lam.size else 0.0
 
 
-def relative_entropy(rho, sigma) -> float:
+def relative_entropy(rho, sigma) -> float | np.ndarray:
     """Quantum relative entropy D(rho || sigma) = Tr rho (log2 rho - log2 sigma).
 
     Returns +inf iff the support of rho leaks outside the support of sigma
-    (kernel overlap beyond 1e-10).
+    (kernel overlap beyond 1e-10).  ``sigma`` may be a stack (..., d, d):
+    rho is then eigensolved once, the stack in one ``eigh``, and the result
+    is an array of shape (...); for one matrix it is a float.
     """
     a = as_matrix(rho)
     b = as_matrix(sigma)
-    if a.shape != b.shape:
+    if a.shape != b.shape[-2:]:
         raise ValueError("dimension mismatch")
     wa, _ = eig_hermitian(a)
     wb, vb = eig_hermitian(b)
-    kernel = vb[:, wb <= EIG_FLOOR]
-    if kernel.shape[1]:
-        overlap = float(np.real(np.trace(kernel.conj().T @ a @ kernel)))
-        if overlap > SUPPORT_TOL:
-            return float("inf")
     lam = wa[wa > EIG_FLOOR]
     term_rho = float(np.sum(lam * np.log2(lam))) if lam.size else 0.0
-    diag_rho = np.real(np.einsum("ij,jk,ki->i", vb.conj().T, a, vb))
+    diag_rho = np.real(np.einsum("...ji,jk,...ki->...i", vb.conj(), a, vb))
+    overlap = np.sum(np.where(wb <= EIG_FLOOR, diag_rho, 0.0), axis=-1)
     logs = np.log2(np.clip(wb, EIG_FLOOR, None))
-    term_cross = float(np.dot(diag_rho, logs))
-    return term_rho - term_cross
+    values = np.where(overlap > SUPPORT_TOL, np.inf, term_rho - np.einsum("...i,...i->...", diag_rho, logs))
+    return float(values) if values.ndim == 0 else values
 
 
 def dephase(rho: DensityOperator, basis: np.ndarray | None = None) -> DensityOperator:

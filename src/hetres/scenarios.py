@@ -362,25 +362,23 @@ def _run_certification(inputs, params):
         structure = TensorStructure([("A", theory.dim), ("B", int(inputs.get("b_dim", 2)))])
         classes = {"A": th.Sio(), "B": th.RealOps()}
         n_protocols = int(inputs.get("n_protocols", 20))
-        worst_off = 0.0
-        worst_excess = -math.inf
-        ceiling_val = None
+        b_dim = structure.local_dim("B")
+        protocols, elements = [], []
         for _ in range(n_protocols):
-            prot = th.random_lfocc_protocol(
+            protocols.append(th.random_lfocc_protocol(
                 rng, structure, classes, int(rng.integers(1, 4)), order=["A", "B", "A"]
-            )
-            b_dim = structure.local_dim("B")
+            ))
             element = np.diag(rng.uniform(0.0, 1.0, b_dim)).astype(complex)
             u = np.linalg.qr(rng.normal(size=(b_dim, b_dim)) + 1j * rng.normal(size=(b_dim, b_dim)))[0]
-            element = u @ element @ u.conj().T
-            rep = ct.lfocc_ceiling(state, theory, prot, element, eps, seed=seed)
-            worst_off = max(worst_off, rep.extras["effective_offdiag"])
-            ceiling_val = rep.ceiling.value
-            excess = -math.inf if math.isinf(rep.ceiling.value) else rep.value - rep.ceiling.value
-            worst_excess = max(worst_excess, excess)
-        results = {"n_protocols": n_protocols, "worst_offdiag": worst_off,
-                   "worst_excess_over_ceiling": worst_excess, "ceiling": ceiling_val}
-        return results, []
+            elements.append(u @ element @ u.conj().T)
+        reps = ct.lfocc_ceilings(state, theory, protocols, elements, eps, seed)
+        ceiling = reps[0].ceiling if reps else None
+        results = {"n_protocols": n_protocols,
+                   "worst_offdiag": max((rep.extras["effective_offdiag"] for rep in reps), default=0.0),
+                   "worst_excess_over_ceiling": max((rep.value - ceiling.value for rep in reps
+                                                     if not math.isinf(ceiling.value)), default=-math.inf),
+                   "ceiling": None if ceiling is None else ceiling.value}
+        return results, [] if ceiling is None else [ceiling.to_json()]
     if sub == "rng_optimal":
         theory_b = resolve_theory(inputs["theory_b"])
         mu = resolve_state(inputs.get("refill", {"name": "maximally_mixed", "dim": theory.dim}), seed)

@@ -349,7 +349,8 @@ class FiniteSet(FreeStateSet):
         if not mats:
             raise ValueError("finite set needs at least one state")
         super().__init__(mats[0].shape[0])
-        self.states = mats
+        self.states = np.stack(mats)
+        self.states.flags.writeable = False  # lmo and the samplers hand out views of it
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
         m = as_matrix(rho)
@@ -357,14 +358,15 @@ class FiniteSet(FreeStateSet):
         return min(trace_norm(m - s) for s in self.states) <= tol
 
     def lmo(self, grad, rng=None):
-        states = np.stack(self.states)
-        vals = np.real(np.einsum("...ab,kba->...k", as_complex(grad), states))
-        return states[np.argmin(vals, axis=-1)]
+        vals = np.real(np.einsum("...ab,kba->...k", as_complex(grad), self.states))
+        return self.states[np.argmin(vals, axis=-1)]
 
     def closest_free_state(self, rho):
         m = as_matrix(rho)
         self._check_dim(m)
-        return min(((s, relative_entropy(m, s)) for s in self.states), key=lambda pair: pair[1])
+        values = relative_entropy(m, self.states)
+        best = int(np.argmin(values))
+        return self.states[best], float(values[best])
 
     def random_state(self, rng):
         return self.states[int(rng.integers(len(self.states)))]
@@ -659,7 +661,8 @@ class MaxComposite(_Composite):
         return self.marginal_constraints.minimize(as_complex(grad), 1e-10 * float(np.max(np.abs(grad))))
 
     def random_state(self, rng):
-        """Mixed local samples plus a correlation traceless on every party."""
+        """Mixed local samples plus a correlation traceless on every party,
+        scaled to keep the state positive and inside every ``_cones()`` cone."""
         base = kron_all(0.5 * (s.random_state(rng) + s.max_support_state()) for s in self.locals)
 
         def traceless(d):
@@ -668,11 +671,21 @@ class MaxComposite(_Composite):
 
         corr = sum(kron_all(traceless(d) for d in self.local_dims) for _ in range(3))
         corr = corr / max(np.linalg.norm(corr), 1e-300)
-        w, v = np.linalg.eigh(base - 1e-10 * np.eye(self.dim))
-        root = v / np.sqrt(np.abs(w))
-        top = np.linalg.eigvalsh(-root.conj().T @ corr @ root)[-1]
-        reach = 0.0 if w[0] <= 0.0 else 1.0 / max(top, 1.0)
-        return base + reach * rng.uniform() * corr
+        top = _whitened_top(base, corr)
+        for a in self._cones():  # A(x) = sum_e Tr(A*(E_e) x) E_e
+            basis = hermitian_basis(math.isqrt(len(a)), None)
+            image = [np.tensordot(np.real(np.einsum("kab,ba->k", a, x)), basis, 1) for x in (base, corr)]
+            top = max(top, _whitened_top(*image))
+        return base + 1.0 / max(top, 1.0) * rng.uniform() * corr
+
+
+def _whitened_top(b: np.ndarray, c: np.ndarray) -> float:
+    """lambda_max(-b^-1/2 c b^-1/2), so b + t c >= 0 for t <= 1/top; +inf unless b > 0."""
+    w, v = np.linalg.eigh(b - 1e-10 * np.eye(len(b)))
+    if w[0] <= 0.0:
+        return np.inf
+    root = v / np.sqrt(w)
+    return np.linalg.eigvalsh(-root.conj().T @ c @ root)[-1]
 
 
 class SmoothedDual:

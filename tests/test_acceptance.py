@@ -213,19 +213,18 @@ def test_criterion_11_local_protocol_ceiling():
     rng = np.random.default_rng(11)
     struct = TensorStructure([("A", 2), ("B", 2)])
     classes = {"A": th.Sio(), "B": th.RealOps()}
-    worst_off = 0.0
-    worst_excess = -np.inf
+    protocols, elements = [], []
     for _ in range(500):
-        proto = th.random_lfocc_protocol(
+        protocols.append(th.random_lfocc_protocol(
             rng, struct, classes, int(rng.integers(1, 4)), order=["A", "B", "A"]
-        )
+        ))
         element = np.diag(rng.uniform(0.0, 1.0, 2)).astype(complex)
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-        element = u @ element @ u.conj().T
-        rep = ct.lfocc_ceiling(PLUS_Y, INC2, proto, element, 0.5, seed=11)
-        worst_off = max(worst_off, rep.extras["effective_offdiag"])
-        if not math.isinf(rep.ceiling.value):
-            worst_excess = max(worst_excess, rep.value - rep.ceiling.value)
+        elements.append(u @ element @ u.conj().T)
+    reps = ct.lfocc_ceilings(PLUS_Y, INC2, protocols, elements, 0.5, 11)
+    worst_off = max(rep.extras["effective_offdiag"] for rep in reps)
+    worst_excess = max((rep.value - rep.ceiling.value for rep in reps
+                        if not math.isinf(rep.ceiling.value)), default=-np.inf)
     assert worst_off <= 1e-10
     assert worst_excess <= 1e-6
     _report(11, f"500 local protocols give diagonal effective tests "

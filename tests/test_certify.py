@@ -245,6 +245,48 @@ class TestLfoccCeiling:
                 assert rep.extras["effective_offdiag"] <= 1e-12
 
 
+class TestLfoccFamily:
+    CLASSES = {"A": th.Sio(), "B": th.RealOps()}
+
+    def _family(self, rng, b_dim, n):
+        structure = TensorStructure([("A", 2), ("B", b_dim)])
+        protocols = [th.random_lfocc_protocol(rng, structure, self.CLASSES, int(rng.integers(1, 4)),
+                                              order=["A", "B", "A"]) for _ in range(n)]
+        return protocols, [random_density_mat(rng, b_dim) for _ in range(n)]
+
+    @pytest.mark.parametrize("b_dim", [2, 3])
+    def test_family_matches_one_call_per_protocol(self, b_dim):
+        rng = np.random.default_rng(30 + b_dim)
+        rho = random_density_mat(rng, 2)
+        protocols, elements = self._family(rng, b_dim, 10)
+        family = ct.lfocc_ceilings(rho, INC2, protocols, elements, 0.3, 4)
+        assert len({id(rep.ceiling) for rep in family}) == 1
+        for rep, proto, element in zip(family, protocols, elements):
+            one = ct.lfocc_ceiling(rho, INC2, proto, element, 0.3, seed=4)
+            assert (rep.value, rep.alpha, rep.beta, rep.floor, rep.extras) == (
+                one.value, one.alpha, one.beta, one.floor, one.extras)
+            assert rep.achiever["channel_index"] == one.achiever["channel_index"]
+            assert np.array_equal(rep.achiever["povm_element"], one.achiever["povm_element"])
+            assert (rep.ceiling.value, rep.ceiling.lower_bound, rep.ceiling.upper_bound,
+                    rep.ceiling.iterations) == (one.ceiling.value, one.ceiling.lower_bound,
+                                                one.ceiling.upper_bound, one.ceiling.iterations)
+
+    @pytest.mark.parametrize("bad", ["classes", "element"])
+    def test_invalid_member_raises_before_any_solve(self, bad, monkeypatch):
+        solves = []
+        monkeypatch.setattr(ct, "hypothesis_testing", lambda *a, **k: solves.append(a))
+        rng = np.random.default_rng(6)
+        protocols, elements = self._family(rng, 2, 3)
+        if bad == "classes":
+            protocols[2] = th.random_lfocc_protocol(
+                rng, STRUCT_AB, {"A": th.AllOps(), "B": th.RealOps()}, 1, order=["A"])
+        else:
+            elements[1] = 2.0 * np.eye(2)
+        with pytest.raises(ValueError, match="classes" if bad == "classes" else "0 <= P"):
+            ct.lfocc_ceilings(PLUS_Y, INC2, protocols, elements, 0.5, 0)
+        assert solves == []
+
+
 class TestRngOptimal:
     def test_incoherent_inside_real_saturates(self):
         for eps in (0.25, 0.5):

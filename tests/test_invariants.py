@@ -58,6 +58,13 @@ def test_sandwich_through_an_intermediate_set():
         assert d_mid.value <= d_hull + d_mid.gap + 1e-9
 
 
+def test_intermediate_set_samples_are_members():
+    # the sampler's correlation is scaled into the partial-transpose cone too
+    mid = PptRestrictedMarginalSet([INC2, th.Incoherent(2)])
+    rng = np.random.default_rng(0)
+    assert all(mid.contains(mid.random_state(rng)) for _ in range(200))
+
+
 def test_intermediate_set_is_sandwiched():
     locals_ = [INC2, th.Incoherent(2)]
     mid = PptRestrictedMarginalSet(locals_)

@@ -202,6 +202,35 @@ class TestEntropies:
     def test_support_mismatch_infinite(self):
         assert relative_entropy(pure_state(KET0, S1), pure_state(KET1, S1)) == float("inf")
 
+    @staticmethod
+    def _one_pair(rho, sigma):
+        # the single-matrix formula term by term: the kernel's trace overlap, then
+        # sum lambda log2 lambda - <v_j|rho|v_j> log2 w_j over sigma's eigenpairs
+        wb, vb = np.linalg.eigh(sigma)
+        kernel = vb[:, wb <= 1e-12]
+        if kernel.shape[1] and np.real(np.trace(kernel.conj().T @ rho @ kernel)) > 1e-10:
+            return float("inf")
+        lam = np.linalg.eigvalsh(rho)
+        lam = lam[lam > 1e-12]
+        diag = np.real(np.einsum("ij,jk,ki->i", vb.conj().T, rho, vb))
+        return float(np.sum(lam * np.log2(lam)) - np.dot(diag, np.log2(np.clip(wb, 1e-12, None))))
+
+    @pytest.mark.parametrize("d", [2, 4, 9, 16])
+    @pytest.mark.parametrize("full_rank", [False, True])
+    def test_relative_entropy_over_a_stack(self, d, full_rank):
+        rng = np.random.default_rng([d, int(full_rank)])
+        rho = random_density_mat(rng, d, d if full_rank else 1)
+        top = np.linalg.eigh(rho)[1][:, -1]
+        leaking = (np.eye(d) - np.outer(top, top.conj())) / (d - 1)
+        stack = np.stack([random_density_mat(rng, d), leaking, rho, np.eye(d) / d])
+        values = relative_entropy(rho, stack)
+        assert values.shape == (4,) and values[1] == float("inf")
+        expected = [self._one_pair(rho, s) for s in stack]
+        assert np.isinf(expected[1])
+        finite, expected = np.delete(values, 1), np.delete(expected, 1)
+        assert np.all(np.isfinite(finite)) and np.max(np.abs(finite - expected)) <= 1e-14
+        assert np.array_equal(relative_entropy(rho, stack.reshape(2, 2, d, d)), values.reshape(2, 2))
+
 
 class TestDephase:
     def test_diagonal_fixed(self):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hetres import certify as ct
 from hetres import scenarios as sc
 from hetres.cli import main
 
@@ -32,6 +33,19 @@ class TestScenarioRunner:
         obj["inputs"].update(b_dim=b_dim, n_protocols=4)
         rep = sc.run_scenario(obj)
         assert rep["passed"], rep["expected_checks"]
+
+    def test_lfocc_ceiling_is_one_solve_with_its_certificate(self, monkeypatch):
+        # the diagonal ceiling depends on no protocol: one solve serves all 25
+        solve, calls = ct.hypothesis_testing, []
+        monkeypatch.setattr(ct, "hypothesis_testing",
+                            lambda *a, **k: calls.append(k["restrict"]) or solve(*a, **k))
+        rep = sc.run_scenario(sc.builtin_scenarios()["lfocc_certification_ceiling"])
+        assert rep["passed"] and rep["converged"]
+        assert calls == ["diagonal"]
+        (cert,) = rep["certificates"]
+        assert cert["value"] == rep["results"]["ceiling"]
+        assert cert["converged"] and cert["upper_bound"] - cert["lower_bound"] == 0.0
+        assert cert["extras"]["stop"] == "gap" and cert["iterations"] > 0
 
     def test_deterministic_replay(self):
         obj = sc.builtin_scenarios()["hypothesis_floor"]

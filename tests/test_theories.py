@@ -506,7 +506,7 @@ class TestSingletonIsOnePointList:
         a, b = dv.hypothesis_testing(rho, single, 0.2), dv.hypothesis_testing(rho, listed, 0.2)
         assert (a.value, a.upper_bound, a.extras["alpha"]) == (b.value, b.upper_bound, b.extras["alpha"])
 
-    def test_closest_state_takes_one_relative_entropy_per_listed_state(self, monkeypatch):
+    def test_closest_state_takes_one_stacked_relative_entropy(self, monkeypatch):
         calls = []
 
         def counted(rho, sigma):
@@ -514,9 +514,11 @@ class TestSingletonIsOnePointList:
             return relative_entropy(rho, sigma)
 
         monkeypatch.setattr(th, "relative_entropy", counted)
-        listed = th.FiniteSet([np.eye(2) / 2, np.diag([0.9, 0.1]), np.diag([0.2, 0.8])])
+        listed = th.FiniteSet([np.eye(2) / 2, np.diag([0.9, 0.1]), np.diag([0.2, 0.8]), np.diag([0.9, 0.1])])
         state, value = listed.closest_free_state(np.diag([0.85, 0.15]))
-        assert len(calls) == 3
+        assert len(calls) == 1 and calls[0].shape == (4, 2, 2)
+        # the first of two equal minima wins, as with min over the list
+        assert np.shares_memory(state, listed.states[1])
         assert np.array_equal(state, np.diag([0.9, 0.1])) and value == relative_entropy(np.diag([0.85, 0.15]), state)
 
 
