@@ -18,7 +18,7 @@ the full-rank axiom is read off a ``witness``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .theories import (
     MinComposite,
     RngVerdict,
     Singleton,
-    first_failure,
 )
 
 DEFAULT_STATE_SAMPLES = 200
@@ -281,6 +280,18 @@ def _inclusion(name: str, verdicts: Iterable[RngVerdict], detail: str) -> Condit
             return ConditionVerdict(name, False, v.mode, detail, v.witness)
     mode = max((v.mode for v in read), key=_MODES.index, default=_MODES[0])
     return ConditionVerdict(name, True, mode, f"{detail} (states checked: {sum(v.n_states for v in read)})")
+
+
+def first_failure(cases: Iterable[tuple[object, object, Callable]], tol: float) -> object | None:
+    """The witness of the first case that fails its membership test, or None.
+
+    A case is a triple ``(witness, x, contains)``, checked as
+    ``contains(x, tol)``: a channel and a class's ``contains_channel``, or a
+    mixture or product of pooled states and a set's ``contains``.  Cases are
+    drawn lazily, each after the previous one's check, so sampling stops at
+    the first failure.  Set inclusions are ``maps_into`` verdicts instead,
+    which test one stack of states."""
+    return next((w for w, x, contains in cases if not contains(x, tol)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .qcore import (
     TensorStructure,
     as_complex,
     as_matrix,
+    check_hermitian,
     embed_operator,
     hermitian_basis,
     kron_all,
@@ -45,7 +46,6 @@ from .qcore import (
     relative_entropy,
     single_party,
     spanning_states,
-    trace_norm,
     von_neumann_entropy,
 )
 
@@ -65,14 +65,17 @@ class FreeStateSet:
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Membership at entrywise resolution ``tol``, read off the ``linear_form``."""
+    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
+        """Membership at entrywise resolution ``tol``, read off the ``linear_form``.
+
+        Every kind takes a stack (..., d, d) and returns a bool array of
+        shape (...); one matrix gives a bool."""
         form = self.linear_form()
         if form is None:
             raise NotImplementedError(f"{self.kind} has no membership test")
         m = as_matrix(rho)
         self._check_dim(m)
-        return bool(_satisfies(form, m, tol))
+        return _bools(_satisfies(form, m, tol))
 
     def lmo(self, grad: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """A state mu in the set minimizing Tr(grad mu), within oracle tolerance.
@@ -147,11 +150,17 @@ class FreeStateSet:
         - ``certified``: a PSD Choi matrix of T apply or T apply Pi_in, or of
           either transposed on every other output slot (T(X) >= 0 iff T(X)^T
           >= 0) or after this set's own T_in (PSD on its members), makes each
-          image's T nonnegative: sufficient.
+          image's T nonnegative: sufficient.  Each candidate is PSD within
+          ``tol`` where C + tol I has a Cholesky factor; the first one certifies.
         - ``sampled``: otherwise, ``n_samples`` draws of the set's generators,
           a product of one ``random_state`` per ``hull_factors`` entry: a
           linear map sends a hull into a convex ``target`` iff it sends its
-          products there."""
+          products there.
+
+        The listed or drawn states form one stack: ``apply`` and
+        ``target.contains`` each run once on it, and the witness is the first
+        state whose image fails.  All ``n_samples`` draws are made, in the
+        order of one draw per factor per sample, also after a failure."""
         points = self.extreme_points()
         form_in, form_out = self.linear_form(), target.linear_form()
         if points is None and form_in is not None and form_out is not None:
@@ -170,14 +179,18 @@ class FreeStateSet:
             if pt_in is not None:
                 dims_in, slot_in = pt_in
                 chois = np.concatenate([chois, partial_transpose_mat(chois, (*dims_in, d_out), slot_in)])
-            for cand in (chois, partial_transpose_mat(chois, (d, d_out), 1)):
-                if np.max(np.linalg.eigvalsh(cand)[:, 0]) >= -tol:
-                    return RngVerdict(True, "certified", len(states))
-        mode, n = ("sampled", n_samples) if points is None else ("extreme-points", len(points))
-        factors = self.hull_factors()
-        states = points or (kron_all(f.random_state(rng) for f in factors) for _ in range(n_samples))
-        bad = first_failure(((mu, apply(mu), target.contains) for mu in states), tol)
-        return RngVerdict(bad is None, mode, n, bad)
+            cands = (chois, partial_transpose_mat(chois, (d, d_out), 1))
+            if any(_psd_within(c, tol) for stack in cands for c in stack):
+                return RngVerdict(True, "certified", len(states))
+        if points is None:
+            draws = [[f.random_state(rng) for f in self.hull_factors()] for _ in range(n_samples)]
+            if not draws:
+                return RngVerdict(True, "sampled", 0)
+            states, mode = kron_all(map(np.stack, zip(*draws))), "sampled"
+        else:
+            states, mode = np.stack(points), "extreme-points"
+        bad = np.flatnonzero(np.logical_not(target.contains(apply(states), tol)))
+        return RngVerdict(not len(bad), mode, len(states), states[bad[0]] if len(bad) else None)
 
     def tensor_power(self, n: int) -> FreeStateSet:
         """The free set of ``n`` copies, where the kind has a known one."""
@@ -194,8 +207,8 @@ class FreeStateSet:
         return {"kind": self.kind, "dim": self.dim}
 
     def _check_dim(self, m: np.ndarray):
-        if m.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: state {m.shape[0]}, set {self.dim}")
+        if m.shape[-1] != self.dim:
+            raise ValueError(f"dimension mismatch: state {m.shape[-1]}, set {self.dim}")
 
 
 @dataclass
@@ -208,14 +221,24 @@ class RngVerdict:
     witness: np.ndarray | None = None
 
 
-def first_failure(cases: Iterable[tuple[object, object, Callable]], tol: float) -> object | None:
-    """The witness of the first case that fails its membership test, or None.
+def _bools(ok) -> bool | np.ndarray:
+    """A membership verdict: a bool for one matrix, the bool array for a stack."""
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
-    A case is a triple ``(witness, x, contains)``, checked as
-    ``contains(x, tol)``: a state and a set's ``contains``, or a channel and
-    a class's ``contains_channel``.  Cases are drawn lazily, each after the
-    previous one's check, so sampling stops at the first failure."""
-    return next((w for w, x, contains in cases if not contains(x, tol)), None)
+
+def _trace_norms(m: np.ndarray) -> np.ndarray:
+    """||m||_1 of each Hermitian matrix of a stack (..., d, d), one eigensolve."""
+    return np.sum(np.abs(np.linalg.eigvalsh(check_hermitian(m))), axis=-1)
+
+
+def _psd_within(m: np.ndarray, tol: float) -> bool:
+    """Whether the Hermitian m + tol I has a Cholesky factor: lambda_min(m) > -tol,
+    to rounding."""
+    try:
+        np.linalg.cholesky(m + tol * np.eye(len(m)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _satisfies(form, m: np.ndarray, tol: float) -> np.ndarray:
@@ -352,10 +375,12 @@ class FiniteSet(FreeStateSet):
         self.states = np.stack(mats)
         self.states.flags.writeable = False  # lmo and the samplers hand out views of it
 
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
+        """Whether ``rho``, or each matrix of a stack, is within trace distance
+        ``tol`` of a listed state: one eigensolve of every difference."""
         m = as_matrix(rho)
         self._check_dim(m)
-        return min(trace_norm(m - s) for s in self.states) <= tol
+        return _bools(np.min(_trace_norms(m[..., None, :, :] - self.states), axis=-1) <= tol)
 
     def lmo(self, grad, rng=None):
         vals = np.real(np.einsum("...ab,kba->...k", as_complex(grad), self.states))
@@ -508,7 +533,7 @@ class MinComposite(_Composite):
         best = int(np.argmin(val))
         return kron_all(p[best] for p in parts)
 
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
         """Hull membership by the ``linear_form`` where there is one.  Else,
         where every factor has a ``projection``, the hull lies in the fixed
         space of their tensor product Pi, so max|rho - Pi rho| > tol rejects.
@@ -518,26 +543,29 @@ class MinComposite(_Composite):
         {gamma}, so every member is such a product.  Else D_max(rho||S) <= b
         = log2(1 + tol/2) comes with a free witness sigma, rho <= 2^b sigma,
         hence ||rho - sigma||_1 <= 2(2^b - 1) = tol; a rejection is only as
-        exact as the see-saw oracle inside ``dmax``."""
+        exact as the see-saw oracle inside ``dmax``.  A stack runs every test
+        but D_max at once; D_max runs on each matrix the others leave open."""
         if self.linear_form() is not None:
             return super().contains(rho, tol)
         m = as_matrix(rho)
         self._check_dim(m)
+        stack = m.reshape(-1, self.dim, self.dim)
         proj = _product_projection(self.hull_factors())
-        if proj is not None and float(np.max(np.abs(m - proj(m)))) > tol:
-            return False
+        ok = np.ones(len(stack), bool)
+        if proj is not None:
+            ok = np.max(np.abs(stack - proj(stack)), axis=(-2, -1)) <= tol
         dims = self.local_dims
-        margs = [partial_trace_mat(m, dims, [i]) for i in range(len(dims))]
-        if not all(s.contains(marg, tol) for s, marg in zip(self.locals, margs)):
-            return False
-        if trace_norm(m - kron_all(margs)) <= tol:
-            return True
-        if sum(len(s.extreme_points() or ()) != 1 for s in self.locals) <= 1:
-            return False
-        from .divergences import dmax  # divergences imports this module
+        margs = [partial_trace_mat(stack, dims, [i]) for i in range(len(dims))]
+        for s, marg in zip(self.locals, margs):
+            ok = ok & s.contains(marg, tol)
+        product = _trace_norms(stack - kron_all(margs)) <= tol
+        if sum(len(s.extreme_points() or ()) != 1 for s in self.locals) > 1:
+            from .divergences import dmax  # divergences imports this module
 
-        b = np.log2(1.0 + 0.5 * tol)
-        return bool(dmax(m, self, tol=b).upper_bound <= b)
+            b = np.log2(1.0 + 0.5 * tol)
+            for i in np.flatnonzero(ok & ~product):
+                product[i] = dmax(stack[i], self, tol=b).upper_bound <= b
+        return _bools((ok & product).reshape(m.shape[:-2]))
 
     def random_state(self, rng):
         k = int(rng.integers(1, 9))
@@ -619,11 +647,17 @@ class MaxComposite(_Composite):
 
     kind = "max-composite"
 
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
+        """Whether every marginal, of ``rho`` or of each matrix of a stack, is
+        locally free and every ``_cones()`` image A(rho) >= -tol."""
         m = as_matrix(rho)
         self._check_dim(m)
-        return all(s.contains(partial_trace_mat(m, self.local_dims, [i]), tol)
-                   for i, s in enumerate(self.locals))
+        ok = np.ones(m.shape[:-2], bool)
+        for i, s in enumerate(self.locals):
+            ok = ok & s.contains(partial_trace_mat(m, self.local_dims, [i]), tol)
+        for image in self._cone_images(m):
+            ok = ok & (np.linalg.eigvalsh(image)[..., 0] >= -tol)
+        return _bools(ok)
 
     @functools.cached_property
     def marginal_constraints(self) -> MarginalConstraints:
@@ -651,6 +685,11 @@ class MaxComposite(_Composite):
         """A*(E), E the ``hermitian_basis``, for cones A(sigma) >= 0 a subclass adds."""
         return []
 
+    def _cone_images(self, x: np.ndarray) -> list[np.ndarray]:
+        """A(x) = sum_e Tr(A*(E_e) x) E_e for each ``_cones()`` cone, on stacks."""
+        return [np.tensordot(np.real(np.einsum("kab,...ba->...k", a, x)),
+                             hermitian_basis(math.isqrt(len(a)), None), 1) for a in self._cones()]
+
     def lmo(self, grad, rng=None):
         g = as_complex(grad)
         mus = [self.lmo_with_bound(x)[0] for x in g.reshape(-1, self.dim, self.dim)]
@@ -662,19 +701,23 @@ class MaxComposite(_Composite):
 
     def random_state(self, rng):
         """Mixed local samples plus a correlation traceless on every party,
-        scaled to keep the state positive and inside every ``_cones()`` cone."""
+        scaled to keep the state positive and inside every ``_cones()`` cone.
+        The correlation sums three products of the traceless Hermitian parts
+        of complex Gaussians C = X + iY, drawn in one call: term by term,
+        party by party, X then Y."""
         base = kron_all(0.5 * (s.random_state(rng) + s.max_support_state()) for s in self.locals)
-
-        def traceless(d):
-            c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            return 0.5 * (c + c.conj().T) - np.real(np.trace(c)) / d * np.eye(d)
-
-        corr = sum(kron_all(traceless(d) for d in self.local_dims) for _ in range(3))
+        dims = self.local_dims
+        sizes = [2 * d * d for d in dims]
+        parts = []
+        for d, g in zip(dims, np.split(rng.normal(size=(3, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)):
+            x, y = np.swapaxes(g.reshape(3, 2, d, d), 0, 1)
+            c = x + 1j * y
+            trace = np.real(np.trace(c, axis1=-2, axis2=-1)) / d
+            parts.append(0.5 * (c + np.swapaxes(c.conj(), -1, -2)) - trace[:, None, None] * np.eye(d))
+        corr = sum(kron_all(parts))  # 0 + t0 + t1 + t2 in order, as a per-term loop adds them
         corr = corr / max(np.linalg.norm(corr), 1e-300)
         top = _whitened_top(base, corr)
-        for a in self._cones():  # A(x) = sum_e Tr(A*(E_e) x) E_e
-            basis = hermitian_basis(math.isqrt(len(a)), None)
-            image = [np.tensordot(np.real(np.einsum("kab,ba->k", a, x)), basis, 1) for x in (base, corr)]
+        for image in zip(self._cone_images(base), self._cone_images(corr)):
             top = max(top, _whitened_top(*image))
         return base + 1.0 / max(top, 1.0) * rng.uniform() * corr
 

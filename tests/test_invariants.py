@@ -1,5 +1,7 @@
 """Cross-module invariants tying the engines to the transformation laws."""
 
+import math
+
 import numpy as np
 
 from hetres import channels as ch
@@ -13,6 +15,7 @@ from hetres.qcore import (
     TensorStructure,
     bell_phi_plus_vec,
     hermitian_basis,
+    kron_all,
     partial_trace_mat,
     partial_transpose_mat,
     pure_state,
@@ -29,15 +32,9 @@ class PptRestrictedMarginalSet(th.MaxComposite):
 
     kind = "max-composite-ppt"
 
-    def contains(self, rho, tol=1e-6):
-        m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-        if not super().contains(m, tol):
-            return False
-        pt = partial_transpose_mat(m, self.local_dims, 1)
-        return float(np.linalg.eigvalsh(pt)[0]) >= -tol
-
     def _cones(self):
-        # the global partial transpose is its own adjoint
+        # the global partial transpose is its own adjoint; the inherited
+        # contains and random_state both read the cone
         return [partial_transpose_mat(hermitian_basis(self.dim, None), self.local_dims, 1)]
 
 
@@ -63,6 +60,49 @@ def test_intermediate_set_samples_are_members():
     mid = PptRestrictedMarginalSet([INC2, th.Incoherent(2)])
     rng = np.random.default_rng(0)
     assert all(mid.contains(mid.random_state(rng)) for _ in range(200))
+
+
+def test_intermediate_set_tests_its_cone_on_stacks():
+    # the inherited contains reads the partial-transpose cone through the
+    # image map, on a stack as on one matrix
+    mid = PptRestrictedMarginalSet([INC2, th.Incoherent(2)])
+    rng = np.random.default_rng(1)
+    stack = np.stack([mid.random_state(rng) for _ in range(6)]
+                     + [random_density_mat(rng, 4) for _ in range(6)] + [0.5 * PHI + 0.125 * np.eye(4)])
+    per_matrix = [mid.contains(m) for m in stack]
+    assert mid.contains(stack).tolist() == per_matrix
+    assert all(per_matrix[:6]) and not per_matrix[-1]
+    inc = th.MaxComposite([INC2, th.Incoherent(2)])
+    ppt = np.linalg.eigvalsh(partial_transpose_mat(stack, (2, 2), 1))[:, 0] >= -1e-6
+    assert per_matrix == (inc.contains(stack) & ppt).tolist()
+
+
+def _per_party_random_state(xc, rng):
+    """MaxComposite.random_state as one traceless draw per term and party."""
+    base = kron_all(0.5 * (s.random_state(rng) + s.max_support_state()) for s in xc.locals)
+
+    def traceless(d):
+        c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return 0.5 * (c + c.conj().T) - np.real(np.trace(c)) / d * np.eye(d)
+
+    corr = sum(kron_all(traceless(d) for d in xc.local_dims) for _ in range(3))
+    corr = corr / max(np.linalg.norm(corr), 1e-300)
+    top = th._whitened_top(base, corr)
+    for a in xc._cones():
+        basis = hermitian_basis(math.isqrt(len(a)), None)
+        image = [np.tensordot(np.real(np.einsum("kab,ba->k", a, x)), basis, 1) for x in (base, corr)]
+        top = max(top, th._whitened_top(*image))
+    return base + 1.0 / max(top, 1.0) * rng.uniform() * corr
+
+
+def test_marginal_set_sampler_matches_the_per_party_loop():
+    # one flat normal draw per sample keeps the random stream bit for bit
+    for xc in (th.MaxComposite([INC2, th.RealStates(2)]),
+               th.MaxComposite([INC2, th.SeparableTwoQubit()]),
+               PptRestrictedMarginalSet([INC2, th.Incoherent(2)])):
+        fast, loop = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(50):
+            assert xc.random_state(fast).tobytes() == _per_party_random_state(xc, loop).tobytes()
 
 
 def test_intermediate_set_is_sandwiched():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from hetres import certify as ct
 from hetres import scenarios as sc
 from hetres.cli import main
 
+GOLDEN_SUITE = Path(__file__).parent / "golden" / "suite_report.json"
 LIGHT_BUILTINS = [
     "coherence_golden_unit",
     "hypothesis_floor",
@@ -147,6 +149,19 @@ class TestCli:
         summary = json.loads(out_file.read_text())
         assert summary["all_passed"] and summary["n_scenarios"] == len(LIGHT_BUILTINS)
 
+    def test_suite_matches_the_golden_report(self, tmp_path, capsys):
+        """Every built-in scenario's report equals the committed one without
+        its wall time.  A change that moves a number on purpose rewrites the
+        file (``hetres export DIR``, ``hetres suite DIR --out FILE``, each
+        report's ``wall_time_s`` dropped) and says so in CHANGES.md."""
+        assert main(["export", str(tmp_path / "all")]) == 0
+        out_file = tmp_path / "summary.json"
+        assert main(["suite", str(tmp_path / "all"), "--out", str(out_file)]) == 0
+        got = json.loads(out_file.read_text())
+        for report in got["reports"]:
+            del report["wall_time_s"]
+        assert _mismatches(got, json.loads(GOLDEN_SUITE.read_text())) == []
+
     def test_empty_suite_ok(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -229,3 +244,16 @@ def test_report_embeds_certificates_and_version():
     assert rep["certificates"]
     assert all("value" in c for c in rep["certificates"])
     assert not math.isnan(rep["wall_time_s"])
+
+
+def _mismatches(got, want, path="$"):
+    """The paths where a report differs from the golden one: a float by more
+    than 1e-9 absolute plus 1e-9 relative, anything else (verdicts, modes,
+    counts, details such as "states checked: n") by any change."""
+    if isinstance(want, float) and isinstance(got, float):
+        return [] if math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9) else [path]
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        return [p for k in want for p in _mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [p for i, (g, w) in enumerate(zip(got, want)) for p in _mismatches(g, w, f"{path}[{i}]")]
+    return [] if type(got) is type(want) and got == want else [path]

@@ -6,6 +6,7 @@ import pytest
 from hetres import certify as ct
 from hetres import channels as ch
 from hetres import theories as th
+from hetres.scenarios import rng_verified_channel_family
 from hetres.qcore import (
     CNOT,
     DensityOperator,
@@ -67,6 +68,70 @@ class TestMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             th.Incoherent(2).contains(np.eye(4) / 4)
+
+
+def _members_then_outsiders(free_set, rng, n=4):
+    """n members, products of one sample per hull factor (so a hull never
+    needs D_max for them), then n generic states."""
+    members = [kron_all(f.random_state(rng) for f in free_set.hull_factors()) for _ in range(n)]
+    return np.stack(members + [random_density_mat(rng, free_set.dim) for _ in range(n)])
+
+
+class TestStackedMembership:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: th.Incoherent(3),
+            lambda: th.RealStates(3),
+            lambda: th.AllStates(3),
+            lambda: th.FiniteSet([np.eye(2) / 2, np.diag([1.0, 0.0]), PLUS]),
+            lambda: th.Singleton(np.diag([0.6, 0.4])),
+            lambda: th.SeparableTwoQubit(),
+            lambda: th.MinComposite([th.Incoherent(2), th.RealStates(2)]),
+            lambda: th.MinComposite([th.RealStates(3), th.AllStates(3)]),
+            lambda: th.MinComposite([th.Incoherent(2), th.Singleton(np.diag([0.3, 0.7]))]),
+            lambda: th.MaxComposite([th.Incoherent(2), th.RealStates(2)]),
+        ],
+        ids=["incoherent", "real", "all", "finite", "singleton", "separable", "min-form",
+             "min-no-form", "min-singleton", "max"],
+    )
+    def test_a_stack_equals_per_matrix_calls(self, factory, monkeypatch):
+        from hetres import divergences as dv
+
+        def no_dmax(*args, **kwargs):
+            raise AssertionError("contains reached the D_max step")
+
+        monkeypatch.setattr(dv, "dmax", no_dmax)
+        free_set = factory()
+        d = free_set.dim
+        stack = _members_then_outsiders(free_set, np.random.default_rng([29, d]))
+        per_matrix = [free_set.contains(m, 1e-8) for m in stack]
+        assert all(type(v) is bool for v in per_matrix)
+        got = free_set.contains(stack, 1e-8)
+        assert got.dtype == bool and got.tolist() == per_matrix
+        assert free_set.contains(stack.reshape(2, 4, d, d), 1e-8).tolist() == [per_matrix[:4], per_matrix[4:]]
+        assert all(per_matrix[:4])
+        assert not all(per_matrix) or isinstance(free_set, th.AllStates)
+
+    @pytest.mark.parametrize("dim", [2, 4, 9, 16])
+    def test_finite_membership_matches_a_trace_norm_loop(self, dim):
+        rng = np.random.default_rng([69, dim])
+        listed = [random_density_mat(rng, dim, rank) for rank in (1, 2, dim)]
+        finite = th.FiniteSet(listed)
+        step = random_hermitian(rng, dim)
+        step = step / trace_norm(step)
+        probes = [listed[1], listed[2] + 0.5e-6 * step, listed[2] + 2e-6 * step]
+        probes += [random_density_mat(rng, dim) for _ in range(3)]
+
+        def reference(m):
+            return min(trace_norm(m - s) for s in listed) <= 1e-6
+
+        expected = [reference(m) for m in probes]
+        assert expected == [True, True, False, False, False, False]
+        assert [finite.contains(m, 1e-6) for m in probes] == expected
+        assert finite.contains(np.stack(probes), 1e-6).tolist() == expected
+        assert finite.contains(np.stack(probes).reshape(3, 2, dim, dim), 1e-6).tolist() == [
+            expected[:2], expected[2:4], expected[4:]]
 
 
 class TestLinearMinimization:
@@ -295,7 +360,8 @@ class TestOpClasses:
 
     def test_sampled_inclusion_hands_the_target_products(self):
         # a hull without a linear form is sampled on its generators, the
-        # products of one local sample per factor, never on their mixtures
+        # products of one local sample per factor, never on their mixtures,
+        # and the target tests them all in one stacked call
         class Recording(th.FreeStateSet):
             def __init__(self, dim):
                 super().__init__(dim)
@@ -303,15 +369,58 @@ class TestOpClasses:
 
             def contains(self, rho, tol=th.MEMBERSHIP_TOL):
                 self.seen.append(rho)
-                return True
+                return np.ones(rho.shape[:-2], bool)
 
         hull = th.MinComposite([th.RealStates(3), th.AllStates(3)])
         target = Recording(9)
         verdict = hull.maps_into(lambda x: x, target, 1e-8, 30, np.random.default_rng(4))
-        assert (verdict.ok, verdict.mode, len(target.seen)) == (True, "sampled", 30)
-        for m in target.seen:
+        assert (verdict.ok, verdict.mode, verdict.n_states) == (True, "sampled", 30)
+        assert [m.shape for m in target.seen] == [(30, 9, 9)]
+        for m in target.seen[0]:
             margs = [partial_trace_mat(m, (3, 3), [i]) for i in range(2)]
             assert trace_norm(m - kron_all(margs)) <= 1e-12
+
+    def test_failing_sampled_inclusion_keeps_the_lazy_witness(self):
+        # the stacked engine draws all 30 samples, but its witness is the one
+        # the per-sample loop it replaced stopped at
+        class Shallow(th.FreeStateSet):
+            def contains(self, rho, tol=th.MEMBERSHIP_TOL):
+                return np.real(rho[..., 0, 0]) <= 0.25 + tol
+
+        hull = th.MinComposite([th.RealStates(3), th.AllStates(3)])
+        target, rng = Shallow(9), np.random.default_rng(0)
+        for first in range(30):
+            mu = kron_all(f.random_state(rng) for f in hull.hull_factors())
+            if not target.contains(mu, 1e-8):
+                break
+        assert first == 13
+        verdict = hull.maps_into(lambda x: x, target, 1e-8, 30, np.random.default_rng(0))
+        assert (verdict.ok, verdict.mode, verdict.n_states) == (False, "sampled", 30)
+        assert np.array_equal(verdict.witness, mu)
+
+    @pytest.mark.parametrize(
+        "source",
+        [th.MaxComposite([th.Incoherent(2), th.RealStates(2)]),
+         th.MinComposite([th.RealStates(3), th.AllStates(3)])],
+        ids=["max", "min-no-form"],
+    )
+    def test_zero_samples_are_a_vacuous_pass(self, source):
+        identity = ch.unitary_channel(np.eye(source.dim), single_party(source.dim))
+        verdict = th.Rng(source, n_samples=0).verify(identity)
+        assert (verdict.ok, verdict.mode, verdict.n_states, verdict.witness) == (True, "sampled", 0, None)
+
+    def test_cholesky_certificate_at_its_boundary(self):
+        tol = 1e-6
+        u = random_unitary(np.random.default_rng(5), 6)
+        for lam_min, certified in ((-0.5 * tol, True), (-2.0 * tol, False)):
+            m = u @ np.diag([lam_min, 0.0, 0.1, 0.2, 0.5, 1.0]) @ u.conj().T
+            assert th._psd_within(m, tol) is certified
+
+    def test_verified_channel_family_stays_certified(self):
+        hull = th.MinComposite([th.Incoherent(2), th.SeparableTwoQubit()], labels=["1", "2"])
+        checker = th.Rng(hull, seed=51000)
+        modes = [checker.verify(lam).mode for lam in rng_verified_channel_family(6, seed=51000)]
+        assert modes == ["certified"] * 6
 
     def test_a_set_without_sampler_says_so(self):
         with pytest.raises(NotImplementedError, match="abstract has no sampler"):
