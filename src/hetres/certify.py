@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels as ch
-from .divergences import DivergenceResult, hypothesis_testing
+from .divergences import DivergenceResult, exponent, hypothesis_testing, rescaled_test
 from .qcore import (
     TensorStructure,
     as_complex,
@@ -27,13 +27,9 @@ from .qcore import (
     kron_all,
     mat_to_json,
     partial_trace_mat,
+    single_party,
 )
-from .theories import (
-    FreeStateSet,
-    Lfocc,
-    RealOps,
-    Sio,
-)
+from .theories import FreeStateSet, RealOps, Sio
 
 
 @dataclass
@@ -152,7 +148,6 @@ def remote_certification(
     m = as_matrix(rho_a)
     restrict = _restrict_name(b_measurements)
     ceiling = hypothesis_testing(m, set_a, epsilon, tol=tol, seed=seed)
-    floor = -math.log2(1.0 - epsilon)
 
     best = None
     for idx, lam in enumerate(preprocessing_family):
@@ -172,7 +167,7 @@ def remote_certification(
         achiever={"channel_index": idx, "povm_element": res.optimizer},
         alpha=alpha,
         beta=beta,
-        floor=floor,
+        floor=exponent(1.0 - epsilon),
         extras={"restrict": restrict, "epsilon": epsilon},
     )
 
@@ -187,6 +182,19 @@ def lfocc_ceiling(
 ) -> CertReport:
     """Certification through one local protocol; see ``lfocc_ceilings``."""
     return lfocc_ceilings(rho_a, set_a, [protocol], [element], epsilon, seed)[0]
+
+
+def _local_rounds_ok(protocol: ch.LfoccProtocol) -> bool:
+    """Whether every round's Kraus families pass the acting party's class:
+    strictly incoherent on the suspect (first) party, real on the other."""
+    structure = protocol.structure
+    classes = dict(zip(structure.labels, (Sio(), RealOps())))
+    for rnd in protocol.rounds:
+        local = single_party(structure.local_dim(rnd.party), rnd.party)
+        if not all(classes[rnd.party].contains_channel(ch.KrausChannel(tuple(family), local, local))
+                   for family in rnd.branches.values()):
+            return False
+    return True
 
 
 def lfocc_ceilings(
@@ -213,8 +221,7 @@ def lfocc_ceilings(
     """
     effectives = []
     for protocol, element in zip(protocols, elements, strict=True):
-        a_party, b_party = protocol.structure.labels
-        if not Lfocc({a_party: Sio(), b_party: RealOps()}).protocol_ok(protocol):
+        if not _local_rounds_ok(protocol):
             raise ValueError("protocol violates the declared local operation classes")
         p = check_hermitian(element)
         w = np.linalg.eigvalsh(p)
@@ -232,17 +239,14 @@ def lfocc_ceilings(
     ceiling = hypothesis_testing(m, set_a, epsilon, seed=seed, restrict="diagonal")
     reports = []
     for effective, off_norm in effectives:
-        worst = set_a.lmo(-effective, np.random.default_rng(seed))
-        alpha = float(np.real(np.trace(worst @ effective)))
-        scaled = effective if alpha <= epsilon else effective * (epsilon / alpha)
-        beta = 1.0 - float(np.real(np.trace(m @ scaled)))
+        scaled, alpha, beta = rescaled_test(m, effective, set_a, epsilon, np.random.default_rng(seed))
         reports.append(CertReport(
-            value=float("inf") if beta <= 1e-12 else -math.log2(max(beta, 1e-300)),
+            value=exponent(beta),
             ceiling=ceiling,
             achiever={"channel_index": 0, "povm_element": scaled},
             alpha=min(alpha, epsilon),
             beta=beta,
-            floor=-math.log2(1.0 - epsilon),
+            floor=exponent(1.0 - epsilon),
             extras={"effective_offdiag": off_norm, "raw_alpha": alpha, "epsilon": epsilon},
         ))
     return reports
@@ -303,9 +307,9 @@ def rng_optimal_protocol(
     party under the dimension identification (checked by ``maps_into``) and
     the refill state is free; then the remote value equals the unrestricted
     hypothesis-testing divergence.  The ceiling's optimal element is measured
-    after the move: beta on the image of rho, alpha over the image of the
-    whole free set by one oracle call, and the report certifies the match
-    within solver gaps.
+    after the move: alpha over the image of the whole free set by one oracle
+    call, the element rescaled where alpha exceeds eps, beta on the image of
+    rho, and the report certifies the match within solver gaps.
     """
     if set_a.dim != set_b.dim:
         raise ValueError("the construction identifies the two local spaces; dims must match")
@@ -323,9 +327,8 @@ def rng_optimal_protocol(
 
     p_opt = ceiling.optimizer
     image = _ImageSet(set_a, channel)
-    beta = 1.0 - float(np.real(np.trace(image.image(m) @ p_opt)))
-    alpha = float(np.real(np.trace(image.lmo(-p_opt, rng) @ p_opt)))
-    value = float("inf") if beta <= 1e-12 else -math.log2(max(beta, 1e-300))
+    _, alpha, beta = rescaled_test(image.image(m), p_opt, image, epsilon, rng)
+    value = exponent(beta)
     achieved_matches = (
         (math.isinf(value) and math.isinf(ceiling.value))
         or abs(value - ceiling.value) <= max(ceiling.gap, 1e-6) + 1e-9
@@ -336,7 +339,7 @@ def rng_optimal_protocol(
         achiever={"channel_index": 0, "povm_element": p_opt},
         alpha=alpha,
         beta=beta,
-        floor=-math.log2(1.0 - epsilon),
+        floor=exponent(1.0 - epsilon),
         extras={"saturates_ceiling": achieved_matches, "epsilon": epsilon},
     )
     return channel, report

@@ -88,7 +88,7 @@ class KrausChannel:
         m = as_complex(mat)
         if m.shape[-1] != self.dim_in:
             raise ValueError(f"dimension mismatch: state {m.shape[-1]}, channel {self.dim_in}")
-        out = m.reshape(*m.shape[:-2], -1) @ self.superoperator.T
+        out = m.reshape(*m.shape[:-2], self.dim_in**2) @ self.superoperator.T
         return out.reshape(*m.shape[:-2], self.dim_out, self.dim_out)
 
     def adjoint_mat(self, mat: np.ndarray) -> np.ndarray:
@@ -97,7 +97,7 @@ class KrausChannel:
         g = as_complex(mat)
         if g.shape[-1] != self.dim_out:
             raise ValueError(f"dimension mismatch: operator {g.shape[-1]}, channel {self.dim_out}")
-        out = g.reshape(*g.shape[:-2], -1) @ self.superoperator.conj()
+        out = g.reshape(*g.shape[:-2], self.dim_out**2) @ self.superoperator.conj()
         return out.reshape(*g.shape[:-2], self.dim_in, self.dim_in)
 
     def to_json(self) -> dict:

@@ -78,16 +78,8 @@ def _report_exit(report: dict) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        report = run_scenario(scenario, seed_override=args.seed, gap_override=args.gap)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    scenario = _load_scenario(args.scenario)
+    report = run_scenario(scenario, seed_override=args.seed, gap_override=args.gap)
     _emit(report, args.format, args.out)
     return _report_exit(report)
 
@@ -95,22 +87,9 @@ def cmd_run(args) -> int:
 def cmd_suite(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_SCHEMA
-    files = sorted(directory.glob("*.json"))
-    scenarios = []
-    for path in files:
-        try:
-            scenarios.append((path.name, _load_scenario(str(path))))
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
-
-    try:
-        reports = [run_scenario(obj, args.seed, args.gap) for _, obj in scenarios]
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise ScenarioError(f"{directory} is not a directory")
+    scenarios = [_load_scenario(str(path)) for path in sorted(directory.glob("*.json"))]
+    reports = [run_scenario(obj, args.seed, args.gap) for obj in scenarios]
 
     summary = {
         "n_scenarios": len(reports),
@@ -129,11 +108,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    scenario = _load_scenario(args.scenario)
     lines = [
         f"name:        {scenario['name']}",
         f"kind:        {scenario['kind']}",
@@ -193,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ operations, the sandwich, copy marginals and copy swaps) is one or more
 ``FreeStateSet.maps_into`` calls, and its verdict carries that engine's
 mode: ``extreme-points``, ``projection`` or ``certified`` where it decides
 exactly, ``sampled`` where a set has neither listed extreme points nor a
-linear form.  Conditions over operation classes, marginal channels (d),
-convexity and tensor closure are sampled up to the first counterexample;
-the full-rank axiom is read off a ``witness``.
+linear form.  Conditions over operation classes and marginal channels (d)
+are sampled up to the first counterexample, convexity and tensor closure
+up to the first stack of samples that holds one; the full-rank axiom is
+read off a ``witness``.
 """
 
 from __future__ import annotations
@@ -286,12 +287,25 @@ def first_failure(cases: Iterable[tuple[object, object, Callable]], tol: float) 
     """The witness of the first case that fails its membership test, or None.
 
     A case is a triple ``(witness, x, contains)``, checked as
-    ``contains(x, tol)``: a channel and a class's ``contains_channel``, or a
-    mixture or product of pooled states and a set's ``contains``.  Cases are
-    drawn lazily, each after the previous one's check, so sampling stops at
-    the first failure.  Set inclusions are ``maps_into`` verdicts instead,
-    which test one stack of states."""
+    ``contains(x, tol)``: a channel and a class's ``contains_channel``.
+    Cases are drawn lazily, each after the previous one's check, so sampling
+    stops at the first failure.  Sampled states are tested as stacks
+    instead, by ``maps_into`` or ``_sampled``."""
     return next((w for w, x, contains in cases if not contains(x, tol)), None)
+
+
+def _sampled(name: str, rows: Iterable[tuple[str, np.ndarray, FreeStateSet]], tol: float,
+             detail: str) -> ConditionVerdict:
+    """A sampled condition over rows ``(note, stack, set)``: every matrix of
+    each stack lies in its row's set.  Rows are drawn lazily, each after the
+    previous row's one membership test of its whole stack, so sampling stops
+    at the first failing row; its first failing matrix is the counterexample,
+    reported with the row's note, or ``detail`` where that is empty."""
+    for note, stack, target in rows:
+        out = np.flatnonzero(~target.contains(stack, tol))
+        if out.size:
+            return ConditionVerdict(name, False, "sampled", note or detail, stack[out[0]])
+    return ConditionVerdict(name, True, "sampled", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +340,9 @@ def check_bp_axioms(
     each S_n's ``max_support_state``.  Marginal closure (S_n into S_{n-1}
     under each single-copy partial trace) and permutation closure (S_n into
     itself under each adjacent-copy swap) are ``maps_into`` verdicts;
-    convexity and tensor closure sample mixtures and products of pools.
+    convexity and tensor closure sample mixtures and products of pools and
+    test each copy number's mixtures, and each pool member's products with
+    a fresh pool, as one stack.
 
     ``probe_states`` optionally injects hand-picked states per copy number
     into those pools, so known witnesses are always exercised.
@@ -335,23 +351,19 @@ def check_bp_axioms(
         raise ValueError("max_n <= 3")
     rng = np.random.default_rng(seed)
     probe_states = {int(k): list(v) for k, v in (probe_states or {}).items()}
+    loose = max(tol, 1e-5)
 
     def pool(n, count):
-        states = list(probe_states.get(n, []))
-        states = [s for s in states if family[n].contains(s, max(tol, 1e-5))]
+        states = [s for s in probe_states.get(n, []) if family[n].contains(s, loose)]
         while len(states) < count:
             states.append(family[n].random_state(rng))
         return states
 
-    loose = max(tol, 1e-5)
-
     def mixtures():
         for n in range(1, max_n + 1):
             states = pool(n, 8)
-            for _ in range(n_samples // max_n + 1):
-                w = rng.dirichlet(np.ones(len(states)))
-                mix = sum(wi * s for wi, s in zip(w, states))
-                yield mix, mix, family[n].contains
+            w = rng.dirichlet(np.ones(len(states)), n_samples // max_n + 1)
+            yield "", sum(wi[:, None, None] * s for wi, s in zip(w.T, states)), family[n]
 
     def copy_marginals():
         # the n dropped copies share n_samples // 4 + 1 draws per copy number
@@ -366,10 +378,7 @@ def check_bp_axioms(
         for m in range(1, max_n):
             for n in range(1, max_n - m + 1):
                 for a in pool(m, 10):
-                    for b in pool(n, 10):
-                        prod = kron(a, b)
-                        note = f"S_{m} (x) S_{n} leaves S_{m + n}"
-                        yield (prod, note), prod, family[m + n].contains
+                    yield f"S_{m} (x) S_{n} leaves S_{m + n}", kron(a, np.stack(pool(n, 10))), family[m + n]
 
     def swaps():
         for n in range(2, max_n + 1):
@@ -384,9 +393,7 @@ def check_bp_axioms(
     axioms: list[ConditionVerdict] = []
 
     # 1: convexity
-    bad = first_failure(mixtures(), loose)
-    axioms.append(ConditionVerdict("convexity", bad is None, "sampled",
-                                   "mixtures of members stay inside", bad))
+    axioms.append(_sampled("convexity", mixtures(), loose, "mixtures of members stay inside"))
 
     # 2: a full-rank member
     deficient = [n for n in range(1, max_n + 1)
@@ -399,8 +406,7 @@ def check_bp_axioms(
                              "single-copy partial traces stay free"))
 
     # 4: tensor closure
-    prod, note = first_failure(products(), loose) or (None, "sampled products stay free")
-    axioms.append(ConditionVerdict("tensor-closure", prod is None, "sampled", note, prod))
+    axioms.append(_sampled("tensor-closure", products(), loose, "sampled products stay free"))
 
     # 5: permutation closure (explicit swaps of adjacent copies)
     axioms.append(_inclusion("permutation-closure", swaps(), "adjacent-copy swaps stay free"))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import (EIG_FLOOR, as_matrix, hermitian_basis, kron_all, mat_to_json, partial_trace_mat,
-                    trace_norm)
+                    trace_norm, von_neumann_entropy)
 from .theories import FreeStateSet, SmoothedDual
 
 LN2 = math.log(2.0)
@@ -109,12 +109,6 @@ def _support_leak(m: np.ndarray, sigma_bar: np.ndarray):
     w, v = np.linalg.eigh(sigma_bar)
     kernel = v[:, w <= EIG_FLOOR]
     return w, v, float(np.real(np.trace(kernel.conj().T @ m @ kernel))) > 1e-10
-
-
-def _neg_plogp(rho: np.ndarray) -> float:
-    lam = np.linalg.eigvalsh(rho)
-    lam = lam[lam > EIG_FLOOR]
-    return float(np.sum(lam * np.log2(lam))) if lam.size else 0.0
 
 
 def _line_search(rho, s_rho, sigma, direction, f, slope0):
@@ -242,7 +236,7 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     """Away-step Frank-Wolfe (Lacoste-Julien & Jaggi, NeurIPS 2015): the
     iterate sigma = sum_k w_k a_k is kept as its atoms a_k and weights w_k."""
     rng = np.random.default_rng(seed)
-    s_rho = _neg_plogp(m)
+    s_rho = -von_neumann_entropy(m)
     atoms, weights = _interior_start(m, free_set, rng)
     sigma = sum(w * a for w, a in zip(weights, atoms))
     # an away step leaves the maximal-support atom at least the weight keep,
@@ -349,7 +343,7 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
     says "gap", "iteration-cap" (600 steps) or "stall" (eta below 1e-12, or
     an objective that is not finite); ``extras["newton_steps"]`` sums the
     solver's steps over every trial step."""
-    cons, s_rho, newton_steps = free_set.marginal_constraints, _neg_plogp(m), []
+    cons, s_rho, newton_steps = free_set.marginal_constraints, -von_neumann_entropy(m), []
 
     def step(k, barrier, y):
         y, gibbs, n = cons.solve(k, 1.0, barrier, y, 1e-12)
@@ -465,9 +459,31 @@ def _cone(x: np.ndarray, restrict: str | None) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
+def _clip_test(p: np.ndarray, restrict: str | None) -> np.ndarray:
+    """p clipped into 0 <= P <= I within the tests ``restrict`` allows."""
+    return _cone(_clip_povm(_cone(p, restrict)), restrict)
+
+
 def _alpha(p: np.ndarray, free_set: FreeStateSet, rng) -> tuple[float, np.ndarray]:
     sigma = free_set.lmo(-p, rng)
     return float(np.real(np.trace(sigma @ p))), sigma
+
+
+def rescaled_test(m: np.ndarray, p: np.ndarray, free_set: FreeStateSet, epsilon: float,
+                  rng) -> tuple[np.ndarray, float, float]:
+    """(P, alpha, beta) for the test p of rho = m against a free set: alpha =
+    max_S Tr(sigma p) by the set's LMO, P = p rescaled by eps/alpha where
+    alpha > eps, so that P keeps the type-I budget, and beta = 1 - Tr(rho P),
+    its type-II error."""
+    alpha, _ = _alpha(p, free_set, rng)
+    if alpha > epsilon:
+        p = p * (epsilon / alpha)
+    return p, alpha, 1.0 - float(np.real(np.trace(m @ p)))
+
+
+def exponent(beta: float) -> float:
+    """The type-II exponent -log2 beta in bits, +inf at beta <= 1e-12."""
+    return float("inf") if beta <= 1e-12 else -math.log2(beta)
 
 
 def _repair(p, free_set, epsilon, rng, restrict, steps):
@@ -477,7 +493,7 @@ def _repair(p, free_set, epsilon, rng, restrict, steps):
     meets its constraint.  Returns the last p and the cuts."""
     cuts = []
     for _ in range(steps):
-        p = _cone(_clip_povm(_cone(p, restrict)), restrict)
+        p = _clip_test(p, restrict)
         a, sigma = _alpha(p, free_set, rng)
         if a <= epsilon + 1e-10:
             break
@@ -534,17 +550,6 @@ def hypothesis_testing(
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
     rng = np.random.default_rng(seed)
-
-    def beta_of(p):
-        return 1.0 - float(np.real(np.trace(m @ p)))
-
-    def feasible_version(p):
-        p = _cone(_clip_povm(_cone(p, restrict)), restrict)
-        a, _ = _alpha(p, free_set, rng)
-        if a > epsilon and a > 0:
-            p = p * (epsilon / a)
-        return p
-
     candidates: list[tuple[np.ndarray, str]] = [(epsilon * np.eye(len(m), dtype=complex), "floor")]
 
     w, v = np.linalg.eigh(m)
@@ -566,7 +571,7 @@ def hypothesis_testing(
             dual_value, extras["dual_y"] = f, [float(t) for t in y]
         # the dual over all extreme points needs no repair
         p, cuts = _repair(p, free_set, epsilon, rng, restrict, 0 if exact else 40)
-        b = beta_of(feasible_version(p))
+        b = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)[2]
         if b < cut_beta:
             cut_p, cut_beta = p, b
         stop = ("gap" if cut_beta <= max(1e-12, (1.0 - dual_value) * 2.0**tol)
@@ -575,19 +580,17 @@ def hypothesis_testing(
             break
         points += cuts[:4]
     candidates.insert(0, (cut_p, "exact-dual" if exact else "cutting-plane"))
-    best_p, how = min(((feasible_version(c), name) for c, name in candidates if c is not None),
-                      key=lambda pair: beta_of(pair[0]))
-    best_beta = beta_of(best_p)
+    scored = [(rescaled_test(m, _clip_test(c, restrict), free_set, epsilon, rng), name)
+              for c, name in candidates if c is not None]
+    (best_p, _, best_beta), how = min(scored, key=lambda pair: pair[0][2])
     extras.update(method=how, alpha=_alpha(best_p, free_set, rng)[0], beta=max(best_beta, 0.0),
                   epsilon=epsilon, restrict=restrict, cuts=len(points) - n_start, stop=stop,
                   constraint_states=np.stack(points))
 
-    if best_beta <= 1e-12:
-        return DivergenceResult(
-            float("inf"), float("inf"), float("inf"), steps, True, best_p, extras)
-    value = -math.log2(best_beta)
-    upper = max(value, float("inf") if dual_value >= 1.0 - 1e-12 else -math.log2(1.0 - dual_value))
-    return DivergenceResult(value, value, upper, steps, (upper - value) <= tol, best_p, extras)
+    value = exponent(best_beta)
+    upper = max(value, exponent(1.0 - dual_value))
+    return DivergenceResult(value, value, upper, steps, math.isinf(value) or upper - value <= tol,
+                            best_p, extras)
 
 
 # The exact dual over finitely many constraint states mu_1..mu_k:

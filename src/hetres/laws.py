@@ -88,9 +88,7 @@ def single_shot_verdict(
     divergence from the marginal set."""
     if rho.structure.dims != sigma.structure.dims:
         raise ValueError("states must share a tensor structure")
-    lhs = rel_entropy_of_resource(rho, smin(locals_), gap=gap, seed=seed)
-    rhs = rel_entropy_of_resource(sigma, smax(locals_), gap=gap, seed=seed)
-    return BoundReport(lhs, rhs, _verdict(lhs, rhs))
+    return conversion_verdict(rho, smin(locals_), sigma, smax(locals_), gap, seed)
 
 
 def conversion_verdict(

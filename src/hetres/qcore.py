@@ -318,9 +318,11 @@ def dephase(rho: DensityOperator, basis: np.ndarray | None = None) -> DensityOpe
     return DensityOperator(out, rho.structure)
 
 
-def trace_norm(mat: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(check_hermitian(mat))
-    return float(np.sum(np.abs(w)))
+def trace_norm(mat: np.ndarray) -> float | np.ndarray:
+    """||m||_1 of a Hermitian matrix, a float, or of each matrix of a stack
+    (..., d, d), an array of shape (...), in one eigensolve."""
+    norms = np.sum(np.abs(np.linalg.eigvalsh(check_hermitian(mat))), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def trace_norm_distance(a, b) -> float:

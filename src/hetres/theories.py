@@ -33,7 +33,6 @@ from .qcore import (
     TensorStructure,
     as_complex,
     as_matrix,
-    check_hermitian,
     embed_operator,
     hermitian_basis,
     kron_all,
@@ -46,6 +45,7 @@ from .qcore import (
     relative_entropy,
     single_party,
     spanning_states,
+    trace_norm,
     von_neumann_entropy,
 )
 
@@ -226,11 +226,6 @@ def _bools(ok) -> bool | np.ndarray:
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
-def _trace_norms(m: np.ndarray) -> np.ndarray:
-    """||m||_1 of each Hermitian matrix of a stack (..., d, d), one eigensolve."""
-    return np.sum(np.abs(np.linalg.eigvalsh(check_hermitian(m))), axis=-1)
-
-
 def _psd_within(m: np.ndarray, tol: float) -> bool:
     """Whether the Hermitian m + tol I has a Cholesky factor: lambda_min(m) > -tol,
     to rounding."""
@@ -380,7 +375,7 @@ class FiniteSet(FreeStateSet):
         ``tol`` of a listed state: one eigensolve of every difference."""
         m = as_matrix(rho)
         self._check_dim(m)
-        return _bools(np.min(_trace_norms(m[..., None, :, :] - self.states), axis=-1) <= tol)
+        return _bools(np.min(trace_norm(m[..., None, :, :] - self.states), axis=-1) <= tol)
 
     def lmo(self, grad, rng=None):
         vals = np.real(np.einsum("...ab,kba->...k", as_complex(grad), self.states))
@@ -439,6 +434,15 @@ class _Composite(FreeStateSet):
     @property
     def local_dims(self) -> tuple[int, ...]:
         return self.structure.dims
+
+    def _free_marginals(self, m: np.ndarray, tol: float) -> tuple[list[np.ndarray], np.ndarray]:
+        """The single-party marginals of ``m``, a matrix or a stack, and
+        whether every one of them is free for its party."""
+        margs = [partial_trace_mat(m, self.local_dims, [i]) for i in range(len(self.locals))]
+        ok = np.ones(m.shape[:-2], bool)
+        for s, marg in zip(self.locals, margs):
+            ok = ok & s.contains(marg, tol)
+        return margs, ok
 
     def max_support_state(self):
         """The locals' product; it holds a marginal-set member's support too,
@@ -551,14 +555,10 @@ class MinComposite(_Composite):
         self._check_dim(m)
         stack = m.reshape(-1, self.dim, self.dim)
         proj = _product_projection(self.hull_factors())
-        ok = np.ones(len(stack), bool)
+        margs, ok = self._free_marginals(stack, tol)
         if proj is not None:
-            ok = np.max(np.abs(stack - proj(stack)), axis=(-2, -1)) <= tol
-        dims = self.local_dims
-        margs = [partial_trace_mat(stack, dims, [i]) for i in range(len(dims))]
-        for s, marg in zip(self.locals, margs):
-            ok = ok & s.contains(marg, tol)
-        product = _trace_norms(stack - kron_all(margs)) <= tol
+            ok = ok & (np.max(np.abs(stack - proj(stack)), axis=(-2, -1)) <= tol)
+        product = trace_norm(stack - kron_all(margs)) <= tol
         if sum(len(s.extreme_points() or ()) != 1 for s in self.locals) > 1:
             from .divergences import dmax  # divergences imports this module
 
@@ -652,9 +652,7 @@ class MaxComposite(_Composite):
         locally free and every ``_cones()`` image A(rho) >= -tol."""
         m = as_matrix(rho)
         self._check_dim(m)
-        ok = np.ones(m.shape[:-2], bool)
-        for i, s in enumerate(self.locals):
-            ok = ok & s.contains(partial_trace_mat(m, self.local_dims, [i]), tol)
+        _, ok = self._free_marginals(m, tol)
         for image in self._cone_images(m):
             ok = ok & (np.linalg.eigvalsh(image)[..., 0] >= -tol)
         return _bools(ok)
@@ -1042,28 +1040,6 @@ class Rng(FreeOpClass):
 
     def contains_channel(self, channel, tol: float = 1e-6) -> bool:
         return self.verify(channel, tol).ok
-
-
-class Lfocc(FreeOpClass):
-    """Round-based protocols whose per-round local families pass each acting
-    party's local operation class."""
-
-    kind = "lfocc"
-
-    def __init__(self, local_classes: dict[str, FreeOpClass]):
-        self.local_classes = dict(local_classes)
-
-    def protocol_ok(self, protocol: ch.LfoccProtocol, tol: float = 1e-9) -> bool:
-        for rnd in protocol.rounds:
-            local = single_party(protocol.structure.local_dim(rnd.party), rnd.party)
-            cls = self.local_classes[rnd.party]
-            for family in rnd.branches.values():
-                if not cls.contains_channel(ch.KrausChannel(tuple(family), local, local), tol):
-                    return False
-        return True
-
-    def contains_channel(self, channel, tol: float = 1e-9) -> bool:
-        raise NotImplementedError("membership is decided on protocols, not on flat channels")
 
 
 def random_lfocc_protocol(

@@ -105,6 +105,13 @@ class TestSuperoperator:
         assert np.max(np.abs(out - ref)) < 1e-13
 
     @pytest.mark.parametrize("d_in,d_out", SUPEROP_DIMS)
+    @pytest.mark.parametrize("lead", [(0,), (0, 3), (3, 0)])
+    def test_empty_stack_maps_to_an_empty_stack(self, d_in, d_out, lead):
+        lam = ch.random_channel(np.random.default_rng(d_in * 10 + d_out), d_in, d_out, n_kraus=3)
+        assert lam.apply_mat(np.zeros((*lead, d_in, d_in))).shape == (*lead, d_out, d_out)
+        assert lam.adjoint_mat(np.zeros((*lead, d_out, d_out))).shape == (*lead, d_in, d_in)
+
+    @pytest.mark.parametrize("d_in,d_out", SUPEROP_DIMS)
     def test_adjoint_matches_kraus_loop(self, d_in, d_out):
         rng = np.random.default_rng(d_in * 10 + d_out + 1)
         lam = ch.random_channel(rng, d_in, d_out, n_kraus=3)

@@ -314,6 +314,23 @@ class TestBpAxioms:
         assert by_name["convexity"].passed
         assert by_name["marginal-closure"].passed
 
+    def test_non_convex_family_reports_the_first_failing_mixture(self):
+        # a finite list is not convex; the sequential sampler, written out
+        # here, draws a pool of 8 and then one Dirichlet weight vector per
+        # mixture, and its first mixture already leaves the list
+        basis = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        fam = {1: th.FiniteSet(basis), 2: th.FiniteSet([np.kron(a, b) for a in basis for b in basis])}
+        rep = co.check_bp_axioms(fam, max_n=2, n_samples=6, seed=3)
+        rng = np.random.default_rng(3)
+        pool = [fam[1].random_state(rng) for _ in range(8)]
+        first = sum(wi * s for wi, s in zip(rng.dirichlet(np.ones(8)), pool))
+        assert not fam[1].contains(first, 1e-5)
+        cond = next(a for a in rep.axioms if a.name == "convexity")
+        assert (cond.passed, cond.mode, cond.detail) == (False, "sampled", "mixtures of members stay inside")
+        assert np.array_equal(cond.counterexample, first)
+        assert [a.name for a in rep.axioms] == ["convexity", "full-rank-member", "marginal-closure",
+                                                "tensor-closure", "permutation-closure"]
+
     def test_marginal_closure_reports_the_first_copy_number_that_fails(self):
         # real two-copy states have non-diagonal marginals, and generic
         # three-copy states complex ones; the search stops at n = 2

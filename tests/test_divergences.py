@@ -259,7 +259,7 @@ def _line_search_corpus():
 
 
 def _segment_objective(rho, sigma, mu):
-    s_rho = dv._neg_plogp(rho)
+    s_rho = -von_neumann_entropy(rho)
 
     def h(g):
         w, _, rho_hat = dv._eig_frame(rho, sigma + g * (mu - sigma))

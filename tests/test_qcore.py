@@ -28,6 +28,7 @@ from hetres.qcore import (
     single_party,
     spanning_states,
     tensor,
+    trace_norm,
     trace_norm_distance,
     von_neumann_entropy,
 )
@@ -288,6 +289,17 @@ class TestTraceNorm:
     def test_pure_vs_mixed(self):
         # eigensolve oracle: diff = diag(1/2, -1/2)
         assert abs(trace_norm_distance(pure_state(KET0, S1), maximally_mixed(S1)) - 1.0) < 1e-12
+
+    def test_stack_equals_the_per_matrix_loop(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_hermitian(rng, 5) for _ in range(6)]).reshape(2, 3, 5, 5)
+        out = trace_norm(stack)
+        assert out.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = trace_norm(stack[idx])
+            assert isinstance(one, float)
+            assert out[idx] == one
+            assert abs(one - np.sum(np.abs(np.linalg.eigvalsh(stack[idx])))) < 1e-12
 
 
 class TestInvariants:
