@@ -309,7 +309,9 @@ def rng_optimal_protocol(
     hypothesis-testing divergence.  The ceiling's optimal element is measured
     after the move: alpha over the image of the whole free set by one oracle
     call, the element rescaled where alpha exceeds eps, beta on the image of
-    rho, and the report certifies the match within solver gaps.
+    rho, and the report certifies the match within solver gaps.  As in
+    ``lfocc_ceilings``, the report's element is the rescaled one and its
+    alpha min(alpha, eps).
     """
     if set_a.dim != set_b.dim:
         raise ValueError("the construction identifies the two local spaces; dims must match")
@@ -325,9 +327,8 @@ def rng_optimal_protocol(
     channel = move_and_replace_channel(mu, set_a.dim)
     ceiling = hypothesis_testing(m, set_a, epsilon, tol=tol, seed=seed)
 
-    p_opt = ceiling.optimizer
     image = _ImageSet(set_a, channel)
-    _, alpha, beta = rescaled_test(image.image(m), p_opt, image, epsilon, rng)
+    scaled, alpha, beta = rescaled_test(image.image(m), ceiling.optimizer, image, epsilon, rng)
     value = exponent(beta)
     achieved_matches = (
         (math.isinf(value) and math.isinf(ceiling.value))
@@ -336,8 +337,8 @@ def rng_optimal_protocol(
     report = CertReport(
         value=value,
         ceiling=ceiling,
-        achiever={"channel_index": 0, "povm_element": p_opt},
-        alpha=alpha,
+        achiever={"channel_index": 0, "povm_element": scaled},
+        alpha=min(alpha, epsilon),
         beta=beta,
         floor=exponent(1.0 - epsilon),
         extras={"saturates_ceiling": achieved_matches, "epsilon": epsilon},

@@ -401,13 +401,17 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
     Tr sigma Y <= 1 on S } is its test program at P = eps*Y, where
     lambda_max(P) <= 1/2, so the cap P <= I never binds.
 
-    At D_H's dual point y over its constraint states mu_i, cover = sum_i
-    y_i mu_i and delta = lambda_max(rho - cover)+ / lambda_min(sigma_bar)
-    give rho <= cover + delta*sigma_bar: 2^upper = sum(y) + delta, and the
-    optimizer (cover + delta*sigma_bar)/2^upper is a free witness whatever
-    the oracle.  2^lower = max(1, (1 - beta)/eps) at D_H's best test is only
-    as exact as the LMO's maximum (heuristic on see-saw hulls).  ``stop``,
-    ``cuts`` and ``method`` are D_H's."""
+    D_H's route decides D_max's: "exact-dual" over listed extreme points,
+    "cone-dual" over a set with a ``cone_basis`` and none listed (real, all
+    states, smin(Inc, Real), smin(Inc, All)), "cutting-plane" otherwise.  At
+    D_H's dual point y over its constraint states mu_i, cover = sum_i y_i
+    mu_i (on the cone route the cone point X itself) and delta =
+    lambda_max(rho - cover)+ / lambda_min(sigma_bar) give rho <= cover +
+    delta*sigma_bar: 2^upper = sum(y) + delta, and the optimizer (cover +
+    delta*sigma_bar)/2^upper is a free witness whatever the oracle.  2^lower
+    = max(1, (1 - beta)/eps) at D_H's best test is only as exact as the
+    LMO's maximum (heuristic on see-saw hulls).  ``stop``, ``cuts`` and
+    ``method`` are D_H's."""
     m = as_matrix(rho)
     if m.shape[0] != free_set.dim:
         raise ValueError("dimension mismatch")
@@ -516,6 +520,54 @@ def _constraint_states(m: np.ndarray, free_set: FreeStateSet, rng) -> tuple[list
     return points, False
 
 
+def _plane_dual(m, free_set, epsilon, tol, restrict, rng):
+    """The dual over ``_constraint_states``, grown by cutting planes unless
+    they are all of the set's extreme points.  Returns (test, route, Newton
+    steps, dual value, extras)."""
+    points, exact = _constraint_states(m, free_set, rng)
+    extras: dict = {}
+    n_start, dual_value, steps, cut_p, cut_beta = len(points), np.inf, 0, None, np.inf
+    for _ in range(DH_ROUNDS):
+        y, f, p, n = _extreme_point_dual(m, points, epsilon, restrict)
+        steps += n
+        if f < dual_value:
+            dual_value, extras["dual_y"] = f, [float(t) for t in y]
+        # the dual over all extreme points needs no repair
+        p, cuts = _repair(p, free_set, epsilon, rng, restrict, 0 if exact else 40)
+        b = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)[2]
+        if b < cut_beta:
+            cut_p, cut_beta = p, b
+        stop = _stop(cut_beta, dual_value, tol, "no-violation" if not cuts else "round-cap")
+        if stop != "round-cap":
+            break
+        points += cuts[:4]
+    extras.update(cuts=len(points) - n_start, stop=stop, constraint_states=np.stack(points))
+    return cut_p, "exact-dual" if exact else "cutting-plane", steps, dual_value, extras
+
+
+def _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng):
+    """The dual over the set's cone K = {X >= 0 : X = sum_j x_j B_j}, B_j its
+    ``cone_basis``: min_{X in K} eps Tr X + Tr(rho - X)_+, in one solve.
+    Returns (test, route, Newton steps, dual value, extras), the cover X as
+    dual_y = [Tr X] over the one constraint state X / Tr X, a member of the
+    set."""
+    traces = np.real(np.einsum("kaa->k", basis))
+    smoothed = SmoothedDual(np.stack([_cone(b, restrict) for b in basis]), -epsilon * traces,
+                            [(slice(None), basis)], True, False)
+    x, f, p, steps = _smoothed_test(_cone(m, restrict), smoothed, traces / len(m), epsilon,
+                                    lambda x: traces @ x, lambda p: _alpha(p, free_set, rng)[0])
+    cover = np.tensordot(x, basis, 1)
+    size = float(traces @ x)
+    beta = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)[2]
+    return p, "cone-dual", steps, f, {"dual_y": [size], "cuts": 0, "stop": _stop(beta, f, tol, "ladder-end"),
+                                      "constraint_states": (cover / max(size, 1e-300))[None]}
+
+
+def _stop(beta: float, dual_value: float, tol: float, otherwise: str) -> str:
+    """"gap" where the test's beta is within tol bits of the dual bound, else ``otherwise``."""
+    return "gap" if beta <= max(1e-12, (1.0 - dual_value) * 2.0**tol) else otherwise
+
+
 def hypothesis_testing(
     rho,
     free_set: FreeStateSet,
@@ -527,20 +579,30 @@ def hypothesis_testing(
     """D_H^eps(rho||S): -log2 of the least type-II error beta subject to the
     worst-case type-I error alpha over the free set staying within epsilon.
 
-    One engine, the dual min_{y >= 0} eps*sum(y) + Tr(rho - sum_i y_i mu_i)_+
-    over constraint states mu_i (Wang & Renner, PRL 108, 200501; see
-    ``_extreme_point_dual``).  A set listing its extreme points (incoherent,
-    singleton, finite) gives them all: one round is exact.  Any other set
-    starts from probe states and adds cutting planes (Kelley, J. SIAM 8, 703):
-    each round repairs the dual's test by up to 40 steps against the worst
-    free state its LMO finds and adds the first four states visited, until
-    ``extras["stop"]`` is "gap" (upper - lower <= tol), "no-violation" or
-    "round-cap".  Fewer constraints relax the problem, so the least dual value
-    (at ``extras["dual_y"]``, over the first len(dual_y) states of the array
-    ``extras["constraint_states"]``) bounds from above; the lower bound is the
-    best test's exponent after rescaling to alpha <= eps, alpha being only as
-    exact as the LMO (heuristic on see-saw hulls).  The eps*identity test and
-    the support projector are backstops; beta below 1e-12 is +inf.
+    One dual, min_{X in cone(S)} eps*Tr X + Tr(rho - X)_+ (Wang & Renner, PRL
+    108, 200501, 2012), on one of three routes:
+
+    - "exact-dual": a set listing its extreme points mu_i (incoherent,
+      singleton, finite) has X = sum_i y_i mu_i, y >= 0; one round is exact.
+    - "cone-dual": a set with a ``cone_basis`` B_j and no listed extreme
+      points (real, all, smin(Inc, Real), smin(Inc, All)) is solved once
+      over X = sum_j x_j B_j >= 0 (``_cone_dual``).
+    - "cutting-plane": any other set (partial-transpose and see-saw hulls,
+      marginal sets) starts from probe states and adds cutting planes
+      (Kelley, J. SIAM 8, 703): each round repairs the dual's test by up to
+      40 steps against the worst free state its LMO finds and adds the first
+      four states visited.
+
+    ``extras["stop"]`` is "gap" (upper - lower <= tol), "no-violation",
+    "round-cap" or, on the cone route, "ladder-end".  Fewer constraints relax
+    the problem, so the least dual value (at ``extras["dual_y"]``, over the
+    first len(dual_y) states of the array ``extras["constraint_states"]``;
+    [Tr X] over X / Tr X on the cone route) bounds from above; the lower
+    bound is the best test's exponent after rescaling to alpha <= eps,
+    alpha being only as exact as the LMO (heuristic on see-saw hulls).  The
+    eps*identity test and the support projector are backstops;
+    ``extras["method"]`` names the route, or "floor" or "support" where a
+    backstop scores best.  beta below 1e-12 is +inf.
 
     ``restrict`` confines the test to "diagonal" or "real" POVM elements.
     """
@@ -561,31 +623,17 @@ def hypothesis_testing(
                           beta=0.0, epsilon=epsilon)
         candidates.append((support, "support"))
 
-    extras: dict = {}
-    points, exact = _constraint_states(m, free_set, rng)
-    n_start, dual_value, steps, cut_p, cut_beta = len(points), np.inf, 0, None, np.inf
-    for _ in range(DH_ROUNDS):
-        y, f, p, n = _extreme_point_dual(m, points, epsilon, restrict)
-        steps += n
-        if f < dual_value:
-            dual_value, extras["dual_y"] = f, [float(t) for t in y]
-        # the dual over all extreme points needs no repair
-        p, cuts = _repair(p, free_set, epsilon, rng, restrict, 0 if exact else 40)
-        b = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)[2]
-        if b < cut_beta:
-            cut_p, cut_beta = p, b
-        stop = ("gap" if cut_beta <= max(1e-12, (1.0 - dual_value) * 2.0**tol)
-                else "no-violation" if not cuts else "round-cap")
-        if stop != "round-cap":
-            break
-        points += cuts[:4]
-    candidates.insert(0, (cut_p, "exact-dual" if exact else "cutting-plane"))
+    basis = free_set.cone_basis() if free_set.extreme_points() is None else None
+    if basis is None:
+        p, route, steps, dual_value, dual = _plane_dual(m, free_set, epsilon, tol, restrict, rng)
+    else:
+        p, route, steps, dual_value, dual = _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng)
+    candidates.insert(0, (p, route))
     scored = [(rescaled_test(m, _clip_test(c, restrict), free_set, epsilon, rng), name)
               for c, name in candidates if c is not None]
     (best_p, _, best_beta), how = min(scored, key=lambda pair: pair[0][2])
-    extras.update(method=how, alpha=_alpha(best_p, free_set, rng)[0], beta=max(best_beta, 0.0),
-                  epsilon=epsilon, restrict=restrict, cuts=len(points) - n_start, stop=stop,
-                  constraint_states=np.stack(points))
+    extras = {"method": how, "alpha": _alpha(best_p, free_set, rng)[0], "beta": max(best_beta, 0.0),
+              "epsilon": epsilon, "restrict": restrict, **dual}
 
     value = exponent(best_beta)
     upper = max(value, exponent(1.0 - dual_value))
@@ -593,61 +641,73 @@ def hypothesis_testing(
                             best_p, extras)
 
 
-# The exact dual over finitely many constraint states mu_1..mu_k:
+# The dual over finitely many constraint states mu_1..mu_k:
 #   max Tr(rho P) s.t. 0 <= P <= I, Tr(mu_i P) <= eps
-#   = min_{y >= 0} f(y),  f(y) = eps*sum(y) + Tr(X(y))_+,  X(y) = rho - sum_i y_i mu_i.
-# A restricted test sees only the projections of rho and mu_i onto its cone,
-# where X(y) and its positive part stay.
+#   = min_{y >= 0} f(y),  f(y) = eps*sum(y) + Tr(X(y))_+,  X(y) = rho - sum_i y_i mu_i;
+# over a cone, y = x is free with sum_j x_j B_j >= 0 in place of the mu_i and
+# Tr sum_j x_j B_j in place of sum(y).  A restricted test sees only the
+# projections of rho and mu_i (B_j) onto its cone, where X and X_+ stay.
 
 DUAL_TEMPERATURES = tuple(10.0 ** (-e / 2) for e in range(2, 21))  # 1e-1 .. 1e-10
 
 
 def _extreme_point_dual(m, points, epsilon, restrict):
-    """min_{y >= 0} f(y) with a test recovered from the optimum.
+    """min_{y >= 0} f(y) by ``_smoothed_test`` over the orthant y > 0, the mu_i
+    as its matrices at offsets -eps.  From tau = 1e-3 on, ``_polish_face``
+    solves the optimality system of the face found so far (eigenvalues
+    within 100*tau of zero; active constraints y_i > sqrt(tau), as an
+    inactive one sits at y_i = eps*tau/slack <= tau), which closes the gap to
+    rounding once the face is right."""
+    rho = _cone(m, restrict)
+    mus = np.stack([_cone(p, restrict) for p in points])
 
-    The dual is followed along its softplus smoothing
-    eps*sum(y) + tau*Tr log(1 + exp(X/tau)) - eps*tau*sum(log y) as tau falls
-    through ``DUAL_TEMPERATURES``, each rung maximising its negative by
-    ``SmoothedDual.newton`` (K = rho, the mu_i as its matrices, offsets -eps,
-    barrier eps*tau); each smoothed optimum gives the test sigmoid(X/tau):
-    the projector onto the positive part of X plus a fractional fill of its
-    near-null eigenvectors.  From tau = 1e-3 on, ``_polish_face`` solves the
-    optimality system of the face found so far (eigenvalues within 100*tau of
-    zero; active constraints y_i > sqrt(tau), as an inactive one sits at y_i
-    = eps*tau/slack <= tau), which closes the gap to rounding once the face is
-    right.  The barrier and Newton's gradient tolerance scale with eps, so the
-    same holds at small budgets, where the tests and the dual value are of
-    order eps.
+    def polish(tau, y, lam, v, p):
+        active = np.where(y > math.sqrt(tau), y, 0.0)
+        if tau > 1e-3 or not np.any(active > 0.0):
+            return []
+        n_null = int(np.sum(np.abs(lam) <= 100.0 * tau))
+        return [_polish_face(active, lam, v, n_null, p, rho, mus, epsilon, restrict)]
+
+    return _smoothed_test(rho, SmoothedDual(mus, np.full(len(mus), -epsilon), [], True, True),
+                          np.full(len(mus), 1.0 / len(mus)), epsilon, np.sum,
+                          lambda p: float(np.max(np.real(np.einsum("kab,ba->k", mus, p)))), polish)
+
+
+def _smoothed_test(rho, smoothed, y, epsilon, size, alpha, polish=None):
+    """min_y f(y) = eps*size(y) + Tr(rho - y.mats)_+ from the start y, with a
+    test recovered from the optimum; ``alpha`` is a test's worst type-I error
+    over the set.
+
+    The dual is followed along its softplus smoothing eps*size(y) +
+    tau*Tr log(1 + exp(X/tau)) minus eps*tau times the barrier of
+    ``smoothed`` as tau falls through ``DUAL_TEMPERATURES``, each rung
+    maximising its negative by ``SmoothedDual.newton`` (K = rho); each
+    smoothed optimum gives the test sigmoid(X/tau): the projector onto X_+
+    plus a fractional fill of its near-null eigenvectors, and ``polish(tau,
+    y, lam, v, P)`` may add (y, P) candidates.  The barrier and Newton's
+    gradient tolerance scale with eps, so the same holds at small budgets.
+    The ladder stops early once the best dual value is within 1e-12 (relative
+    to 1 - value) of the best rescaled test.
 
     Returns (y, f(y), P, Newton steps) for the lowest dual value and the
     test with the highest value after rescaling (the caller rescales P).
     """
-    rho = _cone(m, restrict)
-    mus = np.stack([_cone(p, restrict) for p in points])
-    smoothed = SmoothedDual(mus, np.full(len(mus), -epsilon), [], True)
-
-    def spectrum(y):
-        return np.linalg.eigh(rho - np.tensordot(y, mus, 1))
-
     def dual_value(y):
-        lam = spectrum(y)[0]
-        return epsilon * float(np.sum(y)) + float(np.sum(lam[lam > 0.0]))
+        lam = np.linalg.eigh(rho - np.tensordot(y, smoothed.mats, 1))[0]
+        return epsilon * float(size(y)) + float(np.sum(lam[lam > 0.0]))
 
     def primal_value(p):
-        alpha = float(np.max(np.real(np.einsum("kab,ba->k", mus, p))))
-        return float(np.real(np.trace(rho @ p))) * min(1.0, epsilon / max(alpha, 1e-300))
+        return float(np.real(np.trace(rho @ p))) * min(1.0, epsilon / max(alpha(p), 1e-300))
 
-    y, origin = np.full(len(mus), 1.0 / len(mus)), np.zeros(len(mus))
+    origin = np.zeros(len(y))
     best_y, best_f, best_p, best_t = origin, dual_value(origin), np.zeros_like(rho), 0.0
     steps = 0
     for tau in DUAL_TEMPERATURES:
         y, lam, v, weights, n = smoothed.newton(rho, tau, epsilon * tau, y, 1e-12 * epsilon)
         steps += n
         found = [(y, -(v * weights) @ v.conj().T)]
-        active = np.where(y > math.sqrt(tau), y, 0.0)
-        if tau <= 1e-3 and np.any(active > 0.0):
-            n_null = int(np.sum(np.abs(lam) <= 100.0 * tau))
-            found.append(_polish_face(active, lam, v, n_null, found[0][1], mus, epsilon, restrict, spectrum))
+        if polish is not None:
+            found += polish(tau, y, lam, v, found[0][1])
         for cand_y, cand_p in found:
             f, t = dual_value(cand_y), primal_value(cand_p)
             if f < best_f:
@@ -659,7 +719,7 @@ def _extreme_point_dual(m, points, epsilon, restrict):
     return best_y, best_f, best_p.astype(complex), steps
 
 
-def _polish_face(y, lam, v, n_null, p, mus, epsilon, restrict, spectrum):
+def _polish_face(y, lam, v, n_null, p, rho, mus, epsilon, restrict):
     """Newton steps on the optimality system of one face of the dual.
 
     The face is the n_null eigenvalues of X nearest zero (eigenvectors N)
@@ -672,6 +732,10 @@ def _polish_face(y, lam, v, n_null, p, mus, epsilon, restrict, spectrum):
     """
     act = np.flatnonzero(y > 0.0)
     y, basis = y.copy(), hermitian_basis(n_null, restrict)
+
+    def spectrum(y):
+        return np.linalg.eigh(rho - np.tensordot(y, mus, 1))
+
     null_vecs = v[:, np.argsort(np.abs(lam))[:n_null]]
     fill = null_vecs.conj().T @ p @ null_vecs
     for r in range(5):

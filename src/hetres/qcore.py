@@ -291,10 +291,8 @@ def relative_entropy(rho, sigma) -> float | np.ndarray:
     b = as_matrix(sigma)
     if a.shape != b.shape[-2:]:
         raise ValueError("dimension mismatch")
-    wa, _ = eig_hermitian(a)
+    term_rho = -von_neumann_entropy(a)
     wb, vb = eig_hermitian(b)
-    lam = wa[wa > EIG_FLOOR]
-    term_rho = float(np.sum(lam * np.log2(lam))) if lam.size else 0.0
     diag_rho = np.real(np.einsum("...ji,jk,...ki->...i", vb.conj(), a, vb))
     overlap = np.sum(np.where(wb <= EIG_FLOOR, diag_rho, 0.0), axis=-1)
     logs = np.log2(np.clip(wb, EIG_FLOOR, None))

@@ -102,6 +102,13 @@ class FreeStateSet:
         form = self.linear_form()
         return form[0] if form is not None and form[1] is None else None
 
+    def cone_basis(self) -> np.ndarray | None:
+        """A Frobenius-orthonormal basis B_j of the Hermitian matrices the
+        ``projection`` fixes, or None without one: the set's cone {t sigma :
+        t >= 0} is then {X = sum_j x_j B_j : X >= 0}."""
+        proj = self.projection()
+        return None if proj is None else _range(proj, hermitian_basis(self.dim, None))
+
     def closest_free_state(self, rho) -> tuple[np.ndarray, float] | None:
         """(closest free state, D(rho||S) in bits), or None without a closed form.
 
@@ -234,6 +241,13 @@ def _psd_within(m: np.ndarray, tol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _range(op: Callable[[np.ndarray], np.ndarray], basis: np.ndarray) -> np.ndarray:
+    """A Frobenius-orthonormal basis of the range of ``op``, a self-adjoint
+    projection on the span of the orthonormal ``basis``, as combinations of it."""
+    w, v = np.linalg.eigh(np.real(np.einsum("kab,lba->kl", basis, op(basis))))
+    return np.tensordot(v[:, w > 0.5].T, basis, 1)
 
 
 def _satisfies(form, m: np.ndarray, tol: float) -> np.ndarray:
@@ -675,8 +689,7 @@ class MaxComposite(_Composite):
                 proj = lambda x, d=d: np.einsum("...aa,bc->...bc", x, np.eye(d) / d)
             else:
                 raise NotImplementedError(f"{local.kind} cannot be used as a marginal constraint")
-            w, v = np.linalg.eigh(np.real(np.einsum("kab,lba->kl", basis, basis - proj(basis))))
-            dirs.append(lift(np.tensordot(v[:, w > 0.5].T, basis, 1), i))
+            dirs.append(lift(_range(lambda x, proj=proj: x - proj(x), basis), i))
         return MarginalConstraints(np.concatenate(dirs), cones, self.max_support_state())
 
     def _cones(self) -> list[np.ndarray]:
@@ -733,23 +746,25 @@ class SmoothedDual:
     """The concave dual F(y) = c.y + psi(K - y.mats) + barrier sum_k ln det Z_k,
     smoothed at temperature tau (Nesterov, Math. Program. 103, 127, 2005), for
     ``cones`` of (slice, E) pairs: Z_k = y[slice].E stays positive definite.
-    With ``softplus`` (D_H's dual over the orthant y > 0), psi(H) = -tau sum_a
-    softplus(lambda_a/tau) smooths -Tr H_+ and F adds barrier sum_i ln y_i;
-    else psi(H) = -tau ln Tr exp(-H/tau) smooths lambda_min(H)."""
+    With ``softplus`` (D_H's dual), psi(H) = -tau sum_a softplus(lambda_a/tau)
+    smooths -Tr H_+; else psi(H) = -tau ln Tr exp(-H/tau) smooths lambda_min(H).
+    With ``orthant`` y stays positive and F adds barrier sum_i ln y_i."""
 
-    def __init__(self, mats: np.ndarray, offsets: np.ndarray, cones: list, softplus: bool):
-        self.mats, self.offsets, self.cones, self.softplus = mats, offsets, cones, softplus
+    def __init__(self, mats: np.ndarray, offsets: np.ndarray, cones: list, softplus: bool, orthant: bool):
+        self.mats, self.offsets, self.cones = mats, offsets, cones
+        self.softplus, self.orthant = softplus, orthant
 
     def _dual(self, k, tau, barrier, y):
         """(F(y), eigensystem of H, weights dpsi/dlambda, Z_k^-1), or None off the domain."""
         zs = [np.tensordot(y[sl], e, 1) for sl, e in self.cones]
-        if (self.softplus and np.any(y <= 0.0)) or any(np.linalg.eigvalsh(z)[0] <= 0.0 for z in zs):
+        if (self.orthant and np.any(y <= 0.0)) or any(np.linalg.eigvalsh(z)[0] <= 0.0 for z in zs):
             return None
         logs = sum(np.linalg.slogdet(z)[1] for z in zs)
+        if self.orthant:
+            logs = logs + np.sum(np.log(y))
         w, v = np.linalg.eigh(k - np.tensordot(y, self.mats, 1))
         if self.softplus:
             psi, weights = -tau * np.sum(np.logaddexp(0.0, w / tau)), -0.5 * (1.0 + np.tanh(0.5 * w / tau))
-            logs = logs + np.sum(np.log(y))
         else:
             p = np.exp(-(w - w[0]) / tau)
             psi, weights = w[0] - tau * np.log(np.sum(p)), p / np.sum(p)
@@ -768,9 +783,9 @@ class SmoothedDual:
                           out=-0.5 * (slopes[:, None] + slopes[None, :]) / tau)
         flat = mh.reshape(len(y), len(w) ** 2)
         curv = -np.real((flat.conj() * gamma.ravel()) @ flat.T)
-        if self.softplus:
+        if self.orthant:
             grad, curv = grad + barrier / y, curv + np.diag(barrier / y**2)
-        else:
+        if not self.softplus:
             curv -= np.outer(d, d) / tau
         for (sl, e), zi in zip(self.cones, zinv):
             grad[sl] += barrier * np.real(np.einsum("kab,ba->k", e, zi))
@@ -793,7 +808,7 @@ class SmoothedDual:
                 break
             lam, vec = np.linalg.eigh(curv)
             step = vec @ np.divide(vec.T @ grad, lam, out=0.0 * lam, where=lam > 1e-13 * lam[-1])
-            shrink = self.softplus & (step < 0.0)
+            shrink = self.orthant & (step < 0.0)
             reach = min(1.0, 0.99 * float(np.min(-y[shrink] / step[shrink]))) if shrink.any() else 1.0
             rise, slack = 1e-4 * grad @ step, 1e-14 * (1.0 + abs(state[0]))
             for t in reach * 0.5 ** np.arange(20):
@@ -829,7 +844,7 @@ class MarginalConstraints(SmoothedDual):
         ends = np.cumsum([self.n_eq] + [len(c) for c in cones])
         super().__init__(np.concatenate([eqs] + cones), offsets,
                          [(slice(a, b), hermitian_basis(math.isqrt(b - a), None))
-                          for a, b in zip(ends[:-1], ends[1:])], False)
+                          for a, b in zip(ends[:-1], ends[1:])], False, False)
         self.origin = np.concatenate(  # x = 0 and every Z_k = I/n_k
             [np.zeros(self.n_eq)] + [np.real(np.einsum("kaa->k", e)) / len(e[0]) for _, e in self.cones])
 

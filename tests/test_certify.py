@@ -325,6 +325,24 @@ class TestRngOptimal:
         _, rep = ct.rng_optimal_protocol(PLUS_Y, INC2, th.RealStates(2), np.eye(2) / 2, 0.25)
         assert rep.extras["saturates_ceiling"]
 
+    def test_report_holds_the_rescaled_element(self):
+        # the built-in optimal_rng_strategy: the ceiling's element has alpha
+        # 0.25000000000000006 > eps after the move, so, as in lfocc_ceilings,
+        # the report holds the element rescaled to eps and alpha min(alpha, eps)
+        channel, rep = ct.rng_optimal_protocol(PLUS_Y, INC2, th.RealStates(2), np.eye(2) / 2, 0.25, seed=15)
+        image = ct._ImageSet(INC2, channel)
+        raw = rep.ceiling.optimizer
+        raw_alpha = max(float(np.real(np.trace(mu @ raw))) for mu in image.extreme_points())
+        assert raw_alpha > 0.25
+        p = rep.achiever["povm_element"]
+        assert np.allclose(p, raw * (0.25 / raw_alpha), rtol=0.0, atol=1e-16)
+        assert rep.alpha == 0.25
+        assert max(float(np.real(np.trace(mu @ p))) for mu in image.extreme_points()) <= 0.25 + 1e-16
+        moved = image.image(PLUS_Y)
+        assert rep.beta == 1.0 - float(np.real(np.trace(moved @ p)))
+        report = sc.run_scenario(sc.builtin_scenarios()["optimal_rng_strategy"])
+        assert report["certificates"][0]["alpha"] == 0.25
+
     def test_refill_must_be_free(self):
         with pytest.raises(ValueError, match="refill"):
             ct.rng_optimal_protocol(PLUS_Y, INC2, th.RealStates(2), PLUS_Y, 0.5)

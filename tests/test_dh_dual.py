@@ -1,5 +1,6 @@
 """The dual engine for D_H: exact over sets with finitely many extreme
-points, grown by cutting planes over every other set.
+points, one cone solve over sets with a projection, and cutting planes over
+every other set.
 
 A seeded random corpus over incoherent (computational and random basis),
 singleton and finite sets, every measurement restriction and three type-I
@@ -9,9 +10,12 @@ extreme points, the upper bound is the weak-duality value at the recorded
 dual point, and no feasible test beats it.  A second corpus over real,
 unrestricted and hull sets checks alpha over the whole set through the
 set's exact LMO, and the upper bound at the recorded dual point over the
-constraint states the engine returns.
+constraint states the engine returns.  A third solves those sets on the
+cone route and, with the projection hidden, by cutting planes: two
+independent routes whose converged intervals must overlap.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -251,3 +255,103 @@ def test_real_states_value_matches_the_subgradient_solver():
     rho = random_density_mat(np.random.default_rng(5), 2)
     res = dv.hypothesis_testing(rho, th.RealStates(2), 0.2)
     assert abs(res.value - 0.6026586284765482) <= 1e-9
+
+
+def _without_projection(free_set):
+    """The same set with its projection hidden: D_H then takes cutting planes."""
+    class Hidden(type(free_set)):
+        def projection(self):
+            return None
+
+    hidden = copy.copy(free_set)
+    hidden.__class__ = Hidden
+    return hidden
+
+
+DIFFERENTIAL_SETS = {
+    "real2": lambda: th.RealStates(2),
+    "real3": lambda: th.RealStates(3),
+    "real4": lambda: th.RealStates(4),
+    "all2": lambda: th.AllStates(2),
+    "all3": lambda: th.AllStates(3),
+    "min-inc2-real2": lambda: smin([th.Incoherent(2), th.RealStates(2)]),
+}
+
+
+@pytest.mark.parametrize("restrict", [None, "real", "diagonal"])
+@pytest.mark.parametrize("name", DIFFERENTIAL_SETS)
+def test_cone_dual_agrees_with_cutting_planes(name, restrict):
+    free_set = DIFFERENTIAL_SETS[name]()
+    hidden = _without_projection(free_set)
+    assert hidden.cone_basis() is None and free_set.cone_basis() is not None
+    seed = 7000 + 10 * free_set.dim + [None, "real", "diagonal"].index(restrict)
+    rng = np.random.default_rng(seed)
+    for epsilon in (0.1, 0.5):
+        for rank in (1, free_set.dim):
+            rho = random_density_mat(rng, free_set.dim, rank)
+            cone = dv.hypothesis_testing(rho, free_set, epsilon, tol=TOL, seed=seed, restrict=restrict)
+            planes = dv.hypothesis_testing(rho, hidden, epsilon, tol=TOL, seed=seed, restrict=restrict)
+            if "cuts" in cone.extras:  # not an exact +inf
+                assert cone.extras["cuts"] == 0 and len(cone.extras["dual_y"]) == 1
+                assert cone.extras["stop"] == "gap"
+            _check_cut_result(cone, rho, free_set, epsilon, restrict, rng)
+            assert planes.converged
+            assert max(cone.lower_bound, planes.lower_bound) <= min(cone.upper_bound, planes.upper_bound) + 1e-9
+
+
+class _PlaneRoute(Exception):
+    pass
+
+
+def test_cone_route_is_taken_where_a_projection_and_no_extreme_points_are(monkeypatch):
+    def plane_route(m, free_set, *args):
+        raise _PlaneRoute("exact-dual" if free_set.extreme_points() is not None else "cutting-plane")
+
+    monkeypatch.setattr(dv, "_plane_dual", plane_route)
+    rho = random_density_mat(np.random.default_rng(8), 4, 2)
+    sets = {"real": th.RealStates(4), "all": th.AllStates(4),
+            "min-inc-real": smin([th.Incoherent(2), th.RealStates(2)]),
+            "min-inc-all": smin([th.Incoherent(2), th.AllStates(2)]),
+            "incoherent": th.Incoherent(4), "separable": th.SeparableTwoQubit(),
+            "min-real-real": smin([th.RealStates(2), th.RealStates(2)])}
+    routes = {}
+    for name, free_set in sets.items():
+        try:
+            res = dv.hypothesis_testing(rho, free_set, 0.1, tol=TOL)
+        except _PlaneRoute as route:
+            routes[name] = str(route)
+            continue
+        routes[name] = "cone-dual"
+        # the one constraint state, the cover X / Tr X, is a member
+        assert res.converged and len(res.extras["dual_y"]) == 1
+        assert free_set.contains(res.extras["constraint_states"][0], 1e-9)
+    assert routes == {"real": "cone-dual", "all": "cone-dual", "min-inc-real": "cone-dual",
+                      "min-inc-all": "cone-dual", "incoherent": "exact-dual",
+                      "separable": "cutting-plane", "min-real-real": "cutting-plane"}
+
+
+# the lower bounds cutting planes reached at their 32-round cap (128 cuts, no
+# convergence) on random_density_mat(default_rng([9, i]), 9, 3) at eps = 0.1
+PLANE_LOWER_AT_NINE = {0: 0.29909801793505636, 1: 0.2612425824930262}
+
+
+@pytest.mark.parametrize("i", sorted(PLANE_LOWER_AT_NINE))
+def test_real_states_at_nine_converge(i):
+    rho = random_density_mat(np.random.default_rng([9, i]), 9, 3)
+    free_set = th.RealStates(9)
+    res = dv.hypothesis_testing(rho, free_set, 0.1, tol=TOL)
+    assert res.extras["stop"] == "gap" and res.extras["cuts"] == 0
+    _check_cut_result(res, rho, free_set, 0.1, None, np.random.default_rng(i))
+    assert res.lower_bound >= PLANE_LOWER_AT_NINE[i]
+
+
+def test_dmax_over_the_cone_agrees_with_cutting_planes():
+    free_set = smin([th.Incoherent(2), th.RealStates(2)])
+    for k in range(3):
+        rho = random_density_mat(np.random.default_rng([4, k]), 4, 1 + 3 * (k % 2))
+        res = dv.dmax(rho, free_set, tol=1e-4)
+        planes = dv.dmax(rho, _without_projection(free_set), tol=1e-4)
+        assert res.converged and res.extras["cuts"] == 0
+        assert max(res.lower_bound, planes.lower_bound) <= min(res.upper_bound, planes.upper_bound) + 1e-9
+        assert free_set.contains(res.optimizer, 1e-9)
+        assert np.linalg.eigvalsh(2.0 ** res.upper_bound * res.optimizer - rho)[0] >= -1e-9

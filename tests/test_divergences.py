@@ -453,7 +453,7 @@ DMAX_REFERENCES = (
                   2.0 * math.log2(np.sum(np.abs(random_pure_vec(np.random.default_rng(d), d)))),
                   id=f"incoherent-pure-{d}") for d in (2, 3, 4, 9, 16)]
     + [pytest.param(rho, th.RealStates(d), _imaginarity_robustness(rho), id=f"real-{d}-{i}")
-       for d, i in ((3, 0), (4, 0), (4, 1), (9, 0))
+       for d, i in ((3, 0), (4, 0), (4, 1), (9, 0), (16, 0))
        for rho in [random_density_mat(np.random.default_rng([d, i]), d, rank=d)]]
     + [pytest.param(PHI, th.SeparableTwoQubit(), 1.0, id="phi-plus-vector"),
        pytest.param(_phi_plus_entries(), th.SeparableTwoQubit(), 1.0, id="phi-plus-entries")]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hetres import qcore
 from hetres.qcore import (
     KET0,
     KET1,
@@ -231,6 +232,14 @@ class TestEntropies:
         finite, expected = np.delete(values, 1), np.delete(expected, 1)
         assert np.all(np.isfinite(finite)) and np.max(np.abs(finite - expected)) <= 1e-14
         assert np.array_equal(relative_entropy(rho, stack.reshape(2, 2, d, d)), values.reshape(2, 2))
+
+    def test_relative_entropy_takes_rho_entropy_from_the_one_rule(self, monkeypatch):
+        # the -S(rho) term is von_neumann_entropy's, so D(rho||I/d) = log2 d - S(rho)
+        rho = random_density_mat(np.random.default_rng(7), 4)
+        seen = []
+        monkeypatch.setattr(qcore, "von_neumann_entropy", lambda m: seen.append(m) or 0.25)
+        assert abs(relative_entropy(rho, np.eye(4) / 4) - (2.0 - 0.25)) <= 1e-14
+        assert len(seen) == 1 and np.array_equal(seen[0], rho)
 
 
 class TestDephase:

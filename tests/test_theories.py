@@ -297,6 +297,27 @@ class TestClosestFreeState:
     )
     def test_no_closed_form_is_none(self, free_set):
         assert free_set.closest_free_state(np.eye(free_set.dim) / free_set.dim) is None
+        assert free_set.cone_basis() is None
+
+    @pytest.mark.parametrize("factory, size", [
+        (lambda: th.Incoherent(3, basis=random_unitary(np.random.default_rng(3), 3)), 3),
+        (lambda: th.RealStates(9), 45),
+        (lambda: th.AllStates(4), 16),
+        (lambda: th.MinComposite([th.Incoherent(2), th.RealStates(2)]), 6),
+        (lambda: th.MinComposite([th.Incoherent(2), th.AllStates(3)]), 18),
+    ], ids=["incoherent-basis", "real9", "all4", "min-inc2-real2", "min-inc2-all3"])
+    def test_cone_basis_spans_the_projection_fixed_space(self, factory, size):
+        free_set = factory()
+        basis, proj = free_set.cone_basis(), free_set.projection()
+        assert basis.shape == (size, free_set.dim, free_set.dim)
+        gram = np.einsum("kab,lba->kl", basis, basis)
+        assert np.allclose(gram, np.eye(size), atol=1e-12)
+        assert np.allclose(basis, np.swapaxes(basis.conj(), 1, 2), atol=1e-15)
+        assert np.allclose(proj(basis), basis, atol=1e-12)
+        # a random Hermitian matrix's projection is its expansion in the basis
+        h = random_hermitian(np.random.default_rng(size), free_set.dim)
+        coords = np.real(np.einsum("kab,ba->k", basis, h))
+        assert np.allclose(np.tensordot(coords, basis, 1), proj(h), atol=1e-12)
 
 
 class TestOpClasses:
@@ -842,19 +863,25 @@ class TestComposites:
         assert xc.contains(mu, 1e-9)
         assert lower <= val <= lower + 1e-10 * float(np.max(np.abs(g)))
 
-    @pytest.mark.parametrize("softplus", [True, False], ids=["softplus-orthant", "log-sum-exp-cone"])
-    def test_smoothed_dual_derivatives_match_finite_differences(self, softplus):
+    @pytest.mark.parametrize("kind", ["softplus-orthant", "log-sum-exp-cone", "softplus-cone"])
+    def test_smoothed_dual_derivatives_match_finite_differences(self, kind):
         rng = np.random.default_rng(12)
         k, tau, barrier = random_hermitian(rng, 4), 0.3, 0.05
-        if softplus:
+        if kind == "softplus-orthant":
             mats = np.stack([random_density_mat(rng, 4) for _ in range(3)])
-            dual = th.SmoothedDual(mats, np.full(3, -0.1), [], True)
+            dual = th.SmoothedDual(mats, np.full(3, -0.1), [], True, True)
             y = rng.uniform(0.2, 1.0, 3)
+        elif kind == "softplus-cone":
+            # D_H's dual over the real states' cone, the test restricted to real
+            basis = th.RealStates(4).cone_basis()
+            dual = th.SmoothedDual(np.real(basis), -0.1 * np.real(np.einsum("kaa->k", basis)),
+                                   [(slice(None), basis)], True, False)
+            y = np.real(np.einsum("lab,ba->l", basis, np.eye(4) / 4 + 0.05 * np.real(random_hermitian(rng, 4))))
         else:
             basis = hermitian_basis(4, None)
             eqs = np.stack([random_hermitian(rng, 4) for _ in range(2)])
             mats = np.concatenate([eqs, partial_transpose_mat(basis, (2, 2), 1)])
-            dual = th.SmoothedDual(mats, rng.normal(size=18), [(slice(2, 18), basis)], False)
+            dual = th.SmoothedDual(mats, rng.normal(size=18), [(slice(2, 18), basis)], False, False)
             z = np.eye(4) / 4 + 0.05 * random_hermitian(rng, 4)
             y = np.concatenate([rng.normal(size=2), np.real(np.einsum("lab,ba->l", basis, z))])
 
