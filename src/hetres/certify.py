@@ -66,18 +66,17 @@ def _restrict_name(measurements) -> str | None:
 class _ImageSet(FreeStateSet):
     """The images of a free set under a preprocessing channel, on the measured
     space: a single-party channel sends the state straight through, a joint
-    channel absorbs a fixed auxiliary on the remaining input parties
-    (maximally mixed unless ``aux`` names one) and the suspect party's output
-    is traced away.  Its oracle pulls the gradient back through the adjoint,
-    so it is exact wherever the base set's oracle is."""
+    channel absorbs the maximally mixed state on the remaining input parties
+    and the suspect party's output is traced away.  Its oracle pulls the
+    gradient back through the adjoint, so it is exact wherever the base set's
+    oracle is."""
 
     kind = "image"
 
-    def __init__(self, base: FreeStateSet, lam: ch.KrausChannel, aux: dict | None = None):
+    def __init__(self, base: FreeStateSet, lam: ch.KrausChannel):
         self.base, self.lam = base, lam
-        others = lam.in_structure.parties[1:]
-        self.aux = kron_all(aux[lbl].mat if aux and lbl in aux else np.eye(dim, dtype=complex) / dim
-                            for lbl, dim in others) if others else None
+        others = lam.in_structure.dims[1:]
+        self.aux = kron_all(np.eye(d, dtype=complex) / d for d in others) if others else None
         super().__init__(math.prod(lam.out_structure.dims[1:]) if others else lam.dim_out)
 
     def image(self, x: np.ndarray) -> np.ndarray:
@@ -125,38 +124,33 @@ def remote_certification(
     b_measurements,
     preprocessing_family: list[ch.KrausChannel],
     epsilon: float,
-    tol: float = 1e-6,
     seed: int = 0,
-    aux: dict | None = None,
 ) -> CertReport:
     """Best certification exponent over a family of preprocessing channels.
 
     Each channel maps the suspect party into the measuring party's space,
     either directly or as a joint operation whose other input slots are
-    frozen at ``aux`` (maximally mixed by default).  The remote problem for
-    one channel is the hypothesis test of the image of rho against the image
-    of the whole free set, whose oracle is the set's own oracle pulled back
-    through the channel's adjoint; the type-I budget therefore holds over the
-    whole set whenever the set's oracle is exact.  The measurement is
-    optimized within the measuring party's class ("all", "real", or
-    "diagonal").
+    frozen maximally mixed.  The remote problem for one channel is the
+    hypothesis test of the image of rho against the image of the whole free
+    set, whose oracle is the set's own oracle pulled back through the
+    channel's adjoint; the type-I budget therefore holds over the whole set
+    whenever the set's oracle is exact.  The measurement is optimized within
+    the measuring party's class ("all", "real", or "diagonal"); every test
+    runs at ``hypothesis_testing``'s default tolerance, which also rejects an
+    epsilon outside (0, 1) before any solve.
     """
     if not preprocessing_family:
         raise ValueError("preprocessing family must be nonempty")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie strictly between 0 and 1")
     m = as_matrix(rho_a)
     restrict = _restrict_name(b_measurements)
-    ceiling = hypothesis_testing(m, set_a, epsilon, tol=tol, seed=seed)
+    ceiling = hypothesis_testing(m, set_a, epsilon, seed=seed)
 
     best = None
     for idx, lam in enumerate(preprocessing_family):
         if lam.in_structure.parties[0][1] != m.shape[0]:
             raise ValueError("preprocessing channel does not accept the suspect state")
-        image = _ImageSet(set_a, lam, aux)
-        res = hypothesis_testing(
-            image.image(m), image, epsilon, tol=tol, seed=seed, restrict=restrict
-        )
+        image = _ImageSet(set_a, lam)
+        res = hypothesis_testing(image.image(m), image, epsilon, seed=seed, restrict=restrict)
         if best is None or res.value > best[1].value:
             best = (idx, res)
     idx, res = best
@@ -252,22 +246,20 @@ def lfocc_ceilings(
     return reports
 
 
-def measure_and_forward_protocol(
-    p_diag: np.ndarray, b_dim: int = 2
-) -> ch.LfoccProtocol:
+def measure_and_forward_protocol(p_diag: np.ndarray) -> ch.LfoccProtocol:
     """Two-round protocol realizing a diagonal binary test remotely: the
     suspect party measures {diag(p), 1 - diag(p)} (strictly incoherent),
-    the other party records the announced outcome in its basis, and the
+    the other party records the announced outcome on a qubit flag, and the
     final measurement reads that flag.  The effective element pulled back
     to the suspect party is exactly diag(p)."""
     p = np.clip(np.real(np.diag(as_complex(p_diag))), 0.0, 1.0)
     d = len(p)
-    structure = TensorStructure([("A", d), ("B", b_dim)])
+    structure = TensorStructure([("A", d), ("B", 2)])
     k_yes = np.diag(np.sqrt(p)).astype(complex)
     k_no = np.diag(np.sqrt(1.0 - p)).astype(complex)
     round1 = ch.LfoccRound("A", {"": (k_yes, k_no)})
-    flag_up = [np.outer(np.eye(b_dim)[1], np.eye(b_dim)[j]) for j in range(b_dim)]
-    flag_down = [np.outer(np.eye(b_dim)[0], np.eye(b_dim)[j]) for j in range(b_dim)]
+    flag_up = [np.outer(np.eye(2)[1], np.eye(2)[j]) for j in range(2)]
+    flag_down = [np.outer(np.eye(2)[0], np.eye(2)[j]) for j in range(2)]
     round2 = ch.LfoccRound("B", {"0": flag_up, "1": flag_down})
     return ch.LfoccProtocol(structure, (round1, round2))
 
@@ -298,7 +290,6 @@ def rng_optimal_protocol(
     set_b: FreeStateSet,
     mu_a,
     epsilon: float,
-    tol: float = 1e-6,
     seed: int = 0,
 ) -> tuple[ch.KrausChannel, CertReport]:
     """The move-and-replace strategy that saturates the certification ceiling.
@@ -325,7 +316,7 @@ def rng_optimal_protocol(
         raise ValueError("the refill state must be free for the suspect party")
 
     channel = move_and_replace_channel(mu, set_a.dim)
-    ceiling = hypothesis_testing(m, set_a, epsilon, tol=tol, seed=seed)
+    ceiling = hypothesis_testing(m, set_a, epsilon, seed=seed)
 
     image = _ImageSet(set_a, channel)
     scaled, alpha, beta = rescaled_test(image.image(m), ceiling.optimizer, image, epsilon, rng)

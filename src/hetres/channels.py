@@ -233,11 +233,12 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     return s.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
 
 
-def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int, tol: float = 1e-12) -> list[np.ndarray]:
+def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int) -> list[np.ndarray]:
+    """Kraus operators from the Choi matrix's eigenvectors above 1e-12."""
     w, v = np.linalg.eigh(check_hermitian(choi, tol=1e-8))
     ops = []
     for lam, vec in zip(w, v.T):
-        if lam <= tol:
+        if lam <= 1e-12:
             continue
         ops.append(np.sqrt(lam) * vec.reshape(d_in, d_out).T)
     return ops
@@ -295,8 +296,6 @@ def marginal_channel(
     for k in channel.kraus:
         t = (k @ inject).reshape(outs.dims + ins.dims).transpose(axes)
         ops += [op for op in t.reshape(-1, d_out_t, d_t) if float(np.max(np.abs(op))) > 1e-12]
-    if not ops:
-        ops = [np.zeros((d_out_t, d_t), dtype=complex)]
     return KrausChannel(
         tuple(ops), single_party(d_t, target), single_party(d_out_t, target)
     )

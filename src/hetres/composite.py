@@ -246,18 +246,18 @@ def check_sandwich(
     locals_: Sequence[FreeStateSet],
     n_samples: int = DEFAULT_STATE_SAMPLES,
     seed: int = 0,
-    tol: float = 1e-6,
 ) -> AxiomReport:
     """Whether the candidate sits between the extremal sets: the hull of
-    local products inside it, and it inside the marginal set, each decided
-    by ``maps_into`` under the identity."""
+    local products inside it (membership at 1e-5), and it inside the
+    marginal set (at 1e-6), each decided by ``maps_into`` under the
+    identity."""
     rng = np.random.default_rng(seed)
     verdicts = [
         _inclusion("hull-inside-candidate",
-                   [smin(locals_).maps_into(_identity, candidate, max(tol, 1e-5), n_samples, rng)],
+                   [smin(locals_).maps_into(_identity, candidate, 1e-5, n_samples, rng)],
                    "the hull of local products lies in the candidate"),
         _inclusion("candidate-inside-marginal-set",
-                   [candidate.maps_into(_identity, smax(locals_), tol, n_samples, rng)],
+                   [candidate.maps_into(_identity, smax(locals_), 1e-6, n_samples, rng)],
                    "candidate free states have locally free marginals"),
     ]
     return AxiomReport(verdicts, seed)
@@ -331,7 +331,6 @@ def check_bp_axioms(
     max_n: int = 2,
     n_samples: int = 60,
     seed: int = 0,
-    tol: float = 1e-6,
     probe_states: Mapping[int, Sequence[np.ndarray]] | None = None,
 ) -> BpReport:
     """Verdicts for the five multi-copy closure axioms of a family n -> S_n:
@@ -342,7 +341,7 @@ def check_bp_axioms(
     itself under each adjacent-copy swap) are ``maps_into`` verdicts;
     convexity and tensor closure sample mixtures and products of pools and
     test each copy number's mixtures, and each pool member's products with
-    a fresh pool, as one stack.
+    a fresh pool, as one stack.  Every membership test runs at 1e-5.
 
     ``probe_states`` optionally injects hand-picked states per copy number
     into those pools, so known witnesses are always exercised.
@@ -351,7 +350,7 @@ def check_bp_axioms(
         raise ValueError("max_n <= 3")
     rng = np.random.default_rng(seed)
     probe_states = {int(k): list(v) for k, v in (probe_states or {}).items()}
-    loose = max(tol, 1e-5)
+    loose = 1e-5
 
     def pool(n, count):
         states = [s for s in probe_states.get(n, []) if family[n].contains(s, loose)]

@@ -212,8 +212,7 @@ def rel_entropy_of_resource(
     says.  ``force_engine`` skips an available closed form (cross-validation).
     """
     m = as_matrix(rho)
-    if m.shape[0] != free_set.dim:
-        raise ValueError("dimension mismatch")
+    free_set._check_dim(m)
     closed = None if force_engine else free_set.closest_free_state(m)
     if closed is not None:
         return _exact(closed[1], closed[0], method="closed-form")
@@ -413,8 +412,7 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
     LMO's maximum (heuristic on see-saw hulls).  ``stop``, ``cuts`` and
     ``method`` are D_H's."""
     m = as_matrix(rho)
-    if m.shape[0] != free_set.dim:
-        raise ValueError("dimension mismatch")
+    free_set._check_dim(m)
     sigma_bar = free_set.max_support_state()
     w, v, leaks = _support_leak(m, sigma_bar)
     if leaks:
@@ -506,27 +504,16 @@ def _repair(p, free_set, epsilon, rng, restrict, steps):
     return p, cuts
 
 
-def _constraint_states(m: np.ndarray, free_set: FreeStateSet, rng) -> tuple[list[np.ndarray], bool]:
-    """The starting constraint states of the dual engine and whether they
-    are all of the set's extreme points; otherwise they are probes: the LMO
-    at -rho, the member of maximal support and the closed-form closest state."""
-    points = free_set.extreme_points()
-    if points is not None:
-        return list(points), True
-    points = [free_set.lmo(-m, rng), free_set.max_support_state()]
-    closed = free_set.closest_free_state(m)
-    if closed is not None:
-        points.append(closed[0])
-    return points, False
-
-
 def _plane_dual(m, free_set, epsilon, tol, restrict, rng):
-    """The dual over ``_constraint_states``, grown by cutting planes unless
-    they are all of the set's extreme points.  Returns (test, route, Newton
-    steps, dual value, extras)."""
-    points, exact = _constraint_states(m, free_set, rng)
+    """The dual over the set's extreme points where it lists them, in one
+    round; else over two probes, the LMO at -rho and the member of maximal
+    support, grown by cutting planes.  Returns ((P, alpha, beta) of the best
+    test, route, Newton steps, dual value, extras)."""
+    points = free_set.extreme_points()
+    exact = points is not None
+    points = list(points) if exact else [free_set.lmo(-m, rng), free_set.max_support_state()]
     extras: dict = {}
-    n_start, dual_value, steps, cut_p, cut_beta = len(points), np.inf, 0, None, np.inf
+    n_start, dual_value, steps, best = len(points), np.inf, 0, (None, np.nan, np.inf)
     for _ in range(DH_ROUNDS):
         y, f, p, n = _extreme_point_dual(m, points, epsilon, restrict)
         steps += n
@@ -534,23 +521,23 @@ def _plane_dual(m, free_set, epsilon, tol, restrict, rng):
             dual_value, extras["dual_y"] = f, [float(t) for t in y]
         # the dual over all extreme points needs no repair
         p, cuts = _repair(p, free_set, epsilon, rng, restrict, 0 if exact else 40)
-        b = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)[2]
-        if b < cut_beta:
-            cut_p, cut_beta = p, b
-        stop = _stop(cut_beta, dual_value, tol, "no-violation" if not cuts else "round-cap")
+        scored = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)
+        if scored[2] < best[2]:
+            best = scored
+        stop = _stop(best[2], dual_value, tol, "no-violation" if not cuts else "round-cap")
         if stop != "round-cap":
             break
         points += cuts[:4]
     extras.update(cuts=len(points) - n_start, stop=stop, constraint_states=np.stack(points))
-    return cut_p, "exact-dual" if exact else "cutting-plane", steps, dual_value, extras
+    return best, "exact-dual" if exact else "cutting-plane", steps, dual_value, extras
 
 
 def _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng):
     """The dual over the set's cone K = {X >= 0 : X = sum_j x_j B_j}, B_j its
     ``cone_basis``: min_{X in K} eps Tr X + Tr(rho - X)_+, in one solve.
-    Returns (test, route, Newton steps, dual value, extras), the cover X as
-    dual_y = [Tr X] over the one constraint state X / Tr X, a member of the
-    set."""
+    Returns ((P, alpha, beta) of the test, route, Newton steps, dual value,
+    extras), the cover X as dual_y = [Tr X] over the one constraint state
+    X / Tr X, a member of the set."""
     traces = np.real(np.einsum("kaa->k", basis))
     smoothed = SmoothedDual(np.stack([_cone(b, restrict) for b in basis]), -epsilon * traces,
                             [(slice(None), basis)], True, False)
@@ -558,9 +545,10 @@ def _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng):
                                     lambda x: traces @ x, lambda p: _alpha(p, free_set, rng)[0])
     cover = np.tensordot(x, basis, 1)
     size = float(traces @ x)
-    beta = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)[2]
-    return p, "cone-dual", steps, f, {"dual_y": [size], "cuts": 0, "stop": _stop(beta, f, tol, "ladder-end"),
-                                      "constraint_states": (cover / max(size, 1e-300))[None]}
+    scored = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)
+    return scored, "cone-dual", steps, f, {"dual_y": [size], "cuts": 0,
+                                           "stop": _stop(scored[2], f, tol, "ladder-end"),
+                                           "constraint_states": (cover / max(size, 1e-300))[None]}
 
 
 def _stop(beta: float, dual_value: float, tol: float, otherwise: str) -> str:
@@ -588,10 +576,11 @@ def hypothesis_testing(
       points (real, all, smin(Inc, Real), smin(Inc, All)) is solved once
       over X = sum_j x_j B_j >= 0 (``_cone_dual``).
     - "cutting-plane": any other set (partial-transpose and see-saw hulls,
-      marginal sets) starts from probe states and adds cutting planes
-      (Kelley, J. SIAM 8, 703): each round repairs the dual's test by up to
-      40 steps against the worst free state its LMO finds and adds the first
-      four states visited.
+      marginal sets) starts from two probe states, the LMO's answer at -rho
+      and the member of maximal support, and adds cutting planes (Kelley,
+      J. SIAM 8, 703): each round repairs the dual's test by up to 40 steps
+      against the worst free state its LMO finds and adds the first four
+      states visited.
 
     ``extras["stop"]`` is "gap" (upper - lower <= tol), "no-violation",
     "round-cap" or, on the cone route, "ladder-end".  Fewer constraints relax
@@ -600,19 +589,20 @@ def hypothesis_testing(
     [Tr X] over X / Tr X on the cone route) bounds from above; the lower
     bound is the best test's exponent after rescaling to alpha <= eps,
     alpha being only as exact as the LMO (heuristic on see-saw hulls).  The
-    eps*identity test and the support projector are backstops;
-    ``extras["method"]`` names the route, or "floor" or "support" where a
-    backstop scores best.  beta below 1e-12 is +inf.
+    eps*identity test and the support projector are backstops.  Each test is
+    scored once by ``rescaled_test``: the route scores its own, and only the
+    backstops are scored here; ``extras["method"]`` names the route, or
+    "floor" or "support" where a backstop scores best.  beta below 1e-12 is
+    +inf.
 
     ``restrict`` confines the test to "diagonal" or "real" POVM elements.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly between 0 and 1")
     m = as_matrix(rho)
-    if m.shape[0] != free_set.dim:
-        raise ValueError("dimension mismatch")
+    free_set._check_dim(m)
     rng = np.random.default_rng(seed)
-    candidates: list[tuple[np.ndarray, str]] = [(epsilon * np.eye(len(m), dtype=complex), "floor")]
+    backstops: list[tuple[np.ndarray, str]] = [(epsilon * np.eye(len(m), dtype=complex), "floor")]
 
     w, v = np.linalg.eigh(m)
     support = _cone(v[:, w > EIG_FLOOR] @ v[:, w > EIG_FLOOR].conj().T, restrict)
@@ -621,16 +611,15 @@ def hypothesis_testing(
         if a_supp <= epsilon + 1e-12:
             return _exact(float("inf"), support, method="support-projector", alpha=a_supp,
                           beta=0.0, epsilon=epsilon)
-        candidates.append((support, "support"))
+        backstops.append((support, "support"))
 
     basis = free_set.cone_basis() if free_set.extreme_points() is None else None
     if basis is None:
-        p, route, steps, dual_value, dual = _plane_dual(m, free_set, epsilon, tol, restrict, rng)
+        test, route, steps, dual_value, dual = _plane_dual(m, free_set, epsilon, tol, restrict, rng)
     else:
-        p, route, steps, dual_value, dual = _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng)
-    candidates.insert(0, (p, route))
-    scored = [(rescaled_test(m, _clip_test(c, restrict), free_set, epsilon, rng), name)
-              for c, name in candidates if c is not None]
+        test, route, steps, dual_value, dual = _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng)
+    scored = [(test, route)] + [(rescaled_test(m, _clip_test(c, restrict), free_set, epsilon, rng), name)
+                                for c, name in backstops]
     (best_p, _, best_beta), how = min(scored, key=lambda pair: pair[0][2])
     extras = {"method": how, "alpha": _alpha(best_p, free_set, rng)[0], "beta": max(best_beta, 0.0),
               "epsilon": epsilon, "restrict": restrict, **dual}

@@ -342,11 +342,9 @@ def _structure_for(free_set: FreeStateSet) -> TensorStructure:
     return free_set.structure or TensorStructure([("out", free_set.dim)])
 
 
-def _membership_bisection(
-    set2: FreeStateSet, outside: np.ndarray, interior: np.ndarray, tol: float = 1e-8
-) -> float:
+def _membership_bisection(set2: FreeStateSet, outside: np.ndarray, interior: np.ndarray) -> float:
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         cand = (1 - mid) * outside + mid * interior
         if set2.contains(cand, 1e-9):
@@ -373,14 +371,14 @@ def nogo_entanglement_to_coherence(
     channel: ch.KrausChannel,
     party1_set: FreeStateSet,
     n_free_inputs: int = 8,
-    tol: float = 1e-9,
     seed: int = 0,
 ) -> NogoReport:
     """Certify that the channel cannot push party-2 correlations into party-1
-    coherence: the party-1 marginal of the output is incoherent for every
-    free product input in an affine basis of party-2 states (the 16 product
-    states of ``spanning_states((2, 2))``), hence, by affinity, for every
-    party-2 input; confirmed directly on the maximally entangled input.
+    coherence: the party-1 marginal of the output is incoherent, to 1e-9 in
+    every off-diagonal entry, for every free product input in an affine
+    basis of party-2 states (the 16 product states of ``spanning_states((2,
+    2))``), hence, by affinity, for every party-2 input; confirmed directly
+    on the maximally entangled input.
 
     Raises if the affine basis fails its spanning (condition-number) check.
     """
@@ -403,7 +401,7 @@ def nogo_entanglement_to_coherence(
     worst_direct = float(np.max(off[:, -1], initial=0.0))
 
     return NogoReport(
-        certified=(worst_basis <= tol and worst_direct <= tol),
+        certified=(worst_basis <= 1e-9 and worst_direct <= 1e-9),
         basis_offdiag=worst_basis,
         direct_offdiag=worst_direct,
         basis_condition=cond,

@@ -320,9 +320,8 @@ def _run_assisted(inputs, params):
     rho_ab = resolve_state(inputs["rho_ab"], seed)
     b_theory = resolve_theory(inputs["b_theory"])
     golden = resolve_state(inputs["golden"], seed)
-    rep = laws.assisted_distillation_bound(
-        rho_ab, b_theory, golden, gap=float(params.get("gap", 1e-3)), seed=seed
-    )
+    gap = float(params.get("gap", 1e-3))
+    rep = laws.assisted_distillation_bound(rho_ab, b_theory, golden, gap=gap, seed=seed)
     rho_b = partial_trace_mat(rho_ab.mat, rho_ab.structure.dims, [1])
     dephased_entropy = von_neumann_entropy(np.diag(np.diag(rho_b)))
     results = {
@@ -335,7 +334,7 @@ def _run_assisted(inputs, params):
     certs = [rep.to_json()]
     if "observed_rate" in params:
         results["correlation_witness"] = laws.correlation_witness(
-            rho_ab, b_theory, golden, float(params["observed_rate"]), seed=seed
+            rho_ab, b_theory, golden, float(params["observed_rate"]), gap=gap, seed=seed
         )
     return results, certs
 

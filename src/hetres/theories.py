@@ -608,10 +608,6 @@ class SeparableTwoQubit(MinComposite):
         vec[0] = vec[self.cut[1] + 1] = 1.0 / np.sqrt(2.0)
         return np.outer(vec, vec.conj()), np.eye(self.dim, dtype=complex) / self.dim
 
-    def tensor_power(self, n):
-        # copies must be supplied in the cut ordering (all A factors first)
-        return MinComposite([AllStates(d**n) for d in self.cut], labels=["A", "B"])
-
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim, "cut": list(self.cut)}
 

@@ -11,7 +11,6 @@ from hetres import theories as th
 from hetres.qcore import (
     KET_PLUS_Y,
     PAULI_X,
-    DensityOperator,
     TensorStructure,
     random_density_mat,
     random_hermitian,
@@ -157,8 +156,7 @@ class TestImageSet:
             struct = TensorStructure([("A", 3), ("B", 2)])
             lam = ch.random_channel(rng, 6, 6, n_kraus=3)
             lam = ch.KrausChannel(lam.kraus, struct, struct)
-            aux = {"B": DensityOperator(random_density_mat(rng, 2), single_party(2, "B"))}
-            image = ct._ImageSet(inc3, lam, aux)
+            image = ct._ImageSet(inc3, lam)
         else:
             image = ct._ImageSet(inc3, ch.random_channel(rng, 3, 2, n_kraus=3))
         points = image.extreme_points()

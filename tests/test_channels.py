@@ -8,7 +8,6 @@ from hetres.qcore import (
     KET0,
     KET_PLUS,
     PAULI_X,
-    DensityOperator,
     TensorStructure,
     bell_phi_plus_vec,
     density,
@@ -129,8 +128,8 @@ class TestSuperoperator:
         if joint:
             struct = TensorStructure([("A", 3), ("B", 2)])
             lam = ch.KrausChannel(ch.random_channel(rng, 6, 6, n_kraus=3).kraus, struct, struct)
-            aux_mat = random_density_mat(rng, 2)
-            image = ct._ImageSet(th.Incoherent(3), lam, {"B": DensityOperator(aux_mat, single_party(2, "B"))})
+            aux_mat = np.eye(2) / 2
+            image = ct._ImageSet(th.Incoherent(3), lam)
         else:
             lam = ch.random_channel(rng, 3, 2, n_kraus=3)
             image = ct._ImageSet(th.Incoherent(3), lam)

@@ -355,3 +355,15 @@ def test_dmax_over_the_cone_agrees_with_cutting_planes():
         assert max(res.lower_bound, planes.lower_bound) <= min(res.upper_bound, planes.upper_bound) + 1e-9
         assert free_set.contains(res.optimizer, 1e-9)
         assert np.linalg.eigvalsh(2.0 ** res.upper_bound * res.optimizer - rho)[0] >= -1e-9
+
+
+@pytest.mark.parametrize("make, calls", [(lambda: th.RealStates(3), 24), (lambda: th.Incoherent(3), 5)],
+                         ids=["real3", "inc3"])
+def test_each_test_is_scored_once(make, calls):
+    # the route scores its own test, so only the floor and the support are
+    # scored after it, and the reported alpha takes one more call
+    free_set, count = make(), []
+    lmo = free_set.lmo
+    free_set.lmo = lambda grad, rng=None: count.append(1) or lmo(grad, rng)
+    res = dv.hypothesis_testing(random_density_mat(np.random.default_rng([3, 1]), 3), free_set, 0.1)
+    assert res.converged and len(count) == calls

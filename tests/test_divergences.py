@@ -624,6 +624,23 @@ class TestRegularized:
         with pytest.raises(ValueError):
             dv.regularized_rel_entropy(PLUS, INC2, mode="evaluate-n", n=3)
 
+    def test_separable_set_has_no_two_copy_set(self):
+        # a hull over the slots (A1 B1)|(A2 B2) would hold PHI (x) PHI, which
+        # evaluate-n passes in copy order, and put its value at 0, not 1
+        with pytest.raises(ValueError, match="no multi-copy construction for kind 'separable'"):
+            dv.regularized_rel_entropy(PHI, th.SeparableTwoQubit(), mode="evaluate-n", n=2)
+
+    def test_two_copy_singleton_is_one_copy_divergence(self):
+        gamma = np.diag([0.7, 0.3]).astype(complex)
+        rho = random_density_mat(np.random.default_rng(21), 2)
+        res = dv.regularized_rel_entropy(rho, th.Singleton(gamma), mode="evaluate-n", n=2)
+        assert abs(res.value - float(relative_entropy(rho, gamma))) < 1e-9
+
+    def test_two_copy_all_states_is_zero(self):
+        rho = random_density_mat(np.random.default_rng(22), 2)
+        res = dv.regularized_rel_entropy(rho, th.AllStates(2), mode="evaluate-n", n=2)
+        assert abs(res.value) < 1e-9
+
 
 class TestCertificates:
     def test_result_json_shape(self):

@@ -2,11 +2,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hetres import certify as ct
+from hetres import channels as ch
 from hetres import scenarios as sc
 from hetres.cli import main
+from hetres.qcore import mat_to_json, single_party
 
 GOLDEN_SUITE = Path(__file__).parent / "golden" / "suite_report.json"
 LIGHT_BUILTINS = [
@@ -244,6 +247,91 @@ def test_report_embeds_certificates_and_version():
     assert rep["certificates"]
     assert all("value" in c for c in rep["certificates"])
     assert not math.isnan(rep["wall_time_s"])
+
+
+_INC2 = {"kind": "incoherent", "dim": 2}
+_HALF = {"kind": "singleton", "dim": 2, "gamma": mat_to_json(np.eye(2) / 2)}
+_ASSISTED = {"rho_ab": {"name": "haar", "dim": 4, "seed": 11, "labels": ["A", "B"], "dims": [2, 2]},
+             "b_theory": _INC2, "golden": "plus"}
+_PLUS_REMOTE = -math.log2(0.4)  # D_H^0.3(plus || Inc2), reached by sending plus unchanged or flipped
+
+
+# input forms that no built-in scenario uses, as (kind, inputs, params, expected)
+LANGUAGE_FORMS = {
+    "remote-prepare-identity-pauli-x": (
+        "certification",
+        {"sub": "remote", "state": "plus", "theory": _INC2,
+         "family": [{"name": "prepare", "state": "plus"}, "identity", "pauli_x"]},
+        {"seed": 0, "epsilon": 0.3},
+        [{"path": "value", "op": "approx", "target": _PLUS_REMOTE, "tol": 1e-6},
+         {"path": "alpha", "op": "approx", "target": 0.3, "tol": 1e-9}]),
+    "remote-json-identity": (
+        "certification",
+        {"sub": "remote", "state": "plus", "theory": _INC2,
+         "family": [{"json": ch.identity_channel(single_party(2, "A")).to_json()}]},
+        {"seed": 0, "epsilon": 0.3},
+        [{"path": "value", "op": "approx", "target": _PLUS_REMOTE, "tol": 1e-6}]),
+    "axioms-rotated-bell-preparation": (
+        "axioms",
+        {"locals": [[_HALF, "unital"], [_HALF, "unital"]], "ops": ["rotated_bell_preparation"],
+         "n_samples": 20},
+        {"seed": 0},
+        [{"path": "free_marginal_operations", "op": "false"}]),
+    "axioms-coherence-to-entanglement": (
+        "axioms",
+        {"locals": [[_INC2, "sio"], [{"kind": "separable", "dim": 4, "cut": [2, 2]}, "all-ops"]],
+         "ops": ["coherence_to_entanglement"], "n_samples": 20},
+        {"seed": 0},
+        [{"path": "all_pass", "op": "true"}]),
+    "divergence-dmax": (
+        "divergence",
+        {"state": "plus", "theory": _INC2, "which": "dmax"},
+        {"seed": 0},
+        [{"path": "value", "op": "approx", "target": 1.0, "tol": 1e-9},
+         {"path": "converged", "op": "true"}]),
+    "conversion-single-shot": (
+        "conversion",
+        {"rho1": "plus", "theory1": _INC2, "rho2": "plus", "theory2": _INC2},
+        {"seed": 0},
+        [{"path": "verdict", "op": "eq", "target": "NOT-EXCLUDED"},
+         {"path": "lhs", "op": "approx", "target": 1.0, "tol": 1e-9},
+         {"path": "rhs", "op": "approx", "target": 1.0, "tol": 1e-9}]),
+    "assisted-observed-rate": (
+        "assisted", _ASSISTED, {"seed": 7, "observed_rate": 0.9},
+        [{"path": "correlation_witness", "op": "approx", "target": 0.807874, "tol": 1e-6}]),
+    # the gap reaches the witness too; over Inc2 both of its divergences are closed forms
+    "assisted-observed-rate-with-gap": (
+        "assisted", _ASSISTED, {"seed": 7, "gap": 1e-2, "observed_rate": 0.9},
+        [{"path": "correlation_witness", "op": "approx", "target": 0.807874, "tol": 1e-6}]),
+    "axioms-smax-candidate": (
+        "axioms",
+        {"candidate": "smax", "locals": [[_INC2, "sio"], [_INC2, "sio"]], "ops": [{"fmin_random": 2}],
+         "n_samples": 20},
+        {"seed": 0},
+        [{"path": "all_pass", "op": "true"}]),
+    "axioms-theory-candidate": (
+        "axioms",
+        {"candidate": {"kind": "incoherent", "dim": 4}, "locals": [[_INC2, "sio"], [_INC2, "sio"]],
+         "ops": [{"fmin_random": 2}], "n_samples": 20},
+        {"seed": 0},
+        [{"path": "all_pass", "op": "true"}]),
+    "theory-all": (
+        "divergence", {"state": "plus", "theory": {"kind": "all", "dim": 2}}, {"seed": 0},
+        [{"path": "value", "op": "approx", "target": 0.0, "tol": 1e-9}]),
+    "theory-finite": (
+        "divergence", {"state": "plus", "theory": {"kind": "finite", "states": [mat_to_json(np.eye(2) / 2)]}},
+        {"seed": 0},
+        [{"path": "value", "op": "approx", "target": 1.0, "tol": 1e-9}]),
+}
+
+
+@pytest.mark.parametrize("form", LANGUAGE_FORMS)
+def test_scenario_language_form(form):
+    kind, inputs, params, expected = LANGUAGE_FORMS[form]
+    rep = sc.run_scenario({"name": form, "kind": kind, "inputs": inputs, "params": params,
+                           "expected": expected})
+    assert rep["passed"], rep["expected_checks"]
+    assert rep["converged"]
 
 
 def _mismatches(got, want, path="$"):
