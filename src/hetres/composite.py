@@ -9,11 +9,11 @@ set in another under a linear map (free products, free marginals, listed
 operations, the sandwich, copy marginals and copy swaps) is one or more
 ``FreeStateSet.maps_into`` calls, and its verdict carries that engine's
 mode: ``extreme-points``, ``projection`` or ``certified`` where it decides
-exactly, ``sampled`` where a set has neither listed extreme points nor a
-linear form.  Conditions over operation classes and marginal channels (d)
-are sampled up to the first counterexample, convexity and tensor closure
-up to the first stack of samples that holds one; the full-rank axiom is
-read off a ``witness``.
+exactly, ``sampled`` where the input set lists no extreme points and either
+it has no projection or the target no ``constraints``.  Conditions over
+operation classes and marginal channels (d) are sampled up to the first
+counterexample, convexity and tensor closure up to the first stack of
+samples that holds one; the full-rank axiom is read off a ``witness``.
 """
 
 from __future__ import annotations

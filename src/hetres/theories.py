@@ -4,13 +4,13 @@ A :class:`FreeStateSet` describes a convex, closed set of density matrices
 through three capabilities: membership testing, linear minimization over the
 set (the oracle the divergence engines call), and a closed-form closest free
 state; ``closest_free_state`` returns None where a kind has no closed form.
-A set with a ``linear_form`` (Pi, pt) is the density matrices that Pi fixes,
-with a nonnegative partial transpose where pt is set; membership and the
-non-generation test ``maps_into`` read it, and without pt the set closes at
-Pi rho, at S(Pi rho) - S(rho).  A non-generation verdict's mode is
-``extreme-points``, ``projection`` or ``certified`` (exact or sufficient
-certificates) or ``sampled``.  A :class:`FreeOpClass` is a decidable
-predicate on explicit Kraus families.
+A kind with exact data states it once, as its :class:`Constraints` (a
+projection Pi whose fixed set it is, or equalities Tr C_j rho = c_j, and
+cones A(rho) >= 0): membership, the closed form Pi rho at S(Pi rho) - S(rho)
+without cones, ``maps_into`` and the marginal sets' dual solver read it.  A
+non-generation verdict's mode is ``extreme-points``, ``projection`` or
+``certified`` (exact or sufficient certificates) or ``sampled``.  A
+:class:`FreeOpClass` is a decidable predicate on explicit Kraus families.
 
 SIO and real-operation membership are decided on the Kraus representation
 that is handed in; the predicates are representation dependent and results
@@ -33,7 +33,6 @@ from .qcore import (
     TensorStructure,
     as_complex,
     as_matrix,
-    embed_operator,
     hermitian_basis,
     kron_all,
     mat_from_json,
@@ -60,22 +59,22 @@ class FreeStateSet:
     exact_lmo = True  # lmo returns a true minimizer, not a heuristic one
     additive = False  # relative entropy of resource is additive on tensor powers
     structure: TensorStructure | None = None  # a composite's labelled parties
+    constraints: Constraints | None = None  # the set's exact data, if any
     marginal_constraints: MarginalConstraints | None = None  # dual-solver data, if any
 
     def __init__(self, dim: int):
         self.dim = int(dim)
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
-        """Membership at entrywise resolution ``tol``, read off the ``linear_form``.
+        """Membership at entrywise resolution ``tol``, read off the ``constraints``.
 
         Every kind takes a stack (..., d, d) and returns a bool array of
         shape (...); one matrix gives a bool."""
-        form = self.linear_form()
-        if form is None:
+        if self.constraints is None:
             raise NotImplementedError(f"{self.kind} has no membership test")
         m = as_matrix(rho)
         self._check_dim(m)
-        return _bools(_satisfies(form, m, tol))
+        return _bools(self.constraints.holds(m, tol))
 
     def lmo(self, grad: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """A state mu in the set minimizing Tr(grad mu), within oracle tolerance.
@@ -83,24 +82,13 @@ class FreeStateSet:
         A stack of gradients (..., d, d) gives the stack of minimizers."""
         raise NotImplementedError(f"{self.kind} has no extreme-point oracle")
 
-    def linear_form(self) -> tuple[Callable[[np.ndarray], np.ndarray], tuple | None] | None:
-        """(Pi, pt) when the set is exactly the density matrices that Pi
-        fixes with, where pt = (dims, slot) is given, a nonnegative partial
-        transpose on that tensor slot; else None.  Pi is linear, positive,
-        unital, trace preserving, self-adjoint and idempotent, acts on stacks
-        (..., d, d), and maps products of states over ``dims`` (all states,
-        without pt) into the set.  ``contains``, ``projection`` and the
-        verdict modes of ``maps_into`` (extreme-points, projection, certified,
-        sampled) derive from it."""
-        return None
-
     def projection(self) -> Callable[[np.ndarray], np.ndarray] | None:
-        """The linear form's Pi when it sets no partial transpose, else None:
-        the set is then exactly Pi's fixed density matrices, and Pi fixes
-        log sigma for every free sigma, so Tr rho log sigma = Tr Pi(rho) log
-        sigma and D(rho||sigma) = D(rho||Pi rho) + D(Pi rho||sigma)."""
-        form = self.linear_form()
-        return form[0] if form is not None and form[1] is None else None
+        """The ``constraints``' Pi when they set no cone, else None: the set
+        is then exactly Pi's fixed density matrices, and Pi fixes log sigma
+        for every free sigma, so Tr rho log sigma = Tr Pi(rho) log sigma and
+        D(rho||sigma) = D(rho||Pi rho) + D(Pi rho||sigma)."""
+        cons = self.constraints
+        return cons.proj if cons is not None and not cons.cones else None
 
     def cone_basis(self) -> np.ndarray | None:
         """A Frobenius-orthonormal basis B_j of the Hermitian matrices the
@@ -148,17 +136,18 @@ class FreeStateSet:
         ``target``, in the first of four modes that decides it:
 
         - ``extreme-points``: this set lists them; each image is checked.
-        - ``projection``: both sets have a ``linear_form``.  Pi_in of d^2
-          product pure states that span the matrices are members; an image
-          outside ``target``'s form is an exact rejection with its witness.
-          They span Pi_in's range, so passing means (id - Pi_out) apply
-          Pi_in = 0 (Liu, Hu & Lloyd, PRL 118, 060502, 2017): exact where
-          ``target`` sets no partial transpose T.
-        - ``certified``: a PSD Choi matrix of T apply or T apply Pi_in, or of
-          either transposed on every other output slot (T(X) >= 0 iff T(X)^T
-          >= 0) or after this set's own T_in (PSD on its members), makes each
-          image's T nonnegative: sufficient.  Each candidate is PSD within
-          ``tol`` where C + tol I has a Cholesky factor; the first one certifies.
+        - ``projection``: this set's ``constraints`` have a Pi_in and
+          ``target`` has some.  Pi_in of d^2 product pure states spanning the
+          matrices (over the ``hull_factors`` given cones) are members, so an
+          image ``target`` rejects is an exact rejection with its witness; as
+          they span Pi_in's range, a pass means apply Pi_in meets its linear
+          data (Liu, Hu & Lloyd, PRL 118, 060502, 2017), exact without cones.
+        - ``certified``: per ``target`` cone A, a PSD Choi matrix of A apply or
+          A apply Pi_in, or of either transposed on every other output slot
+          (A(X) >= 0 iff A(X)^T >= 0) or after a cone T_in of this set (a
+          partial transpose, PSD on its members), makes each image's A
+          nonnegative: sufficient.  A candidate is PSD within ``tol`` where C
+          + tol I has a Cholesky factor; the first one certifies A.
         - ``sampled``: otherwise, ``n_samples`` draws of the set's generators,
           a product of one ``random_state`` per ``hull_factors`` entry: a
           linear map sends a hull into a convex ``target`` iff it sends its
@@ -168,26 +157,29 @@ class FreeStateSet:
         ``target.contains`` each run once on it, and the witness is the first
         state whose image fails.  All ``n_samples`` draws are made, in the
         order of one draw per factor per sample, also after a failure."""
-        points = self.extreme_points()
-        form_in, form_out = self.linear_form(), target.linear_form()
-        if points is None and form_in is not None and form_out is not None:
-            (proj_in, pt_in), (proj_out, pt_out) = form_in, form_out
-            states = proj_in(spanning_states(pt_in[0] if pt_in else (self.dim,)))
-            ok = _satisfies(form_out, apply(states), tol)
+        points, cons_in = self.extreme_points(), self.constraints
+        if (points is None and cons_in is not None and cons_in.proj is not None
+                and (cons_out := target.constraints) is not None):
+            dims = tuple(f.dim for f in self.hull_factors()) if cons_in.cones else (self.dim,)
+            states = cons_in.proj(spanning_states(dims))
+            ok = cons_out.holds(apply(states), tol)
             if not np.all(ok):
                 return RngVerdict(False, "projection", len(states), states[np.argmin(ok)])
-            if pt_out is None:
+            if not cons_out.cones:
                 return RngVerdict(True, "projection", len(states))
             d = self.dim
             units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
-            out = partial_transpose_mat(apply(np.stack([proj_in(units), units])), *pt_out)
-            d_out = out.shape[-1]
-            chois = out.reshape(2, d, d, d_out, d_out).swapaxes(2, 3).reshape(2, d * d_out, -1)
-            if pt_in is not None:
-                dims_in, slot_in = pt_in
-                chois = np.concatenate([chois, partial_transpose_mat(chois, (*dims_in, d_out), slot_in)])
-            cands = (chois, partial_transpose_mat(chois, (d, d_out), 1))
-            if any(_psd_within(c, tol) for stack in cands for c in stack):
+            images = apply(np.stack([cons_in.proj(units), units]))
+            for cone in cons_out.cones:
+                out = cone(images)
+                n = out.shape[-1]
+                blocks = out.reshape(2, d, d, n, n).transpose(0, 3, 4, 1, 2)  # input blocks at [., i, j]
+                chois = np.concatenate([x.transpose(0, 3, 1, 4, 2).reshape(2, d * n, d * n)
+                                        for x in [blocks] + [t(blocks) for t in cons_in.cones]])
+                cands = (chois, partial_transpose_mat(chois, (d, n), 1))
+                if not any(_psd_within(c, tol) for stack in cands for c in stack):
+                    break
+            else:
                 return RngVerdict(True, "certified", len(states))
         if points is None:
             draws = [[f.random_state(rng) for f in self.hull_factors()] for _ in range(n_samples)]
@@ -250,24 +242,41 @@ def _range(op: Callable[[np.ndarray], np.ndarray], basis: np.ndarray) -> np.ndar
     return np.tensordot(v[:, w > 0.5].T, basis, 1)
 
 
-def _satisfies(form, m: np.ndarray, tol: float) -> np.ndarray:
-    """Whether ``m``, or each matrix of a stack, meets a ``linear_form`` at
-    entrywise resolution ``tol``: max|m - Pi m| <= tol, and a partial
-    transpose >= -tol where one is set."""
-    proj, pt = form
-    ok = np.max(np.abs(m - proj(m)), axis=(-2, -1)) <= tol
-    if pt is not None:
-        ok &= np.linalg.eigvalsh(partial_transpose_mat(m, *pt))[..., 0] >= -tol
-    return ok
+@dataclass(frozen=True)
+class Constraints:
+    """A set's exact data: the states with Pi rho = rho (``proj``), or else Tr
+    C_j rho = c_j (orthonormal ``eqs`` C_j, ``offsets`` c_j), and A(rho) >= 0
+    for each of the ``cones``, maps on stacks: a partial transpose of the
+    state or of one party's marginal.  Pi is linear, positive, unital, trace
+    preserving, self-adjoint and idempotent, and maps products of states
+    over the ``hull_factors`` (all states, without cones) into the set."""
+
+    proj: Callable[[np.ndarray], np.ndarray] | None
+    cones: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    eqs: np.ndarray | None
+    offsets: np.ndarray | None
+
+    def holds(self, m: np.ndarray, tol: float) -> np.ndarray:
+        """Whether ``m``, or each matrix of a stack, meets the data within
+        ``tol``: max|m - Pi m|, or without Pi max|sum_j C_j (Tr C_j m - c_j Tr
+        m)|, is <= tol, and lambda_min A(m) >= -tol for each cone A."""
+        if self.proj is not None:
+            ok = np.max(np.abs(m - self.proj(m)), axis=(-2, -1)) <= tol
+        else:
+            resid = np.einsum("jab,...ba->...j", self.eqs, m) - np.einsum("...aa,j->...j", m, self.offsets)
+            ok = np.max(np.abs(np.tensordot(np.real(resid), self.eqs, 1)), axis=(-2, -1)) <= tol
+        for cone in self.cones:
+            ok = ok & (np.linalg.eigvalsh(cone(m))[..., 0] >= -tol)
+        return ok
 
 
 class _FixedStates(FreeStateSet):
-    """The states fixed by a projection Pi, the set's ``marginal_projection``:
-    its ``linear_form`` sets no partial transpose, so Pi rho is the closest
-    free state, and I/d is free."""
+    """The states fixed by a projection Pi, the set's ``marginal_projection``,
+    and no cone: Pi rho is the closest free state, and I/d is free."""
 
-    def linear_form(self):
-        return self.marginal_projection, None
+    @functools.cached_property
+    def constraints(self):
+        return Constraints(self.marginal_projection, (), None, None)
 
     def max_support_state(self):
         return np.eye(self.dim, dtype=complex) / self.dim
@@ -423,6 +432,13 @@ class Singleton(FiniteSet):
         super().__init__([gamma])
         self.gamma = self.states[0]
 
+    @functools.cached_property
+    def constraints(self):
+        """Every traceless C_j at offset Tr(C_j gamma); membership stays the list's."""
+        d = self.dim
+        eqs = _range(lambda x: x - np.einsum("...aa,bc->...bc", x, np.eye(d) / d), hermitian_basis(d, None))
+        return Constraints(None, (), eqs, np.real(np.einsum("jab,ba->j", eqs, self.gamma)))
+
     def tensor_power(self, n):
         return Singleton(kron_all([self.gamma] * n))
 
@@ -449,14 +465,14 @@ class _Composite(FreeStateSet):
     def local_dims(self) -> tuple[int, ...]:
         return self.structure.dims
 
-    def _free_marginals(self, m: np.ndarray, tol: float) -> tuple[list[np.ndarray], np.ndarray]:
-        """The single-party marginals of ``m``, a matrix or a stack, and
-        whether every one of them is free for its party."""
-        margs = [partial_trace_mat(m, self.local_dims, [i]) for i in range(len(self.locals))]
-        ok = np.ones(m.shape[:-2], bool)
-        for s, marg in zip(self.locals, margs):
-            ok = ok & s.contains(marg, tol)
-        return margs, ok
+    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
+        """By the ``constraints``, else (a local has none) by each marginal's membership in its local set."""
+        if self.constraints is not None:
+            return super().contains(rho, tol)
+        m = as_matrix(rho)
+        self._check_dim(m)
+        oks = [s.contains(partial_trace_mat(m, self.local_dims, [i]), tol) for i, s in enumerate(self.locals)]
+        return _bools(np.logical_and.reduce(oks))
 
     def max_support_state(self):
         """The locals' product; it holds a marginal-set member's support too,
@@ -476,10 +492,11 @@ class MinComposite(_Composite):
     def hull_factors(self):
         return [f for s in self.locals for f in s.hull_factors()]
 
-    def linear_form(self):
+    @functools.cached_property
+    def constraints(self):
         """The tensor product Pi of the factors' projections, where every factor
-        has one, with a partial transpose where two factors list no extreme
-        points at 2x2 or 2x3; else None.  A projection set with finitely many
+        has one, with a partial-transpose cone where two factors list no
+        extreme points at 2x2 or 2x3; else None.  A projection set with finitely many
         extreme points has a commutative fixed algebra, so its projection is a
         dephasing.  Dephasing every slot but at most one fixes exactly the
         block-diagonal states sum_k |k><k| (x) X_k over a product basis, each
@@ -496,10 +513,10 @@ class MinComposite(_Composite):
         proj = _product_projection(factors)
         unlisted = self._unlisted(factors)
         if proj is None or len(unlisted) <= 1:
-            return None if proj is None else (proj, None)
+            return None if proj is None else Constraints(proj, (), None, None)
         dims = tuple(f.dim for f in factors)
         if len(unlisted) == 2 and sorted(dims[i] for i in unlisted) in ([2, 2], [2, 3]):
-            return proj, (dims, unlisted[1])
+            return Constraints(proj, (lambda m: partial_transpose_mat(m, dims, unlisted[1]),), None, None)
         return None
 
     @staticmethod
@@ -552,24 +569,24 @@ class MinComposite(_Composite):
         return kron_all(p[best] for p in parts)
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
-        """Hull membership by the ``linear_form`` where there is one.  Else,
-        where every factor has a ``projection``, the hull lies in the fixed
-        space of their tensor product Pi, so max|rho - Pi rho| > tol rejects.
-        A member's marginals are locally free (the hull sits inside the
-        marginal set), and a product of free marginals is a member.  With at
+        """Hull membership by the ``constraints`` where there are.  Else a
+        member's marginals are locally free (the hull sits inside the
+        marginal set); where every factor has a ``projection``, the hull lies
+        in the fixed space of their tensor product Pi, so max|rho - Pi rho| >
+        tol rejects; and a product of free marginals is a member.  With at
         most one non-singleton factor conv(A (x) {gamma}) = conv(A) (x)
         {gamma}, so every member is such a product.  Else D_max(rho||S) <= b
         = log2(1 + tol/2) comes with a free witness sigma, rho <= 2^b sigma,
         hence ||rho - sigma||_1 <= 2(2^b - 1) = tol; a rejection is only as
         exact as the see-saw oracle inside ``dmax``.  A stack runs every test
         but D_max at once; D_max runs on each matrix the others leave open."""
-        if self.linear_form() is not None:
-            return super().contains(rho, tol)
+        ok = super().contains(rho, tol)
+        if self.constraints is not None:
+            return ok
         m = as_matrix(rho)
-        self._check_dim(m)
-        stack = m.reshape(-1, self.dim, self.dim)
+        stack, ok = m.reshape(-1, self.dim, self.dim), np.reshape(ok, -1)
         proj = _product_projection(self.hull_factors())
-        margs, ok = self._free_marginals(stack, tol)
+        margs = [partial_trace_mat(stack, self.local_dims, [i]) for i in range(len(self.locals))]
         if proj is not None:
             ok = ok & (np.max(np.abs(stack - proj(stack)), axis=(-2, -1)) <= tol)
         product = trace_norm(stack - kron_all(margs)) <= tol
@@ -649,53 +666,36 @@ def _effective_local_operator(g, dims, parts, i):
 
 
 class MaxComposite(_Composite):
-    """States whose every single-party marginal is locally free.
-
-    ``marginal_constraints`` lifts to each slot the range of id - Pi of that
-    local's ``linear_form`` and a cone on the partial transpose it sets, or,
-    for one extreme point gamma, every traceless B at offset Tr(B gamma)."""
+    """States whose every single-party marginal is locally free: ``constraints`` lift the locals'."""
 
     kind = "max-composite"
 
-    def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
-        """Whether every marginal, of ``rho`` or of each matrix of a stack, is
-        locally free and every ``_cones()`` image A(rho) >= -tol."""
-        m = as_matrix(rho)
-        self._check_dim(m)
-        _, ok = self._free_marginals(m, tol)
-        for image in self._cone_images(m):
-            ok = ok & (np.linalg.eigvalsh(image)[..., 0] >= -tol)
-        return _bools(ok)
+    @functools.cached_property
+    def constraints(self):
+        """Each local's lifted to its slot, or None where one has none: C_j as
+        C_j (x) I at offset c_j (a Pi's as the range of id - Pi at offset 0),
+        a cone A as A o Tr_rest."""
+        if any(s.constraints is None for s in self.locals):
+            return None
+        eqs, offsets, cones = [], [], []
+        for i, s in enumerate(self.locals):
+            c = s.constraints
+            local_eqs = c.eqs if c.proj is None else _range(lambda x: x - c.proj(x), hermitian_basis(s.dim, None))
+            eqs.append(kron_all(local_eqs if j == i else np.eye(d) for j, d in enumerate(self.local_dims)))
+            offsets.append(c.offsets if c.proj is None else np.zeros(len(local_eqs)))
+            cones += [lambda m, a=a, i=i: a(partial_trace_mat(m, self.local_dims, [i])) for a in c.cones]
+        return Constraints(None, tuple(cones), np.concatenate(eqs), np.concatenate(offsets))
 
     @functools.cached_property
     def marginal_constraints(self) -> MarginalConstraints:
-        def lift(stack, i):
-            ops = [embed_operator(b, self.structure, self.structure.labels[i]) for b in stack]
-            return np.array(ops).reshape(-1, self.dim, self.dim)
-
-        dirs, cones = [], self._cones()
-        for i, local in enumerate(self.locals):
-            d, form, points = local.dim, local.linear_form(), local.extreme_points()
-            basis = hermitian_basis(d, None)
-            if form is not None:
-                proj = form[0]
-                if form[1] is not None:
-                    cones.append(lift(partial_transpose_mat(basis, *form[1]), i))
-            elif points is not None and len(points) == 1:
-                proj = lambda x, d=d: np.einsum("...aa,bc->...bc", x, np.eye(d) / d)
-            else:
-                raise NotImplementedError(f"{local.kind} cannot be used as a marginal constraint")
-            dirs.append(lift(_range(lambda x, proj=proj: x - proj(x), basis), i))
-        return MarginalConstraints(np.concatenate(dirs), cones, self.max_support_state())
-
-    def _cones(self) -> list[np.ndarray]:
-        """A*(E), E the ``hermitian_basis``, for cones A(sigma) >= 0 a subclass adds."""
-        return []
-
-    def _cone_images(self, x: np.ndarray) -> list[np.ndarray]:
-        """A(x) = sum_e Tr(A*(E_e) x) E_e for each ``_cones()`` cone, on stacks."""
-        return [np.tensordot(np.real(np.einsum("kab,...ba->...k", a, x)),
-                             hermitian_basis(math.isqrt(len(a)), None), 1) for a in self._cones()]
+        """The ``constraints`` for the dual solver, each cone A as A*(E), E the
+        ``hermitian_basis``: A*(E)_ba = Tr(E A(|a><b|)) over the matrix units."""
+        if self.constraints is None:
+            raise NotImplementedError(f"{self.kind} has a local without constraints")
+        units = np.eye(self.dim**2, dtype=complex).reshape((self.dim,) * 4)  # |a><b| at [a, b]
+        adjoints = [np.einsum("eij,abji->eba", hermitian_basis(images.shape[-1], None), images)
+                    for images in (cone(units) for cone in self.constraints.cones)]
+        return MarginalConstraints(self.constraints.eqs, adjoints, self.max_support_state())
 
     def lmo(self, grad, rng=None):
         g = as_complex(grad)
@@ -708,10 +708,10 @@ class MaxComposite(_Composite):
 
     def random_state(self, rng):
         """Mixed local samples plus a correlation traceless on every party,
-        scaled to keep the state positive and inside every ``_cones()`` cone.
-        The correlation sums three products of the traceless Hermitian parts
-        of complex Gaussians C = X + iY, drawn in one call: term by term,
-        party by party, X then Y."""
+        scaled to keep the state positive and inside every ``constraints``
+        cone.  The correlation sums three products of the traceless Hermitian
+        parts of complex Gaussians C = X + iY, drawn in one call: term by
+        term, party by party, X then Y."""
         base = kron_all(0.5 * (s.random_state(rng) + s.max_support_state()) for s in self.locals)
         dims = self.local_dims
         sizes = [2 * d * d for d in dims]
@@ -724,8 +724,8 @@ class MaxComposite(_Composite):
         corr = sum(kron_all(parts))  # 0 + t0 + t1 + t2 in order, as a per-term loop adds them
         corr = corr / max(np.linalg.norm(corr), 1e-300)
         top = _whitened_top(base, corr)
-        for image in zip(self._cone_images(base), self._cone_images(corr)):
-            top = max(top, _whitened_top(*image))
+        for cone in () if self.constraints is None else self.constraints.cones:
+            top = max(top, _whitened_top(cone(base), cone(corr)))
         return base + 1.0 / max(top, 1.0) * rng.uniform() * corr
 
 

@@ -1,6 +1,7 @@
 """Cross-module invariants tying the engines to the transformation laws."""
 
-import math
+import dataclasses
+import functools
 
 import numpy as np
 
@@ -14,7 +15,6 @@ from hetres.qcore import (
     DensityOperator,
     TensorStructure,
     bell_phi_plus_vec,
-    hermitian_basis,
     kron_all,
     partial_trace_mat,
     partial_transpose_mat,
@@ -32,10 +32,12 @@ class PptRestrictedMarginalSet(th.MaxComposite):
 
     kind = "max-composite-ppt"
 
-    def _cones(self):
-        # the global partial transpose is its own adjoint; the inherited
-        # contains and random_state both read the cone
-        return [partial_transpose_mat(hermitian_basis(self.dim, None), self.local_dims, 1)]
+    @functools.cached_property
+    def constraints(self):
+        # the inherited contains, random_state and marginal solver all read the cone
+        marginal = super().constraints
+        ppt = lambda m: partial_transpose_mat(m, self.local_dims, 1)
+        return dataclasses.replace(marginal, cones=(*marginal.cones, ppt))
 
 
 def test_sandwich_through_an_intermediate_set():
@@ -88,10 +90,8 @@ def _per_party_random_state(xc, rng):
     corr = sum(kron_all(traceless(d) for d in xc.local_dims) for _ in range(3))
     corr = corr / max(np.linalg.norm(corr), 1e-300)
     top = th._whitened_top(base, corr)
-    for a in xc._cones():
-        basis = hermitian_basis(math.isqrt(len(a)), None)
-        image = [np.tensordot(np.real(np.einsum("kab,ba->k", a, x)), basis, 1) for x in (base, corr)]
-        top = max(top, th._whitened_top(*image))
+    for cone in xc.constraints.cones:
+        top = max(top, th._whitened_top(cone(base), cone(corr)))
     return base + 1.0 / max(top, 1.0) * rng.uniform() * corr
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from hetres import certify as ct
 from hetres import channels as ch
+from hetres import composite as co
 from hetres import theories as th
 from hetres.scenarios import rng_verified_channel_family
 from hetres.qcore import (
@@ -369,6 +370,48 @@ class TestOpClasses:
         assert (verdict.ok, verdict.mode) == (False, "projection")
         assert real2.contains(verdict.witness) and not inc2.contains(verdict.witness)
         assert inc2.maps_into(ident, real2, 1e-8, 24, rng).mode == "extreme-points"
+
+    @pytest.mark.parametrize("source, target, unitary, expected", [
+        (lambda: th.MinComposite([th.Incoherent(2), th.RealStates(2)]),
+         lambda: th.MaxComposite([th.Incoherent(2), th.RealStates(2)]), np.eye(4), (True, "projection", 16)),
+        (lambda: th.MinComposite([th.Incoherent(2), th.RealStates(2)]),
+         lambda: th.MaxComposite([th.Incoherent(2), th.RealStates(2)]),
+         np.kron(HADAMARD, np.eye(2)), (False, "projection", 16)),
+        (lambda: th.MinComposite([th.Incoherent(2), th.SeparableTwoQubit()]),
+         lambda: th.MaxComposite([th.Incoherent(2), th.SeparableTwoQubit()]), np.eye(8), (True, "certified", 64)),
+        (lambda: th.SeparableTwoQubit(),
+         lambda: th.MaxComposite([th.AllStates(2), th.AllStates(2)]), np.eye(4), (True, "projection", 16)),
+        (lambda: th.MaxComposite([th.Incoherent(2), th.RealStates(2)]),
+         lambda: th.MinComposite([th.Incoherent(2), th.RealStates(2)]), np.eye(4), (False, "sampled", 40)),
+    ], ids=["hull-into-marginal", "hadamard-hull-into-marginal", "separable-hull-into-marginal",
+            "separable-into-all-marginals", "marginal-into-hull"])
+    def test_inclusions_read_the_constraints(self, source, target, unitary, expected):
+        # a source with a projection decides inclusions into any set with
+        # constraints exactly; the marginal set has none, so it is sampled
+        source, target = source(), target()
+        apply = lambda x: unitary @ x @ unitary.conj().T  # noqa: E731
+        verdict = source.maps_into(apply, target, 1e-6, 40, np.random.default_rng(5))
+        assert (verdict.ok, verdict.mode, verdict.n_states) == expected
+        if not verdict.ok:
+            assert source.contains(verdict.witness) and not target.contains(apply(verdict.witness))
+
+    def test_marginal_set_with_a_listed_local(self):
+        # a finite local has no constraints, so the marginal set tests each
+        # marginal against its own set, and inclusions into it are checked
+        # on listed or sampled states
+        finite, inc2 = th.FiniteSet([np.diag([1.0, 0.0]), np.eye(2) / 2]), th.Incoherent(2)
+        free_set = th.MaxComposite([finite, inc2])
+        assert free_set.constraints is None
+        assert free_set.contains(np.eye(4) / 4)
+        assert not free_set.contains(np.diag([0.25, 0.0, 0.75, 0.0]))
+        verdict = th.Incoherent(4).maps_into(lambda x: x, free_set, 1e-6, 40, np.random.default_rng(5))
+        assert verdict.mode == "extreme-points"
+        rep = co.check_axioms(free_set, th.Sio(), [(finite, th.AllOps()), (inc2, th.Sio())],
+                              n_state_samples=20, n_channel_samples=5, seed=3)
+        assert [(c.name, c.mode) for c in rep.conditions][:3] == [
+            ("free-product-states", "sampled"), ("free-product-operations", "sampled"),
+            ("free-marginal-states", "sampled")]
+        assert rep.conditions[0].passed
 
     def test_image_set_maps_into_by_samples(self):
         # a reset channel's image set has neither a linear form nor extreme
@@ -1041,9 +1084,15 @@ def test_theory_descriptor_roundtrip():
         th.SeparableTwoQubit((2, 3)),
         th.MinComposite([th.Incoherent(2), th.Incoherent(2)]),
         th.MaxComposite([th.Incoherent(2), th.RealStates(2)]),
+        th.Incoherent(3, basis=random_unitary(np.random.default_rng(2), 3)),
+        th.FiniteSet([np.diag([1.0, 0.0]), PLUS_Y]),
+        th.AllStates(3),
+        th.MinComposite([th.RealStates(2), th.AllStates(3)], labels=["A", "B"]),
+        th.MaxComposite([th.Singleton(np.diag([0.7, 0.3])), th.AllStates(3)]),
     ]
     for s in sets:
         again = th.set_from_json(s.to_json())
         assert again.kind == s.kind
         assert again.dim == s.dim
+        assert again.to_json() == s.to_json()
     assert th.set_from_json({"kind": "separable", "cut": [2, 3]}).cut == (2, 3)
