@@ -85,14 +85,16 @@ def _log_divided_differences(w: np.ndarray) -> np.ndarray:
 
 
 def _eig_frame(rho: np.ndarray, sigma: np.ndarray):
-    """(w, v, rho_hat): sigma = v diag(w) v^H and rho_hat = v^H rho v, the
-    input of both the objective and the gradient at sigma."""
+    """(w, v, rho_hat, first): sigma = v diag(w) v^H, rho_hat = v^H rho v and
+    first the divided differences of log2 at w, the input of the objective,
+    the gradient and the line search's slope at sigma."""
     w, v = np.linalg.eigh(sigma)
-    return w, v, v.conj().T @ rho @ v
+    return w, v, v.conj().T @ rho @ v, _log_divided_differences(w)
 
 
-def _log_gradient(w: np.ndarray, v: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
-    return v @ (-rho_hat * _log_divided_differences(w)) @ v.conj().T
+def _log_gradient(w: np.ndarray, v: np.ndarray, rho_hat: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The gradient of sigma -> -Tr rho log2 sigma from sigma's ``_eig_frame`` (w is not read)."""
+    return v @ (-rho_hat * first) @ v.conj().T
 
 
 def _objective_from_eig(rho_hat: np.ndarray, w: np.ndarray, s_rho: float) -> float:
@@ -111,57 +113,90 @@ def _support_leak(m: np.ndarray, sigma_bar: np.ndarray):
     return w, v, float(np.real(np.trace(kernel.conj().T @ m @ kernel))) > 1e-10
 
 
-def _line_search(rho, s_rho, sigma, direction, f, slope0):
+def _slope_curvature(frame, direction: np.ndarray) -> tuple[float, float]:
+    """(h'(g), h''(g)) of h(g) = D(rho || sigma + g d) at sigma_g's ``_eig_frame``.
+
+    With d_hat = v^H d v and A = d_hat o first, h' = -Re Tr(rho_hat A) and
+    h'' = -2 Re sum_ik rho_hat_ki T_ik, T_ik = sum_j log2[w_i, w_j, w_k] d_hat_ij
+    d_hat_jk (Daleckii-Krein): T = (A d_hat - d_hat A)/(w_i - w_k), and where
+    w_i and w_k agree to 1e-5 (relative), T = (d_hat o dfirst) d_hat with
+    dfirst_ij the derivative of first_ij in w_i."""
+    w, v, rho_hat, first = frame
+    d_hat = v.conj().T @ direction @ v
+    a = d_hat * first
+    wc = np.clip(w, EIG_FLOOR, None)
+    diff = wc[:, None] - wc[None, :]
+    near = np.abs(diff) <= 1e-5 * np.maximum(wc[:, None], wc[None, :])
+    apart = np.where(near, 1.0, diff)
+    tangent = (1.0 / (wc * LN2))[:, None]  # log2' at w_i
+    dfirst = np.where(near, -0.5 * tangent / wc[:, None], (tangent - first) / apart)
+    t = np.where(near, (d_hat * dfirst) @ d_hat, (a @ d_hat - d_hat @ a) / apart)
+    return -float(np.real(np.vdot(rho_hat, a))), -2.0 * float(np.real(np.vdot(rho_hat, t)))
+
+
+def _line_search(rho, s_rho, sigma, direction, frame, slope0):
     """Exact line search for the convex h(g) = D(rho || sigma + g*direction)
-    on [0, 1], given h(0) = f and h'(0) = slope0 < 0.
+    on [0, 1], from sigma's ``_eig_frame`` and h'(0) = slope0 < 0.
 
-    h'(g) = Tr[grad(sigma_g) direction] costs one eigensolve, which also
-    gives h(g).  The minimiser is g = 1 when h'(1) <= 0; otherwise it is the
-    root of h' in the bracket [0, 1], found by Brent's method (Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4) to a
-    bracket narrower than ``LINE_SEARCH_TOL``.  Returns (g, h(g), frame),
-    frame the ``_eig_frame`` of sigma + g*direction, or None at g = 0.
+    The minimiser is g = 1 when h'(1) <= 0, else the root of h'.  Each trial
+    point costs one eigensolve, which gives h' and h'' (``_slope_curvature``).
+    The first step is Newton's from g = 0.  Each later one starts from the
+    trial point with the least |h'| and goes to the root of the model h'(g)
+    = C + B/(g - p) through h' and h'' there and h' at the other latest point:
+    near the boundary of the PSD cone h' has this pole, so Newton's step only
+    doubles its distance to the root, while the model's step, the one More &
+    Sorensen take on the trust-region secular equation (SIAM J. Sci. Stat.
+    Comput. 4, 553, 1983), reaches it.  With r the ratio of the secant
+    slope to h'', the step is -h'/(h'' + h'(1 - r)/(r delta)), delta the
+    distance to the other point: Newton's as r -> 1.  A step that leaves the
+    bracket, is longer than half the step before the last (Brent's guard), or
+    that the model has no root for bisects the bracket; g = 1 is evaluated
+    only when a step would reach it.  The search stops at a bracket narrower
+    than ``LINE_SEARCH_TOL`` or at a step below half of it (rtsafe's rule,
+    Numerical Recipes 9.4).  Returns (g, h(g), frame), frame the
+    ``_eig_frame`` of sigma + g*direction, h computed there alone.
     """
-    h_at = {0.0: (f, None)}
-
-    def slope(g):
-        w, v, rho_hat = frame = _eig_frame(rho, sigma + g * direction)
-        h_at[g] = _objective_from_eig(rho_hat, w, s_rho), frame
-        d_hat = v.conj().T @ direction @ v
-        return -float(np.real(np.vdot(d_hat, rho_hat * _log_divided_differences(w))))
-
-    # x_cur is the best estimate; the root lies between x_cur and x_blk
-    x_pre, s_pre = 0.0, slope0
-    x_cur, s_cur = 1.0, slope(1.0)
-    if s_cur <= 0.0:
-        return 1.0, *h_at[1.0]
-    delta = LINE_SEARCH_TOL / 2.0
+    half_tol = LINE_SEARCH_TOL / 2.0
+    lo, hi, open_top = 0.0, 1.0, True  # h' < 0 at lo and > 0 at hi, unless hi = 1 is not evaluated
+    best = 0.0, slope0, _slope_curvature(frame, direction)[1], frame
+    other = None  # (g, h'(g)) at the latest trial point other than best
+    older = last = 2.0  # the last two step lengths (both the bisection's after one); 2 frees the first two
     while True:
-        if s_pre * s_cur < 0.0:
-            x_blk, s_blk = x_pre, s_pre
-            step_pre = step_cur = x_cur - x_pre
-        if abs(s_blk) < abs(s_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            s_pre, s_cur, s_blk = s_cur, s_blk, s_cur
-        half = (x_blk - x_cur) / 2.0
-        if s_cur == 0.0 or abs(half) < delta:
-            return x_cur, *h_at[x_cur]
-        if abs(step_pre) > delta and abs(s_cur) < abs(s_pre):
-            if x_pre == x_blk:  # secant
-                trial = -s_cur * (x_cur - x_pre) / (s_cur - s_pre)
-            else:  # inverse quadratic interpolation
-                d_pre = (s_pre - s_cur) / (x_pre - x_cur)
-                d_blk = (s_blk - s_cur) / (x_blk - x_cur)
-                trial = -s_cur * (s_blk * d_blk - s_pre * d_pre) / (d_blk * d_pre * (s_blk - s_pre))
-            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(half) - delta):
-                step_pre, step_cur = step_cur, trial
-            else:
-                step_pre = step_cur = half
+        g, s, c, frame = best
+        step = -s / c if c > 0.0 else math.nan
+        if other is not None:
+            delta = other[0] - g
+            secant = (other[1] - s) / delta
+            model = c + s * (c - secant) / (secant * delta) if secant > 0.0 else 0.0
+            step = -s / model if model > 0.0 else math.nan
+        trial = g + step
+        if abs(step) < half_tol:
+            break
+        if open_top and trial >= 1.0 - half_tol:
+            trial = 1.0
+            older, last = last, 1.0 - g
+        elif not lo < trial < hi or abs(step) > 0.5 * older:
+            trial = 0.5 * (lo + hi)
+            older = last = abs(trial - g)
         else:
-            step_pre = step_cur = half
-        x_pre, s_pre = x_cur, s_cur
-        x_cur += step_cur if abs(step_cur) > delta else math.copysign(delta, half)
-        s_cur = slope(x_cur)
+            older, last = last, abs(step)
+        trial_frame = _eig_frame(rho, sigma + trial * direction)
+        s_t, c_t = _slope_curvature(trial_frame, direction)
+        if trial == 1.0 and s_t <= 0.0:
+            best = 1.0, s_t, c_t, trial_frame
+            break
+        if s_t < 0.0:
+            lo = trial
+        else:
+            hi, open_top = trial, False
+        if abs(s_t) <= abs(s):
+            other, best = (g, s), (trial, s_t, c_t, trial_frame)
+        else:
+            other = trial, s_t
+        if s_t == 0.0 or hi - lo < LINE_SEARCH_TOL:
+            break
+    g, _, _, frame = best
+    return g, _objective_from_eig(frame[2], frame[0], s_rho), frame
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +236,9 @@ def rel_entropy_of_resource(
     weight 1 takes no away step).  The step along either direction is an
     exact line search by the derivative: it minimises h(g) = D(rho || sigma
     + g d) on [0, 1], d the direction at its cap, as g = 1 when h'(1) <= 0,
-    else as the root of h' by Brent's method, at one eigensolve per trial
-    step.  ``extras["stop"]`` says "gap" or "iteration-cap",
+    else as the root of h' by rational-Newton steps on h' and h'', at one
+    eigensolve per trial step and about three per search (``_line_search``).
+    ``extras["stop"]`` says "gap" or "iteration-cap",
     ``extras["away_steps"]`` counts the away steps.
 
     Both engines certify by f - Tr G sigma + a lower bound on min Tr G mu:
@@ -251,7 +287,8 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     frame = None  # the line search's _eig_frame of the current sigma
     for t in range(1, ITER_CAP + 1):
         iters = t
-        w, v, rho_hat = frame or _eig_frame(m, sigma)
+        frame = frame or _eig_frame(m, sigma)
+        w, _, rho_hat, _ = frame
         f = _objective_from_eig(rho_hat, w, s_rho)
         if not np.isfinite(f):
             restart, restart_weights = _interior_start(m, free_set, rng, delta=0.1)
@@ -261,7 +298,7 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
             floor = np.append(floor, [0.0, keep])
             frame = None
             continue
-        grad = _log_gradient(w, v, rho_hat)
+        grad = _log_gradient(*frame)
         mu = free_set.lmo(grad, rng) if exact else free_set.lmo(grad, rng, restarts=4)
         fw_gap = float(np.real(np.trace(grad @ (sigma - mu))))
         best_lb = max(best_lb, f - max(fw_gap, 0.0))
@@ -281,7 +318,7 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
             direction, slope0 = longest * (sigma - atoms[j]), -longest * away_gap
         else:
             direction, slope0 = mu - sigma, -fw_gap
-        gamma, h_gamma, frame = _line_search(m, s_rho, sigma, direction, f, slope0)
+        gamma, h_gamma, frame = _line_search(m, s_rho, sigma, direction, frame, slope0)
         if h_gamma > f:
             gamma, frame = min(2.0 / (t + 2.0), 0.5), None
         sigma = sigma + gamma * direction
@@ -348,7 +385,7 @@ def _mirror_rel_entropy(m, free_set: FreeStateSet, gap) -> DivergenceResult:
         y, gibbs, n = cons.solve(k, 1.0, barrier, y, 1e-12)
         newton_steps.append(n)
         sigma = cons.member(gibbs)
-        w, v, rho_hat = frame = _eig_frame(m, sigma)
+        w, v, rho_hat, _ = frame = _eig_frame(m, sigma)
         log_sigma = (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
         return y, sigma, _objective_from_eig(rho_hat, w, s_rho), frame, log_sigma
 

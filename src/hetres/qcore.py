@@ -230,16 +230,23 @@ def embed_operator(op: np.ndarray, structure: TensorStructure, party: str) -> np
 
 
 def hermitian_basis(n: int, restrict: str | None) -> np.ndarray:
-    """Frobenius-orthonormal basis of the Hermitian, or ``restrict``ed, n x n matrices."""
-    out = []
-    for a in range(n):
-        for b in range(a, a + 1 if restrict == "diagonal" else n):
-            e = np.zeros((n, n), dtype=float if restrict else complex)
-            e[a, b] = e[b, a] = 1.0 if a == b else np.sqrt(0.5)
-            out.append(e)
-            if restrict is None and a != b:
-                out.append(1j * (np.triu(e) - np.tril(e)))
-    return np.stack(out) if out else np.zeros((0, n, n))
+    """Frobenius-orthonormal basis of the Hermitian, or ``restrict``ed, n x n
+    matrices: for each pair a <= b in row order, the symmetric unit (1 on
+    the diagonal, sqrt(1/2) off it), then, unrestricted and a < b, its
+    antisymmetric partner i sqrt(1/2) (|a><b| - |b><a|)."""
+    units = [(a, b, part) for a in range(n) for b in range(a, a + 1 if restrict == "diagonal" else n)
+             for part in ((0, 1) if restrict is None and a != b else (0,))]
+    if not units:
+        return np.zeros((0, n, n))
+    a, b, part = np.array(units).T
+    half = math.sqrt(0.5)
+    upper = np.where(a == b, 1.0, half).astype(float if restrict else complex)
+    lower = upper.copy()
+    if restrict is None:  # the antisymmetric units, signed zeros as in 1j * (e - e^T)
+        upper[part == 1], lower[part == 1] = 1j * half, complex(-0.0, -half)
+    out = np.zeros((len(units), n, n), dtype=upper.dtype)
+    out[np.arange(len(units)), a, b], out[np.arange(len(units)), b, a] = upper, lower
+    return out
 
 
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:

@@ -707,12 +707,15 @@ class MaxComposite(_Composite):
         return self.marginal_constraints.minimize(as_complex(grad), 1e-10 * float(np.max(np.abs(grad))))
 
     def random_state(self, rng):
-        """Mixed local samples plus a correlation traceless on every party,
-        scaled to keep the state positive and inside every ``constraints``
-        cone.  The correlation sums three products of the traceless Hermitian
-        parts of complex Gaussians C = X + iY, drawn in one call: term by
-        term, party by party, X then Y."""
-        base = kron_all(0.5 * (s.random_state(rng) + s.max_support_state()) for s in self.locals)
+        """Local samples plus a correlation traceless on every party, scaled
+        to keep the state positive and inside every ``constraints`` cone.  A
+        local with constraints mixes its sample half and half with its member
+        of maximal support; one without (a listed set) keeps its sample, as
+        the mixture may not be on its list.  The correlation sums three
+        products of the traceless Hermitian parts of complex Gaussians C = X
+        + iY, drawn in one call: term by term, party by party, X then Y."""
+        base = kron_all(s.random_state(rng) if s.constraints is None
+                        else 0.5 * (s.random_state(rng) + s.max_support_state()) for s in self.locals)
         dims = self.local_dims
         sizes = [2 * d * d for d in dims]
         parts = []

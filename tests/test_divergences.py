@@ -262,7 +262,7 @@ def _segment_objective(rho, sigma, mu):
     s_rho = -von_neumann_entropy(rho)
 
     def h(g):
-        w, _, rho_hat = dv._eig_frame(rho, sigma + g * (mu - sigma))
+        w, _, rho_hat, _ = dv._eig_frame(rho, sigma + g * (mu - sigma))
         return dv._objective_from_eig(rho_hat, w, s_rho)
 
     return s_rho, h
@@ -287,7 +287,7 @@ class TestFrankWolfeLineSearch:
         s_rho, h = _segment_objective(rho, sigma, mu)
         slope0 = float(np.real(np.trace(dv._log_gradient(*dv._eig_frame(rho, sigma)) @ (mu - sigma))))
         assert slope0 < 0.0
-        gamma, h_gamma, frame = dv._line_search(rho, s_rho, sigma, mu - sigma, h(0.0), slope0)
+        gamma, h_gamma, frame = dv._line_search(rho, s_rho, sigma, mu - sigma, dv._eig_frame(rho, sigma), slope0)
         assert h_gamma == h(gamma)
         # the eigendecomposition and rho in its frame, reused at the next iterate
         expected = dv._eig_frame(rho, sigma + gamma * (mu - sigma))
@@ -298,6 +298,36 @@ class TestFrankWolfeLineSearch:
             assert gamma == 1.0
         assert abs(gamma - _reference_minimiser(h)) <= 1e-8
         assert h_gamma <= min(h(g) for g in np.linspace(0.0, 1.0, 2001)) + 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4, 9, 16])
+    @pytest.mark.parametrize("spectrum", ["random", "maximally-mixed", "repeated"])
+    def test_curvature_is_the_derivative_of_the_slope(self, dim, spectrum):
+        # h'' against central differences of h', and h' against those of h,
+        # along sigma -> mu with mu rank one (h(1) = inf); degenerate sigma
+        # take the near-pair branch of the curvature
+        rng = np.random.default_rng([12, dim])
+        rho = random_density_mat(rng, dim)
+        if spectrum == "random":
+            sigma = random_density_mat(rng, dim)
+        elif spectrum == "maximally-mixed":
+            sigma = np.eye(dim, dtype=complex) / dim
+        else:
+            w = np.repeat(rng.uniform(0.5, 1.5, size=(dim + 1) // 2), 2)[:dim]
+            sigma = np.diag(w / np.sum(w)).astype(complex)
+        mu = random_density_mat(rng, dim, 1)
+        _, h = _segment_objective(rho, sigma, mu)
+        assert math.isinf(h(1.0))
+
+        def slope_curvature(g):
+            return dv._slope_curvature(dv._eig_frame(rho, sigma + g * (mu - sigma)), mu - sigma)
+
+        step = 1e-6
+        for g in (0.0, 0.5):
+            slope, curvature = slope_curvature(g)
+            assert curvature > 0.0
+            ahead, behind = slope_curvature(g + step)[0], slope_curvature(g - step)[0]
+            assert abs(curvature - (ahead - behind) / (2 * step)) <= 1e-5 * curvature
+            assert abs(slope - (h(g + step) - h(g - step)) / (2 * step)) <= 1e-5 * max(abs(slope), 1.0)
 
     def test_a_frank_wolfe_step_costs_few_eigensolves(self, monkeypatch):
         calls = []
@@ -312,8 +342,9 @@ class TestFrankWolfeLineSearch:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         res = dv.rel_entropy_of_resource(rho, real, gap=1e-3, force_engine=True)
         monkeypatch.undo()
-        # golden-section search took about 52 per iteration
-        assert len(calls) / res.iterations <= 16
+        # golden-section search took about 52 per iteration, Brent's method
+        # about 10, the rational-Newton search about 4
+        assert len(calls) / res.iterations <= 6
         _, closed = real.closest_free_state(rho)
         assert res.converged
         assert res.lower_bound <= closed <= res.upper_bound

@@ -13,6 +13,7 @@ from hetres.qcore import (
     dephase,
     density,
     eig_hermitian,
+    hermitian_basis,
     kron,
     kron_all,
     mat_from_json,
@@ -142,6 +143,28 @@ class TestSpanningStates:
         singles = [np.outer(k, k.conj()) for k in (KET0, KET1, KET_PLUS, KET_PLUS_Y)]
         expected = np.stack([np.kron(a, b) for a in singles for b in singles])
         assert np.array_equal(spanning_states((2, 2)), expected)
+
+
+def _hermitian_basis_loop(n, restrict):
+    """The unit-by-unit construction the vectorised basis must reproduce bit for bit."""
+    out = []
+    for a in range(n):
+        for b in range(a, a + 1 if restrict == "diagonal" else n):
+            e = np.zeros((n, n), dtype=float if restrict else complex)
+            e[a, b] = e[b, a] = 1.0 if a == b else np.sqrt(0.5)
+            out.append(e)
+            if restrict is None and a != b:
+                out.append(1j * (np.triu(e) - np.tril(e)))
+    return np.stack(out) if out else np.zeros((0, n, n))
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("restrict", [None, "real", "diagonal"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_the_unit_by_unit_loop(self, n, restrict):
+        got, expected = hermitian_basis(n, restrict), _hermitian_basis_loop(n, restrict)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()  # signed zeros included
 
 
 class TestEig:

@@ -411,7 +411,10 @@ class TestOpClasses:
         assert [(c.name, c.mode) for c in rep.conditions][:3] == [
             ("free-product-states", "sampled"), ("free-product-operations", "sampled"),
             ("free-marginal-states", "sampled")]
-        assert rep.conditions[0].passed
+        assert rep.conditions[0].passed and rep.conditions[2].passed
+        # the listed local's marginal of a sample is a listed state
+        rng = np.random.default_rng(0)
+        assert all(free_set.contains(free_set.random_state(rng)) for _ in range(5))
 
     def test_image_set_maps_into_by_samples(self):
         # a reset channel's image set has neither a linear form nor extreme
