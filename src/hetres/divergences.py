@@ -74,14 +74,15 @@ def _exact(value: float, optimizer: np.ndarray | None, **extras) -> DivergenceRe
 
 
 def _log_divided_differences(w: np.ndarray) -> np.ndarray:
+    """(log2 w_i - log2 w_j)/(w_i - w_j), and 1/(w ln 2) where w_i = w_j.
+    Within a factor 2, w_i - w_j is exact (Sterbenz), and log1p((w_i -
+    w_j)/w_j)/((w_i - w_j) ln 2) keeps the digits the difference of logs loses."""
     wc = np.clip(w, EIG_FLOOR, None)
-    lg = np.log2(wc)
-    diff = wc[:, None] - wc[None, :]
-    return np.where(
-        np.abs(diff) > 1e-14 * np.maximum(wc[:, None], wc[None, :]),
-        (lg[:, None] - lg[None, :]) / np.where(diff == 0.0, 1.0, diff),
-        1.0 / (np.maximum(wc[:, None], wc[None, :]) * LN2),
-    )
+    lg, diff = np.log2(wc), wc[:, None] - wc[None, :]
+    safe = np.where(diff == 0.0, 1.0, diff)
+    close = np.abs(diff) <= np.minimum(wc[:, None], wc[None, :])
+    quotient = np.where(close, np.log1p(safe / wc[None, :]) / LN2, lg[:, None] - lg[None, :]) / safe
+    return np.where(diff == 0.0, 1.0 / (wc[:, None] * LN2), quotient)
 
 
 def _eig_frame(rho: np.ndarray, sigma: np.ndarray):
@@ -437,16 +438,13 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
     Tr sigma Y <= 1 on S } is its test program at P = eps*Y, where
     lambda_max(P) <= 1/2, so the cap P <= I never binds.
 
-    D_H's route decides D_max's: "exact-dual" over listed extreme points,
-    "cone-dual" over a set with a ``cone_basis`` and none listed (real, all
-    states, smin(Inc, Real), smin(Inc, All)), "cutting-plane" otherwise.  At
-    D_H's dual point y over its constraint states mu_i, cover = sum_i y_i
-    mu_i (on the cone route the cone point X itself) and delta =
-    lambda_max(rho - cover)+ / lambda_min(sigma_bar) give rho <= cover +
-    delta*sigma_bar: 2^upper = sum(y) + delta, and the optimizer (cover +
-    delta*sigma_bar)/2^upper is a free witness whatever the oracle.  2^lower
-    = max(1, (1 - beta)/eps) at D_H's best test is only as exact as the
-    LMO's maximum (heuristic on see-saw hulls).  ``stop``, ``cuts`` and
+    D_H's route is D_max's.  At D_H's dual point y over its constraint
+    states mu_i, cover = sum_i y_i mu_i (the cone point X on the cone route)
+    and delta = lambda_max(rho - cover)+ / lambda_min(sigma_bar) give rho <=
+    cover + delta*sigma_bar: 2^upper = sum(y) + delta, and the optimizer
+    (cover + delta*sigma_bar)/2^upper is a free witness whatever the oracle.
+    2^lower = max(1, (1 - beta)/eps) at D_H's best test is only as exact as
+    the LMO's maximum (heuristic on see-saw hulls).  ``stop``, ``cuts`` and
     ``method`` are D_H's."""
     m = as_matrix(rho)
     free_set._check_dim(m)
@@ -471,12 +469,9 @@ def dmax(rho, free_set: FreeStateSet, tol: float = 1e-4, seed: int = 0) -> Diver
     upper = float(np.sum(y)) + delta
     lower = min(max(1.0, (1.0 - dh.extras["beta"]) / epsilon), upper)
     lo, hi = math.log2(lower), math.log2(upper)
-    return DivergenceResult(
-        hi, lo, hi, dh.iterations, converged=hi - lo <= tol,
-        optimizer=(cover + delta * sigma_bar) / upper,
-        extras={"method": dh.extras["method"], "requested_gap": tol, "stop": dh.extras["stop"],
-                "cuts": dh.extras["cuts"]},
-    )
+    return DivergenceResult(hi, lo, hi, dh.iterations, hi - lo <= tol, (cover + delta * sigma_bar) / upper,
+                            {"method": dh.extras["method"], "requested_gap": tol, "stop": dh.extras["stop"],
+                             "cuts": dh.extras["cuts"]})
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +565,19 @@ def _plane_dual(m, free_set, epsilon, tol, restrict, rng):
 
 
 def _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng):
-    """The dual over the set's cone K = {X >= 0 : X = sum_j x_j B_j}, B_j its
-    ``cone_basis``: min_{X in K} eps Tr X + Tr(rho - X)_+, in one solve.
-    Returns ((P, alpha, beta) of the test, route, Newton steps, dual value,
-    extras), the cover X as dual_y = [Tr X] over the one constraint state
-    X / Tr X, a member of the set."""
+    """The dual over the set's cone K = {X = sum_j x_j B_j : X >= 0, A(X) >=
+    0 per ``constraints`` cone A}, B_j its ``cone_basis``: min_{X in K} eps
+    Tr X + Tr(rho - X)_+, one barrier block per X and A(X), in one solve from
+    the ``max_support_state()``.  Returns ((P, alpha, beta) of the test,
+    route, Newton steps, dual value, extras), the cover X as dual_y = [Tr X]
+    over the one constraint state X / Tr X, a member of the set."""
     traces = np.real(np.einsum("kaa->k", basis))
-    smoothed = SmoothedDual(np.stack([_cone(b, restrict) for b in basis]), -epsilon * traces,
-                            [(slice(None), basis)], True, False)
-    x, f, p, steps = _smoothed_test(_cone(m, restrict), smoothed, traces / len(m), epsilon,
+    blocks = [(slice(None), e) for e in [basis, *(a(basis) for a in free_set.constraints.cones)]]
+    smoothed = SmoothedDual(np.stack([_cone(b, restrict) for b in basis]), -epsilon * traces, blocks, True, False)
+    start = np.real(np.einsum("kab,ba->k", basis, free_set.max_support_state()))
+    x, f, p, steps = _smoothed_test(_cone(m, restrict), smoothed, start, epsilon,
                                     lambda x: traces @ x, lambda p: _alpha(p, free_set, rng)[0])
-    cover = np.tensordot(x, basis, 1)
-    size = float(traces @ x)
+    cover, size = np.tensordot(x, basis, 1), float(traces @ x)
     scored = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)
     return scored, "cone-dual", steps, f, {"dual_y": [size], "cuts": 0,
                                            "stop": _stop(scored[2], f, tol, "ladder-end"),
@@ -607,30 +603,27 @@ def hypothesis_testing(
     One dual, min_{X in cone(S)} eps*Tr X + Tr(rho - X)_+ (Wang & Renner, PRL
     108, 200501, 2012), on one of three routes:
 
-    - "exact-dual": a set listing its extreme points mu_i (incoherent,
-      singleton, finite) has X = sum_i y_i mu_i, y >= 0; one round is exact.
-    - "cone-dual": a set with a ``cone_basis`` B_j and no listed extreme
-      points (real, all, smin(Inc, Real), smin(Inc, All)) is solved once
-      over X = sum_j x_j B_j >= 0 (``_cone_dual``).
-    - "cutting-plane": any other set (partial-transpose and see-saw hulls,
-      marginal sets) starts from two probe states, the LMO's answer at -rho
-      and the member of maximal support, and adds cutting planes (Kelley,
-      J. SIAM 8, 703): each round repairs the dual's test by up to 40 steps
-      against the worst free state its LMO finds and adds the first four
-      states visited.
+    - "exact-dual": a set listing its extreme points mu_i has X = sum_i y_i
+      mu_i, y >= 0; one round is exact.
+    - "cone-dual": a set with data, a ``cone_basis`` B_j, is solved once over
+      X = sum_j x_j B_j >= 0 with each ``constraints`` cone A(X) >= 0.
+    - "cutting-plane": a set without (see-saw hulls, a marginal set with a
+      singular member of maximal support) starts from the LMO's answer at
+      -rho and the member of maximal support, and adds cutting planes
+      (Kelley, J. SIAM 8, 703): each round repairs the dual's test by up to
+      40 steps against the worst free state its LMO finds and adds the first
+      four states visited.
 
     ``extras["stop"]`` is "gap" (upper - lower <= tol), "no-violation",
-    "round-cap" or, on the cone route, "ladder-end".  Fewer constraints relax
-    the problem, so the least dual value (at ``extras["dual_y"]``, over the
-    first len(dual_y) states of the array ``extras["constraint_states"]``;
-    [Tr X] over X / Tr X on the cone route) bounds from above; the lower
-    bound is the best test's exponent after rescaling to alpha <= eps,
-    alpha being only as exact as the LMO (heuristic on see-saw hulls).  The
-    eps*identity test and the support projector are backstops.  Each test is
-    scored once by ``rescaled_test``: the route scores its own, and only the
-    backstops are scored here; ``extras["method"]`` names the route, or
-    "floor" or "support" where a backstop scores best.  beta below 1e-12 is
-    +inf.
+    "round-cap" or, on the cone route, "ladder-end".  The least dual value
+    (at ``extras["dual_y"]`` over the first len(dual_y) states of the array
+    ``extras["constraint_states"]``) bounds from above; the lower bound is
+    the best test's exponent after rescaling to alpha <= eps, alpha being
+    only as exact as the LMO (heuristic on see-saw hulls).  The eps*identity
+    test and the support projector are backstops.  Each test is scored once
+    by ``rescaled_test``: the route scores its own, and only the backstops
+    are scored here; ``extras["method"]`` names the route, or "floor" or
+    "support" where a backstop scores best.  beta below 1e-12 is +inf.
 
     ``restrict`` confines the test to "diagonal" or "real" POVM elements.
     """
@@ -651,10 +644,8 @@ def hypothesis_testing(
         backstops.append((support, "support"))
 
     basis = free_set.cone_basis() if free_set.extreme_points() is None else None
-    if basis is None:
-        test, route, steps, dual_value, dual = _plane_dual(m, free_set, epsilon, tol, restrict, rng)
-    else:
-        test, route, steps, dual_value, dual = _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng)
+    test, route, steps, dual_value, dual = (_plane_dual(m, free_set, epsilon, tol, restrict, rng) if basis is None
+                                            else _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng))
     scored = [(test, route)] + [(rescaled_test(m, _clip_test(c, restrict), free_set, epsilon, rng), name)
                                 for c, name in backstops]
     (best_p, _, best_beta), how = min(scored, key=lambda pair: pair[0][2])

@@ -7,7 +7,7 @@ state; ``closest_free_state`` returns None where a kind has no closed form.
 A kind with exact data states it once, as its :class:`Constraints` (a
 projection Pi whose fixed set it is, or equalities Tr C_j rho = c_j, and
 cones A(rho) >= 0): membership, the closed form Pi rho at S(Pi rho) - S(rho)
-without cones, ``maps_into`` and the marginal sets' dual solver read it.  A
+without cones, ``maps_into``, ``cone_basis`` and the marginal dual read it.  A
 non-generation verdict's mode is ``extreme-points``, ``projection`` or
 ``certified`` (exact or sufficient certificates) or ``sampled``.  A
 :class:`FreeOpClass` is a decidable predicate on explicit Kraus families.
@@ -91,11 +91,19 @@ class FreeStateSet:
         return cons.proj if cons is not None and not cons.cones else None
 
     def cone_basis(self) -> np.ndarray | None:
-        """A Frobenius-orthonormal basis B_j of the Hermitian matrices the
-        ``projection`` fixes, or None without one: the set's cone {t sigma :
-        t >= 0} is then {X = sum_j x_j B_j : X >= 0}."""
-        proj = self.projection()
-        return None if proj is None else _range(proj, hermitian_basis(self.dim, None))
+        """An orthonormal basis B_j of the Hermitian matrices meeting the
+        ``constraints``' linear data: Pi's range, or the complement of all C_j
+        - c_j I if ``max_support_state()`` is positive definite (a barrier
+        needs an interior); else None.  The set's cone {t sigma : t >= 0} is
+        {X = sum_j x_j B_j : X >= 0, A(X) >= 0 per cone A}."""
+        cons, basis = self.constraints, hermitian_basis(self.dim, None)
+        if cons is not None and cons.proj is not None:
+            return _range(cons.proj, basis)
+        if cons is None or np.linalg.eigvalsh(self.max_support_state())[0] <= EIG_FLOOR:
+            return None
+        shifted = cons.eqs - np.multiply.outer(cons.offsets, np.eye(self.dim))  # C_j - c_j I
+        _, s, vh = np.linalg.svd(np.real(np.einsum("jab,kba->jk", shifted, basis)))
+        return np.tensordot(vh[int(np.sum(s > 1e-10)):], basis, 1)
 
     def closest_free_state(self, rho) -> tuple[np.ndarray, float] | None:
         """(closest free state, D(rho||S) in bits), or None without a closed form.
@@ -874,41 +882,42 @@ class MarginalConstraints(SmoothedDual):
         """(mu, lower): ``solve`` from tau = max(lambda_max(G) - lambda_min(G),
         max|G|) (colder, the Gibbs weights start one-hot and y stays at the
         origin) down by tenfold steps at barrier tau/100 until the best member
-        (a repaired Gibbs state or, with cones, its extrapolation to barrier 0
-        from a solve at tau/1000) is within ``tol`` of the best bound, or a
-        colder one ten times as far.  Each bound is polished twice: each Z_k
-        cut to its eigenvalues above sqrt(tau max|G|/100), x and that support
-        move by least squares to make N^H H N a multiple of I, N the
-        eigenvectors within 30 tau of lambda_min."""
+        is within ``tol`` of the best bound, or a colder one ten times as far.
+        Each rung polishes its bound once: each Z_k cut to its eigenvalues
+        above sqrt(tau max|G|/100), x and that support move by least squares
+        to make N^H H N a multiple of I, N the eigenvectors within 30 tau of
+        lambda_min.  Its members are the ``member`` repairs of the Gibbs
+        state, with cones of its extrapolation to barrier 0 from a solve at
+        tau/1000, and of N S N^H, S fitted to Tr S = 1 and the equalities."""
         g = 0.5 * (grad + grad.conj().T)
         scale = max(float(np.max(np.abs(g))), 1e-300)
         top = max(float(np.ptp(np.linalg.eigvalsh(g))), scale)
         y, best, best_val, lower, grad_tol = self.origin, None, np.inf, -np.inf, 0.1 * tol / scale
-        on_support = self._compress(g)
         for e in range(14):
             tau = top * 10.0 ** -e
             y, gibbs, _ = self.solve(g, tau, 0.01 * tau, y, grad_tol)
             states = [gibbs] + [(10.0 * self.solve(g, tau, 0.001 * tau, y, grad_tol)[1] - gibbs) / 9.0
                                 for _ in self.cones[:1]]
             z, lower = y.copy(), max(lower, self.bound(g, y))
-            for _ in range(2):
-                keep = np.eye(len(z))
-                for sl, basis in self.cones:
-                    zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
-                    support = (zv * (zw > 0.1 * np.sqrt(tau * scale))) @ zv.conj().T
-                    keep[sl, sl] = np.real(np.einsum("lab,mba->lm", basis, support @ basis @ support))
-                w, v = np.linalg.eigh(on_support - np.tensordot(keep @ z, self.mats, 1))
-                on_face = w - w[0] <= 30.0 * tau
-                face, hb = v[:, on_face], hermitian_basis(int(np.sum(on_face)), None)
-                a = np.real(np.einsum("lab,kba->lk", hb, face.conj().T @ self.mats @ face)) @ keep
-                a = np.column_stack([a, np.real(np.einsum("laa->l", hb))])
-                rhs = np.real(np.einsum("laa,a->l", hb, w[on_face] - w[0]))
-                z = keep @ (z + np.linalg.lstsq(a, rhs, rcond=None)[0][:-1])
-                for sl, basis in self.cones:
-                    zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
-                    clipped = (zv * np.clip(zw, 0.0, None)) @ zv.conj().T
-                    z[sl] = np.real(np.einsum("lab,ba->l", basis, clipped))
-                lower = max(lower, self.bound(g, z))
+            keep = np.eye(len(z))
+            for sl, basis in self.cones:
+                zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
+                support = (zv * (zw > 0.1 * np.sqrt(tau * scale))) @ zv.conj().T
+                keep[sl, sl] = np.real(np.einsum("lab,mba->lm", basis, support @ basis @ support))
+            w, v = np.linalg.eigh(self._compress(g) - np.tensordot(keep @ z, self.mats, 1))
+            on_face = w - w[0] <= 30.0 * tau
+            face, hb = v[:, on_face], hermitian_basis(int(np.sum(on_face)), None)
+            a = np.real(np.einsum("lab,kba->lk", hb, face.conj().T @ self.mats @ face)) @ keep
+            a = np.column_stack([a, np.real(np.einsum("laa->l", hb))])
+            rhs = np.real(np.einsum("laa,a->l", hb, w[on_face] - w[0]))
+            z = keep @ (z + np.linalg.lstsq(a, rhs, rcond=None)[0][:-1])
+            fill = np.linalg.lstsq(a[:, np.r_[:self.n_eq, -1]].T, np.r_[self.offsets[:self.n_eq], 1.0])[0]
+            states.append(self.frame @ face @ np.tensordot(fill, hb, 1) @ face.conj().T @ self.frame.conj().T)
+            for sl, basis in self.cones:
+                zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
+                clipped = (zv * np.clip(zw, 0.0, None)) @ zv.conj().T
+                z[sl] = np.real(np.einsum("lab,ba->l", basis, clipped))
+            lower = max(lower, self.bound(g, z))
             val, mu = min(((float(np.real(np.vdot(g, mu))), mu) for mu in map(self.member, states)),
                           key=lambda pair: pair[0])
             if val < best_val:

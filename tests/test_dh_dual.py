@@ -1,6 +1,6 @@
 """The dual engine for D_H: exact over sets with finitely many extreme
-points, one cone solve over sets with a projection, and cutting planes over
-every other set.
+points, one cone solve over sets with constraint data, and cutting planes
+over every other set.
 
 A seeded random corpus over incoherent (computational and random basis),
 singleton and finite sets, every measurement restriction and three type-I
@@ -11,7 +11,7 @@ dual point, and no feasible test beats it.  A second corpus over real,
 unrestricted and hull sets checks alpha over the whole set through the
 set's exact LMO, and the upper bound at the recorded dual point over the
 constraint states the engine returns.  A third solves those sets on the
-cone route and, with the projection hidden, by cutting planes: two
+cone route and, with the cone data hidden, by cutting planes: two
 independent routes whose converged intervals must overlap.
 """
 
@@ -23,7 +23,7 @@ import pytest
 
 from hetres import divergences as dv
 from hetres import theories as th
-from hetres.composite import smin
+from hetres.composite import smax, smin
 from hetres.qcore import random_density_mat, random_unitary
 
 EPSILONS = (0.1, 0.25, 0.5)
@@ -198,14 +198,16 @@ def _set_alphas(free_set, tests):
     return np.real(np.einsum("nab,nba->n", free_set.lmo(-tests), tests))
 
 
-def _check_cut_result(res, rho, free_set, epsilon, restrict, rng):
+def _check_cut_result(res, rho, free_set, epsilon, restrict, rng, alpha_tol=1e-12):
+    # alpha_tol: how far the set's LMO may fall short of the true alpha; the
+    # rescaled test's exponent, and so the reported upper bound, carry it
     p = res.optimizer
     assert res.converged and res.gap <= TOL, (res.value, res.gap, res.extras["stop"])
     assert res.lower_bound <= res.value <= res.upper_bound
     assert np.max(np.abs(p - _cone(p, restrict))) <= 1e-12
     w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
     assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
-    assert _set_alphas(free_set, p[None])[0] <= epsilon + 1e-12
+    assert _set_alphas(free_set, p[None])[0] <= epsilon + alpha_tol
     assert "constraint_states" not in res.to_json()["extras"]
     if math.isinf(res.value):
         return
@@ -215,7 +217,7 @@ def _check_cut_result(res, rho, free_set, epsilon, restrict, rng):
     y = np.array(res.extras["dual_y"])
     points = res.extras["constraint_states"][:len(y)]
     assert np.all(y >= 0.0)
-    assert abs(_dual_bound(rho, points, epsilon, restrict, y) - res.upper_bound) <= 1e-9
+    assert abs(_dual_bound(rho, points, epsilon, restrict, y) - res.upper_bound) <= max(1e-9, 10.0 * alpha_tol)
     tests = _random_tests(rng, rho.shape[0], restrict, 200)
     alphas = _set_alphas(free_set, tests)
     for cand in tests * np.minimum(1.0, epsilon / np.maximum(alphas, 1e-300))[:, None, None]:
@@ -257,10 +259,10 @@ def test_real_states_value_matches_the_subgradient_solver():
     assert abs(res.value - 0.6026586284765482) <= 1e-9
 
 
-def _without_projection(free_set):
-    """The same set with its projection hidden: D_H then takes cutting planes."""
+def _without_data(free_set):
+    """The same set with its cone data hidden: D_H then takes cutting planes."""
     class Hidden(type(free_set)):
-        def projection(self):
+        def cone_basis(self):
             return None
 
     hidden = copy.copy(free_set)
@@ -275,14 +277,23 @@ DIFFERENTIAL_SETS = {
     "all2": lambda: th.AllStates(2),
     "all3": lambda: th.AllStates(3),
     "min-inc2-real2": lambda: smin([th.Incoherent(2), th.RealStates(2)]),
+    "min-real2-real2": lambda: smin([th.RealStates(2), th.RealStates(2)]),
+    "separable": lambda: th.SeparableTwoQubit(),
+    "max-inc2-real2": lambda: smax([th.Incoherent(2), th.RealStates(2)]),
 }
+# sets whose LMO gives alpha only to about 1e-10 (a see-saw, or the marginal
+# oracle at 1e-10 max|G|): cutting planes over them can stop short of the gap,
+# at their round cap or on the oracle's word that no cut is violated
+APPROXIMATE_LMO = {"min-real2-real2", "separable", "max-inc2-real2"}
 
 
-@pytest.mark.parametrize("restrict", [None, "real", "diagonal"])
-@pytest.mark.parametrize("name", DIFFERENTIAL_SETS)
+# cutting planes over the APPROXIMATE_LMO sets take 6-26 s per restriction,
+# so those sets run unrestricted only
+@pytest.mark.parametrize("name, restrict", [(n, r) for n in DIFFERENTIAL_SETS
+                                            for r in ([None] if n in APPROXIMATE_LMO else [None, "real", "diagonal"])])
 def test_cone_dual_agrees_with_cutting_planes(name, restrict):
     free_set = DIFFERENTIAL_SETS[name]()
-    hidden = _without_projection(free_set)
+    hidden = _without_data(free_set)
     assert hidden.cone_basis() is None and free_set.cone_basis() is not None
     seed = 7000 + 10 * free_set.dim + [None, "real", "diagonal"].index(restrict)
     rng = np.random.default_rng(seed)
@@ -294,8 +305,9 @@ def test_cone_dual_agrees_with_cutting_planes(name, restrict):
             if "cuts" in cone.extras:  # not an exact +inf
                 assert cone.extras["cuts"] == 0 and len(cone.extras["dual_y"]) == 1
                 assert cone.extras["stop"] == "gap"
-            _check_cut_result(cone, rho, free_set, epsilon, restrict, rng)
-            assert planes.converged
+            approximate = name in APPROXIMATE_LMO
+            _check_cut_result(cone, rho, free_set, epsilon, restrict, rng, 1e-9 if approximate else 1e-12)
+            assert planes.converged or approximate
             assert max(cone.lower_bound, planes.lower_bound) <= min(cone.upper_bound, planes.upper_bound) + 1e-9
 
 
@@ -303,7 +315,7 @@ class _PlaneRoute(Exception):
     pass
 
 
-def test_cone_route_is_taken_where_a_projection_and_no_extreme_points_are(monkeypatch):
+def test_cone_route_is_taken_where_data_and_no_extreme_points_are(monkeypatch):
     def plane_route(m, free_set, *args):
         raise _PlaneRoute("exact-dual" if free_set.extreme_points() is not None else "cutting-plane")
 
@@ -313,7 +325,10 @@ def test_cone_route_is_taken_where_a_projection_and_no_extreme_points_are(monkey
             "min-inc-real": smin([th.Incoherent(2), th.RealStates(2)]),
             "min-inc-all": smin([th.Incoherent(2), th.AllStates(2)]),
             "incoherent": th.Incoherent(4), "separable": th.SeparableTwoQubit(),
-            "min-real-real": smin([th.RealStates(2), th.RealStates(2)])}
+            "min-real-real": smin([th.RealStates(2), th.RealStates(2)]),
+            "max-inc-real": smax([th.Incoherent(2), th.RealStates(2)]),
+            "min-real-singleton": th.MinComposite([th.RealStates(2), th.Singleton(np.diag([0.7, 0.3]))]),
+            "max-pure-inc": smax([th.Singleton(np.diag([1.0, 0.0])), th.Incoherent(2)])}
     routes = {}
     for name, free_set in sets.items():
         try:
@@ -325,9 +340,28 @@ def test_cone_route_is_taken_where_a_projection_and_no_extreme_points_are(monkey
         # the one constraint state, the cover X / Tr X, is a member
         assert res.converged and len(res.extras["dual_y"]) == 1
         assert free_set.contains(res.extras["constraint_states"][0], 1e-9)
+    # no data (a singleton factor of a hull), or a singular member of maximal
+    # support (a pure singleton local), leaves cutting planes
     assert routes == {"real": "cone-dual", "all": "cone-dual", "min-inc-real": "cone-dual",
-                      "min-inc-all": "cone-dual", "incoherent": "exact-dual",
-                      "separable": "cutting-plane", "min-real-real": "cutting-plane"}
+                      "min-inc-all": "cone-dual", "incoherent": "exact-dual", "separable": "cone-dual",
+                      "min-real-real": "cone-dual", "max-inc-real": "cone-dual",
+                      "min-real-singleton": "cutting-plane", "max-pure-inc": "cutting-plane"}
+
+
+@pytest.mark.parametrize("quantity", ["dh", "dmax"])
+def test_marginal_set_with_a_mixed_singleton_closes_on_the_cone_route(quantity):
+    # smax(Singleton(diag(0.7, 0.3)), Inc2) has a full-rank member of maximal
+    # support, so the cone dual has an interior; with diag(1, 0) it has none
+    free_set = smax([th.Singleton(np.diag([0.7, 0.3])), th.Incoherent(2)])
+    assert smax([th.Singleton(np.diag([1.0, 0.0])), th.Incoherent(2)]).cone_basis() is None
+    rho = random_density_mat(np.random.default_rng(10), 4, 2)
+    if quantity == "dh":
+        res = dv.hypothesis_testing(rho, free_set, 0.1, tol=TOL)
+    else:
+        res = dv.dmax(rho, free_set, tol=1e-4)
+        assert free_set.contains(res.optimizer, 1e-9)
+    assert res.extras["method"] == "cone-dual" and res.extras["stop"] == "gap"
+    assert res.converged and res.extras["cuts"] == 0
 
 
 # the lower bounds cutting planes reached at their 32-round cap (128 cuts, no
@@ -345,12 +379,16 @@ def test_real_states_at_nine_converge(i):
     assert res.lower_bound >= PLANE_LOWER_AT_NINE[i]
 
 
-def test_dmax_over_the_cone_agrees_with_cutting_planes():
-    free_set = smin([th.Incoherent(2), th.RealStates(2)])
+@pytest.mark.parametrize("make", [
+    lambda: smin([th.Incoherent(2), th.RealStates(2)]), lambda: smin([th.RealStates(2), th.RealStates(2)]),
+    lambda: th.SeparableTwoQubit(), lambda: smax([th.Incoherent(2), th.RealStates(2)]),
+], ids=["min-inc2-real2", "min-real2-real2", "separable", "max-inc2-real2"])
+def test_dmax_over_the_cone_agrees_with_cutting_planes(make):
+    free_set = make()
     for k in range(3):
         rho = random_density_mat(np.random.default_rng([4, k]), 4, 1 + 3 * (k % 2))
         res = dv.dmax(rho, free_set, tol=1e-4)
-        planes = dv.dmax(rho, _without_projection(free_set), tol=1e-4)
+        planes = dv.dmax(rho, _without_data(free_set), tol=1e-4)
         assert res.converged and res.extras["cuts"] == 0
         assert max(res.lower_bound, planes.lower_bound) <= min(res.upper_bound, planes.upper_bound) + 1e-9
         assert free_set.contains(res.optimizer, 1e-9)

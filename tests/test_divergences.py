@@ -299,6 +299,15 @@ class TestFrankWolfeLineSearch:
         assert abs(gamma - _reference_minimiser(h)) <= 1e-8
         assert h_gamma <= min(h(g) for g in np.linspace(0.0, 1.0, 2001)) + 1e-12
 
+    def test_log_divided_differences_keep_close_pairs_exact(self):
+        # the difference of logs cancels on close pairs: 1e-13 apart it gave
+        # 4.814815, 1.2e-3 off log1p(delta)/(w delta ln 2)
+        close = dv._log_divided_differences(np.array([0.3, 0.3 * (1.0 + 1e-13)]))
+        assert abs(close[0, 1] / 4.808983469629639 - 1.0) <= 1e-12
+        assert close[0, 0] == 1.0 / (0.3 * math.log(2.0))
+        far = dv._log_divided_differences(np.array([1.0, 1e-12]))
+        assert abs(far[0, 1] / ((math.log2(1.0) - math.log2(1e-12)) / (1.0 - 1e-12)) - 1.0) <= 1e-15
+
     @pytest.mark.parametrize("dim", [2, 4, 9, 16])
     @pytest.mark.parametrize("spectrum", ["random", "maximally-mixed", "repeated"])
     def test_curvature_is_the_derivative_of_the_slope(self, dim, spectrum):
