@@ -55,14 +55,6 @@ class CertReport:
         }
 
 
-def _restrict_name(measurements) -> str | None:
-    if measurements in (None, "all"):
-        return None
-    if measurements in ("real", "diagonal"):
-        return measurements
-    raise ValueError(f"unsupported measurement restriction {measurements!r}")
-
-
 class _ImageSet(FreeStateSet):
     """The images of a free set under a preprocessing channel, on the measured
     space: a single-party channel sends the state straight through, a joint
@@ -137,14 +129,12 @@ def remote_certification(
     whenever the set's oracle is exact.  The measurement is optimized within
     the measuring party's class ("all", "real", or "diagonal"); every test
     runs at ``hypothesis_testing``'s default tolerance, which also rejects an
-    epsilon outside (0, 1) before any solve.
+    epsilon outside (0, 1) or any other measurement class before any solve.
     """
     if not preprocessing_family:
         raise ValueError("preprocessing family must be nonempty")
     m = as_matrix(rho_a)
-    restrict = _restrict_name(b_measurements)
-    ceiling = hypothesis_testing(m, set_a, epsilon, seed=seed)
-
+    restrict = None if b_measurements == "all" else b_measurements
     best = None
     for idx, lam in enumerate(preprocessing_family):
         if lam.in_structure.parties[0][1] != m.shape[0]:
@@ -157,7 +147,7 @@ def remote_certification(
     alpha, beta = float(res.extras["alpha"]), float(res.extras["beta"])
     return CertReport(
         value=res.value,
-        ceiling=ceiling,
+        ceiling=hypothesis_testing(m, set_a, epsilon, seed=seed),
         achiever={"channel_index": idx, "povm_element": res.optimizer},
         alpha=alpha,
         beta=beta,

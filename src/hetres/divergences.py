@@ -244,9 +244,10 @@ def rel_entropy_of_resource(
 
     Both engines certify by f - Tr G sigma + a lower bound on min Tr G mu:
     mirror descent's comes from its own step's multipliers; Frank-Wolfe's is
-    its oracle's minimum, heuristic (4 restarts) over a set without an exact
-    oracle (``exact_lmo`` False: a see-saw hull), as ``extras["oracle_limited"]``
-    says.  ``force_engine`` skips an available closed form (cross-validation).
+    its oracle's minimum, which over a set without an exact oracle
+    (``exact_lmo`` False: a see-saw hull) is the best of the see-saw's
+    ``SEESAW_RESTARTS`` starts, as ``extras["oracle_limited"]`` says.
+    ``force_engine`` skips an available closed form (cross-validation).
     """
     m = as_matrix(rho)
     free_set._check_dim(m)
@@ -284,7 +285,6 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     best_lb = -np.inf
     f = np.inf
     iters, away_steps, stop = 0, 0, "iteration-cap"
-    exact = free_set.exact_lmo
     frame = None  # the line search's _eig_frame of the current sigma
     for t in range(1, ITER_CAP + 1):
         iters = t
@@ -300,7 +300,7 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
             frame = None
             continue
         grad = _log_gradient(*frame)
-        mu = free_set.lmo(grad, rng) if exact else free_set.lmo(grad, rng, restarts=4)
+        mu = free_set.lmo(grad, rng)
         fw_gap = float(np.real(np.trace(grad @ (sigma - mu))))
         best_lb = max(best_lb, f - max(fw_gap, 0.0))
         if f - best_lb <= gap:
@@ -341,9 +341,7 @@ def _fw_rel_entropy(m, free_set, gap, seed) -> DivergenceResult:
     lb = max(best_lb, _marginal_lower_bound(m, free_set))
     lb = min(lb, value)
     extras = {"method": "frank-wolfe", "lmo": free_set.kind, "requested_gap": gap,
-              "oracle_limited": not exact, "stop": stop, "away_steps": away_steps}
-    if not exact:
-        extras["lmo_restarts"] = {"iterate": 4}
+              "oracle_limited": not free_set.exact_lmo, "stop": stop, "away_steps": away_steps}
     return DivergenceResult(
         value,
         lb,
@@ -509,7 +507,11 @@ def rescaled_test(m: np.ndarray, p: np.ndarray, free_set: FreeStateSet, epsilon:
     max_S Tr(sigma p) by the set's LMO, P = p rescaled by eps/alpha where
     alpha > eps, so that P keeps the type-I budget, and beta = 1 - Tr(rho P),
     its type-II error."""
-    alpha, _ = _alpha(p, free_set, rng)
+    return _rescale(m, p, _alpha(p, free_set, rng)[0], epsilon)
+
+
+def _rescale(m: np.ndarray, p: np.ndarray, alpha: float, epsilon: float) -> tuple[np.ndarray, float, float]:
+    """``rescaled_test`` of a test p whose alpha is known."""
     if alpha > epsilon:
         p = p * (epsilon / alpha)
     return p, alpha, 1.0 - float(np.real(np.trace(m @ p)))
@@ -547,7 +549,7 @@ def _plane_dual(m, free_set, epsilon, tol, restrict, rng):
     extras: dict = {}
     n_start, dual_value, steps, best = len(points), np.inf, 0, (None, np.nan, np.inf)
     for _ in range(DH_ROUNDS):
-        y, f, p, n = _extreme_point_dual(m, points, epsilon, restrict)
+        y, f, p, _, n = _extreme_point_dual(m, points, epsilon, restrict)
         steps += n
         if f < dual_value:
             dual_value, extras["dual_y"] = f, [float(t) for t in y]
@@ -568,17 +570,17 @@ def _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng):
     """The dual over the set's cone K = {X = sum_j x_j B_j : X >= 0, A(X) >=
     0 per ``constraints`` cone A}, B_j its ``cone_basis``: min_{X in K} eps
     Tr X + Tr(rho - X)_+, one barrier block per X and A(X), in one solve from
-    the ``max_support_state()``.  Returns ((P, alpha, beta) of the test,
-    route, Newton steps, dual value, extras), the cover X as dual_y = [Tr X]
-    over the one constraint state X / Tr X, a member of the set."""
+    the ``max_support_state()``.  Returns ((P, alpha, beta) of the test, its
+    alpha the ladder's, route, Newton steps, dual value, extras), the cover X
+    as dual_y = [Tr X] over the one constraint state X / Tr X, a set member."""
     traces = np.real(np.einsum("kaa->k", basis))
     blocks = [(slice(None), e) for e in [basis, *(a(basis) for a in free_set.constraints.cones)]]
     smoothed = SmoothedDual(np.stack([_cone(b, restrict) for b in basis]), -epsilon * traces, blocks, True, False)
     start = np.real(np.einsum("kab,ba->k", basis, free_set.max_support_state()))
-    x, f, p, steps = _smoothed_test(_cone(m, restrict), smoothed, start, epsilon,
-                                    lambda x: traces @ x, lambda p: _alpha(p, free_set, rng)[0])
+    x, f, p, alpha, steps = _smoothed_test(_cone(m, restrict), smoothed, start, epsilon, lambda x: traces @ x,
+                                           lambda p: _alpha(_clip_test(p, restrict), free_set, rng)[0])
     cover, size = np.tensordot(x, basis, 1), float(traces @ x)
-    scored = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)
+    scored = _rescale(m, _clip_test(p, restrict), alpha, epsilon)
     return scored, "cone-dual", steps, f, {"dual_y": [size], "cuts": 0,
                                            "stop": _stop(scored[2], f, tol, "ladder-end"),
                                            "constraint_states": (cover / max(size, 1e-300))[None]}
@@ -620,19 +622,23 @@ def hypothesis_testing(
     ``extras["constraint_states"]``) bounds from above; the lower bound is
     the best test's exponent after rescaling to alpha <= eps, alpha being
     only as exact as the LMO (heuristic on see-saw hulls).  The eps*identity
-    test and the support projector are backstops.  Each test is scored once
-    by ``rescaled_test``: the route scores its own, and only the backstops
-    are scored here; ``extras["method"]`` names the route, or "floor" or
+    test and the support projector are backstops.  Each test's alpha is
+    found once: the route finds its own, the floor's is eps on any set of
+    states, and the support projector's is the one its early exit found;
+    ``extras["alpha"]`` is the winning test's, min(alpha, eps) after
+    rescaling.  ``extras["method"]`` names the route, or "floor" or
     "support" where a backstop scores best.  beta below 1e-12 is +inf.
 
     ``restrict`` confines the test to "diagonal" or "real" POVM elements.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly between 0 and 1")
+    if restrict not in (None, "real", "diagonal"):
+        raise ValueError(f"unsupported measurement restriction {restrict!r}")
     m = as_matrix(rho)
     free_set._check_dim(m)
     rng = np.random.default_rng(seed)
-    backstops: list[tuple[np.ndarray, str]] = [(epsilon * np.eye(len(m), dtype=complex), "floor")]
+    backstops = [(_rescale(m, epsilon * np.eye(len(m), dtype=complex), epsilon, epsilon), "floor")]
 
     w, v = np.linalg.eigh(m)
     support = _cone(v[:, w > EIG_FLOOR] @ v[:, w > EIG_FLOOR].conj().T, restrict)
@@ -641,15 +647,13 @@ def hypothesis_testing(
         if a_supp <= epsilon + 1e-12:
             return _exact(float("inf"), support, method="support-projector", alpha=a_supp,
                           beta=0.0, epsilon=epsilon)
-        backstops.append((support, "support"))
+        backstops.append((_rescale(m, support, a_supp, epsilon), "support"))
 
     basis = free_set.cone_basis() if free_set.extreme_points() is None else None
     test, route, steps, dual_value, dual = (_plane_dual(m, free_set, epsilon, tol, restrict, rng) if basis is None
                                             else _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng))
-    scored = [(test, route)] + [(rescaled_test(m, _clip_test(c, restrict), free_set, epsilon, rng), name)
-                                for c, name in backstops]
-    (best_p, _, best_beta), how = min(scored, key=lambda pair: pair[0][2])
-    extras = {"method": how, "alpha": _alpha(best_p, free_set, rng)[0], "beta": max(best_beta, 0.0),
+    (best_p, best_alpha, best_beta), how = min([(test, route)] + backstops, key=lambda pair: pair[0][2])
+    extras = {"method": how, "alpha": min(best_alpha, epsilon), "beta": max(best_beta, 0.0),
               "epsilon": epsilon, "restrict": restrict, **dual}
 
     value = exponent(best_beta)
@@ -706,18 +710,15 @@ def _smoothed_test(rho, smoothed, y, epsilon, size, alpha, polish=None):
     The ladder stops early once the best dual value is within 1e-12 (relative
     to 1 - value) of the best rescaled test.
 
-    Returns (y, f(y), P, Newton steps) for the lowest dual value and the
-    test with the highest value after rescaling (the caller rescales P).
+    Returns (y, f(y), P, alpha(P), Newton steps): the lowest dual value and
+    the test best after rescaling (the caller rescales P).
     """
     def dual_value(y):
         lam = np.linalg.eigh(rho - np.tensordot(y, smoothed.mats, 1))[0]
         return epsilon * float(size(y)) + float(np.sum(lam[lam > 0.0]))
 
-    def primal_value(p):
-        return float(np.real(np.trace(rho @ p))) * min(1.0, epsilon / max(alpha(p), 1e-300))
-
     origin = np.zeros(len(y))
-    best_y, best_f, best_p, best_t = origin, dual_value(origin), np.zeros_like(rho), 0.0
+    best_y, best_f, best_p, best_a, best_t = origin, dual_value(origin), np.zeros_like(rho), 0.0, 0.0
     steps = 0
     for tau in DUAL_TEMPERATURES:
         y, lam, v, weights, n = smoothed.newton(rho, tau, epsilon * tau, y, 1e-12 * epsilon)
@@ -726,14 +727,15 @@ def _smoothed_test(rho, smoothed, y, epsilon, size, alpha, polish=None):
         if polish is not None:
             found += polish(tau, y, lam, v, found[0][1])
         for cand_y, cand_p in found:
-            f, t = dual_value(cand_y), primal_value(cand_p)
+            f, a = dual_value(cand_y), alpha(cand_p)
+            t = float(np.real(np.trace(rho @ cand_p))) * min(1.0, epsilon / max(a, 1e-300))
             if f < best_f:
                 best_y, best_f = cand_y, f
             if t > best_t:
-                best_p, best_t = cand_p, t
+                best_p, best_a, best_t = cand_p, a, t
         if best_f - best_t <= 1e-12 * (1.0 - best_t):
             break
-    return best_y, best_f, best_p.astype(complex), steps
+    return best_y, best_f, best_p.astype(complex), best_a, steps
 
 
 def _polish_face(y, lam, v, n_null, p, rho, mus, epsilon, restrict):
@@ -822,8 +824,8 @@ def regularized_rel_entropy(
         return res
     if mode != "evaluate-n":
         raise ValueError("mode must be 'declared-additive' or 'evaluate-n'")
-    if n > 2:
-        raise ValueError("evaluate-n supports n <= 2 only")
+    if not 1 <= n <= 2:
+        raise ValueError("evaluate-n supports n = 1 or 2 only")
     m = as_matrix(rho)
     power = kron_all([m] * n)
     big_set = free_set if n == 1 else free_set.tensor_power(n)

@@ -291,7 +291,7 @@ def witness_channel(
     The separating witness is W = I - P, with P the optimal test of the
     hypothesis-testing divergence of rho against set1 at budget 1/2: then
     inf over set1 of Tr W mu = 1 - alpha exceeds Tr W rho = beta.  Shifting
-    by that infimum (from set1's oracle) and scaling about 1/2 give a witness
+    by that infimum (D_H's ``extras["alpha"]``) and scaling about 1/2 give a witness
     0 <= W <= 1 with Tr W rho < 1/2 <= inf over set1.  The output pair
     straddles set2's boundary, located by bisection along the segment from a
     known non-member to an interior point and recentered so the crossing
@@ -305,8 +305,9 @@ def witness_channel(
     rng = np.random.default_rng(seed)
 
     d = m.shape[0]
-    w = np.eye(d, dtype=complex) - hypothesis_testing(m, set1, 0.5, seed=seed).optimizer
-    q_star = float(np.real(np.trace(w @ set1.lmo(w, rng))))
+    test = hypothesis_testing(m, set1, 0.5, seed=seed)
+    w = np.eye(d, dtype=complex) - test.optimizer
+    q_star = 1.0 - test.extras["alpha"]
     if q_star - float(np.real(np.trace(w @ m))) <= 1e-6:
         raise ValueError("failed to separate the state from set1 (is it on the boundary?)")
 

@@ -479,8 +479,12 @@ class _Composite(FreeStateSet):
             return super().contains(rho, tol)
         m = as_matrix(rho)
         self._check_dim(m)
-        oks = [s.contains(partial_trace_mat(m, self.local_dims, [i]), tol) for i, s in enumerate(self.locals)]
-        return _bools(np.logical_and.reduce(oks))
+        return _bools(self._free_marginals(m, tol)[0])
+
+    def _free_marginals(self, m: np.ndarray, tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(whether every marginal of m lies in its local set, the marginals)."""
+        margs = [partial_trace_mat(m, self.local_dims, [i]) for i in range(len(self.locals))]
+        return np.logical_and.reduce([s.contains(g, tol) for s, g in zip(self.locals, margs)]), margs
 
     def max_support_state(self):
         """The locals' product; it holds a marginal-set member's support too,
@@ -537,17 +541,17 @@ class MinComposite(_Composite):
         factors = self.hull_factors()
         return len(self._unlisted(factors)) <= 1 and all(f.exact_lmo for f in factors)
 
-    def lmo(self, grad, rng=None, restarts: int | None = None):
+    def lmo(self, grad, rng=None):
         """One batched see-saw over the flattened factors.
 
         Factors that list their extreme points are enumerated along the
         batch axis, all but the last one when every factor lists them.  The
         remaining factors are see-sawed, each by its own oracle, from
-        ``restarts`` random starts per enumerated combination; all of them
-        advance together.  With one such factor a single sweep is exact."""
+        ``SEESAW_RESTARTS`` random starts per enumerated combination; all of
+        them advance together.  With one such factor a single sweep is exact."""
         g = as_complex(grad)
         if g.ndim > 2:
-            return np.stack([self.lmo(x, rng, restarts) for x in g])
+            return np.stack([self.lmo(x, rng) for x in g])
         rng = rng or np.random.default_rng(0)
         factors = self.hull_factors()
         dims = [f.dim for f in factors]
@@ -555,7 +559,7 @@ class MinComposite(_Composite):
         free = [i for i, p in enumerate(points) if p is None] or [len(factors) - 1]
         listed = [i for i in range(len(factors)) if i not in free]
         seesaw = len(free) > 1
-        n = max(1, SEESAW_RESTARTS if restarts is None else restarts) if seesaw else 1
+        n = SEESAW_RESTARTS if seesaw else 1
         combos = list(itertools.product(*(points[i] for i in listed)))
         parts = [None] * len(factors)
         for k, i in enumerate(listed):
@@ -588,13 +592,13 @@ class MinComposite(_Composite):
         hence ||rho - sigma||_1 <= 2(2^b - 1) = tol; a rejection is only as
         exact as the see-saw oracle inside ``dmax``.  A stack runs every test
         but D_max at once; D_max runs on each matrix the others leave open."""
-        ok = super().contains(rho, tol)
         if self.constraints is not None:
-            return ok
+            return super().contains(rho, tol)
         m = as_matrix(rho)
-        stack, ok = m.reshape(-1, self.dim, self.dim), np.reshape(ok, -1)
+        self._check_dim(m)
+        stack = m.reshape(-1, self.dim, self.dim)
+        ok, margs = self._free_marginals(stack, tol)
         proj = _product_projection(self.hull_factors())
-        margs = [partial_trace_mat(stack, self.local_dims, [i]) for i in range(len(self.locals))]
         if proj is not None:
             ok = ok & (np.max(np.abs(stack - proj(stack)), axis=(-2, -1)) <= tol)
         product = trace_norm(stack - kron_all(margs)) <= tol

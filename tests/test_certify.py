@@ -100,6 +100,20 @@ class TestRemote:
         assert vals[0] <= vals[1] + 1e-9
         assert vals[1] <= vals[2] + 1e-9 or math.isinf(vals[2])
 
+    def test_frank_wolfe_over_an_image_of_a_see_saw_hull(self):
+        # the image set's oracle is the see-saw's, through the same call; an
+        # isotropic state of fidelity F has D(rho||Sep) = 1 - h(F) (Vedral &
+        # Plenio, PRA 57, 1619, 1998)
+        image = ct._ImageSet(th.SeparableTwoQubit(), ch.identity_channel(single_party(4, "AB")))
+        phi = np.zeros(4, dtype=complex)
+        phi[[0, 3]] = 2.0 ** -0.5
+        f = 0.925
+        rho = 0.9 * np.outer(phi, phi.conj()) + 0.1 * np.eye(4) / 4
+        res = dv.rel_entropy_of_resource(rho, image, gap=1e-3, force_engine=True)
+        exact = 1.0 + f * math.log2(f) + (1.0 - f) * math.log2(1.0 - f)
+        assert res.converged and res.extras["method"] == "frank-wolfe" and res.extras["oracle_limited"]
+        assert res.lower_bound <= exact <= res.upper_bound + 1e-12
+
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             ct.remote_certification(PLUS_Y, INC2, "all", [], 0.5)
@@ -120,6 +134,8 @@ class TestRemote:
     def test_measurement_restriction_names_only(self):
         with pytest.raises(ValueError):
             ct.remote_certification(PLUS_Y, INC2, th.Sio(), [identity_send()], 0.5)
+        with pytest.raises(ValueError, match="unsupported measurement restriction 'Diagonal'"):
+            ct.remote_certification(PLUS_Y, INC2, "Diagonal", [identity_send()], 0.5)
 
     def test_joint_preprocessing_channel(self):
         # an AB -> AB preprocessing (move the suspect system across, refill

@@ -11,6 +11,7 @@ from hetres.qcore import (
     KET_PLUS_Y,
     bell_phi_plus_vec,
     partial_trace_mat,
+    partial_transpose_mat,
     random_density_mat,
     random_pure_vec,
     random_unitary,
@@ -84,6 +85,24 @@ class TestRelEntropyOfResource:
                                          force_engine=True)
         assert res.extras["method"] == "frank-wolfe"
         assert res.extras["oracle_limited"] is False
+
+    def test_see_saw_lower_bound_stays_below_a_separable_member(self):
+        # a Frank-Wolfe gap certifies only at the oracle's minimum, so a
+        # see-saw with too few starts can certify a lower bound above
+        # D(rho||sigma) = 0.01683 at the separable sigma below (4 starts gave 0.04723)
+        rho = random_density_mat(np.random.default_rng([5, 6]), 4, 3)
+        sigma = np.array([
+            [0.3102, 0.1142 - 0.0066j, -0.0233 - 0.0020j, -0.1055 - 0.0618j],
+            [0.1142 + 0.0066j, 0.3912, -0.0893 - 0.0824j, 0.1642 + 0.1541j],
+            [-0.0233 + 0.0020j, -0.0893 + 0.0824j, 0.0409, -0.0811 + 0.0093j],
+            [-0.1055 + 0.0618j, 0.1642 - 0.1541j, -0.0811 - 0.0093j, 0.2577]])
+        # a 2x2 state is separable iff its partial transpose is PSD (Horodecki)
+        assert abs(np.trace(sigma) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(sigma)[0] > 0.0
+        assert np.linalg.eigvalsh(partial_transpose_mat(sigma, (2, 2), 1))[0] > 0.0
+        res = dv.rel_entropy_of_resource(rho, th.SeparableTwoQubit(), gap=1e-3, seed=6)
+        assert res.converged and res.extras["oracle_limited"] is True
+        assert res.lower_bound <= float(relative_entropy(rho, sigma))
 
     def test_optimizer_is_free(self):
         res = dv.rel_entropy_of_resource(PHI, th.SeparableTwoQubit(), gap=1e-3, seed=5)
@@ -622,6 +641,11 @@ class TestHypothesisTesting:
         with pytest.raises(ValueError):
             dv.hypothesis_testing(PLUS, INC2, 1.5)
 
+    @pytest.mark.parametrize("restrict", ["Diagonal", "all", "imaginary"])
+    def test_unknown_restriction_rejected(self, restrict):
+        with pytest.raises(ValueError, match="unsupported measurement restriction"):
+            dv.hypothesis_testing(PLUS, INC2, 0.25, restrict=restrict)
+
 
 class TestRegularized:
     def test_declared_additive_coherence(self):
@@ -663,6 +687,12 @@ class TestRegularized:
     def test_n_above_two_rejected(self):
         with pytest.raises(ValueError):
             dv.regularized_rel_entropy(PLUS, INC2, mode="evaluate-n", n=3)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        # n comes from scenario JSON
+        with pytest.raises(ValueError, match="evaluate-n supports n = 1 or 2 only"):
+            dv.regularized_rel_entropy(PLUS, INC2, mode="evaluate-n", n=n)
 
     def test_separable_set_has_no_two_copy_set(self):
         # a hull over the slots (A1 B1)|(A2 B2) would hold PHI (x) PHI, which

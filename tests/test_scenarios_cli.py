@@ -61,6 +61,19 @@ class TestScenarioRunner:
         )
         assert strip(first) == strip(second)
 
+    def test_unknown_restriction_is_an_error(self):
+        # a misspelt class must not run the unrestricted test: 1 bit for |+>
+        # against Inc2 at eps = 1/4, where the diagonal ceiling is 0.415
+        obj = {
+            "name": "misspelt-restriction",
+            "kind": "divergence",
+            "inputs": {"state": "plus", "theory": {"kind": "incoherent", "dim": 2}, "which": "hypothesis"},
+            "params": {"seed": 0, "epsilon": 0.25, "restrict": "Diagonal"},
+            "expected": [],
+        }
+        with pytest.raises(ValueError, match="unsupported measurement restriction 'Diagonal'"):
+            sc.run_scenario(obj)
+
     def test_seed_override_recorded(self):
         rep = sc.run_scenario(sc.builtin_scenarios()["hypothesis_floor"], seed_override=123)
         assert rep["seed"] == 123
