@@ -248,18 +248,15 @@ def marginal_channel(
     channel: KrausChannel,
     target: str,
     frozen_inputs: Mapping[str, DensityOperator],
-    method: str = "direct",
 ) -> KrausChannel:
     """Effective local channel at ``target`` with every other input frozen:
     X -> Tr_other[ L(X (x) frozen) ].  ``frozen_inputs`` must cover every
     in-party except the target.
 
-    The default realization sandwiches each Kraus operator between the
-    frozen inputs' square roots and the traced-out output basis, which keeps
-    structural features of the original operators (products of local
-    operators stay products, so representation-dependent predicates remain
-    testable).  ``method="choi"`` instead re-factorizes through the Choi
-    matrix, giving a minimal Kraus family with arbitrary mixing.
+    Each Kraus operator is sandwiched between the frozen inputs' square roots
+    and the traced-out output basis, which keeps structural features of the
+    original operators (products of local operators stay products, so
+    representation-dependent predicates remain testable).
     """
     ins = channel.in_structure
     missing = [lbl for lbl in ins.labels if lbl != target and lbl not in frozen_inputs]
@@ -268,15 +265,6 @@ def marginal_channel(
     d_t = ins.local_dim(target)
     outs = channel.out_structure
     d_out_t = outs.local_dim(target)
-
-    if method == "choi":
-        choi = _marginal_choi(channel, target, frozen_inputs, d_t)
-        ops = kraus_from_choi(choi, d_t, choi.shape[0] // d_t)
-        return KrausChannel(
-            tuple(ops), single_party(d_t, target), single_party(choi.shape[0] // d_t, target)
-        )
-    if method != "direct":
-        raise ValueError("method must be 'direct' or 'choi'")
 
     # K (I_target (x) sqrt(frozen)) on the parties' axes: the traced output
     # parties and frozen input slots go ahead of the target's axes, so each

@@ -522,13 +522,13 @@ def exponent(beta: float) -> float:
     return float("inf") if beta <= 1e-12 else -math.log2(beta)
 
 
-def _repair(p, free_set, epsilon, rng, restrict, steps):
-    """Up to ``steps`` repairs of the test p against the worst free states
+def _repair(p, free_set, epsilon, rng, restrict):
+    """Up to 40 repairs of the test p against the worst free states
     the LMO finds: clip p into [0, I], stop once alpha = max_S Tr(sigma p) <=
     eps + 1e-10, else keep sigma as a cut and subtract the multiple of it that
     meets its constraint.  Returns the last p and the cuts."""
     cuts = []
-    for _ in range(steps):
+    for _ in range(40):
         p = _clip_test(p, restrict)
         a, sigma = _alpha(p, free_set, rng)
         if a <= epsilon + 1e-10:
@@ -554,7 +554,7 @@ def _plane_dual(m, free_set, epsilon, tol, restrict, rng):
         if f < dual_value:
             dual_value, extras["dual_y"] = f, [float(t) for t in y]
         # the dual over all extreme points needs no repair
-        p, cuts = _repair(p, free_set, epsilon, rng, restrict, 0 if exact else 40)
+        p, cuts = (p, []) if exact else _repair(p, free_set, epsilon, rng, restrict)
         scored = rescaled_test(m, _clip_test(p, restrict), free_set, epsilon, rng)
         if scored[2] < best[2]:
             best = scored
@@ -575,9 +575,9 @@ def _cone_dual(m, free_set, basis, epsilon, tol, restrict, rng):
     as dual_y = [Tr X] over the one constraint state X / Tr X, a set member."""
     traces = np.real(np.einsum("kaa->k", basis))
     blocks = [(slice(None), e) for e in [basis, *(a(basis) for a in free_set.constraints.cones)]]
-    smoothed = SmoothedDual(np.stack([_cone(b, restrict) for b in basis]), -epsilon * traces, blocks, True, False)
+    smoothed = SmoothedDual(np.stack([_cone(b, restrict) for b in basis]), -epsilon * traces, blocks, True)
     start = np.real(np.einsum("kab,ba->k", basis, free_set.max_support_state()))
-    x, f, p, alpha, steps = _smoothed_test(_cone(m, restrict), smoothed, start, epsilon, lambda x: traces @ x,
+    x, f, p, alpha, steps = _smoothed_test(_cone(m, restrict), smoothed, start, epsilon,
                                            lambda p: _alpha(_clip_test(p, restrict), free_set, rng)[0])
     cover, size = np.tensordot(x, basis, 1), float(traces @ x)
     scored = _rescale(m, _clip_test(p, restrict), alpha, epsilon)
@@ -689,17 +689,18 @@ def _extreme_point_dual(m, points, epsilon, restrict):
         n_null = int(np.sum(np.abs(lam) <= 100.0 * tau))
         return [_polish_face(active, lam, v, n_null, p, rho, mus, epsilon, restrict)]
 
-    return _smoothed_test(rho, SmoothedDual(mus, np.full(len(mus), -epsilon), [], True, True),
-                          np.full(len(mus), 1.0 / len(mus)), epsilon, np.sum,
+    return _smoothed_test(rho, SmoothedDual(mus, np.full(len(mus), -epsilon), [], True),
+                          np.full(len(mus), 1.0 / len(mus)), epsilon,
                           lambda p: float(np.max(np.real(np.einsum("kab,ba->k", mus, p)))), polish)
 
 
-def _smoothed_test(rho, smoothed, y, epsilon, size, alpha, polish=None):
-    """min_y f(y) = eps*size(y) + Tr(rho - y.mats)_+ from the start y, with a
-    test recovered from the optimum; ``alpha`` is a test's worst type-I error
-    over the set.
+def _smoothed_test(rho, smoothed, y, epsilon, alpha, polish=None):
+    """min_y f(y) = -offsets.y + Tr(rho - y.mats)_+ from the start y, with a
+    test recovered from the optimum, where each of ``smoothed``'s offsets is
+    -eps times its variable's trace (so -offsets.y is eps Tr X); ``alpha`` is
+    a test's worst type-I error over the set.
 
-    The dual is followed along its softplus smoothing eps*size(y) +
+    The dual is followed along its softplus smoothing -offsets.y +
     tau*Tr log(1 + exp(X/tau)) minus eps*tau times the barrier of
     ``smoothed`` as tau falls through ``DUAL_TEMPERATURES``, each rung
     maximising its negative by ``SmoothedDual.newton`` (K = rho); each
@@ -715,7 +716,7 @@ def _smoothed_test(rho, smoothed, y, epsilon, size, alpha, polish=None):
     """
     def dual_value(y):
         lam = np.linalg.eigh(rho - np.tensordot(y, smoothed.mats, 1))[0]
-        return epsilon * float(size(y)) + float(np.sum(lam[lam > 0.0]))
+        return float(-smoothed.offsets @ y) + float(np.sum(lam[lam > 0.0]))
 
     origin = np.zeros(len(y))
     best_y, best_f, best_p, best_a, best_t = origin, dual_value(origin), np.zeros_like(rho), 0.0, 0.0

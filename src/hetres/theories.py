@@ -50,6 +50,7 @@ from .qcore import (
 
 MEMBERSHIP_TOL = 1e-6
 SEESAW_RESTARTS = 20
+RNG_SAMPLES = 40  # draws when Rng.verify falls through to sampling
 
 
 class FreeStateSet:
@@ -759,11 +760,12 @@ class SmoothedDual:
     ``cones`` of (slice, E) pairs: Z_k = y[slice].E stays positive definite.
     With ``softplus`` (D_H's dual), psi(H) = -tau sum_a softplus(lambda_a/tau)
     smooths -Tr H_+; else psi(H) = -tau ln Tr exp(-H/tau) smooths lambda_min(H).
-    With ``orthant`` y stays positive and F adds barrier sum_i ln y_i."""
+    A softplus dual without cones (D_H over listed states, y >= 0 their
+    weights) keeps y in the orthant: F adds barrier sum_i ln y_i."""
 
-    def __init__(self, mats: np.ndarray, offsets: np.ndarray, cones: list, softplus: bool, orthant: bool):
+    def __init__(self, mats: np.ndarray, offsets: np.ndarray, cones: list, softplus: bool):
         self.mats, self.offsets, self.cones = mats, offsets, cones
-        self.softplus, self.orthant = softplus, orthant
+        self.softplus, self.orthant = softplus, softplus and not cones
 
     def _dual(self, k, tau, barrier, y):
         """(F(y), eigensystem of H, weights dpsi/dlambda, Z_k^-1), or None off the domain."""
@@ -855,7 +857,7 @@ class MarginalConstraints(SmoothedDual):
         ends = np.cumsum([self.n_eq] + [len(c) for c in cones])
         super().__init__(np.concatenate([eqs] + cones), offsets,
                          [(slice(a, b), hermitian_basis(math.isqrt(b - a), None))
-                          for a, b in zip(ends[:-1], ends[1:])], False, False)
+                          for a, b in zip(ends[:-1], ends[1:])], False)
         self.origin = np.concatenate(  # x = 0 and every Z_k = I/n_k
             [np.zeros(self.n_eq)] + [np.real(np.einsum("kaa->k", e)) / len(e[0]) for _, e in self.cones])
 
@@ -1051,18 +1053,17 @@ class Rng(FreeOpClass):
 
     ``verify`` asks the set's ``maps_into`` whether the channel maps it into
     itself; the verdict's mode is ``extreme-points``, ``projection`` (exact),
-    ``certified`` (sufficient) or ``sampled`` (``n_samples`` draws, ``seed``).
+    ``certified`` (sufficient) or ``sampled`` (``RNG_SAMPLES`` draws, ``seed``).
     """
 
     kind = "rng"
 
-    def __init__(self, free_set: FreeStateSet, n_samples: int = 40, seed: int = 11):
+    def __init__(self, free_set: FreeStateSet, seed: int = 11):
         self.free_set = free_set
-        self.n_samples = n_samples
         self.seed = seed
 
     def verify(self, channel: ch.KrausChannel, tol: float = MEMBERSHIP_TOL) -> RngVerdict:
-        return self.free_set.maps_into(channel.apply_mat, self.free_set, tol, self.n_samples,
+        return self.free_set.maps_into(channel.apply_mat, self.free_set, tol, RNG_SAMPLES,
                                        np.random.default_rng(self.seed))
 
     def contains_channel(self, channel, tol: float = 1e-6) -> bool:

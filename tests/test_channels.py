@@ -223,8 +223,11 @@ class TestMarginalChannel:
                     lbl: density(random_density_mat(rng, d, 1 + i % d), single_party(d, lbl))
                     for i, (lbl, d) in enumerate(zip(labels, dims)) if lbl != target
                 }
-                direct = ch.marginal_channel(lam, target, frozen, method="direct")
-                via_choi = ch.marginal_channel(lam, target, frozen, method="choi")
+                direct = ch.marginal_channel(lam, target, frozen)
+                choi = ch._marginal_choi(lam, target, frozen, d_t)
+                d_out = choi.shape[0] // d_t
+                via_choi = ch.KrausChannel(tuple(ch.kraus_from_choi(choi, d_t, d_out)),
+                                           single_party(d_t, target), single_party(d_out, target))
                 for i in range(d_t):
                     for j in range(d_t):
                         unit = np.zeros((d_t, d_t), dtype=complex)

@@ -212,7 +212,7 @@ class TestCheckAxioms:
         lam = coherence_to_entanglement_channel()
         locals_ = [
             (th.Incoherent(2), th.Sio()),
-            (th.SeparableTwoQubit(), th.Rng(th.SeparableTwoQubit(), n_samples=12)),
+            (th.SeparableTwoQubit(), th.Rng(th.SeparableTwoQubit())),
         ]
         hull = co.smin([s for s, _ in locals_])
         rep = co.check_axioms(hull, [lam], locals_, n_state_samples=40, seed=12)

@@ -96,6 +96,14 @@ class TestConversionVerdict:
         )
         assert rep.verdict == laws.FORBIDDEN
 
+    def test_infinite_target_divergence_is_forbidden(self):
+        # |1> lies outside the support of the one free state |0><0|: no
+        # finite source divergence reaches it
+        rep = laws.conversion_verdict(pure_state(KET_PLUS), INC2, pure_state(np.array([0.0, 1.0])),
+                                      th.Singleton(np.diag([1.0, 0.0])))
+        assert math.isinf(rep.rhs.value) and not math.isinf(rep.lhs.value)
+        assert rep.verdict == laws.FORBIDDEN
+
     def test_coherence_vs_imaginarity_units(self):
         py = pure_state(KET_PLUS_Y)
         rep = laws.conversion_verdict(py, INC2, py, th.RealStates(2))

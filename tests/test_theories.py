@@ -384,11 +384,15 @@ class TestOpClasses:
          lambda: th.MaxComposite([th.AllStates(2), th.AllStates(2)]), np.eye(4), (True, "projection", 16)),
         (lambda: th.MaxComposite([th.Incoherent(2), th.RealStates(2)]),
          lambda: th.MinComposite([th.Incoherent(2), th.RealStates(2)]), np.eye(4), (False, "sampled", 40)),
+        (lambda: th.MinComposite([th.Incoherent(2), th.RealStates(2)]),
+         lambda: th.SeparableTwoQubit(), np.eye(4), (True, "sampled", 40)),
     ], ids=["hull-into-marginal", "hadamard-hull-into-marginal", "separable-hull-into-marginal",
-            "separable-into-all-marginals", "marginal-into-hull"])
+            "separable-into-all-marginals", "marginal-into-hull", "uncertified-cone-falls-through"])
     def test_inclusions_read_the_constraints(self, source, target, unitary, expected):
         # a source with a projection decides inclusions into any set with
-        # constraints exactly; the marginal set has none, so it is sampled
+        # constraints exactly; the marginal set has none, so it is sampled,
+        # and a cone no Choi candidate certifies (the separable set's partial
+        # transpose on the coherent-real hull) falls through to sampling
         source, target = source(), target()
         apply = lambda x: unitary @ x @ unitary.conj().T  # noqa: E731
         verdict = source.maps_into(apply, target, 1e-6, 40, np.random.default_rng(5))
@@ -473,8 +477,7 @@ class TestOpClasses:
         ids=["max", "min-no-form"],
     )
     def test_zero_samples_are_a_vacuous_pass(self, source):
-        identity = ch.unitary_channel(np.eye(source.dim), single_party(source.dim))
-        verdict = th.Rng(source, n_samples=0).verify(identity)
+        verdict = source.maps_into(lambda x: x, source, th.MEMBERSHIP_TOL, 0, np.random.default_rng(11))
         assert (verdict.ok, verdict.mode, verdict.n_states, verdict.witness) == (True, "sampled", 0, None)
 
     def test_cholesky_certificate_at_its_boundary(self):
@@ -916,19 +919,19 @@ class TestComposites:
         k, tau, barrier = random_hermitian(rng, 4), 0.3, 0.05
         if kind == "softplus-orthant":
             mats = np.stack([random_density_mat(rng, 4) for _ in range(3)])
-            dual = th.SmoothedDual(mats, np.full(3, -0.1), [], True, True)
+            dual = th.SmoothedDual(mats, np.full(3, -0.1), [], True)
             y = rng.uniform(0.2, 1.0, 3)
         elif kind == "softplus-cone":
             # D_H's dual over the real states' cone, the test restricted to real
             basis = th.RealStates(4).cone_basis()
             dual = th.SmoothedDual(np.real(basis), -0.1 * np.real(np.einsum("kaa->k", basis)),
-                                   [(slice(None), basis)], True, False)
+                                   [(slice(None), basis)], True)
             y = np.real(np.einsum("lab,ba->l", basis, np.eye(4) / 4 + 0.05 * np.real(random_hermitian(rng, 4))))
         else:
             basis = hermitian_basis(4, None)
             eqs = np.stack([random_hermitian(rng, 4) for _ in range(2)])
             mats = np.concatenate([eqs, partial_transpose_mat(basis, (2, 2), 1)])
-            dual = th.SmoothedDual(mats, rng.normal(size=18), [(slice(2, 18), basis)], False, False)
+            dual = th.SmoothedDual(mats, rng.normal(size=18), [(slice(2, 18), basis)], False)
             z = np.eye(4) / 4 + 0.05 * random_hermitian(rng, 4)
             y = np.concatenate([rng.normal(size=2), np.real(np.einsum("lab,ba->l", basis, z))])
 
