@@ -802,7 +802,8 @@ class SmoothedDual:
             curv -= np.outer(d, d) / tau
         for (sl, e), zi in zip(self.cones, zinv):
             grad[sl] += barrier * np.real(np.einsum("kab,ba->k", e, zi))
-            curv[sl, sl] += barrier * np.real(np.einsum("kab,lba->kl", zi @ e, zi @ e))
+            ze = zi @ e  # Tr(Z^-1 E_k Z^-1 E_l) as one product of the flattened Z^-1 E_k
+            curv[sl, sl] += barrier * np.real(ze.reshape(len(e), -1) @ ze.swapaxes(1, 2).reshape(len(e), -1).T)
         return grad, curv
 
     def newton(self, k: np.ndarray, tau: float, barrier: float, y: np.ndarray, tol: float):
