@@ -94,8 +94,12 @@ class _ImageSet(FreeStateSet):
     def lmo(self, grad, rng=None):
         return self.image(self.base.lmo(self.pullback(grad), rng))
 
-    def random_state(self, rng):
-        return self.image(self.base.random_state(rng))
+    def _draw(self, rng):
+        return self.base._draw(rng)
+
+    def _build(self, draws):
+        # one image per matrix: a stack's image is a matrix product, which rounds unlike a vector's
+        return np.stack([self.image(x) for x in self.base._build(draws)])
 
     def max_support_state(self):
         # sigma <= c sigma_bar gives image(sigma) <= c image(sigma_bar)

@@ -354,9 +354,7 @@ def check_bp_axioms(
 
     def pool(n, count):
         states = [s for s in probe_states.get(n, []) if family[n].contains(s, loose)]
-        while len(states) < count:
-            states.append(family[n].random_state(rng))
-        return states
+        return states + list(family[n].random_states(rng, count - len(states)))
 
     def mixtures():
         for n in range(1, max_n + 1):

@@ -12,7 +12,6 @@ correlations into local resources.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +66,7 @@ class BoundReport:
 def _verdict(lhs: DivergenceResult, rhs: DivergenceResult) -> str:
     # The bound is necessary, not sufficient: only a certified strict
     # violation may be called FORBIDDEN.
-    lhs_up = lhs.value + lhs.gap
-    rhs_low = rhs.value - rhs.gap
-    if math.isinf(rhs.value) and not math.isinf(lhs.value):
-        return FORBIDDEN
-    if lhs_up < rhs_low:
-        return FORBIDDEN
-    return NOT_EXCLUDED
+    return FORBIDDEN if lhs.value + lhs.gap < rhs.value - rhs.gap else NOT_EXCLUDED
 
 
 def single_shot_verdict(
@@ -251,7 +244,7 @@ def induced_monotone(
         d1 = lam.in_structure.dims[0]
         if m1.shape[0] != d1:
             raise ValueError("state does not match the family's party-1 input")
-        mus = [set2.random_state(rng) for _ in range(mu2_samples)] + [set2.max_support_state()]
+        mus = [*set2.random_states(rng, mu2_samples), set2.max_support_state()]
         for mu2 in mus:
             joint = kron(m1, mu2)
             image = lam.apply_mat(joint)
@@ -392,7 +385,7 @@ def nogo_entanglement_to_coherence(
 
     # the party-1 marginals of every basis input and of the maximally
     # entangled one, for each free mu, from one stacked application
-    mus = [party1_set.random_state(rng) for _ in range(n_free_inputs)]
+    mus = party1_set.random_states(rng, n_free_inputs)
     v = bell_phi_plus_vec(2)
     inputs = kron(np.reshape(mus, (len(mus), 1, party1_set.dim, party1_set.dim)),
                   np.concatenate([basis, np.outer(v, v.conj())[None]]))

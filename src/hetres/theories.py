@@ -39,7 +39,6 @@ from .qcore import (
     mat_to_json,
     partial_trace_mat,
     partial_transpose_mat,
-    random_density_mat,
     random_unitary,
     relative_entropy,
     single_party,
@@ -119,7 +118,17 @@ class FreeStateSet:
         fixed = proj(m)
         return fixed, von_neumann_entropy(fixed) - von_neumann_entropy(m)
 
+    def random_states(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` samples as an (n, d, d) stack, bit for bit those of ``n`` ``random_state``
+        calls, which consume ``rng`` alike: a kind's ``_draw(rng)`` makes one sample's random
+        draws and no linear algebra, its ``_build(draws)`` turns a nonempty list of them into the stack."""
+        draws = [self._draw(rng) for _ in range(n)]
+        return self._build(draws) if draws else np.zeros((0, self.dim, self.dim), dtype=complex)
+
     def random_state(self, rng: np.random.Generator) -> np.ndarray:
+        return self.random_states(rng, 1)[0]
+
+    def _draw(self, rng: np.random.Generator):
         raise NotImplementedError(f"{self.kind} has no sampler")
 
     def max_support_state(self) -> np.ndarray:
@@ -191,10 +200,11 @@ class FreeStateSet:
             else:
                 return RngVerdict(True, "certified", len(states))
         if points is None:
-            draws = [[f.random_state(rng) for f in self.hull_factors()] for _ in range(n_samples)]
-            if not draws:
+            if not n_samples:
                 return RngVerdict(True, "sampled", 0)
-            states, mode = kron_all(map(np.stack, zip(*draws))), "sampled"
+            factors = self.hull_factors()
+            states = kron_all(_build_columns(factors, [[f._draw(rng) for f in factors] for _ in range(n_samples)]))
+            mode = "sampled"
         else:
             states, mode = np.stack(points), "extreme-points"
         bad = np.flatnonzero(np.logical_not(target.contains(apply(states), tol)))
@@ -227,6 +237,11 @@ class RngVerdict:
     mode: str
     n_states: int
     witness: np.ndarray | None = None
+
+
+def _build_columns(sets: Sequence[FreeStateSet], rows: list) -> list[np.ndarray]:
+    """One stack per set from ``rows`` of draws, one draw per set in each row."""
+    return [s._build([row[j] for row in rows]) for j, s in enumerate(sets)]
 
 
 def _bools(ok) -> bool | np.ndarray:
@@ -312,9 +327,13 @@ class Incoherent(_FixedStates):
         e = np.eye(self.dim, dtype=complex)[np.argmin(np.real(np.diagonal(g, 0, -2, -1)), axis=-1)]
         return self._from_frame(e[..., :, None] * e[..., None, :])
 
-    def random_state(self, rng):
-        p = rng.dirichlet(np.ones(self.dim))
-        return self._from_frame(np.diag(p).astype(complex))
+    def _draw(self, rng):
+        return rng.dirichlet(np.ones(self.dim))
+
+    def _build(self, draws):
+        m = np.zeros((len(draws), self.dim * self.dim), dtype=complex)
+        m[:, :: self.dim + 1] = draws  # each draw on a diagonal
+        return self._from_frame(m.reshape(-1, self.dim, self.dim))
 
     def extreme_points(self) -> list[np.ndarray]:
         return [
@@ -347,10 +366,13 @@ class RealStates(_FixedStates):
         vec = v[..., :, 0] / np.linalg.norm(v[..., :, 0], axis=-1, keepdims=True)
         return (vec[..., :, None] * vec[..., None, :]).astype(complex)
 
-    def random_state(self, rng):
-        g = rng.normal(size=(self.dim, self.dim))
-        m = g @ g.T
-        return (m / np.trace(m)).astype(complex)
+    def _draw(self, rng):
+        return rng.normal(size=(self.dim, self.dim))
+
+    def _build(self, draws):
+        g = np.array(draws)
+        m = g @ g.swapaxes(-1, -2)
+        return (m / m.trace(axis1=-2, axis2=-1)[:, None, None]).astype(complex)
 
     def marginal_projection(self, m):
         # (m + m^T)/2 is linear, so a product acts with it on one tensor slot
@@ -373,8 +395,15 @@ class AllStates(_FixedStates):
         vec = v[..., :, 0]
         return vec[..., :, None] * vec.conj()[..., None, :]
 
-    def random_state(self, rng):
-        return random_density_mat(rng, self.dim)
+    def _draw(self, rng):
+        # qcore.random_density_mat's draws in one call: the real parts, then the imaginary
+        return rng.normal(size=(2, self.dim, self.dim))
+
+    def _build(self, draws):
+        xy = np.array(draws)
+        g = xy[:, 0] + 1j * xy[:, 1]
+        m = g @ g.conj().swapaxes(-1, -2)
+        return m / np.real(m.trace(axis1=-2, axis2=-1))[:, None, None]
 
     def marginal_projection(self, m):
         return m
@@ -400,7 +429,7 @@ class FiniteSet(FreeStateSet):
             raise ValueError("finite set needs at least one state")
         super().__init__(mats[0].shape[0])
         self.states = np.stack(mats)
-        self.states.flags.writeable = False  # lmo and the samplers hand out views of it
+        self.states.flags.writeable = False  # lmo and extreme_points hand out views of it
 
     def contains(self, rho, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
         """Whether ``rho``, or each matrix of a stack, is within trace distance
@@ -420,8 +449,11 @@ class FiniteSet(FreeStateSet):
         best = int(np.argmin(values))
         return self.states[best], float(values[best])
 
-    def random_state(self, rng):
-        return self.states[int(rng.integers(len(self.states)))]
+    def _draw(self, rng):
+        return int(rng.integers(len(self.states)))
+
+    def _build(self, draws):
+        return self.states[draws]
 
     def extreme_points(self) -> list[np.ndarray]:
         return list(self.states)
@@ -566,9 +598,10 @@ class MinComposite(_Composite):
         for k, i in enumerate(listed):
             parts[i] = np.stack([c[k] for c in combos for _ in range(n)])
         if seesaw:
-            starts = [[factors[i].random_state(rng) for i in free] for _ in range(n)]
+            sets = [factors[i] for i in free]
+            starts = _build_columns(sets, [[f._draw(rng) for f in sets] for _ in range(n)])
             for k, i in enumerate(free):
-                parts[i] = np.stack([s[k] for _ in combos for s in starts])
+                parts[i] = np.concatenate([starts[k]] * len(combos))
         prev = np.inf
         for _ in range(30 if seesaw else 1):
             for i in free:
@@ -611,13 +644,19 @@ class MinComposite(_Composite):
                 product[i] = dmax(stack[i], self, tol=b).upper_bound <= b
         return _bools((ok & product).reshape(m.shape[:-2]))
 
-    def random_state(self, rng):
+    def _draw(self, rng):
         k = int(rng.integers(1, 9))
         w = rng.dirichlet(np.ones(k))
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(k):
-            m += w[i] * kron_all(s.random_state(rng) for s in self.locals)
-        return m
+        return w, [[s._draw(rng) for s in self.locals] for _ in range(k)]
+
+    def _build(self, draws):
+        """Each sample's weighted products of local samples added to zero in
+        draw order, term i of every sample at once (zero past a sample's last)."""
+        ks = np.array([len(w) for w, _ in draws])
+        terms = kron_all(_build_columns(self.locals, [t for _, ts in draws for t in ts]))
+        slots = np.zeros((len(ks), ks.max(), self.dim, self.dim), dtype=complex)
+        slots[np.arange(ks.max()) < ks[:, None]] = np.concatenate([w for w, _ in draws])[:, None, None] * terms
+        return functools.reduce(np.add, slots.swapaxes(0, 1), np.zeros_like(slots[:, 0]))
 
 
 class SeparableTwoQubit(MinComposite):
@@ -719,39 +758,45 @@ class MaxComposite(_Composite):
         """(mu, lower): a minimising member and its certified bound, ``minimize`` at 1e-10 max|grad|."""
         return self.marginal_constraints.minimize(as_complex(grad), 1e-10 * float(np.max(np.abs(grad))))
 
-    def random_state(self, rng):
+    def _draw(self, rng):
+        """The locals' draws, the correlation's complex Gaussians C = X + iY in
+        one call (term by term, party by party, X then Y) and its scale."""
+        return ([s._draw(rng) for s in self.locals],
+                rng.normal(size=(3, sum(2 * d * d for d in self.local_dims))), rng.uniform())
+
+    def _build(self, draws):
         """Local samples plus a correlation traceless on every party, scaled
         to keep the state positive and inside every ``constraints`` cone.  A
         local with constraints mixes its sample half and half with its member
         of maximal support; one without (a listed set) keeps its sample, as
         the mixture may not be on its list.  The correlation sums three
-        products of the traceless Hermitian parts of complex Gaussians C = X
-        + iY, drawn in one call: term by term, party by party, X then Y."""
-        base = kron_all(s.random_state(rng) if s.constraints is None
-                        else 0.5 * (s.random_state(rng) + s.max_support_state()) for s in self.locals)
-        dims = self.local_dims
-        sizes = [2 * d * d for d in dims]
-        parts = []
-        for d, g in zip(dims, np.split(rng.normal(size=(3, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)):
-            x, y = np.swapaxes(g.reshape(3, 2, d, d), 0, 1)
-            c = x + 1j * y
-            trace = np.real(np.trace(c, axis1=-2, axis2=-1)) / d
-            parts.append(0.5 * (c + np.swapaxes(c.conj(), -1, -2)) - trace[:, None, None] * np.eye(d))
-        corr = sum(kron_all(parts))  # 0 + t0 + t1 + t2 in order, as a per-term loop adds them
-        corr = corr / max(np.linalg.norm(corr), 1e-300)
+        products of the traceless Hermitian parts of the C."""
+        local_rows, gauss, scale = zip(*draws)
+        base = kron_all(x if s.constraints is None else 0.5 * (x + s.max_support_state())
+                        for s, x in zip(self.locals, _build_columns(self.locals, local_rows)))
+        gauss, parts, start = np.array(gauss), [], 0
+        for d in self.local_dims:
+            xy = gauss[:, :, start:start + 2 * d * d].reshape(-1, 3, 2, d, d)
+            start += 2 * d * d
+            c = xy[:, :, 0] + 1j * xy[:, :, 1]
+            trace = np.real(c.trace(axis1=-2, axis2=-1)) / d
+            parts.append(0.5 * (c + c.conj().swapaxes(-1, -2)) - trace[..., None, None] * np.eye(d))
+        corr = sum(kron_all(parts).swapaxes(0, 1))  # 0 + t0 + t1 + t2 in order, as a per-term loop adds them
+        # one norm per matrix: a stacked norm rounds differently
+        corr = corr / np.maximum([np.linalg.norm(c) for c in corr], 1e-300)[:, None, None]
         top = _whitened_top(base, corr)
         for cone in () if self.constraints is None else self.constraints.cones:
-            top = max(top, _whitened_top(cone(base), cone(corr)))
-        return base + 1.0 / max(top, 1.0) * rng.uniform() * corr
+            top = np.maximum(top, _whitened_top(cone(base), cone(corr)))
+        return base + (1.0 / np.maximum(top, 1.0) * np.array(scale))[:, None, None] * corr
 
 
-def _whitened_top(b: np.ndarray, c: np.ndarray) -> float:
-    """lambda_max(-b^-1/2 c b^-1/2), so b + t c >= 0 for t <= 1/top; +inf unless b > 0."""
-    w, v = np.linalg.eigh(b - 1e-10 * np.eye(len(b)))
-    if w[0] <= 0.0:
-        return np.inf
-    root = v / np.sqrt(w)
-    return np.linalg.eigvalsh(-root.conj().T @ c @ root)[-1]
+def _whitened_top(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """lambda_max(-b^-1/2 c b^-1/2) of a matrix pair or of each pair of two
+    stacks, so b + t c >= 0 for t <= 1/top; +inf unless b > 0."""
+    w, v = np.linalg.eigh(b - 1e-10 * np.eye(b.shape[-1]))
+    pos = w[..., 0] > 0.0
+    root = v / np.sqrt(np.where(pos[..., None], w, 1.0))[..., None, :]  # 1.0 where top is +inf
+    return np.where(pos, np.linalg.eigvalsh(-root.conj().swapaxes(-1, -2) @ c @ root)[..., -1], np.inf)
 
 
 class SmoothedDual:

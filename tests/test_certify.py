@@ -339,6 +339,18 @@ class TestRngOptimal:
         _, rep = ct.rng_optimal_protocol(PLUS_Y, INC2, th.RealStates(2), np.eye(2) / 2, 0.25)
         assert rep.extras["saturates_ceiling"]
 
+    def test_inclusion_makes_no_draw(self, monkeypatch):
+        # every sampler draws through its kind's _draw
+        def no_draw(self, rng):
+            raise AssertionError("the inclusion check drew a sample")
+
+        monkeypatch.setattr(th.Incoherent, "_draw", no_draw)
+        monkeypatch.setattr(th.RealStates, "_draw", no_draw)
+        with pytest.raises(ValueError, match="inclusion"):
+            ct.rng_optimal_protocol(PLUS_Y, th.RealStates(2), INC2, np.eye(2) / 2, 0.5)
+        _, rep = ct.rng_optimal_protocol(PLUS_Y, INC2, th.RealStates(2), np.eye(2) / 2, 0.25)
+        assert rep.extras["saturates_ceiling"]
+
     def test_report_holds_the_rescaled_element(self):
         # the built-in optimal_rng_strategy: the ceiling's element has alpha
         # 0.25000000000000006 > eps after the move, so, as in lfocc_ceilings,

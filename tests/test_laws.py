@@ -6,6 +6,7 @@ import pytest
 from hetres import channels as ch
 from hetres import laws
 from hetres import theories as th
+from hetres.divergences import DivergenceResult
 from hetres.qcore import (
     KET_PLUS,
     KET_PLUS_Y,
@@ -103,6 +104,12 @@ class TestConversionVerdict:
                                       th.Singleton(np.diag([1.0, 0.0])))
         assert math.isinf(rep.rhs.value) and not math.isinf(rep.lhs.value)
         assert rep.verdict == laws.FORBIDDEN
+
+    def test_unbounded_source_with_infinite_target_is_not_excluded(self):
+        # a finite source value with an infinite upper bound certifies nothing
+        source = DivergenceResult(1.0, 0.5, math.inf, 5, False)
+        target = DivergenceResult(math.inf, math.inf, math.inf, 0, True)
+        assert laws._verdict(source, target) == laws.NOT_EXCLUDED
 
     def test_coherence_vs_imaginarity_units(self):
         py = pure_state(KET_PLUS_Y)

@@ -603,6 +603,33 @@ def _rng_corpus():
     return out
 
 
+def _sampler_kinds():
+    """Every kind with a sampler, alone and inside min and max composites."""
+    inc2, real2, sep = th.Incoherent(2), th.RealStates(2), th.SeparableTwoQubit()
+    single = th.Singleton(np.diag([0.6, 0.4]))
+    finite = th.FiniteSet([np.eye(2) / 2, np.diag([1.0, 0.0]), PLUS])
+    return {
+        "incoherent": th.Incoherent(3),
+        "incoherent-basis": th.Incoherent(2, basis=HADAMARD),
+        "real": th.RealStates(3),
+        "all": th.AllStates(3),
+        "finite": finite,
+        "singleton": single,
+        "sep-2x2": sep,
+        "sep-2x3": th.SeparableTwoQubit((2, 3)),
+        "smin-inc-basis-real": co.smin([th.Incoherent(2, basis=HADAMARD), real2]),
+        "smin-all-finite": co.smin([th.AllStates(2), finite]),
+        "smin-singleton-sep": co.smin([single, sep]),
+        "smax-inc-real": co.smax([inc2, real2]),
+        "smax-all-finite": co.smax([th.AllStates(3), finite]),
+        "min-inc-smax": th.MinComposite([inc2, co.smax([inc2, real2])]),
+        "max-singleton": th.MaxComposite([single, inc2]),
+        "max-sep": th.MaxComposite([inc2, sep]),
+        "image": ct._ImageSet(th.Incoherent(3), ch.random_channel(np.random.default_rng(1), 3, 2, n_kraus=3)),
+        "image-sep": ct._ImageSet(sep, ch.identity_channel(single_party(4, "AB"))),
+    }
+
+
 class TestSamplers:
     @pytest.mark.parametrize(
         "factory",
@@ -630,6 +657,44 @@ class TestSamplers:
         xc = th.MaxComposite([th.Incoherent(2), th.Incoherent(2)])
         for _ in range(300):
             assert xc.contains(xc.random_state(rng), 1e-7)
+
+    @pytest.mark.parametrize("free_set", [pytest.param(s, id=name) for name, s in _sampler_kinds().items()])
+    def test_stacked_samples_are_the_single_draws(self, free_set):
+        for n in (0, 1, 7):
+            stacked, single = np.random.default_rng([3, n]), np.random.default_rng([3, n])
+            stack = free_set.random_states(stacked, n)
+            loop = [free_set.random_state(single) for _ in range(n)]
+            assert stack.shape == (n, free_set.dim, free_set.dim)
+            assert stack.tobytes() == b"".join(m.tobytes() for m in loop)
+            assert stacked.bit_generator.state == single.bit_generator.state
+
+    def test_sampled_inclusion_matches_the_per_sample_loop(self):
+        # one stack per hull factor, drawn sample by sample and factor by
+        # factor, gives the verdict, count and witness of a per-sample loop
+        class Shallow(th.FreeStateSet):
+            def __init__(self, dim, bound):
+                super().__init__(dim)
+                self.bound = bound
+
+            def contains(self, rho, tol=th.MEMBERSHIP_TOL):
+                return np.real(rho[..., 0, 0]) <= self.bound + tol
+
+        finite = th.FiniteSet([np.eye(2) / 2, np.diag([1.0, 0.0]), PLUS])
+        hull = th.MinComposite([finite, co.smax([th.Incoherent(2), th.RealStates(2)]), th.AllStates(2)])
+        assert hull.constraints is None and len(hull.hull_factors()) == 3
+        for bound, first in ((0.2, 2), (1.0, None)):
+            loop = np.random.default_rng(2)
+            samples = [kron_all(f.random_state(loop) for f in hull.hull_factors()) for _ in range(40)]
+            bad = [i for i, m in enumerate(samples) if np.real(m[0, 0]) > bound + 1e-8]
+            assert (bad[0] if bad else None) == first
+            stacked = np.random.default_rng(2)
+            verdict = hull.maps_into(lambda x: x, Shallow(16, bound), 1e-8, 40, stacked)
+            assert (verdict.ok, verdict.mode, verdict.n_states) == (not bad, "sampled", 40)
+            if bad:
+                assert verdict.witness.tobytes() == samples[first].tobytes()
+            else:
+                assert verdict.witness is None
+            assert stacked.bit_generator.state == loop.bit_generator.state
 
     def test_max_composite_sampler_reaches_correlated_states(self):
         xc = th.MaxComposite([th.Singleton(np.eye(2) / 2), th.Singleton(np.eye(2) / 2)])
