@@ -681,16 +681,16 @@ def _extreme_point_dual(m, points, epsilon, restrict):
     rounding once the face is right."""
     rho = _cone(m, restrict)
     mus = np.stack([_cone(p, restrict) for p in points])
+    smoothed = SmoothedDual(mus, np.full(len(mus), -epsilon), [], True)
 
     def polish(tau, y, lam, v, p):
         active = np.where(y > math.sqrt(tau), y, 0.0)
         if tau > 1e-3 or not np.any(active > 0.0):
             return []
         n_null = int(np.sum(np.abs(lam) <= 100.0 * tau))
-        return [_polish_face(active, lam, v, n_null, p, rho, mus, epsilon, restrict)]
+        return [_polish_face(active, lam, v, n_null, p, rho, smoothed, epsilon, restrict)]
 
-    return _smoothed_test(rho, SmoothedDual(mus, np.full(len(mus), -epsilon), [], True),
-                          np.full(len(mus), 1.0 / len(mus)), epsilon,
+    return _smoothed_test(rho, smoothed, np.full(len(mus), 1.0 / len(mus)), epsilon,
                           lambda p: float(np.max(np.real(np.einsum("kab,ba->k", mus, p)))), polish)
 
 
@@ -706,7 +706,9 @@ def _smoothed_test(rho, smoothed, y, epsilon, alpha, polish=None):
     maximising its negative by ``SmoothedDual.newton`` (K = rho); each
     smoothed optimum gives the test sigmoid(X/tau): the projector onto X_+
     plus a fractional fill of its near-null eigenvectors, and ``polish(tau,
-    y, lam, v, P)`` may add (y, P) candidates.  The barrier and Newton's
+    y, lam, v, P)`` may add (y, P, spectrum of X) candidates.  X does not
+    depend on tau, so every candidate's f(y) is read off the spectrum it
+    came with, the one eigensystem of its dual point.  The barrier and Newton's
     gradient tolerance scale with eps, so the same holds at small budgets.
     The ladder stops early once the best dual value is within 1e-12 (relative
     to 1 - value) of the best rescaled test.
@@ -714,21 +716,21 @@ def _smoothed_test(rho, smoothed, y, epsilon, alpha, polish=None):
     Returns (y, f(y), P, alpha(P), Newton steps): the lowest dual value and
     the test best after rescaling (the caller rescales P).
     """
-    def dual_value(y):
-        lam = np.linalg.eigh(rho - np.tensordot(y, smoothed.mats, 1))[0]
-        return float(-smoothed.offsets @ y) + float(np.sum(lam[lam > 0.0]))
+    def dual_value(y, lam):
+        return float(-smoothed.offsets @ y) + float(lam[lam > 0.0].sum())
 
     origin = np.zeros(len(y))
-    best_y, best_f, best_p, best_a, best_t = origin, dual_value(origin), np.zeros_like(rho), 0.0, 0.0
+    best_y, best_p, best_a, best_t = origin, np.zeros_like(rho), 0.0, 0.0
+    best_f = dual_value(origin, np.linalg.eigh(rho - smoothed._combine(origin))[0])
     steps = 0
     for tau in DUAL_TEMPERATURES:
         y, lam, v, weights, n = smoothed.newton(rho, tau, epsilon * tau, y, 1e-12 * epsilon)
         steps += n
-        found = [(y, -(v * weights) @ v.conj().T)]
+        found = [(y, -(v * weights) @ v.conj().T, lam)]
         if polish is not None:
             found += polish(tau, y, lam, v, found[0][1])
-        for cand_y, cand_p in found:
-            f, a = dual_value(cand_y), alpha(cand_p)
+        for cand_y, cand_p, cand_lam in found:
+            f, a = dual_value(cand_y, cand_lam), alpha(cand_p)
             t = float(np.real(np.trace(rho @ cand_p))) * min(1.0, epsilon / max(a, 1e-300))
             if f < best_f:
                 best_y, best_f = cand_y, f
@@ -739,7 +741,7 @@ def _smoothed_test(rho, smoothed, y, epsilon, alpha, polish=None):
     return best_y, best_f, best_p.astype(complex), best_a, steps
 
 
-def _polish_face(y, lam, v, n_null, p, rho, mus, epsilon, restrict):
+def _polish_face(y, lam, v, n_null, p, rho, smoothed, epsilon, restrict):
     """Newton steps on the optimality system of one face of the dual.
 
     The face is the n_null eigenvalues of X nearest zero (eigenvectors N)
@@ -747,14 +749,15 @@ def _polish_face(y, lam, v, n_null, p, rho, mus, epsilon, restrict):
     Q the projector onto the rest of the positive part.  The unknowns (active
     y_i, fill Z) solve N^H X N = 0 and Tr(mu_i P) = eps for active i; the
     eigenvectors move by first-order perturbation theory.  Four steps reach
-    rounding when the face is right.  Returns (y, P) with Z clipped into
-    [0, I].
+    rounding when the face is right.  Returns (y, P, eigenvalues of X at y)
+    with Z clipped into [0, I].
     """
     act = np.flatnonzero(y > 0.0)
-    y, basis = y.copy(), hermitian_basis(n_null, restrict)
+    y, basis, mus = y.copy(), hermitian_basis(n_null, restrict), smoothed.mats
+    flat_basis = basis.reshape(len(basis), n_null * n_null)
 
     def spectrum(y):
-        return np.linalg.eigh(rho - np.tensordot(y, mus, 1))
+        return np.linalg.eigh(rho - smoothed._combine(y))
 
     null_vecs = v[:, np.argsort(np.abs(lam))[:n_null]]
     fill = null_vecs.conj().T @ p @ null_vecs
@@ -788,8 +791,8 @@ def _polish_face(y, lam, v, n_null, p, rho, mus, epsilon, restrict):
             break  # a zero eigenvalue outside the face: the face is wrong
         delta, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
         y[act] = np.clip(y[act] + delta[:len(act)], 0.0, None)
-        fill = fill + np.tensordot(delta[len(act):], basis, 1)
-    return y, v[:, pos] @ v[:, pos].conj().T + null_vecs @ _clip_povm(fill) @ null_vecs.conj().T
+        fill = fill + (delta[len(act):] @ flat_basis).reshape(n_null, n_null)
+    return y, v[:, pos] @ v[:, pos].conj().T + null_vecs @ _clip_povm(fill) @ null_vecs.conj().T, lam
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,30 +47,24 @@ class TensorStructure:
 
     The declaration order is canonical: axes of the underlying arrays follow
     it, and relabeling is only ever done through :func:`permute_parties`.
+    ``labels``, ``dims`` and the total ``dim`` are derived once, at
+    construction; equality and hashing are on ``parties`` alone.
     """
 
     parties: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    dim: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, parties: Iterable[tuple[str, int]]):
         parties = tuple((str(lbl), int(d)) for lbl, d in parties)
-        labels = [lbl for lbl, _ in parties]
+        labels = tuple(lbl for lbl, _ in parties)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"party labels must be unique, got {labels}")
-        if any(d <= 0 for _, d in parties):
+            raise ValueError(f"party labels must be unique, got {list(labels)}")
+        dims = tuple(d for _, d in parties)
+        if any(d <= 0 for d in dims):
             raise ValueError("party dimensions must be positive")
-        object.__setattr__(self, "parties", parties)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.parties)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.parties)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
+        vars(self).update(parties=parties, labels=labels, dims=dims, dim=math.prod(dims))  # frozen: no setattr
 
     def index(self, label: str) -> int:
         for i, (lbl, _) in enumerate(self.parties):

@@ -288,7 +288,7 @@ class Constraints:
             ok = np.max(np.abs(m - self.proj(m)), axis=(-2, -1)) <= tol
         else:
             resid = np.einsum("jab,...ba->...j", self.eqs, m) - np.einsum("...aa,j->...j", m, self.offsets)
-            ok = np.max(np.abs(np.tensordot(np.real(resid), self.eqs, 1)), axis=(-2, -1)) <= tol
+            ok = abs(np.real(resid) @ self.eqs.reshape(len(self.eqs), m.shape[-1] ** 2)).max(axis=-1) <= tol
         for cone in self.cones:
             ok = ok & (np.linalg.eigvalsh(cone(m))[..., 0] >= -tol)
         return ok
@@ -799,6 +799,9 @@ def _whitened_top(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(pos, np.linalg.eigvalsh(-root.conj().swapaxes(-1, -2) @ c @ root)[..., -1], np.inf)
 
 
+HALVINGS = 0.5 ** np.arange(20)  # Newton's backtracking fractions
+
+
 class SmoothedDual:
     """The concave dual F(y) = c.y + psi(K - y.mats) + barrier sum_k ln det Z_k,
     smoothed at temperature tau (Nesterov, Math. Program. 103, 127, 2005), for
@@ -811,21 +814,33 @@ class SmoothedDual:
     def __init__(self, mats: np.ndarray, offsets: np.ndarray, cones: list, softplus: bool):
         self.mats, self.offsets, self.cones = mats, offsets, cones
         self.softplus, self.orthant = softplus, softplus and not cones
+        # mats and each E as flat (n, d^2) views: y.mats is one BLAS product, bit for bit np.tensordot's
+        self.flat = mats.reshape(len(mats), mats.shape[-1] ** 2)
+        self.flat_cones = [(sl, e.reshape(len(e), e.shape[-1] ** 2), e.shape[1:]) for sl, e in cones]
+
+    def _combine(self, y: np.ndarray) -> np.ndarray:
+        """y.mats, the linear part of H = K - y.mats."""
+        return (y @ self.flat).reshape(self.mats.shape[1:])
+
+    def _blocks(self, y: np.ndarray) -> list[np.ndarray]:
+        """The cone blocks Z_k = y[slice].E."""
+        return [(y[sl] @ e).reshape(shape) for sl, e, shape in self.flat_cones]
 
     def _dual(self, k, tau, barrier, y):
         """(F(y), eigensystem of H, weights dpsi/dlambda, Z_k^-1), or None off the domain."""
-        zs = [np.tensordot(y[sl], e, 1) for sl, e in self.cones]
-        if (self.orthant and np.any(y <= 0.0)) or any(np.linalg.eigvalsh(z)[0] <= 0.0 for z in zs):
+        zs = self._blocks(y)
+        if (self.orthant and (y <= 0.0).any()) or any(np.linalg.eigvalsh(z)[0] <= 0.0 for z in zs):
             return None
         logs = sum(np.linalg.slogdet(z)[1] for z in zs)
         if self.orthant:
-            logs = logs + np.sum(np.log(y))
-        w, v = np.linalg.eigh(k - np.tensordot(y, self.mats, 1))
+            logs = logs + np.log(y).sum()
+        w, v = np.linalg.eigh(k - self._combine(y))
         if self.softplus:
-            psi, weights = -tau * np.sum(np.logaddexp(0.0, w / tau)), -0.5 * (1.0 + np.tanh(0.5 * w / tau))
+            psi, weights = -tau * np.logaddexp(0.0, w / tau).sum(), -0.5 * (1.0 + np.tanh(0.5 * w / tau))
         else:
             p = np.exp(-(w - w[0]) / tau)
-            psi, weights = w[0] - tau * np.log(np.sum(p)), p / np.sum(p)
+            total = p.sum()
+            psi, weights = w[0] - tau * np.log(total), p / total
         val = psi + self.offsets @ y + barrier * logs
         return float(val), w, v, weights, [np.linalg.inv(z) for z in zs]
 
@@ -834,10 +849,10 @@ class SmoothedDual:
         Hessian through the divided differences of the weights (Daleckii-Krein)."""
         _, w, v, weights, zinv = state
         mh = v.conj().T @ self.mats @ v
-        d = np.real(np.einsum("kaa->ka", mh)) @ weights
+        d = mh.diagonal(0, 1, 2).real @ weights
         grad, diff = self.offsets - d, w[:, None] - w[None, :]
         slopes = -weights * (1.0 + weights) if self.softplus else weights  # -tau dweights/dlambda
-        gamma = np.divide(weights[:, None] - weights[None, :], diff, where=np.abs(diff) > 1e-9 * tau,
+        gamma = np.divide(weights[:, None] - weights[None, :], diff, where=abs(diff) > 1e-9 * tau,
                           out=-0.5 * (slopes[:, None] + slopes[None, :]) / tau)
         flat = mh.reshape(len(y), len(w) ** 2)
         curv = -np.real((flat.conj() * gamma.ravel()) @ flat.T)
@@ -858,19 +873,19 @@ class SmoothedDual:
         is below ``tol`` or the weights' rounding floor, a line search fails, the last
         step gained no more than the rounding slack and did not shrink max|grad| (F's
         rounding floor), or 50 steps."""
-        state, tol = self._dual(k, tau, barrier, y), max(tol, 1e-16 * np.max(np.abs(k)) / tau)
+        state, tol = self._dual(k, tau, barrier, y), max(tol, 1e-16 * abs(k).max() / tau)
         gain, slack, last = np.inf, 0.0, np.inf  # the last step's rise in F, its slack, max|grad| before it
         for steps in range(51):
             grad, curv = self._derivatives(tau, barrier, y, state)
-            size = float(np.max(np.abs(grad), initial=0.0))
+            size = float(abs(grad).max(initial=0.0))
             if steps == 50 or size <= tol or (gain <= slack and size >= last):
                 break
             lam, vec = np.linalg.eigh(curv)
             step = vec @ np.divide(vec.T @ grad, lam, out=0.0 * lam, where=lam > 1e-13 * lam[-1])
             shrink = self.orthant & (step < 0.0)
-            reach = min(1.0, 0.99 * float(np.min(-y[shrink] / step[shrink]))) if shrink.any() else 1.0
+            reach = min(1.0, 0.99 * float((-y[shrink] / step[shrink]).min())) if shrink.any() else 1.0
             rise, slack = 1e-4 * grad @ step, 1e-14 * (1.0 + abs(state[0]))
-            for t in reach * 0.5 ** np.arange(20):
+            for t in reach * HALVINGS:
                 trial = self._dual(k, tau, barrier, y + t * step)
                 if trial is not None and trial[0] >= state[0] + t * rise - slack:
                     break
@@ -911,7 +926,7 @@ class MarginalConstraints(SmoothedDual):
         return self.frame.conj().T @ x @ self.frame
 
     def bound(self, k: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(self._compress(k) - np.tensordot(y, self.mats, 1))[0] + self.offsets @ y)
+        return float(np.linalg.eigvalsh(self._compress(k) - self._combine(y))[0] + self.offsets @ y)
 
     def solve(self, k: np.ndarray, tau: float, barrier: float, y: np.ndarray, tol: float):
         """(y, Gibbs state, Newton steps) after ``newton`` on K compressed to the support."""
@@ -922,11 +937,11 @@ class MarginalConstraints(SmoothedDual):
         """rho on the support corrected along the C_j, then mixed with ``interior`` into every cone."""
         rho, interior, eqs = self._compress(rho), self._compress(self.interior), self.mats[:self.n_eq]
         resid = np.real(np.einsum("kab,ba->k", eqs, rho)) - self.offsets[:self.n_eq]
-        rho = rho - np.tensordot(np.linalg.solve(self._gram, resid), eqs, 1)
+        rho = rho - (np.linalg.solve(self._gram, resid) @ self.flat[:self.n_eq]).reshape(rho.shape)
         rho = 0.5 * (rho + rho.conj().T)
-        a, b = ([np.linalg.eigvalsh(m)[0] for m in [x] + [np.tensordot(
-            np.real(np.einsum("kab,ba->k", self.mats[sl], x)), e, 1) for sl, e in self.cones]]
-            for x in (rho, interior))
+        a, b = ([np.linalg.eigvalsh(m)[0] for m in [x] + [
+            (np.real(np.einsum("kab,ba->k", self.mats[sl], x)) @ e).reshape(shape)
+            for sl, e, shape in self.flat_cones]] for x in (rho, interior))
         t = max([0.0] + [-ai / (bi - ai) for ai, bi in zip(a, b) if ai < 0.0])
         return self.frame @ ((1.0 - t) * rho + t * interior) @ self.frame.conj().T
 
@@ -952,11 +967,11 @@ class MarginalConstraints(SmoothedDual):
                                 for _ in self.cones[:1]]
             z, lower = y.copy(), max(lower, self.bound(g, y))
             keep = np.eye(len(z))
-            for sl, basis in self.cones:
-                zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
+            for (sl, basis), block in zip(self.cones, self._blocks(z)):
+                zw, zv = np.linalg.eigh(block)
                 support = (zv * (zw > 0.1 * np.sqrt(tau * scale))) @ zv.conj().T
                 keep[sl, sl] = np.real(np.einsum("lab,mba->lm", basis, support @ basis @ support))
-            w, v = np.linalg.eigh(self._compress(g) - np.tensordot(keep @ z, self.mats, 1))
+            w, v = np.linalg.eigh(self._compress(g) - self._combine(keep @ z))
             on_face = w - w[0] <= 30.0 * tau
             face, hb = v[:, on_face], hermitian_basis(int(np.sum(on_face)), None)
             a = np.real(np.einsum("lab,kba->lk", hb, face.conj().T @ self.mats @ face)) @ keep
@@ -964,9 +979,10 @@ class MarginalConstraints(SmoothedDual):
             rhs = np.real(np.einsum("laa,a->l", hb, w[on_face] - w[0]))
             z = keep @ (z + np.linalg.lstsq(a, rhs, rcond=None)[0][:-1])
             fill = np.linalg.lstsq(a[:, np.r_[:self.n_eq, -1]].T, np.r_[self.offsets[:self.n_eq], 1.0])[0]
-            states.append(self.frame @ face @ np.tensordot(fill, hb, 1) @ face.conj().T @ self.frame.conj().T)
-            for sl, basis in self.cones:
-                zw, zv = np.linalg.eigh(np.tensordot(z[sl], basis, 1))
+            fill = (fill @ hb.reshape(len(hb), -1)).reshape(hb.shape[1:])
+            states.append(self.frame @ face @ fill @ face.conj().T @ self.frame.conj().T)
+            for (sl, basis), block in zip(self.cones, self._blocks(z)):
+                zw, zv = np.linalg.eigh(block)
                 clipped = (zv * np.clip(zw, 0.0, None)) @ zv.conj().T
                 z[sl] = np.real(np.einsum("lab,ba->l", basis, clipped))
             lower = max(lower, self.bound(g, z))

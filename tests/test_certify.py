@@ -326,21 +326,10 @@ class TestRngOptimal:
                 PLUS_Y, th.RealStates(2), th.Incoherent(2), np.eye(2) / 2, 0.5
             )
 
-    def test_inclusion_is_decided_without_samples(self, monkeypatch):
-        # Inc2 lists its extreme points and Real2 has a linear form, so
-        # neither direction of the inclusion check draws a random state
-        def no_draw(self, rng):
-            raise AssertionError("the inclusion check drew a sample")
-
-        monkeypatch.setattr(th.Incoherent, "random_state", no_draw)
-        monkeypatch.setattr(th.RealStates, "random_state", no_draw)
-        with pytest.raises(ValueError, match="inclusion"):
-            ct.rng_optimal_protocol(PLUS_Y, th.RealStates(2), INC2, np.eye(2) / 2, 0.5)
-        _, rep = ct.rng_optimal_protocol(PLUS_Y, INC2, th.RealStates(2), np.eye(2) / 2, 0.25)
-        assert rep.extras["saturates_ceiling"]
-
     def test_inclusion_makes_no_draw(self, monkeypatch):
-        # every sampler draws through its kind's _draw
+        # Inc2 lists its extreme points and Real2 has a linear form, so neither
+        # direction of the inclusion check samples; every sampler draws
+        # through its kind's _draw
         def no_draw(self, rng):
             raise AssertionError("the inclusion check drew a sample")
 

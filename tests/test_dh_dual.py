@@ -24,7 +24,7 @@ import pytest
 from hetres import divergences as dv
 from hetres import theories as th
 from hetres.composite import smax, smin
-from hetres.qcore import random_density_mat, random_unitary
+from hetres.qcore import hermitian_basis, random_density_mat, random_unitary
 
 EPSILONS = (0.1, 0.25, 0.5)
 KINDS = ("incoherent", "incoherent-basis", "singleton", "finite")
@@ -191,6 +191,42 @@ def test_linearly_dependent_constraints_do_not_break_newton():
     free_set = th.FiniteSet(points)
     res = dv.hypothesis_testing(rho, free_set, 0.1, tol=TOL)
     _check_result(res, rho, free_set, 0.1, None, np.random.default_rng(4))
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [2, 4, 9, 16])
+def test_newton_core_is_bit_identical_to_tensordot_and_a_fresh_eigh(dim, field):
+    # y.mats and each Z_k are one product on a flat view, and a dual point's
+    # eigensystem is computed once: H, Z_k, Newton's spectrum and the ladder's
+    # dual value equal np.tensordot's and a fresh eigh's bit for bit
+    rng, restrict, epsilon = np.random.default_rng([37, dim]), None if field == "complex" else "real", 0.1
+    rho = dv._cone(random_density_mat(rng, dim), restrict)
+    mus = np.stack([dv._cone(random_density_mat(rng, dim), restrict) for _ in range(3)])
+    dual = th.SmoothedDual(mus, np.full(3, -epsilon), [], True)
+    y = rng.uniform(0.1, 1.0, 3)
+    h = rho - np.tensordot(y, mus, 1)
+    assert _bits(rho - dual._combine(y)) == _bits(h)
+    _, w, v, *_ = dual._dual(rho, 0.01, 0.001, y)
+    assert [_bits(w), _bits(v)] == list(map(_bits, np.linalg.eigh(h)))
+
+    basis = hermitian_basis(dim, restrict)
+    z = np.eye(dim) / dim + 0.05 * dv._cone(random_density_mat(rng, dim), restrict)
+    x = np.real(np.einsum("lab,ba->l", basis, z))
+    cone = th.SmoothedDual(basis, rng.normal(size=len(basis)), [(slice(None), basis)], False)
+    _, w, v, _, (zinv,) = cone._dual(rho, 0.3, 0.05, x)
+    assert [_bits(w), _bits(v)] == list(map(_bits, np.linalg.eigh(rho - np.tensordot(x, basis, 1))))
+    assert _bits(zinv) == _bits(np.linalg.inv(np.tensordot(x, basis, 1)))
+
+    y, lam, v, *_ = dual.newton(rho, 1e-3, epsilon * 1e-3, np.full(3, 1.0 / 3.0), 1e-12 * epsilon)
+    assert [_bits(lam), _bits(v)] == list(map(_bits, np.linalg.eigh(rho - np.tensordot(y, mus, 1))))
+    y, f, *_ = dv._extreme_point_dual(rho, list(mus), epsilon, restrict)
+    lam = np.linalg.eigh(rho - np.tensordot(y, mus, 1))[0]
+    assert _bits(f) == _bits(float(-dual.offsets @ y) + float(np.sum(lam[lam > 0.0])))
 
 
 def _set_alphas(free_set, tests):

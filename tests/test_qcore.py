@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,29 @@ class TestTensor:
     def test_label_collision_rejected(self):
         with pytest.raises(ValueError):
             tensor(maximally_mixed(S1), maximally_mixed(S1))
+
+
+class TestTensorStructure:
+    @pytest.mark.parametrize("make", [
+        lambda: single_party(3, "A"),
+        lambda: TensorStructure([("A", 2), ("B", 3)]),
+        lambda: single_party(2, "A").concat(TensorStructure([("B", 3), ("C", 4)])),
+    ], ids=["single-party", "two-party", "concat"])
+    def test_derived_fields_follow_the_parties(self, make):
+        # labels, dims and dim are set once at construction; equality and
+        # hashing stay on parties, and a pickle round trip keeps everything
+        struct = make()
+        labels, dims = tuple(lbl for lbl, _ in struct.parties), tuple(d for _, d in struct.parties)
+        twins = [struct, make(), pickle.loads(pickle.dumps(struct))]
+        for twin in twins:
+            assert twin.parties == struct.parties
+            assert (twin.labels, twin.dims, twin.dim) == (labels, dims, int(np.prod(dims)))
+            assert type(twin.dim) is int
+        assert len({twin: None for twin in twins}) == 1
+        assert len({hash(twin) for twin in twins}) == 1
+        assert struct != TensorStructure((lbl + "'", d) for lbl, d in struct.parties)  # same dims
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            struct.dim = 1
 
 
 class TestPartialTrace:
